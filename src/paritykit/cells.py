@@ -6,26 +6,29 @@ below.  Over a weak parity complex every column of every valid cell is
 a well-formed subset, the cells of each dimension are finitely
 enumerable, and every cell decomposes into singleton-top slices and is
 reachable from atoms and identities under composition.
+
+Enumeration grows cells from their source cells: an n-cell is an
+(n-1)-cell plus a top that moves the source's top column, and the top
+is added one generator at a time.  This is complete because every
+prefix of an excision order of a top is itself the top of a cell with
+the same source, so each growth step passes through cells only.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .chain import FreeDirectedComplex, from_structure
-from .multiset import GeneratorId, Multiset, SignedVector
+from .multiset import GeneratorId, Multiset
 from .ordering import lex_topological_order
 from .parity_core import (
-    AdditiveParityStructure,
     CLASS_WEAK,
     ParityStructure,
     Structure,
     StructureError,
-    _additive_view,
     atom_faces,
-    face_images,
     iterated_boundaries,
     validate,
 )
@@ -254,157 +257,101 @@ def _max_cells() -> int:
     return value
 
 
-def _well_formed_subsets(parity: ParityStructure, dim: int, pool: Sequence[GeneratorId]) -> Iterator[frozenset[GeneratorId]]:
-    """All well-formed subsets drawn from pool, smallest-lexicographic first.
+def _check_max_dim(max_dim: int) -> None:
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
 
-    In dimension 0 these are exactly the singletons; in higher
-    dimensions the empty set is included.
-    """
-    pool = sorted(pool)
-    if dim == 0:
-        for g in pool:
-            yield frozenset([g])
-        return
 
-    def extend(start: int, chosen: list[GeneratorId], used_neg: set, used_pos: set):
-        yield frozenset(chosen)
-        for i in range(start, len(pool)):
-            g = pool[i]
-            ng, pg = parity.neg(g), parity.pos(g)
-            if used_neg & ng or used_pos & pg:
-                continue
-            chosen.append(g)
-            yield from extend(i + 1, chosen, used_neg | ng, used_pos | pg)
-            chosen.pop()
-
-    yield from extend(0, [], set(), set())
+def _require_weak(struct: Structure, task: str) -> None:
+    """Raise StructureError naming the classification unless the
+    structure is a weak parity complex."""
+    report = validate(struct)
+    if not report.meets(CLASS_WEAK):
+        raise StructureError(f"{task} needs a weak parity complex, got {report.classification}")
 
 
 def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     """The complete, duplicate-free list of valid nu-cells up to max_dim.
 
     Requires the structure to classify as a weak parity complex, which
-    guarantees every cell's columns are well-formed subsets and makes
-    the top-down search complete.  Output is in canonical order.
+    guarantees every cell's columns are well-formed subsets.  Cells are
+    grown bottom-up: the 0-cells are the points, and the n-cells with a
+    given (n-1)-cell S as source are S plus a top T that moves S's top
+    column M to the target column M + dT.  T is grown from the empty
+    set (the identity on S) one generator b at a time, where neg(b) lies
+    in the current column C and pos(b) misses it, and C becomes
+    (C minus neg b) plus pos b.  This reaches every cell because every
+    prefix of an excision order of a top is such a growth step (see
+    excision_decompose); each T is kept once per source.
+
+    Every search state is an emitted cell, so the PARITYKIT_MAX_CELLS
+    cap bounds the work as well as the output.  Output is in canonical
+    order.
     """
-    report = validate(struct)
-    if not report.meets(CLASS_WEAK):
-        raise StructureError(
-            f"enumeration needs a weak parity complex, got {report.classification}"
-        )
+    _check_max_dim(max_dim)
+    _require_weak(struct, "enumeration")
     parity = struct if isinstance(struct, ParityStructure) else struct.as_parity()
     cap = _max_cells()
     out: list[CellTable] = []
 
-    neg_of = {g: parity.neg(g) for g in parity.all_generators() if g.dim >= 1}
-    pos_of = {g: parity.pos(g) for g in parity.all_generators() if g.dim >= 1}
+    # columns are bitmasks over each dimension's sorted generators
+    gens = [parity.generators(k) for k in range(max_dim + 1)]
+    columns: dict[tuple[int, int], Multiset] = {}
 
-    def union_faces(s: frozenset[GeneratorId], which: dict) -> set[GeneratorId]:
-        acc: set[GeneratorId] = set()
-        for g in s:
-            acc |= which[g]
-        return acc
+    def column(dim: int, mask: int) -> Multiset:
+        got = columns.get((dim, mask))
+        if got is None:
+            row = gens[dim]
+            got = Multiset.subset(dim, [row[i] for i in range(mask.bit_length()) if mask >> i & 1])
+            columns[dim, mask] = got
+        return got
 
-    def finish(levels: list[tuple[frozenset, frozenset]], d: int) -> CellTable:
-        # levels are (M_k, P_k) from dimension d down to 0
-        neg = [Multiset.subset(d - i, m) for i, (m, _) in enumerate(levels)]
-        pos = [Multiset.subset(d - i, p) for i, (_, p) in enumerate(levels)]
-        neg.reverse()
-        pos.reverse()
-        return CellTable(neg, pos)
+    def emit(cell: CellTable) -> None:
+        out.append(cell)
+        if len(out) > cap:
+            raise EnumerationCapError(
+                f"enumeration exceeded {cap} cells (set {MAX_CELLS_ENV} to raise)"
+            )
 
-    def descend(levels: list[tuple[frozenset, frozenset]], d: int) -> Iterator[CellTable]:
-        k = d - (len(levels) - 1)  # dimension of the lowest chosen column
-        if k == 0:
-            yield finish(levels, d)
-            return
-        above_m, above_p = levels[-1]
-        fm = union_faces(above_m, neg_of), union_faces(above_m, pos_of)
-        fp = union_faces(above_p, neg_of), union_faces(above_p, pos_of)
-        req_m = frozenset(fm[0] - fm[1])
-        req_p = frozenset(fm[1] - fm[0])
-        if req_m != frozenset(fp[0] - fp[1]) or req_p != frozenset(fp[1] - fp[0]):
-            return  # the two rows above cannot move one common column pair
-        blocked_m: set[GeneratorId] = set()
-        blocked_p: set[GeneratorId] = set()
-        for b in above_m | above_p:
-            blocked_m |= pos_of[b]
-            blocked_p |= neg_of[b]
-        if req_m & blocked_m or req_p & blocked_p:
-            return
-        if k - 1 == 0:
-            # columns below must be singletons with the required differences
-            if len(req_m) == 1 and len(req_p) == 1:
-                yield from descend(levels + [(req_m, req_p)], d)
-            elif not req_m and not req_p:
-                for g in parity.generators(0):
-                    if g in blocked_m or g in blocked_p:
-                        continue
-                    point = frozenset([g])
-                    yield from descend(levels + [(point, point)], d)
-            return
-        pool = [
-            g
-            for g in parity.generators(k - 1)
-            if g not in req_m and g not in req_p and g not in blocked_m and g not in blocked_p
+    # (cell, mask of its top column) for the cells of the current dimension
+    level: list[tuple[CellTable, int]] = []
+    for i in range(len(gens[0])):
+        point = column(0, 1 << i)
+        cell = CellTable((point,), (point,))
+        emit(cell)
+        level.append((cell, 1 << i))
+
+    for d in range(1, max_dim + 1):
+        below = {g: 1 << i for i, g in enumerate(gens[d - 1])}
+        moves = [
+            (
+                1 << i,
+                sum(below[f] for f in parity.neg(b)),
+                sum(below[f] for f in parity.pos(b)),
+            )
+            for i, b in enumerate(gens[d])
         ]
-        for shared in _well_formed_extensions(parity, k - 1, req_m, req_p, pool):
-            m_col = req_m | shared
-            p_col = req_p | shared
-            yield from descend(levels + [(m_col, p_col)], d)
+        grown: list[tuple[CellTable, int]] = []
+        for source, m in level:
+            head_neg = source.neg
+            head_pos = source.pos[:-1]
+            seen = {0}
+            stack = [(0, m)]
+            while stack:
+                top, current = stack.pop()
+                t = column(d, top)
+                cell = CellTable(head_neg + (t,), head_pos + (column(d - 1, current), t))
+                emit(cell)
+                grown.append((cell, top))
+                for bit, neg, pos in moves:
+                    if top & bit or neg & ~current or pos & current:
+                        continue
+                    nxt = top | bit
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append((nxt, current ^ neg ^ pos))
+        level = grown
 
-    def _well_formed_extensions(parity, dim, base_m, base_p, pool):
-        """Shared parts X making both base_m | X and base_p | X well-formed."""
-        if dim == 0:
-            raise AssertionError("dimension-0 extensions are handled by the caller")
-        if not _pairwise_wf(parity, base_m) or not _pairwise_wf(parity, base_p):
-            return
-        used = {
-            "mn": union_faces(frozenset(base_m), neg_of),
-            "mp": union_faces(frozenset(base_m), pos_of),
-            "pn": union_faces(frozenset(base_p), neg_of),
-            "pp": union_faces(frozenset(base_p), pos_of),
-        }
-        pool = sorted(pool)
-
-        def extend(start, chosen, used):
-            yield frozenset(chosen)
-            for i in range(start, len(pool)):
-                g = pool[i]
-                ng, pg = neg_of[g], pos_of[g]
-                if used["mn"] & ng or used["mp"] & pg or used["pn"] & ng or used["pp"] & pg:
-                    continue
-                chosen.append(g)
-                child = {
-                    "mn": used["mn"] | ng,
-                    "mp": used["mp"] | pg,
-                    "pn": used["pn"] | ng,
-                    "pp": used["pp"] | pg,
-                }
-                yield from extend(i + 1, chosen, child)
-                chosen.pop()
-
-        yield from extend(0, [], used)
-
-    def _pairwise_wf(parity, subset):
-        seen_n: set[GeneratorId] = set()
-        seen_p: set[GeneratorId] = set()
-        for g in subset:
-            ng, pg = neg_of[g], pos_of[g]
-            if seen_n & ng or seen_p & pg:
-                return False
-            seen_n |= ng
-            seen_p |= pg
-        return True
-
-    for d in range(max_dim + 1):
-        for top in _well_formed_subsets(parity, d, parity.generators(d)):
-            for cell in descend([(top, top)], d):
-                out.append(cell)
-                if len(out) > cap:
-                    raise EnumerationCapError(
-                        f"enumeration exceeded {cap} cells (set {MAX_CELLS_ENV} to raise)"
-                    )
     out.sort(key=CellTable.sort_key)
     return out
 
@@ -560,7 +507,14 @@ def atom_closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpress
 
     Returns a witness expression for every cell reached; over a parity
     complex this covers every cell of each dimension <= max_dim.
+    Requires a weak parity complex, as enumerate_cells does.
     """
+    _check_max_dim(max_dim)
+    _require_weak(struct, "atom closure")
+    return _closure(struct, max_dim)
+
+
+def _closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpression]:
     known: dict[CellTable, AtomExpression] = {}
     queue: deque[CellTable] = deque()
     # (dim, k, face-table) -> cells of that dimension with that k-source / k-target
@@ -604,11 +558,11 @@ def generated_by_atoms(struct: Structure, table: CellTable) -> AtomExpression | 
 
     The witness evaluates back to the cell exactly; absence means the
     breadth-first closure of atoms and identities under composition does
-    not contain the cell.
+    not contain the cell.  Requires a weak parity complex.
     """
+    _require_weak(struct, "atom closure")
     complex_ = _as_complex(struct)
     ok, reason = validate_cell(complex_, table, mode="nu" if complex_.augmented else "rho")
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
-    closure = atom_closure(struct, table.dim)
-    return closure.get(table)
+    return _closure(struct, table.dim).get(table)

@@ -58,10 +58,17 @@ def globe(n: int, *, bound: int | None = None) -> ParityStructure:
 
 
 def oriental(n: int, *, bound: int | None = None) -> ParityStructure:
-    """The parity n-simplex underlying the n-th oriental."""
+    """The parity n-simplex underlying the n-th oriental.
+
+    Vertices are named by single digits, so n is at most 9 whatever the
+    bound; a larger n raises ValueError.
+    """
     _check_bound("oriental", n, ORIENTAL_MAX, bound)
+    digits = "0123456789"
+    if n >= len(digits):
+        raise ValueError(f"oriental({n}) needs {n + 1} vertices, but vertex names are single digits")
     rows = []
-    letters = "0123456789"[: n + 1]
+    letters = digits[: n + 1]
     for k in range(n + 1):
         for word in combinations(letters, k + 1):
             name = "".join(word)

@@ -1,7 +1,11 @@
+import hashlib
+import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import randstruct
 from paritykit import cells
 from paritykit.cells import (
     AtomLeaf,
@@ -11,9 +15,15 @@ from paritykit.cells import (
     NotComposableError,
 )
 from paritykit.chain import from_structure
-from paritykit.generators import oriental
+from paritykit.generators import family, oriental
 from paritykit.multiset import Multiset
-from paritykit.parity_core import ParityStructure, StructureError, is_well_formed
+from paritykit.parity_core import (
+    CLASS_WEAK,
+    ParityStructure,
+    StructureError,
+    is_well_formed,
+    validate,
+)
 
 
 def col(struct, dim, *names):
@@ -241,6 +251,43 @@ class TestEnumerate:
         for t in cells.enumerate_cells(oriental3, 3):
             assert cells.validate_cell(complex_, t, "nu") == (True, None)
 
+    def test_negative_max_dim(self, oriental2):
+        with pytest.raises(ValueError, match="max_dim"):
+            cells.enumerate_cells(oriental2, -1)
+        with pytest.raises(ValueError, match="max_dim"):
+            cells.atom_closure(oriental2, -1)
+
+    # SHA-256 of the str() lines of the sorted enumeration, recorded from
+    # the former top-down search before it was replaced.
+    GOLDEN = [
+        ("oriental", 4, 4, 291, "bd7d7d2bcff5119cabccfed6198d94a1195060c1a6992f4342befdf3a57f215b"),
+        ("cube", 3, 3, 159, "f1065091805711b4d98b486fb354e69ecb8d47c31e0a4809af05f68b2eb8ed33"),
+        ("oriental", 5, 5, 1721, "26de0236779c270ddf3e94a019fef9e5caa37df658cfa5b2bd4846d00f6c97a8"),
+    ]
+
+    @pytest.mark.parametrize("name, n, max_dim, count, digest", GOLDEN)
+    def test_golden_enumeration(self, name, n, max_dim, count, digest):
+        enumerated = cells.enumerate_cells(family(name, n), max_dim)
+        assert len(enumerated) == count
+        text = "\n".join(str(t) for t in enumerated)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_gens=st.integers(3, 12))
+    def test_random_weak_parity_complexes(self, seed, max_gens):
+        struct = randstruct.random_structured_parity(random.Random(seed), max_gens)
+        assume(validate(struct).meets(CLASS_WEAK))
+        enumerated = cells.enumerate_cells(struct, struct.max_dim)
+        assert len(set(enumerated)) == len(enumerated)
+        # freeness: every cell is reached from atoms, and nothing else is
+        assert set(enumerated) == set(cells.atom_closure(struct, struct.max_dim))
+        # brute force up to the highest dimension with at most 2^10 tables
+        sizes = [len(struct.generators(k)) for k in range(struct.max_dim + 1)]
+        small = [d for d in range(len(sizes)) if 2 * sum(sizes[:d]) + sizes[d] <= 10]
+        if small:
+            d = max(small)
+            assert set(t for t in enumerated if t.dim <= d) == brute_force_cells(struct, d)
+
 
 class TestExcision:
     def test_path_splits_into_edges(self, oriental2):
@@ -307,6 +354,13 @@ class TestGeneratedByAtoms:
             expr = cells.generated_by_atoms(oriental2, t)
             assert expr is not None
             assert expr.evaluate(oriental2) == t
+
+    def test_requires_weak_parity_complex(self, circle):
+        t = table(circle, [["p"], ["a"]], [["q"], ["a"]])
+        with pytest.raises(StructureError, match="additive parity complex"):
+            cells.generated_by_atoms(circle, t)
+        with pytest.raises(StructureError, match="additive parity complex"):
+            cells.atom_closure(circle, 1)
 
     def test_expression_payloads(self, oriental2):
         t = table(oriental2, [["0"], ["01", "12"]], [["2"], ["01", "12"]])

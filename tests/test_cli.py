@@ -89,6 +89,14 @@ class TestCells:
     def test_enumeration_rejected_on_circle(self, capsys):
         assert main(["cells", CIRCLE, "--max-dim", "1"]) == 2
 
+    def test_negative_max_dim_exits_2(self, capsys, oriental2_file):
+        assert main(["cells", oriental2_file, "--max-dim", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "max_dim" in err
+        assert main(["freeness", oriental2_file, "--max-dim", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "max_dim" in err
+
 
 class TestCellCommands:
     def test_atom(self, capsys, oriental2_file):

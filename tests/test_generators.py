@@ -74,6 +74,11 @@ class TestOriental:
         with pytest.raises(ValueError):
             oriental(8)
 
+    def test_vertex_names_are_single_digits(self):
+        assert len(oriental(9, bound=9)) == 2**10 - 1
+        with pytest.raises(ValueError, match="single digits"):
+            oriental(10, bound=12)
+
 
 class TestCube:
     def test_generator_counts(self):

@@ -33,7 +33,7 @@ from .parity_core import (
     validate,
 )
 
-#: Environment variable capping enumeration size (number of cells).
+#: Environment variable capping the cells enumerated, or reached by atom closure.
 MAX_CELLS_ENV = "PARITYKIT_MAX_CELLS"
 DEFAULT_MAX_CELLS = 10**6
 
@@ -47,7 +47,7 @@ class InternalCheckError(RuntimeError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Cell enumeration exceeded the configured cap."""
+    """Cell enumeration or atom closure exceeded the configured cap."""
 
 
 class CellTable:
@@ -57,7 +57,7 @@ class CellTable:
     graded by dimension k); the cell conditions are validate_cell's job.
     """
 
-    __slots__ = ("_neg", "_pos", "_hash")
+    __slots__ = ("_neg", "_pos", "_hash", "_subset")
 
     def __init__(self, neg: Sequence[Multiset], pos: Sequence[Multiset]):
         neg = tuple(neg)
@@ -70,6 +70,7 @@ class CellTable:
         object.__setattr__(self, "_neg", neg)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_hash", hash((neg, pos)))
+        object.__setattr__(self, "_subset", None)  # filled by is_subset_columned
 
     def __setattr__(self, name, value):
         raise AttributeError("CellTable is immutable")
@@ -95,7 +96,11 @@ class CellTable:
         return self.dim >= 1 and self._neg[-1].is_empty() and self._pos[-1].is_empty()
 
     def is_subset_columned(self) -> bool:
-        return all(m.is_radical() and p.is_radical() for m, p in zip(self._neg, self._pos))
+        subset = self._subset
+        if subset is None:
+            subset = all(m.is_radical() and p.is_radical() for m, p in zip(self._neg, self._pos))
+            object.__setattr__(self, "_subset", subset)
+        return subset
 
     def sort_key(self) -> tuple:
         return (
@@ -196,7 +201,8 @@ def compose(x: CellTable, y: CellTable, k: int) -> CellTable:
         raise NotComposableError(f"dimensions differ: {x.dim} vs {y.dim}")
     if not 0 <= k < x.dim:
         raise NotComposableError(f"composition index {k} out of range for {x.dim}-cells")
-    if face(x, k, "target") != face(y, k, "source"):
+    # the k-target of x against the k-source of y, column by column
+    if x.pos[k] != y.neg[k] or x.neg[:k] != y.neg[:k] or x.pos[:k] != y.pos[:k]:
         raise NotComposableError(f"{k}-target of the first is not the {k}-source of the second")
     check_subsets = x.is_subset_columned() and y.is_subset_columned()
     neg = list(x.neg[: k + 1])
@@ -210,7 +216,10 @@ def compose(x: CellTable, y: CellTable, k: int) -> CellTable:
             )
         neg.append(m)
         pos.append(p)
-    return CellTable(neg, pos)
+    out = CellTable(neg, pos)
+    if check_subsets:
+        object.__setattr__(out, "_subset", True)  # every column was checked or shared
+    return out
 
 
 def atom(struct: Structure, gen: GeneratorId) -> CellTable:
@@ -507,7 +516,8 @@ def atom_closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpress
 
     Returns a witness expression for every cell reached; over a parity
     complex this covers every cell of each dimension <= max_dim.
-    Requires a weak parity complex, as enumerate_cells does.
+    Requires a weak parity complex, as enumerate_cells does.  The
+    PARITYKIT_MAX_CELLS cap applies to the cells reached.
     """
     _check_max_dim(max_dim)
     _require_weak(struct, "atom closure")
@@ -515,6 +525,7 @@ def atom_closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpress
 
 
 def _closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpression]:
+    cap = _max_cells()
     known: dict[CellTable, AtomExpression] = {}
     queue: deque[CellTable] = deque()
     # (dim, k, face-table) -> cells of that dimension with that k-source / k-target
@@ -525,6 +536,11 @@ def _closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpression]
         if cell not in known:
             known[cell] = expr
             queue.append(cell)
+            if len(known) > cap:
+                raise EnumerationCapError(
+                    f"atom closure reached {len(known)} cells, more than {cap} "
+                    f"(set {MAX_CELLS_ENV} to raise)"
+                )
 
     for g in sorted(struct.all_generators()):
         if g.dim <= max_dim:
@@ -558,7 +574,8 @@ def generated_by_atoms(struct: Structure, table: CellTable) -> AtomExpression | 
 
     The witness evaluates back to the cell exactly; absence means the
     breadth-first closure of atoms and identities under composition does
-    not contain the cell.  Requires a weak parity complex.
+    not contain the cell.  Requires a weak parity complex; the closure is
+    capped as in atom_closure.
     """
     _require_weak(struct, "atom closure")
     complex_ = _as_complex(struct)

@@ -116,8 +116,15 @@ class FreeDirectedComplex:
 
 
 def from_structure(struct: Structure) -> FreeDirectedComplex:
-    """The free directed chain complex on a structure's face data."""
-    return FreeDirectedComplex(_additive_view(struct))
+    """The free directed chain complex on a structure's face data.
+
+    The complex is built once per structure and kept on it; later calls
+    return the same complex.
+    """
+    complex_ = struct._complex
+    if complex_ is None:
+        complex_ = struct._complex = FreeDirectedComplex(_additive_view(struct))
+    return complex_
 
 
 def boundary(complex_: FreeDirectedComplex, v: SignedVector) -> SignedVector:

@@ -281,8 +281,8 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_freeness(args) -> int:
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     struct = fixture.value
-    enumerated = cells_mod.enumerate_cells(struct, args.max_dim)
     closure = cells_mod.atom_closure(struct, args.max_dim)
+    enumerated = cells_mod.enumerate_cells(struct, args.max_dim)
     missing = [c for c in enumerated if c not in closure]
     bad = [c for c in enumerated if c in closure and closure[c].evaluate(struct) != c]
     if args.format == "structured":
@@ -457,6 +457,7 @@ def main(argv=None) -> int:
         MorphismError,
         cells_mod.EnumerationCapError,
         ValueError,
+        OverflowError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

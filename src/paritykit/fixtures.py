@@ -14,8 +14,8 @@ from typing import Any, Mapping
 
 from .cells import CellTable
 from .morphisms import GradedMorphism
-from .multiset import GeneratorId, Multiset
-from .parity_core import AdditiveParityStructure, ParityStructure, Structure, StructureError
+from .multiset import MAX_COUNT, GeneratorId, Multiset
+from .parity_core import AdditiveParityStructure, ParityStructure, Structure
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +39,15 @@ class Fixture:
 
 # ---------------------------------------------------------------------------
 # reading
+#
+# Values built from the payload (generators, multisets, structures) raise
+# ValueError or OverflowError on bad data; each such failure is re-raised
+# as a FixtureError naming where in the document it happened.
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer; booleans are ints to Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _face_counts(data: Any, where: str) -> list[tuple[str, int]]:
@@ -52,8 +61,12 @@ def _face_counts(data: Any, where: str) -> list[tuple[str, int]]:
             isinstance(entry, list)
             and len(entry) == 2
             and isinstance(entry[0], str)
-            and isinstance(entry[1], int)
+            and _is_int(entry[1])
         ):
+            if not 1 <= entry[1] <= MAX_COUNT:
+                raise FixtureError(
+                    f"{where}: count of {entry[0]!r} must be between 1 and {MAX_COUNT}, got {entry[1]}"
+                )
             out.append((entry[0], entry[1]))
         else:
             raise FixtureError(f"{where}: face entries must be names or [name, count] pairs")
@@ -73,8 +86,10 @@ def _parse_elements(payload: Mapping, where: str) -> list[tuple[str, int, list, 
             dim = el["dim"]
         except KeyError as exc:
             raise FixtureError(f"{where}: element missing {exc}")
-        if not isinstance(name, str) or not isinstance(dim, int):
+        if not isinstance(name, str) or not _is_int(dim):
             raise FixtureError(f"{where}: element id must be a string and dim an integer")
+        if dim < 0:
+            raise FixtureError(f"{where}/{name}: dim must be >= 0, got {dim}")
         neg = _face_counts(el.get("neg", []), f"{where}/{name}")
         pos = _face_counts(el.get("pos", []), f"{where}/{name}")
         rows.append((name, dim, neg, pos))
@@ -83,20 +98,21 @@ def _parse_elements(payload: Mapping, where: str) -> list[tuple[str, int, list, 
 
 def _structure_from_payload(kind: str, payload: Mapping, where: str) -> Structure:
     rows = _parse_elements(payload, where)
+    if kind == KIND_PARITY:
+        for name, _, neg, pos in rows:
+            for fname, count in neg + pos:
+                if count != 1:
+                    raise FixtureError(
+                        f"{where}/{name}: parity structures have subset faces; "
+                        f"{fname!r} has count {count}"
+                    )
     try:
         if kind == KIND_PARITY:
-            for name, _, neg, pos in rows:
-                for fname, count in neg + pos:
-                    if count != 1:
-                        raise FixtureError(
-                            f"{where}/{name}: parity structures have subset faces; "
-                            f"{fname!r} has count {count}"
-                        )
             return ParityStructure.build(
                 [(n, d, [f for f, _ in neg], [f for f, _ in pos]) for n, d, neg, pos in rows]
             )
         return AdditiveParityStructure.build(rows)
-    except StructureError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FixtureError(f"{where}: {exc}")
 
 
@@ -104,18 +120,24 @@ def _cell_from_payload(payload: Mapping, where: str) -> CellTable:
     dim = payload.get("dim")
     neg = payload.get("neg")
     pos = payload.get("pos")
-    if not isinstance(dim, int) or not isinstance(neg, list) or not isinstance(pos, list):
+    if not _is_int(dim) or not isinstance(neg, list) or not isinstance(pos, list):
         raise FixtureError(f"{where}: cell payload needs integer 'dim' and 'neg'/'pos' arrays")
+    if dim < 0:
+        raise FixtureError(f"{where}: cell dimension must be >= 0, got {dim}")
     if len(neg) != dim + 1 or len(pos) != dim + 1:
         raise FixtureError(f"{where}: a {dim}-cell needs {dim + 1} columns per row")
 
     def column(k: int, data: Any, row: str) -> Multiset:
-        pairs = _face_counts(data, f"{where}/{row}[{k}]")
+        at = f"{where}/{row}[{k}]"
+        pairs = _face_counts(data, at)
         counts: dict[GeneratorId, int] = {}
-        for name, count in pairs:
-            g = GeneratorId(k, name)
-            counts[g] = counts.get(g, 0) + count
-        return Multiset(k, counts)
+        try:
+            for name, count in pairs:
+                g = GeneratorId(k, name)
+                counts[g] = counts.get(g, 0) + count
+            return Multiset(k, counts)
+        except (ValueError, OverflowError) as exc:
+            raise FixtureError(f"{at}: {exc}")
 
     return CellTable(
         [column(k, c, "neg") for k, c in enumerate(neg)],
@@ -152,13 +174,17 @@ def _morphism_from_payload(payload: Mapping, where: str) -> GradedMorphism:
         if not isinstance(per_dim, Mapping):
             raise FixtureError(f"{where}: assignment[{dim_key}] must be an object")
         for name, faces in per_dim.items():
-            gen = source.gen(name, dim)
-            pairs = _face_counts(faces, f"{where}/assignment/{name}")
+            at = f"{where}/assignment/{dim_key}/{name}"
+            pairs = _face_counts(faces, at)
             counts: dict[GeneratorId, int] = {}
-            for fname, count in pairs:
-                h = target.gen(fname, dim)
-                counts[h] = counts.get(h, 0) + count
-            assignment[gen] = Multiset(dim, counts)
+            try:
+                gen = source.gen(name, dim)
+                for fname, count in pairs:
+                    h = target.gen(fname, dim)
+                    counts[h] = counts.get(h, 0) + count
+                assignment[gen] = Multiset(dim, counts)
+            except (ValueError, OverflowError) as exc:
+                raise FixtureError(f"{at}: {exc}")
     try:
         return GradedMorphism(source, target, assignment, mode)
     except ValueError as exc:

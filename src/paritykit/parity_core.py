@@ -12,7 +12,8 @@ loop-freeness, and classifies the structure accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .multiset import DimensionMismatchError, GeneratorId, Multiset
@@ -28,12 +29,19 @@ class UnknownGeneratorError(StructureError):
 
 
 class _GradedStructure:
-    """Shared bookkeeping for graded sets with per-generator face data."""
+    """Shared bookkeeping for graded sets with per-generator face data.
+
+    Structures are immutable, so what is derived from the whole of one
+    (its validation report, its free complex) is computed once and kept
+    on it.  Equality ignores these caches.
+    """
 
     _by_dim: dict[int, tuple[GeneratorId, ...]]
     _by_key: dict[tuple[int, str], GeneratorId]
 
-    def _index(self, gens: Iterable[GeneratorId]) -> None:
+    def __init__(self, gens: Iterable[GeneratorId]):
+        self._report: ValidationReport | None = None  # filled by validate
+        self._complex = None  # filled by chain.from_structure
         by_dim: dict[int, list[GeneratorId]] = {}
         by_key: dict[tuple[int, str], GeneratorId] = {}
         for g in gens:
@@ -95,7 +103,7 @@ class AdditiveParityStructure(_GradedStructure):
     """
 
     def __init__(self, faces: Mapping[GeneratorId, tuple[Multiset, Multiset]]):
-        self._index(faces.keys())
+        super().__init__(faces.keys())
         self._neg: dict[GeneratorId, Multiset] = {}
         self._pos: dict[GeneratorId, Multiset] = {}
         for g, (neg, pos) in faces.items():
@@ -199,7 +207,7 @@ class ParityStructure(_GradedStructure):
     """Graded set with a pair of finite face subsets per generator."""
 
     def __init__(self, faces: Mapping[GeneratorId, tuple[frozenset[GeneratorId], frozenset[GeneratorId]]]):
-        self._index(faces.keys())
+        super().__init__(faces.keys())
         self._neg: dict[GeneratorId, frozenset[GeneratorId]] = {}
         self._pos: dict[GeneratorId, frozenset[GeneratorId]] = {}
         for g, (neg, pos) in faces.items():
@@ -568,7 +576,16 @@ def validate(struct: Structure) -> ValidationReport:
     All problems are report entries; nothing raises.  The loop-freeness
     flags carry witnesses: the lexicographically least topological order
     of the generating relation on success, an explicit cycle on failure.
+    The report is computed once per structure and kept on it; later
+    calls return the same (immutable) report.
     """
+    report = struct._report
+    if report is None:
+        report = struct._report = _validate(struct)
+    return report
+
+
+def _validate(struct: Structure) -> ValidationReport:
     additive = _additive_view(struct)
     is_parity_input = isinstance(struct, ParityStructure)
     subset_valued = additive.is_subset_valued()
@@ -763,7 +780,7 @@ def validate(struct: Structure) -> ValidationReport:
         steiner_loop_free=steiner_loop_free,
         strongly_loop_free=strongly_loop_free,
         classification=classification,
-        witnesses=witnesses,
+        witnesses=MappingProxyType(witnesses),
         failures=tuple(failures),
         notes=tuple(notes),
     )

@@ -53,6 +53,13 @@ def random_additive_structure(rng: random.Random, max_gens: int = 12, max_dim: i
     return AdditiveParityStructure.build(rows)
 
 
+def random_structure(kind: str, rng: random.Random) -> AdditiveParityStructure | ParityStructure:
+    """A random_structured_parity ("parity") or random_additive_structure ("additive")."""
+    if kind == "parity":
+        return random_structured_parity(rng)
+    return random_additive_structure(rng)
+
+
 def random_structured_parity(rng: random.Random, max_gens: int = 12) -> ParityStructure:
     """Parallel-path builds on a small vertex chain; globular by construction.
 

@@ -14,7 +14,8 @@ from paritykit.cells import (
     InternalCheckError,
     NotComposableError,
 )
-from paritykit.chain import from_structure
+from paritykit import parity_core
+from paritykit.chain import FreeDirectedComplex, from_structure
 from paritykit.generators import family, oriental
 from paritykit.multiset import Multiset
 from paritykit.parity_core import (
@@ -22,6 +23,7 @@ from paritykit.parity_core import (
     ParityStructure,
     StructureError,
     is_well_formed,
+    skeleton,
     validate,
 )
 
@@ -139,6 +141,35 @@ class TestCompose:
         xy = cells.compose(x, y, 0)
         with pytest.raises(InternalCheckError):
             cells.compose(xy, x, 0)
+
+    def test_lower_columns_must_match_in_both_rows(self, oriental2):
+        # compose takes any tables; on valid cells one row below k would
+        # follow from the other, so these tables are not cells
+        x = table(oriental2, [["0"], ["01"], []], [["2"], ["12"], []])
+        same = table(oriental2, [["0"], ["12"], []], [["2"], ["02"], []])
+        other_neg = table(oriental2, [["1"], ["12"], []], [["2"], ["02"], []])
+        other_pos = table(oriental2, [["0"], ["12"], []], [["1"], ["02"], []])
+        assert cells.compose(x, same, 1) == table(
+            oriental2, [["0"], ["01"], []], [["2"], ["02"], []]
+        )
+        for y in (other_neg, other_pos):
+            assert cells.face(x, 1, "target") != cells.face(y, 1, "source")
+            with pytest.raises(NotComposableError):
+                cells.compose(x, y, 1)
+
+    def test_composable_exactly_when_the_faces_match(self, oriental3):
+        # the column-wise test in compose against the definition by faces
+        enumerated = cells.enumerate_cells(oriental3, 3)
+        for d in range(1, 4):
+            same_dim = [t for t in enumerated if t.dim == d]
+            for x, y in product(same_dim, repeat=2):
+                for k in range(d):
+                    matching = cells.face(x, k, "target") == cells.face(y, k, "source")
+                    if matching:
+                        assert cells.compose(x, y, k).dim == d
+                    else:
+                        with pytest.raises(NotComposableError):
+                            cells.compose(x, y, k)
 
 
 class TestIdentity:
@@ -355,6 +386,14 @@ class TestGeneratedByAtoms:
             assert expr is not None
             assert expr.evaluate(oriental2) == t
 
+    def test_closure_cap(self, oriental2, monkeypatch):
+        monkeypatch.setenv(cells.MAX_CELLS_ENV, "5")
+        with pytest.raises(EnumerationCapError, match="atom closure reached 6 cells, more than 5"):
+            cells.atom_closure(oriental2, 2)
+        t = table(oriental2, [["0"], ["01", "12"]], [["2"], ["01", "12"]])
+        with pytest.raises(EnumerationCapError, match="atom closure reached 6 cells"):
+            cells.generated_by_atoms(oriental2, t)
+
     def test_requires_weak_parity_complex(self, circle):
         t = table(circle, [["p"], ["a"]], [["q"], ["a"]])
         with pytest.raises(StructureError, match="additive parity complex"):
@@ -367,3 +406,63 @@ class TestGeneratedByAtoms:
         expr = cells.generated_by_atoms(oriental2, t)
         payload = expr.to_payload()
         assert payload[0] == "compose" and payload[1] == 0
+
+
+class TestComputedOncePerStructure:
+    def test_same_complex_on_every_call(self):
+        parity = oriental(3)
+        assert from_structure(parity) is from_structure(parity)
+        additive = parity.to_additive()
+        assert from_structure(additive) is from_structure(additive)
+        assert from_structure(additive).structure is additive
+
+    def test_cell_calls_validate_each_structure_once(self, monkeypatch):
+        calls = []
+        fresh_validate = parity_core._validate
+
+        def counting(struct):
+            calls.append(struct)
+            return fresh_validate(struct)
+
+        monkeypatch.setattr(parity_core, "_validate", counting)
+        struct = oriental(3)
+        enumerated = cells.enumerate_cells(struct, 2)
+        for t in enumerated[-3:]:
+            cells.excision_decompose(struct, t)
+            assert cells.validate_cell(struct, t) == (True, None)
+            assert cells.generated_by_atoms(struct, t) is not None
+        cells.atom_closure(struct, 2)
+        # the parity structure (for the weak gate) and its additive view
+        # (for excision), once each
+        assert calls == [struct, from_structure(struct).structure]
+
+    def test_excision_checks_the_additive_view(self):
+        # subset-globular, not additively globular (the faces are not
+        # well-formed): excision works on the complex, so it refuses
+        s = ParityStructure.build(
+            [
+                ("p", 0, [], []), ("q", 0, [], []),
+                ("a", 1, ["p"], ["q"]),
+                ("b", 1, ["p"], ["q"]),
+                ("c", 1, ["p"], ["q"]),
+                ("F", 2, ["a", "b"], ["c"]),
+            ]
+        )
+        assert validate(s).globular
+        with pytest.raises(StructureError, match="globular=False"):
+            cells.excision_decompose(s, cells.atom(s, s.gen("a")))
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["parity", "additive"]), seed=st.integers(0, 2**32 - 1))
+    def test_cached_complex_equals_a_fresh_one(self, kind, seed):
+        struct = randstruct.random_structure(kind, random.Random(seed))
+        complex_ = from_structure(struct)
+        assert from_structure(struct) is complex_
+        copy = skeleton(struct, struct.max_dim)
+        assert copy == struct and copy is not struct
+        fresh = FreeDirectedComplex(copy.to_additive() if kind == "parity" else copy)
+        assert complex_.structure == fresh.structure
+        assert complex_.augmented == fresh.augmented
+        gens = [g for g in struct.all_generators() if g.dim >= 1]
+        assert [complex_.boundary_of(g) for g in gens] == [fresh.boundary_of(g) for g in gens]
+        assert validate(complex_.structure).to_payload() == validate(fresh.structure).to_payload()

@@ -74,6 +74,51 @@ class TestValidate:
     def test_missing_file_exits_2(self, capsys):
         assert main(["validate", "/does/not/exist.json"]) == 2
 
+    def test_count_beyond_a_machine_word_exits_2(self, capsys, tmp_path):
+        doc = {
+            "schema_version": 1,
+            "name": "huge",
+            "kind": "additive_parity_structure",
+            "payload": {
+                "elements": [
+                    {"id": "v", "dim": 0},
+                    {"id": "w", "dim": 0},
+                    {"id": "x", "dim": 1, "neg": [["v", 2**63]], "pos": ["w"]},
+                ]
+            },
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: huge/x: count of 'v'")
+
+    def test_face_image_beyond_a_machine_word_exits_2(self, capsys, tmp_path):
+        # every count fits, but the face image of G counts x 2^64 times
+        big = 2**32
+        doc = {
+            "schema_version": 1,
+            "name": "products",
+            "kind": "additive_parity_structure",
+            "payload": {
+                "elements": [
+                    {"id": "v", "dim": 0},
+                    {"id": "w", "dim": 0},
+                    {"id": "x", "dim": 1, "neg": ["v"], "pos": ["w"]},
+                    {"id": "y", "dim": 1, "neg": ["v"], "pos": ["w"]},
+                    {"id": "F", "dim": 2, "neg": [["x", big]], "pos": [["y", big]]},
+                    {"id": "G", "dim": 3, "neg": [["F", big]], "pos": []},
+                ]
+            },
+        }
+        path = tmp_path / "products.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: count for 'x' exceeds")
+
 
 class TestCells:
     def test_count_only(self, capsys, oriental2_file):
@@ -164,6 +209,12 @@ class TestChainRoundtripFreeness:
     def test_freeness(self, capsys, oriental2_file):
         assert main(["freeness", oriental2_file, "--max-dim", "2"]) == 0
         assert "reached from atoms: 18" in capsys.readouterr().out
+
+    def test_freeness_cap_exits_2(self, capsys, monkeypatch, oriental2_file):
+        monkeypatch.setenv("PARITYKIT_MAX_CELLS", "5")
+        assert main(["freeness", oriental2_file, "--max-dim", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "atom closure reached 6 cells, more than 5" in err
 
 
 class TestMorphismCommands:

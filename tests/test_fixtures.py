@@ -135,3 +135,101 @@ class TestMixedFaceEncodings:
         payload = fixtures.structure_payload(oriental2)
         triangle = [el for el in payload["elements"] if el["id"] == "012"][0]
         assert triangle["pos"] == ["01", "12"]
+
+
+def _structure_doc(elements, kind="parity_structure"):
+    return json.dumps(
+        {"schema_version": 1, "name": "bad", "kind": kind, "payload": {"elements": elements}}
+    )
+
+
+def _edge_doc(count):
+    return _structure_doc(
+        [
+            {"id": "v", "dim": 0},
+            {"id": "w", "dim": 0},
+            {"id": "x", "dim": 1, "neg": [["v", count]], "pos": ["w"]},
+        ],
+        kind="additive_parity_structure",
+    )
+
+
+def _cell_doc(dim, neg, pos):
+    return json.dumps(
+        {"schema_version": 1, "name": "bad", "kind": "cell",
+         "payload": {"dim": dim, "neg": neg, "pos": pos}}
+    )
+
+
+class TestOnlyFixtureErrors:
+    """Malformed documents raise FixtureError, never another exception type."""
+
+    def test_empty_id(self):
+        with pytest.raises(fixtures.FixtureError, match="non-empty printable"):
+            fixtures.loads(_structure_doc([{"id": "", "dim": 0}]))
+
+    def test_id_with_a_space(self):
+        with pytest.raises(fixtures.FixtureError, match="'a b'"):
+            fixtures.loads(_structure_doc([{"id": "a b", "dim": 0}]))
+
+    def test_negative_dim(self):
+        with pytest.raises(fixtures.FixtureError, match="bad/a: dim must be >= 0"):
+            fixtures.loads(_structure_doc([{"id": "a", "dim": -1}]))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_dim(self, flag):
+        with pytest.raises(fixtures.FixtureError, match="dim an integer"):
+            fixtures.loads(_structure_doc([{"id": "a", "dim": flag}]))
+
+    def test_boolean_count(self):
+        with pytest.raises(fixtures.FixtureError, match="bad/x"):
+            fixtures.loads(_edge_doc(True))
+
+    def test_zero_count(self):
+        with pytest.raises(fixtures.FixtureError, match="bad/x: count of 'v'"):
+            fixtures.loads(_edge_doc(0))
+
+    def test_count_beyond_a_machine_word(self):
+        with pytest.raises(fixtures.FixtureError, match="bad/x: count of 'v'"):
+            fixtures.loads(_edge_doc(2**63))
+
+    def test_repeated_faces_summing_beyond_a_machine_word(self):
+        doc = _structure_doc(
+            [
+                {"id": "v", "dim": 0},
+                {"id": "w", "dim": 0},
+                {"id": "x", "dim": 1, "neg": [["v", 2**62], ["v", 2**62]], "pos": ["w"]},
+            ],
+            kind="additive_parity_structure",
+        )
+        with pytest.raises(fixtures.FixtureError, match="exceeds"):
+            fixtures.loads(doc)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_cell_boolean_dim(self, flag):
+        with pytest.raises(fixtures.FixtureError, match="integer 'dim'"):
+            fixtures.loads(_cell_doc(flag, [["a"]], [["a"]]))
+
+    def test_cell_negative_dim(self):
+        with pytest.raises(fixtures.FixtureError, match="cell dimension must be >= 0"):
+            fixtures.loads(_cell_doc(-1, [], []))
+
+    def test_cell_bad_generator_name(self):
+        with pytest.raises(fixtures.FixtureError, match=r"bad/neg\[0\]"):
+            fixtures.loads(_cell_doc(0, [[" "]], [[" "]]))
+
+    def test_cell_boolean_count(self):
+        with pytest.raises(fixtures.FixtureError, match=r"bad/pos\[0\]"):
+            fixtures.loads(_cell_doc(0, [["a"]], [[["a", True]]]))
+
+    def test_unknown_generator_in_morphism_assignment(self):
+        doc = json.loads((FIXTURE_DIR / "morphism_collapse_globe1.json").read_text())
+        doc["payload"]["assignment"]["1"] = {"nowhere": []}
+        with pytest.raises(fixtures.FixtureError, match="assignment/1/nowhere"):
+            fixtures.loads(json.dumps(doc))
+
+    def test_unknown_target_generator_in_morphism_assignment(self):
+        doc = json.loads((FIXTURE_DIR / "morphism_collapse_globe1.json").read_text())
+        doc["payload"]["assignment"]["0"]["e0+"] = ["nowhere"]
+        with pytest.raises(fixtures.FixtureError, match=r"assignment/0/e0\+"):
+            fixtures.loads(json.dumps(doc))

@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import randstruct
+from paritykit.generators import oriental
 from paritykit.multiset import DimensionMismatchError, GeneratorId, Multiset
 from paritykit.parity_core import (
     AdditiveParityStructure,
@@ -362,3 +367,39 @@ class TestWellFormedFaceAgreement:
         from paritykit.chain import check_complex, from_structure
 
         assert not check_complex(from_structure(s)).dd_zero
+
+
+def rebuilt(struct):
+    """An equal structure built anew, so nothing computed on struct is on it."""
+    copy = skeleton(struct, struct.max_dim)
+    assert copy == struct and copy is not struct
+    return copy
+
+
+class TestValidationIsComputedOnce:
+    def test_same_report_on_every_call(self):
+        for struct in (oriental(3), oriental(3).to_additive()):
+            assert validate(struct) is validate(struct)
+
+    def test_witnesses_are_read_only(self, oriental2):
+        report = validate(oriental2)
+        with pytest.raises(TypeError):
+            report.witnesses["weakly_loop_free"] = None
+        assert isinstance(report.witnesses["weakly_loop_free"], OrderWitness)
+
+    def test_equality_ignores_the_cache(self):
+        validated, fresh = oriental(2), oriental(2)
+        validate(validated)
+        assert validated == fresh
+        assert validate(validated) == validate(fresh)
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["parity", "additive"]), seed=st.integers(0, 2**32 - 1))
+    def test_cached_report_equals_a_fresh_one(self, kind, seed):
+        struct = randstruct.random_structure(kind, random.Random(seed))
+        first = validate(struct)
+        assert validate(struct) is first
+        fresh = validate(rebuilt(struct))
+        assert fresh is not first
+        assert first == fresh
+        assert first.to_payload() == fresh.to_payload()

@@ -8,11 +8,6 @@ from .multiset import (
     GeneratorId,
     Multiset,
     SignedVector,
-    difference,
-    disjoint_union,
-    is_radical,
-    meet_join,
-    parts,
 )
 from .parity_core import (
     AdditiveParityStructure,
@@ -28,7 +23,6 @@ from .parity_core import (
     is_well_formed,
     iterated_boundaries,
     moves,
-    mu_pi,
     skeleton,
     subset_faces,
     validate,
@@ -37,7 +31,6 @@ from .chain import (
     AugmentationMissingError,
     ChainReport,
     FreeDirectedComplex,
-    boundary,
     check_complex,
     extract_structure,
     from_structure,

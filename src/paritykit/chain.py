@@ -76,10 +76,11 @@ class FreeDirectedComplex:
         """Linear extension of the generator boundaries."""
         if v.dim < 1:
             raise StructureError("boundary needs a chain of dimension >= 1")
-        out = SignedVector.zero(v.dim - 1)
+        out: dict[GeneratorId, int] = {}
         for g, coeff in v.items():
-            out = out + self.boundary_of(g).scale(coeff)
-        return out
+            for f, c in self.boundary_of(g).items():
+                out[f] = out.get(f, 0) + coeff * c
+        return SignedVector(v.dim - 1, out)
 
     def augmentation(self, v: SignedVector | Multiset) -> int:
         """Canonical augmentation of a dimension-0 chain (requires normality)."""
@@ -125,10 +126,6 @@ def from_structure(struct: Structure) -> FreeDirectedComplex:
     if complex_ is None:
         complex_ = struct._complex = FreeDirectedComplex(_additive_view(struct))
     return complex_
-
-
-def boundary(complex_: FreeDirectedComplex, v: SignedVector) -> SignedVector:
-    return complex_.boundary(v)
 
 
 @dataclass(frozen=True)

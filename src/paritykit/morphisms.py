@@ -309,11 +309,12 @@ class ChainMap:
         return self._images[gen]
 
     def apply(self, v: SignedVector) -> SignedVector:
-        out = SignedVector.zero(v.dim)
+        out: dict[GeneratorId, int] = {}
         for g, coeff in v.items():
             self._source.require(g)
-            out = out + self._images[g].scale(coeff)
-        return out
+            for h, c in self._images[g].items():
+                out[h] = out.get(h, 0) + coeff * c
+        return SignedVector(v.dim, out)
 
     def then(self, other: ChainMap) -> ChainMap:
         if self._target.structure != other._source.structure:

@@ -8,8 +8,8 @@ shared freely between threads and reused as dictionary keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from operator import itemgetter
 
 #: Counts at or beyond one machine word are rejected instead of accepted.
 MAX_COUNT = 2**63 - 1
@@ -19,24 +19,34 @@ class DimensionMismatchError(ValueError):
     """Operands are graded by different dimensions."""
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorId:
+class GeneratorId(tuple):
     """A named generator in a fixed dimension.
 
-    Instances order by (dim, name); this is the canonical order used for
-    all deterministic output.
+    An id is the tuple ``(dim, name)``, so hashing, equality and ordering
+    run in C and an id equals the plain tuple ``(dim, name)``.  Ids order
+    by (dim, name); this is the canonical order used for all
+    deterministic output.
     """
 
-    dim: int
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ValueError(f"generator dimension must be >= 0, got {self.dim}")
-        if not self.name or any(c.isspace() or not c.isprintable() for c in self.name):
+    def __new__(cls, dim: int, name: str) -> GeneratorId:
+        if dim < 0:
+            raise ValueError(f"generator dimension must be >= 0, got {dim}")
+        if not name or any(c.isspace() or not c.isprintable() for c in name):
             raise ValueError(
-                f"generator name must be a non-empty printable token, got {self.name!r}"
+                f"generator name must be a non-empty printable token, got {name!r}"
             )
+        return tuple.__new__(cls, (dim, name))
+
+    dim = property(itemgetter(0))
+    name = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[int, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"GeneratorId(dim={self[0]!r}, name={self[1]!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -150,7 +160,7 @@ class Multiset:
         _same_dim(self, other)
         counts = {}
         for g, c in self._counts.items():
-            d = c - other.count(g)
+            d = c - other._counts.get(g, 0)
             if d > 0:
                 counts[g] = d
         return Multiset(self._dim, counts)
@@ -162,7 +172,7 @@ class Multiset:
         _same_dim(self, other)
         counts = {}
         for g, c in self._counts.items():
-            d = min(c, other.count(g))
+            d = min(c, other._counts.get(g, 0))
             if d > 0:
                 counts[g] = d
         return Multiset(self._dim, counts)
@@ -188,7 +198,7 @@ class Multiset:
 
     def __le__(self, other: Multiset) -> bool:
         _same_dim(self, other)
-        return all(c <= other.count(g) for g, c in self._counts.items())
+        return all(c <= other._counts.get(g, 0) for g, c in self._counts.items())
 
     def to_vector(self) -> SignedVector:
         return SignedVector(self._dim, self._counts)
@@ -344,23 +354,3 @@ class SignedVector:
             mag = abs(v)
             terms.append(f"{sign}{'' if mag == 1 else mag}{g.name}")
         return " ".join(terms)
-
-
-def disjoint_union(s: Multiset, t: Multiset) -> Multiset:
-    return s.disjoint_union(t)
-
-
-def difference(s: Multiset, t: Multiset) -> Multiset:
-    return s.difference(t)
-
-
-def meet_join(s: Multiset, t: Multiset) -> tuple[Multiset, Multiset]:
-    return s.meet(t), s.join(t)
-
-
-def parts(v: SignedVector) -> tuple[Multiset, Multiset]:
-    return v.parts()
-
-
-def is_radical(s: Multiset) -> bool:
-    return s.is_radical()

@@ -32,8 +32,10 @@ class _GradedStructure:
     """Shared bookkeeping for graded sets with per-generator face data.
 
     Structures are immutable, so what is derived from the whole of one
-    (its validation report, its free complex) is computed once and kept
-    on it.  Equality ignores these caches.
+    (its validation report, its free complex, the additive view of a
+    parity structure) is computed once and kept on it.  Equality ignores
+    these caches.  ``_by_key`` maps each id to itself; since an id equals
+    its ``(dim, name)`` tuple, it also answers lookups by that tuple.
     """
 
     _by_dim: dict[int, tuple[GeneratorId, ...]]
@@ -42,13 +44,13 @@ class _GradedStructure:
     def __init__(self, gens: Iterable[GeneratorId]):
         self._report: ValidationReport | None = None  # filled by validate
         self._complex = None  # filled by chain.from_structure
+        self._additive: AdditiveParityStructure | None = None  # filled by _additive_view
         by_dim: dict[int, list[GeneratorId]] = {}
         by_key: dict[tuple[int, str], GeneratorId] = {}
         for g in gens:
-            key = (g.dim, g.name)
-            if key in by_key:
+            if g in by_key:
                 raise StructureError(f"duplicate generator {g.name!r} in dimension {g.dim}")
-            by_key[key] = g
+            by_key[g] = g
             by_dim.setdefault(g.dim, []).append(g)
         self._by_dim = {n: tuple(sorted(gs)) for n, gs in sorted(by_dim.items())}
         self._by_key = by_key
@@ -72,7 +74,7 @@ class _GradedStructure:
         return sum(len(gs) for gs in self._by_dim.values())
 
     def __contains__(self, gen: GeneratorId) -> bool:
-        return self._by_key.get((gen.dim, gen.name)) is not None
+        return gen in self._by_key
 
     def gen(self, name: str, dim: int | None = None) -> GeneratorId:
         """Look a generator up by name (and dimension, if ambiguous)."""
@@ -90,7 +92,7 @@ class _GradedStructure:
         return hits[0]
 
     def require(self, gen: GeneratorId) -> None:
-        if gen not in self:
+        if gen not in self._by_key:
             raise UnknownGeneratorError(f"generator {gen.name!r} (dim {gen.dim}) not in structure")
 
 
@@ -116,7 +118,7 @@ class AdditiveParityStructure(_GradedStructure):
                     f"faces of {g.name!r} (dim {g.dim}) must live in dimension {g.dim - 1}"
                 )
             for f in list(neg) + list(pos):
-                if (f.dim, f.name) not in self._by_key:
+                if f not in self._by_key:
                     raise UnknownGeneratorError(
                         f"face {f.name!r} of {g.name!r} is not a generator of the structure"
                     )
@@ -220,7 +222,7 @@ class ParityStructure(_GradedStructure):
                     raise StructureError(
                         f"face {f.name!r} of {g.name!r} (dim {g.dim}) must have dimension {g.dim - 1}"
                     )
-                if (f.dim, f.name) not in self._by_key:
+                if f not in self._by_key:
                     raise UnknownGeneratorError(
                         f"face {f.name!r} of {g.name!r} is not a generator of the structure"
                     )
@@ -294,7 +296,13 @@ Structure = AdditiveParityStructure | ParityStructure
 
 
 def _additive_view(struct: Structure) -> AdditiveParityStructure:
-    return struct.to_additive() if isinstance(struct, ParityStructure) else struct
+    """The structure itself, or the (cached) count-1 view of a parity structure."""
+    if not isinstance(struct, ParityStructure):
+        return struct
+    view = struct._additive
+    if view is None:
+        view = struct._additive = struct.to_additive()
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +325,6 @@ def face_images(struct: AdditiveParityStructure, s: Multiset) -> FaceImages:
     neg_counts: dict[GeneratorId, int] = {}
     pos_counts: dict[GeneratorId, int] = {}
     for g, count in s.items():
-        struct.require(g)
         for f, c in struct.neg(g).items():
             neg_counts[f] = neg_counts.get(f, 0) + count * c
         for f, c in struct.pos(g).items():
@@ -394,11 +401,6 @@ def atom_faces(
     neg_levels.reverse()
     pos_levels.reverse()
     return tuple(neg_levels), tuple(pos_levels)
-
-
-def mu_pi(struct: ParityStructure, gen: GeneratorId):
-    """Spec-name alias for :func:`atom_faces`."""
-    return atom_faces(struct, gen)
 
 
 def iterated_boundaries(

@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import randstruct
 from paritykit.chain import (
     AugmentationMissingError,
     check_complex,
@@ -7,8 +11,10 @@ from paritykit.chain import (
     from_structure,
     is_well_formed_element,
 )
-from paritykit.multiset import Multiset, SignedVector
-from paritykit.parity_core import AdditiveParityStructure, iterated_boundaries
+from paritykit.generators import oriental
+from paritykit.morphisms import ChainMap
+from paritykit.multiset import MAX_COUNT, Multiset, SignedVector
+from paritykit.parity_core import AdditiveParityStructure, _additive_view, iterated_boundaries
 
 
 def vec(struct, dim, **entries):
@@ -54,6 +60,76 @@ class TestBoundary:
     def test_globe2_top(self, globe2):
         K = from_structure(globe2)
         assert K.boundary(vec(globe2, 2, top=1)) == vec(globe2, 1, **{"e1+": 1, "e1-": -1})
+
+
+def doubled(struct):
+    """Two disjoint copies of a structure, generator names suffixed a and b."""
+    additive = _additive_view(struct)
+    rows = []
+    for suffix in "ab":
+        for g in additive.all_generators():
+            if g.dim == 0:
+                rows.append((g.name + suffix, 0, {}, {}))
+                continue
+            neg, pos = (
+                {f.name + suffix: c for f, c in faces.items()}
+                for faces in (additive.neg(g), additive.pos(g))
+            )
+            rows.append((g.name + suffix, g.dim, neg, pos))
+    return AdditiveParityStructure.build(rows)
+
+
+def fold(struct):
+    """The chain map sending both copies of each generator to the original."""
+    original = from_structure(struct)
+    two = from_structure(doubled(struct))
+    images = {
+        h: Multiset.of(struct.gen(h.name[:-1], h.dim)).to_vector()
+        for h in two.structure.all_generators()
+    }
+    return ChainMap(two, original, images)
+
+
+def random_chain(rng, gens, dim):
+    return SignedVector(dim, {g: rng.randint(-3, 3) for g in gens if rng.random() < 0.7})
+
+
+class TestLinearExtension:
+    """boundary and ChainMap.apply equal the termwise sums of scaled images."""
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["parity", "additive"]), seed=st.integers(0, 2**32 - 1))
+    def test_termwise_sums(self, kind, seed):
+        rng = random.Random(seed)
+        struct = randstruct.random_structure(kind, rng)
+        K = from_structure(struct)
+        cm = fold(struct)
+        for n in struct.dims():
+            v = random_chain(rng, K.generators(n), n)
+            if n >= 1:
+                expected = SignedVector.zero(n - 1)
+                for g, c in v.items():
+                    expected = expected + K.boundary_of(g).scale(c)
+                assert K.boundary(v) == expected
+            w = random_chain(rng, cm.source.generators(n), n)
+            expected = SignedVector.zero(n)
+            for h, c in w.items():
+                expected = expected + cm.image(h).scale(c)
+            assert cm.apply(w) == expected
+
+    def test_boundary_entry_past_max_count(self):
+        K = from_structure(oriental(2))
+        at_max = K.boundary(vec(oriental(2), 1, **{"01": MAX_COUNT}))
+        assert at_max == vec(oriental(2), 0, **{"0": -MAX_COUNT, "1": MAX_COUNT})
+        with pytest.raises(OverflowError):
+            K.boundary(vec(oriental(2), 1, **{"01": MAX_COUNT, "02": MAX_COUNT}))
+
+    def test_apply_entry_past_max_count(self):
+        cm = fold(oriental(1))
+        a, b = cm.source.structure.gen("01a"), cm.source.structure.gen("01b")
+        assert cm.apply(SignedVector(1, {a: MAX_COUNT, b: -MAX_COUNT})).is_zero()
+        with pytest.raises(OverflowError):
+            cm.apply(SignedVector(1, {a: MAX_COUNT, b: 1}))
 
 
 class TestCheckComplex:

@@ -20,7 +20,7 @@ from paritykit.morphisms import (
     validate_morphism,
 )
 from paritykit.multiset import Multiset
-from paritykit.parity_core import is_well_formed, validate
+from paritykit.parity_core import ParityStructure, is_well_formed, validate
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +247,37 @@ class TestInducedChainMap:
         back = morphism_from_chain_map(cm)
         for g in globe_to_triangle.source.all_generators():
             assert back.image(g) == globe_to_triangle.image(g)
+
+
+class TestAdditiveViewIsBuiltOnce:
+    @staticmethod
+    def coface(source, target, skip):
+        """The coface map of orientals skipping vertex `skip` of the target."""
+
+        def shift(name):
+            return "".join(str(int(v) + (int(v) >= skip)) for v in name)
+
+        assignment = {
+            g: Multiset.of(target.gen(shift(g.name), g.dim)) for g in source.all_generators()
+        }
+        return GradedMorphism(source, target, assignment)
+
+    @pytest.mark.parametrize("skip", [0, 2, 4])
+    def test_one_view_per_parity_structure(self, monkeypatch, skip):
+        built = []
+        to_additive = ParityStructure.to_additive
+        monkeypatch.setattr(
+            ParityStructure, "to_additive", lambda self: built.append(id(self)) or to_additive(self)
+        )
+        source, target = oriental(3), oriental(4)
+        f = self.coface(source, target, skip)
+        assert validate(source).meets("weak parity complex")
+        from_structure(source)
+        assert validate_morphism(f, "additive").valid
+        assert validate_morphism(f).valid
+        cm = induced_chain_map(f)
+        assert cm.source is from_structure(source) and cm.target is from_structure(target)
+        assert sorted(built) == sorted([id(source), id(target)])
 
 
 class TestRestriction:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,11 +11,6 @@ from paritykit.multiset import (
     GeneratorId,
     Multiset,
     SignedVector,
-    difference,
-    disjoint_union,
-    is_radical,
-    meet_join,
-    parts,
 )
 
 A = GeneratorId(1, "a")
@@ -35,11 +33,47 @@ class TestGeneratorId:
         assert GeneratorId(0, "z") < GeneratorId(1, "a") < GeneratorId(1, "b")
 
     def test_rejects_bad_names(self):
-        for bad in ("", "a b", "a\tb", "x\n"):
+        for bad in ("", "a b", "a\tb", "x\n", " ", "a\x00b"):
             with pytest.raises(ValueError):
                 GeneratorId(0, bad)
-        with pytest.raises(ValueError):
-            GeneratorId(-1, "a")
+        for dim in (-1, -7):
+            with pytest.raises(ValueError):
+                GeneratorId(dim, "a")
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.text("ab01+-", min_size=1, max_size=3))))
+    def test_sorting_matches_dim_then_name(self, pairs):
+        ids = [GeneratorId(dim, name) for dim, name in pairs]
+        assert [(g.dim, g.name) for g in sorted(ids)] == sorted(pairs)
+
+    def test_equal_ids_hash_equal(self):
+        g, h = GeneratorId(1, "a"), GeneratorId(dim=1, name="a")
+        assert g == h and hash(g) == hash(h)
+        assert g == (1, "a") and hash(g) == hash((1, "a"))
+        assert g != GeneratorId(2, "a") and g != GeneratorId(1, "b")
+
+    def test_immutable(self):
+        g = GeneratorId(1, "a")
+        with pytest.raises(AttributeError):
+            g.dim = 2
+        with pytest.raises(AttributeError):
+            g.name = "b"
+        with pytest.raises(AttributeError):
+            g.extra = 0
+        assert (g.dim, g.name) == (1, "a")
+
+    def test_repr_and_str(self):
+        assert repr(GeneratorId(1, "a")) == "GeneratorId(dim=1, name='a')"
+        assert repr(GeneratorId(0, "e0+")) == "GeneratorId(dim=0, name='e0+')"
+        assert str(GeneratorId(2, "012")) == "012"
+
+    def test_pickle_and_copy(self):
+        g = GeneratorId(3, "0123")
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        clones = [pickle.loads(pickle.dumps(g, protocol)) for protocol in protocols]
+        clones += [copy.copy(g), copy.deepcopy(g), copy.deepcopy([g])[0]]
+        for clone in clones:
+            assert clone == g and type(clone) is GeneratorId
+            assert (clone.dim, clone.name) == (3, "0123")
 
 
 class TestDisjointUnion:
@@ -51,7 +85,7 @@ class TestDisjointUnion:
         assert Multiset.empty(1) + s == s
 
     def test_disjoint_supports(self):
-        assert disjoint_union(ms(a=1), ms(b=1)) == ms(a=1, b=1)
+        assert ms(a=1).disjoint_union(ms(b=1)) == ms(a=1, b=1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -72,18 +106,18 @@ class TestDifference:
         assert (s - s).is_empty()
 
     def test_partial_overlap(self):
-        assert difference(ms(a=1, b=1), ms(b=1, c=1)) == ms(a=1)
+        assert ms(a=1, b=1).difference(ms(b=1, c=1)) == ms(a=1)
 
 
 class TestMeetJoin:
     def test_meet_and_join(self):
-        meet, join = meet_join(ms(a=2, b=1), ms(a=1, c=1))
+        meet, join = ms(a=2, b=1).meet(ms(a=1, c=1)), ms(a=2, b=1).join(ms(a=1, c=1))
         assert meet == ms(a=1)
         assert join == ms(a=2, b=1, c=1)
 
     def test_with_empty(self):
         s = ms(a=1, b=2)
-        meet, join = meet_join(s, Multiset.empty(1))
+        meet, join = s.meet(Multiset.empty(1)), s.join(Multiset.empty(1))
         assert meet.is_empty() and join == s
 
     def test_disjointness_via_meet(self):
@@ -96,7 +130,7 @@ class TestParts:
         # boundary of the 2-simplex generator: +01 -02 +12
         g01, g02, g12 = (GeneratorId(1, n) for n in ("01", "02", "12"))
         v = SignedVector(1, {g01: 1, g02: -1, g12: 1})
-        neg, pos = parts(v)
+        neg, pos = v.parts()
         assert neg == Multiset(1, {g02: 1})
         assert pos == Multiset(1, {g01: 1, g12: 1})
 
@@ -118,9 +152,9 @@ class TestParts:
 
 class TestRadical:
     def test_examples(self):
-        assert is_radical(ms(a=1, b=1))
-        assert not is_radical(ms(a=2))
-        assert is_radical(Multiset.empty(1))
+        assert ms(a=1, b=1).is_radical()
+        assert not ms(a=2).is_radical()
+        assert Multiset.empty(1).is_radical()
 
     def test_radical_union_iff_pairwise_disjoint(self):
         family = [ms(a=1), ms(b=1, c=1), ms(a=1, c=1)]

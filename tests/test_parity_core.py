@@ -13,12 +13,12 @@ from paritykit.parity_core import (
     ParityStructure,
     StructureError,
     UnknownGeneratorError,
+    _additive_view,
     atom_faces,
     face_images,
     is_well_formed,
     iterated_boundaries,
     moves,
-    mu_pi,
     skeleton,
     subset_faces,
     validate,
@@ -137,7 +137,7 @@ class TestAtomFaces:
         assert [names(level) for level in pos] == [["e0+"], ["e1+"], ["top"]]
 
     def test_oriental2_triangle(self, oriental2):
-        neg, pos = mu_pi(oriental2, oriental2.gen("012"))
+        neg, pos = atom_faces(oriental2, oriental2.gen("012"))
         assert [names(level) for level in neg] == [["0"], ["02"], ["012"]]
         assert [names(level) for level in pos] == [["2"], ["01", "12"], ["012"]]
 
@@ -403,3 +403,21 @@ class TestValidationIsComputedOnce:
         assert fresh is not first
         assert first == fresh
         assert first.to_payload() == fresh.to_payload()
+
+
+class TestAdditiveViewIsBuiltOnce:
+    def test_same_view_on_every_call(self):
+        p = oriental(3)
+        view = _additive_view(p)
+        assert _additive_view(p) is view
+        assert view == p.to_additive() and view is not p.to_additive()
+
+    def test_additive_input_is_its_own_view(self):
+        a = oriental(2).to_additive()
+        assert _additive_view(a) is a
+
+    def test_equality_ignores_the_cache(self):
+        viewed, fresh = oriental(2), oriental(2)
+        _additive_view(viewed)
+        assert viewed == fresh and fresh == viewed
+        assert _additive_view(viewed) == _additive_view(fresh)

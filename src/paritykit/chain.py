@@ -7,7 +7,7 @@ canonical augmentation sending every dimension-0 generator to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .multiset import GeneratorId, Multiset, SignedVector
 from .parity_core import (
@@ -128,8 +128,7 @@ def from_structure(struct: Structure) -> FreeDirectedComplex:
     return complex_
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Per-basis chain-level checks with offending generators."""
 
     dd_zero: bool

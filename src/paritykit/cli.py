@@ -5,6 +5,9 @@ fails the requested check (report on stdout), 2 for usage errors or
 malformed input (message on stderr).  `-` means stdin for inputs and
 stdout for outputs.  Output bytes are deterministic for identical
 inputs and flags.
+
+Each subcommand imports the modules it runs, so a call loads only the
+code its subcommand needs (fixtures and the structure core always).
 """
 
 from __future__ import annotations
@@ -13,24 +16,13 @@ import argparse
 import json
 import sys
 
-from . import cells as cells_mod
 from . import fixtures
-from .chain import check_complex, extract_structure, from_structure
-from .generators import FAMILIES, family
-from .morphisms import (
-    MorphismError,
-    apply_to_cell,
-    check_strict_movement,
-    compose_morphisms,
-    validate_morphism,
-)
-from .multiset import DimensionMismatchError
+from .generators import FAMILIES
 from .parity_core import (
     CLASS_ADDITIVE,
     CLASS_PARITY_COMPLEX,
     CLASS_WEAK,
     CycleWitness,
-    StructureError,
     ValidationReport,
     validate,
 )
@@ -101,13 +93,13 @@ def _print_report(name: str, report: ValidationReport) -> None:
         print(f"note: {note}")
 
 
-def _print_cell(table: cells_mod.CellTable) -> None:
+def _print_cell(table) -> None:
     print(f"dim: {table.dim}")
     print(f"neg: {', '.join(str(c) for c in table.neg)}")
     print(f"pos: {', '.join(str(c) for c in table.pos)}")
 
 
-def _cell_out(args, table: cells_mod.CellTable, name: str) -> None:
+def _cell_out(args, table, name: str) -> None:
     if args.format == "structured":
         sys.stdout.write(fixtures.dumps(table, name=name))
     else:
@@ -141,6 +133,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import family
     struct = family(args.family, args.n)
     name = f"{args.family}-{args.n}"
     _write_out(fixtures.dumps(struct, name=name), args.output)
@@ -148,6 +141,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from .chain import check_complex, from_structure
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     complex_ = from_structure(fixture.value)
     report = check_complex(complex_)
@@ -177,17 +171,19 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_atom(args) -> int:
+    from .cells import atom, cell_zero
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     struct = fixture.value
     gen = struct.gen(args.generator)
-    table = cells_mod.atom(struct, gen) if gen.dim else cells_mod.cell_zero(struct, gen)
+    table = atom(struct, gen) if gen.dim else cell_zero(struct, gen)
     _cell_out(args, table, name=f"atom-{gen.name}")
     return 0
 
 
 def _cmd_cells(args) -> int:
+    from .cells import enumerate_cells
     fixture = _load(args.file, *_STRUCTURE_KINDS)
-    enumerated = cells_mod.enumerate_cells(fixture.value, args.max_dim)
+    enumerated = enumerate_cells(fixture.value, args.max_dim)
     counts = [0] * (args.max_dim + 1)
     for c in enumerated:
         counts[c.dim] += 1
@@ -213,30 +209,32 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_face(args) -> int:
+    from .cells import face, validate_cell
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     cell_fixture = _load(args.cell, fixtures.KIND_CELL)
     table = cell_fixture.value
-    ok, reason = cells_mod.validate_cell(fixture.value, table)
+    ok, reason = validate_cell(fixture.value, table)
     if not ok:
         print(f"invalid cell: {reason}")
         return 1
-    result = cells_mod.face(table, args.k, args.sign)
+    result = face(table, args.k, args.sign)
     _cell_out(args, result, name=f"{cell_fixture.name}-{args.sign}-{args.k}")
     return 0
 
 
 def _cmd_compose(args) -> int:
+    from .cells import NotComposableError, compose, validate_cell
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     first = _load(args.cells[0], fixtures.KIND_CELL)
     second = _load(args.cells[1], fixtures.KIND_CELL)
     for label, cf in (("first", first), ("second", second)):
-        ok, reason = cells_mod.validate_cell(fixture.value, cf.value)
+        ok, reason = validate_cell(fixture.value, cf.value)
         if not ok:
             print(f"invalid {label} cell: {reason}")
             return 1
     try:
-        result = cells_mod.compose(first.value, second.value, args.k)
-    except cells_mod.NotComposableError as exc:
+        result = compose(first.value, second.value, args.k)
+    except NotComposableError as exc:
         print(f"not composable: {exc}")
         return 1
     _cell_out(args, result, name=f"{first.name}-o{args.k}-{second.name}")
@@ -244,10 +242,11 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .cells import excision_decompose
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     cell_fixture = _load(args.cell, fixtures.KIND_CELL)
     try:
-        slices = cells_mod.excision_decompose(fixture.value, cell_fixture.value)
+        slices = excision_decompose(fixture.value, cell_fixture.value)
     except ValueError as exc:
         print(f"cannot decompose: {exc}")
         return 1
@@ -266,6 +265,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from .chain import extract_structure, from_structure
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     struct = fixture.value
     recovered = extract_structure(from_structure(struct))
@@ -279,10 +279,11 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_freeness(args) -> int:
+    from .cells import atom_closure, enumerate_cells
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     struct = fixture.value
-    closure = cells_mod.atom_closure(struct, args.max_dim)
-    enumerated = cells_mod.enumerate_cells(struct, args.max_dim)
+    closure = atom_closure(struct, args.max_dim)
+    enumerated = enumerate_cells(struct, args.max_dim)
     missing = [c for c in enumerated if c not in closure]
     bad = [c for c in enumerated if c in closure and closure[c].evaluate(struct) != c]
     if args.format == "structured":
@@ -304,13 +305,14 @@ def _cmd_freeness(args) -> int:
 
 
 def _cmd_morphism(args) -> int:
+    from . import morphisms
     if args.action == "validate":
         fixture = _load(args.morphism, fixtures.KIND_MORPHISM)
         f = fixture.value
-        report = validate_morphism(f, args.mode or f.mode)
+        report = morphisms.validate_morphism(f, args.mode or f.mode)
         strict = None
         if report.valid and (args.mode or f.mode) == "weak_parity":
-            strict = check_strict_movement(f)
+            strict = morphisms.check_strict_movement(f)
         if args.format == "structured":
             payload = {"name": fixture.name, **report.to_payload()}
             if strict is not None:
@@ -328,8 +330,8 @@ def _cmd_morphism(args) -> int:
         first = _load(args.morphism, fixtures.KIND_MORPHISM)
         second = _load(args.second, fixtures.KIND_MORPHISM)
         try:
-            composed = compose_morphisms(first.value, second.value)
-        except MorphismError as exc:
+            composed = morphisms.compose_morphisms(first.value, second.value)
+        except morphisms.MorphismError as exc:
             print(f"not composable: {exc}")
             return 1
         _write_out(
@@ -340,7 +342,7 @@ def _cmd_morphism(args) -> int:
         fixture = _load(args.morphism, fixtures.KIND_MORPHISM)
         cell_fixture = _load(args.cell, fixtures.KIND_CELL)
         try:
-            result = apply_to_cell(fixture.value, cell_fixture.value)
+            result = morphisms.apply_to_cell(fixture.value, cell_fixture.value)
         except ValueError as exc:
             print(f"cannot apply: {exc}")
             return 1
@@ -449,16 +451,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        fixtures.FixtureError,
-        _UsageError,
-        StructureError,
-        DimensionMismatchError,
-        MorphismError,
-        cells_mod.EnumerationCapError,
-        ValueError,
-        OverflowError,
-    ) as exc:
+    except (_UsageError, ValueError, OverflowError) as exc:
+        # FixtureError, StructureError, DimensionMismatchError and
+        # MorphismError are all ValueErrors.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # Only `cells` raises EnumerationCapError, so it is loaded
+        # already when one is raised.
+        from .cells import EnumerationCapError
+        if not isinstance(exc, EnumerationCapError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,13 +9,14 @@ output bytes are deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
-from .cells import CellTable
-from .morphisms import GradedMorphism
 from .multiset import MAX_COUNT, GeneratorId, Multiset
 from .parity_core import AdditiveParityStructure, ParityStructure, Structure
+
+if TYPE_CHECKING:
+    from .cells import CellTable
+    from .morphisms import GradedMorphism
 
 SCHEMA_VERSION = 1
 
@@ -30,8 +31,7 @@ class FixtureError(ValueError):
     """The text is not a well-formed fixture of a supported schema."""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     kind: str
     name: str
     value: Any  # structure, CellTable, or GradedMorphism
@@ -117,6 +117,7 @@ def _structure_from_payload(kind: str, payload: Mapping, where: str) -> Structur
 
 
 def _cell_from_payload(payload: Mapping, where: str) -> CellTable:
+    from .cells import CellTable
     dim = payload.get("dim")
     neg = payload.get("neg")
     pos = payload.get("pos")
@@ -146,6 +147,7 @@ def _cell_from_payload(payload: Mapping, where: str) -> CellTable:
 
 
 def _morphism_from_payload(payload: Mapping, where: str) -> GradedMorphism:
+    from .morphisms import GradedMorphism
     for key in ("source", "target", "assignment"):
         if key not in payload:
             raise FixtureError(f"{where}: morphism payload needs {key!r}")
@@ -282,8 +284,11 @@ def payload_for(value: Any) -> tuple[str, dict]:
         return KIND_PARITY, structure_payload(value)
     if isinstance(value, AdditiveParityStructure):
         return KIND_ADDITIVE, structure_payload(value)
+    # Cells and morphisms are imported only for values that may be one.
+    from .cells import CellTable
     if isinstance(value, CellTable):
         return KIND_CELL, cell_payload(value)
+    from .morphisms import GradedMorphism
     if isinstance(value, GradedMorphism):
         return KIND_MORPHISM, morphism_payload(value)
     raise TypeError(f"no fixture form for {type(value).__name__}")

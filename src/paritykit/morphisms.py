@@ -9,8 +9,7 @@ on cell tables are provided with their functoriality testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .cells import CellTable, validate_cell
 from .chain import FreeDirectedComplex, from_structure
@@ -128,8 +127,7 @@ def identity_morphism(struct: Structure, mode: str = "weak_parity") -> GradedMor
     return GradedMorphism(struct, struct, assignment, mode)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     valid: bool
     normal: bool
     failures: tuple[str, ...]

@@ -12,7 +12,6 @@ loop-freeness, and classifies the structure accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -465,8 +464,7 @@ def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = 
 # validation
 
 
-@dataclass(frozen=True)
-class OrderWitness:
+class OrderWitness(NamedTuple):
     """Per-level topological linearizations extending a loop-freeness relation."""
 
     orders: tuple[tuple[int | None, tuple[str, ...]], ...]
@@ -480,8 +478,7 @@ class OrderWitness:
         }
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """An explicit directed cycle in a loop-freeness relation."""
 
     level: int | None
@@ -495,8 +492,7 @@ class CycleWitness:
         return " → ".join(names)
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     axiom: str
     generators: tuple[str, ...]
     detail: str
@@ -523,8 +519,7 @@ _FLAG_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Axiom flags, loop-freeness witnesses, failures, and classification."""
 
     disjoint: bool
@@ -654,6 +649,13 @@ def _validate(struct: Structure) -> ValidationReport:
                 AxiomFailure("normal", (g.name,), f"faces of {g.name} are {neg} and {pos}, not singletons")
             )
 
+    # Atom columns of every generator, read by the additive unitality
+    # check and by Steiner loop-freeness.
+    all_gens = tuple(additive.all_generators())
+    columns: dict[GeneratorId, tuple[tuple[Multiset, ...], tuple[Multiset, ...]]] = {
+        g: iterated_boundaries(additive, g) for g in all_gens
+    }
+
     # Unitality.  Parity inputs: every level of every atom is well-formed.
     # Additive inputs: the structure is normal and iterated boundaries of
     # every generator bottom out in singletons (augmentation 1).
@@ -680,8 +682,8 @@ def _validate(struct: Structure) -> ValidationReport:
                 AxiomFailure("unital", (), "structure is not normal, so no augmentation is available")
             )
         else:
-            for g in additive.all_generators():
-                neg_levels, pos_levels = iterated_boundaries(additive, g)
+            for g in all_gens:
+                neg_levels, pos_levels = columns[g]
                 if neg_levels[0].total() != 1 or pos_levels[0].total() != 1:
                     unital = False
                     failures.append(
@@ -720,10 +722,6 @@ def _validate(struct: Structure) -> ValidationReport:
     # Steiner loop-freeness: one digraph per level n >= 0 on all
     # generators, x -> y when the positive atom column of x at level n
     # meets the negative atom column of y at level n.
-    all_gens = tuple(additive.all_generators())
-    columns: dict[GeneratorId, tuple[tuple[Multiset, ...], tuple[Multiset, ...]]] = {
-        g: iterated_boundaries(additive, g) for g in all_gens
-    }
     steiner_edges: dict[int, dict[GeneratorId, list[GeneratorId]]] = {}
     steiner_levels = []
     for n in range(additive.max_dim + 1):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paritykit
 from conftest import FIXTURE_DIR
 from paritykit import fixtures
 from paritykit.cli import main
@@ -11,6 +16,7 @@ CIRCLE = str(FIXTURE_DIR / "circle.json")
 WNS = str(FIXTURE_DIR / "weak_not_strong.json")
 MORPHISM = str(FIXTURE_DIR / "morphism_globe1_to_oriental2.json")
 COLLAPSE = str(FIXTURE_DIR / "morphism_collapse_globe1.json")
+SRC = str(Path(paritykit.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -262,3 +268,66 @@ class TestDeterminism:
 
     def test_generate_bound(self, capsys):
         assert main(["generate", "--family", "oriental", "--n", "9"]) == 2
+
+
+def run_cold(*args, **env):
+    """Run `python *args` in a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8", **env},
+        timeout=120,
+    )
+
+
+def assert_one_line_error(proc):
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+class TestColdProcess:
+    """One fresh interpreter per call, the way a shell script runs the CLI,
+    so that imports made inside a subcommand run on their error paths too."""
+
+    def test_validate_and_classify_load_only_the_structure_core(self):
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import paritykit\n"
+            "bare = sorted(set(sys.modules) - before)\n"
+            "from paritykit.cli import main\n"
+            f"codes = [main(['validate', {CIRCLE!r}]), main(['classify', {CIRCLE!r}])]\n"
+            "print(json.dumps([bare, codes, sorted(set(sys.modules) - before)]))\n"
+        )
+        proc = run_cold("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        bare, codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert [m for m in bare if m.startswith("paritykit")] == ["paritykit"]
+        assert codes == [0, 0]
+        assert "paritykit.parity_core" in loaded and "paritykit.fixtures" in loaded
+        unused = {"paritykit.cells", "paritykit.morphisms", "paritykit.chain", "dataclasses"}
+        assert unused.isdisjoint(loaded)
+
+    def test_enumeration_cap_exits_2(self, oriental2_file):
+        proc = run_cold(
+            "-m", "paritykit.cli", "freeness", oriental2_file, "--max-dim", "2",
+            PARITYKIT_MAX_CELLS="1",
+        )
+        assert_one_line_error(proc)
+        assert "more than 1" in proc.stderr
+
+    def test_non_composable_morphisms_exit_1(self, tmp_path):
+        out = tmp_path / "composed.json"
+        proc = run_cold("-m", "paritykit.cli", "morphism", "compose", COLLAPSE, COLLAPSE, "-o", str(out))
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert proc.stdout.startswith("not composable: ")
+        assert not out.exists()
+
+    def test_malformed_fixture_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema_version": 1, "kind": "cell", "payload": {"dim": 0}}')
+        proc = run_cold("-m", "paritykit.cli", "face", CIRCLE, "--cell", str(bad), "-k", "0", "--sign", "source")
+        assert_one_line_error(proc)

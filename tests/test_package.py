@@ -1,0 +1,134 @@
+"""The package namespace and the report value types."""
+
+from importlib import import_module
+
+import pytest
+
+import paritykit
+from conftest import load_fixture
+from paritykit import check_complex, from_structure, validate, validate_morphism
+from paritykit.chain import ChainReport
+from paritykit.fixtures import Fixture
+from paritykit.morphisms import MorphismReport
+from paritykit.parity_core import AxiomFailure, CycleWitness, OrderWitness, ValidationReport
+
+#: The names `paritykit` exports, by the submodule that defines them.
+EXPORTS = {
+    "multiset": ["DimensionMismatchError", "GeneratorId", "Multiset", "SignedVector"],
+    "parity_core": [
+        "AdditiveParityStructure", "AxiomFailure", "CycleWitness", "OrderWitness",
+        "ParityStructure", "StructureError", "UnknownGeneratorError", "ValidationReport",
+        "atom_faces", "face_images", "is_well_formed", "iterated_boundaries", "moves",
+        "skeleton", "subset_faces", "validate",
+    ],
+    "chain": [
+        "AugmentationMissingError", "ChainReport", "FreeDirectedComplex", "check_complex",
+        "extract_structure", "from_structure", "is_well_formed_element",
+    ],
+    "cells": [
+        "AtomExpression", "AtomLeaf", "CellTable", "Composite", "EnumerationCapError",
+        "IdentityLift", "InternalCheckError", "NotComposableError", "atom", "atom_closure",
+        "cell_zero", "compose", "enumerate_cells", "excision_decompose", "face",
+        "generated_by_atoms", "identity", "lift", "validate_cell",
+    ],
+    "morphisms": [
+        "ChainMap", "GradedMorphism", "MorphismError", "MorphismReport", "apply_to_cell",
+        "check_strict_movement", "compose_morphisms", "identity_morphism",
+        "induced_chain_map", "morphism_from_chain_map", "restrict_morphism",
+        "validate_morphism",
+    ],
+    "generators": ["cube", "family", "globe", "oriental"],
+}
+ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+class TestPackageSurface:
+    def test_all_lists_the_exported_names(self):
+        assert len(ALL_NAMES) == 62
+        assert sorted(paritykit.__all__) == ALL_NAMES
+        assert len(paritykit.__all__) == len(set(paritykit.__all__))
+        assert set(ALL_NAMES) <= set(dir(paritykit))
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_each_name_is_the_submodule_object(self, module):
+        sub = import_module(f"paritykit.{module}")
+        for name in EXPORTS[module]:
+            assert getattr(paritykit, name) is getattr(sub, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from paritykit import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == ALL_NAMES
+        assert namespace["validate"] is validate
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            paritykit.no_such_name
+        assert not hasattr(paritykit, "no_such_name")
+        with pytest.raises(ImportError):
+            exec("from paritykit import no_such_name", {})
+
+    def test_version(self):
+        assert paritykit.__version__ == "0.1.0"
+
+
+class TestReportTypes:
+    def test_validation_report_repr_unchanged(self, circle):
+        assert repr(validate(circle)) == (
+            "ValidationReport(disjoint=True, globular=True, unital=True, normal=True, "
+            "weakly_loop_free=False, steiner_loop_free=False, strongly_loop_free=False, "
+            "classification='additive parity complex', witnesses=mappingproxy({"
+            "'weakly_loop_free': CycleWitness(level=1, cycle=('a', 'b')), "
+            "'steiner_loop_free': CycleWitness(level=0, cycle=('p', 'a', 'q', 'b')), "
+            "'strongly_loop_free': CycleWitness(level=None, cycle=('p', 'a', 'q', 'b'))}), "
+            "failures=(AxiomFailure(axiom='weakly_loop_free', generators=('a', 'b'), "
+            "detail='directed cycle at level 1: a → b → a'), "
+            "AxiomFailure(axiom='steiner_loop_free', generators=('p', 'a', 'q', 'b'), "
+            "detail='directed cycle at level 0: p → a → q → b → p'), "
+            "AxiomFailure(axiom='strongly_loop_free', generators=('p', 'a', 'q', 'b'), "
+            "detail='directed cycle at level None: p → a → q → b → p')), "
+            "notes=('globularity agrees in subset and additive form on all well-formed faces',))"
+        )
+
+    def test_order_witness_repr_unchanged(self, weak_not_strong):
+        witness = validate(weak_not_strong).witnesses["weakly_loop_free"]
+        assert repr(witness) == "OrderWitness(orders=((1, ('a0', 'a1', 'b0', 'b1')), (2, ('F',))))"
+
+    def test_chain_and_morphism_report_reprs_unchanged(self, circle):
+        assert repr(check_complex(from_structure(circle))) == (
+            "ChainReport(dd_zero=True, normal=True, unital=True, augmented=True, failures=())"
+        )
+        collapse = load_fixture("morphism_collapse_globe1").value
+        assert repr(validate_morphism(collapse)) == (
+            "MorphismReport(valid=True, normal=True, failures=())"
+        )
+        assert repr(Fixture("cell", "x", None)) == "Fixture(kind='cell', name='x', value=None)"
+
+    def test_notes_default_to_empty(self):
+        report = ValidationReport(
+            True, True, True, True, True, True, True, "parity complex", {}, ()
+        )
+        assert report.notes == ()
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (OrderWitness(((1, ("a",)),)), "orders"),
+            (CycleWitness(0, ("a", "b")), "cycle"),
+            (AxiomFailure("normal", ("a",), "detail"), "detail"),
+            (
+                ValidationReport(True, True, True, True, True, True, True, "parity complex", {}, ()),
+                "classification",
+            ),
+            (ChainReport(True, True, True, True, ()), "dd_zero"),
+            (MorphismReport(True, True, ()), "valid"),
+            (Fixture("cell", "x", None), "value"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_fields_cannot_be_set(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = None

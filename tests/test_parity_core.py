@@ -1,10 +1,13 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import randstruct
-from paritykit.generators import oriental
+from paritykit import parity_core
+from paritykit.generators import cube, oriental
 from paritykit.multiset import DimensionMismatchError, GeneratorId, Multiset
 from paritykit.parity_core import (
     AdditiveParityStructure,
@@ -421,3 +424,32 @@ class TestAdditiveViewIsBuiltOnce:
         _additive_view(viewed)
         assert viewed == fresh and fresh == viewed
         assert _additive_view(viewed) == _additive_view(fresh)
+
+
+class TestAtomColumnsAreBuiltOnce:
+    def test_one_iterated_boundaries_call_per_generator(self, monkeypatch):
+        calls = []
+        original = parity_core.iterated_boundaries
+
+        def counting(struct, gen):
+            calls.append(gen)
+            return original(struct, gen)
+
+        monkeypatch.setattr(parity_core, "iterated_boundaries", counting)
+        struct = oriental(5).to_additive()
+        validate(struct)
+        assert len(calls) == len(set(calls)) == len(struct) == 63
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: oriental(5), "37e964b13619949184b066382f0fbf1dab245d9fa540148e3ddb85b0920141e1"),
+            (lambda: cube(3), "5897b99bf47f3028c89ea6d597d34166a50da646397d18b68dab7ae8031c5667"),
+        ],
+    )
+    def test_additive_reports_unchanged(self, build, digest):
+        # SHA-256 of the canonical payload, recorded before the columns
+        # were shared between unitality and Steiner loop-freeness.
+        payload = validate(build().to_additive()).to_payload()
+        text = json.dumps(payload, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == digest

@@ -12,6 +12,12 @@ Enumeration grows cells from their source cells: an n-cell is an
 is added one generator at a time.  This is complete because every
 prefix of an excision order of a top is itself the top of a cell with
 the same source, so each growth step passes through cells only.
+
+Both searches, enumeration and atom closure, work on bitmask columns:
+one int per column over that dimension's sorted generators, which is
+exact because every column is a subset.  Closure composes, faces and
+lifts cells as pairs of int tuples and builds tables only for the cells
+it returns.
 """
 
 from __future__ import annotations
@@ -279,6 +285,58 @@ def _require_weak(struct: Structure, task: str) -> None:
         raise StructureError(f"{task} needs a weak parity complex, got {report.classification}")
 
 
+#: A cell as its (neg, pos) rows of column masks.
+_MaskCell = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class _Columns:
+    """Subset columns as int bitmasks over each dimension's sorted
+    generators: bit i of a dimension-d mask stands for generators(d)[i].
+
+    Over a weak parity complex every column of a cell is a subset, so a
+    mask represents it exactly; this is the one place where masks and
+    Multisets are converted into each other.
+    """
+
+    def __init__(self, struct: Structure, max_dim: int):
+        self.gens = [struct.generators(k) for k in range(max_dim + 1)]
+        #: per dimension, generator -> its bit
+        self.bits = [{g: 1 << i for i, g in enumerate(row)} for row in self.gens]
+        self._columns: dict[tuple[int, int], Multiset] = {}
+
+    def column(self, dim: int, mask: int) -> Multiset:
+        got = self._columns.get((dim, mask))
+        if got is None:
+            row = self.gens[dim]
+            got = Multiset.subset(dim, [row[i] for i in range(mask.bit_length()) if mask >> i & 1])
+            self._columns[dim, mask] = got
+        return got
+
+    def mask(self, column: Multiset) -> int:
+        bits = self.bits[column.dim]
+        out = 0
+        for g, count in column.items():
+            if count != 1:
+                raise InternalCheckError(
+                    f"column {column} of a cell over a weak parity complex is not a subset"
+                )
+            out |= bits[g]
+        return out
+
+    def cell(self, table: CellTable) -> _MaskCell:
+        """The (neg, pos) mask rows of a table."""
+        return tuple(map(self.mask, table.neg)), tuple(map(self.mask, table.pos))
+
+    def table(self, neg: Sequence[int], pos: Sequence[int]) -> CellTable:
+        """The table of a pair of mask rows, marked as subset-columned."""
+        out = CellTable(
+            [self.column(k, m) for k, m in enumerate(neg)],
+            [self.column(k, p) for k, p in enumerate(pos)],
+        )
+        object.__setattr__(out, "_subset", True)
+        return out
+
+
 def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     """The complete, duplicate-free list of valid nu-cells up to max_dim.
 
@@ -302,18 +360,8 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     parity = struct if isinstance(struct, ParityStructure) else struct.as_parity()
     cap = _max_cells()
     out: list[CellTable] = []
-
-    # columns are bitmasks over each dimension's sorted generators
-    gens = [parity.generators(k) for k in range(max_dim + 1)]
-    columns: dict[tuple[int, int], Multiset] = {}
-
-    def column(dim: int, mask: int) -> Multiset:
-        got = columns.get((dim, mask))
-        if got is None:
-            row = gens[dim]
-            got = Multiset.subset(dim, [row[i] for i in range(mask.bit_length()) if mask >> i & 1])
-            columns[dim, mask] = got
-        return got
+    cols = _Columns(parity, max_dim)
+    column = cols.column
 
     def emit(cell: CellTable) -> None:
         out.append(cell)
@@ -324,21 +372,21 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
 
     # (cell, mask of its top column) for the cells of the current dimension
     level: list[tuple[CellTable, int]] = []
-    for i in range(len(gens[0])):
+    for i in range(len(cols.gens[0])):
         point = column(0, 1 << i)
         cell = CellTable((point,), (point,))
         emit(cell)
         level.append((cell, 1 << i))
 
     for d in range(1, max_dim + 1):
-        below = {g: 1 << i for i, g in enumerate(gens[d - 1])}
+        below = cols.bits[d - 1]
         moves = [
             (
                 1 << i,
                 sum(below[f] for f in parity.neg(b)),
                 sum(below[f] for f in parity.pos(b)),
             )
-            for i, b in enumerate(gens[d])
+            for i, b in enumerate(cols.gens[d])
         ]
         grown: list[tuple[CellTable, int]] = []
         for source, m in level:
@@ -448,11 +496,26 @@ def excision_decompose(
 
 
 class AtomExpression:
-    """Expression tree over atoms, identity lifts, and k-composites."""
+    """Expression tree over atoms, identity lifts, and k-composites.
+
+    Subexpressions may be shared, as the witnesses of atom_closure
+    share them; evaluation builds each shared one once.
+    """
 
     __slots__ = ()
 
     def evaluate(self, struct: Structure) -> CellTable:
+        return self._evaluate(struct, {})
+
+    def _evaluate(self, struct: Structure, memo: dict[AtomExpression, CellTable]) -> CellTable:
+        """evaluate, reusing the table of every subexpression in memo
+        (keyed by identity) and adding those it builds."""
+        table = memo.get(self)
+        if table is None:
+            table = memo[self] = self._build(struct, memo)
+        return table
+
+    def _build(self, struct: Structure, memo: dict[AtomExpression, CellTable]) -> CellTable:
         raise NotImplementedError
 
     def to_payload(self) -> list:
@@ -465,7 +528,7 @@ class AtomLeaf(AtomExpression):
     def __init__(self, gen: GeneratorId):
         object.__setattr__(self, "gen", gen)
 
-    def evaluate(self, struct: Structure) -> CellTable:
+    def _build(self, struct: Structure, memo: dict[AtomExpression, CellTable]) -> CellTable:
         if self.gen.dim == 0:
             return cell_zero(struct, self.gen)
         return atom(struct, self.gen)
@@ -483,8 +546,8 @@ class IdentityLift(AtomExpression):
     def __init__(self, inner: AtomExpression):
         object.__setattr__(self, "inner", inner)
 
-    def evaluate(self, struct: Structure) -> CellTable:
-        return identity(self.inner.evaluate(struct))
+    def _build(self, struct: Structure, memo: dict[AtomExpression, CellTable]) -> CellTable:
+        return identity(self.inner._evaluate(struct, memo))
 
     def to_payload(self) -> list:
         return ["id", self.inner.to_payload()]
@@ -501,8 +564,9 @@ class Composite(AtomExpression):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def evaluate(self, struct: Structure) -> CellTable:
-        return compose(self.left.evaluate(struct), self.right.evaluate(struct), self.level)
+    def _build(self, struct: Structure, memo: dict[AtomExpression, CellTable]) -> CellTable:
+        left = self.left._evaluate(struct, memo)
+        return compose(left, self.right._evaluate(struct, memo), self.level)
 
     def to_payload(self) -> list:
         return ["compose", self.level, self.left.to_payload(), self.right.to_payload()]
@@ -514,72 +578,116 @@ class Composite(AtomExpression):
 def atom_closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpression]:
     """Breadth-first closure of atoms and identities under composition.
 
-    Returns a witness expression for every cell reached; over a parity
-    complex this covers every cell of each dimension <= max_dim.
-    Requires a weak parity complex, as enumerate_cells does.  The
-    PARITYKIT_MAX_CELLS cap applies to the cells reached.
+    Returns a witness expression for every cell reached, in the order
+    the cells are reached; over a parity complex this covers every cell
+    of each dimension <= max_dim.  Requires a weak parity complex, as
+    enumerate_cells does, so that every column is a subset: the search
+    runs on the enumerator's bitmask columns, and tables are built only
+    for the returned dict.  The PARITYKIT_MAX_CELLS cap applies to the
+    cells reached.
     """
     _check_max_dim(max_dim)
     _require_weak(struct, "atom closure")
-    return _closure(struct, max_dim)
+    cols = _Columns(struct, max_dim)
+    return {cols.table(*cell): expr for cell, expr in _closure(struct, cols, max_dim).items()}
 
 
-def _closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpression]:
+def _composite(x: _MaskCell, y: _MaskCell, k: int) -> _MaskCell:
+    """The k-composite of mask cells whose k-faces match: the shared
+    columns up to k, then unions, which must be disjoint."""
+    x_neg, x_pos = x
+    y_neg, y_pos = y
+    neg = list(x_neg[: k + 1])
+    pos = list(y_pos[: k + 1])
+    for j in range(k + 1, len(x_neg)):
+        m, n, p, q = x_neg[j], y_neg[j], x_pos[j], y_pos[j]
+        if m & n or p & q:
+            raise InternalCheckError(
+                f"column {j} of a composite of subset-columned cells is not a subset"
+            )
+        neg.append(m | n)
+        pos.append(p | q)
+    return tuple(neg), tuple(pos)
+
+
+def _closure(
+    struct: Structure, cols: _Columns, max_dim: int, goal: _MaskCell | None = None
+) -> dict[_MaskCell, AtomExpression]:
+    """The closure on mask cells, in the order reached; stops as soon as
+    goal, if given, is reached.
+
+    An identity appends a pair of zero columns, a k-face is a slice of
+    the rows, and a k-composite ORs the columns above k.
+    """
     cap = _max_cells()
-    known: dict[CellTable, AtomExpression] = {}
-    queue: deque[CellTable] = deque()
-    # (dim, k, face-table) -> cells of that dimension with that k-source / k-target
-    by_source: dict[tuple[int, int, CellTable], list[CellTable]] = {}
-    by_target: dict[tuple[int, int, CellTable], list[CellTable]] = {}
+    known: dict[_MaskCell, AtomExpression] = {}
+    queue: deque[_MaskCell] = deque()
+    # (dim, k, neg[:k], pos[:k], column k) -> cells of that dimension with
+    # that k-source / k-target, in the order they left the queue
+    by_source: dict[tuple, list[_MaskCell]] = {}
+    by_target: dict[tuple, list[_MaskCell]] = {}
 
-    def add(cell: CellTable, expr: AtomExpression) -> None:
-        if cell not in known:
-            known[cell] = expr
-            queue.append(cell)
-            if len(known) > cap:
-                raise EnumerationCapError(
-                    f"atom closure reached {len(known)} cells, more than {cap} "
-                    f"(set {MAX_CELLS_ENV} to raise)"
-                )
+    def add(cell: _MaskCell, expr: AtomExpression) -> bool:
+        """Record a cell not yet known; True iff it is the goal."""
+        known[cell] = expr
+        queue.append(cell)
+        if len(known) > cap:
+            raise EnumerationCapError(
+                f"atom closure reached {len(known)} cells, more than {cap} "
+                f"(set {MAX_CELLS_ENV} to raise)"
+            )
+        return cell == goal
 
-    for g in sorted(struct.all_generators()):
-        if g.dim <= max_dim:
-            leaf = AtomLeaf(g)
-            add(leaf.evaluate(struct), leaf)
+    def search() -> None:
+        for g in sorted(struct.all_generators()):
+            if g.dim <= max_dim:
+                leaf = AtomLeaf(g)
+                cell = cols.cell(leaf.evaluate(struct))
+                if cell not in known and add(cell, leaf):
+                    return
+        while queue:
+            cell = queue.popleft()
+            neg, pos = cell
+            dim = len(neg) - 1
+            expr = known[cell]
+            if dim < max_dim:
+                lifted = (neg + (0,), pos + (0,))
+                if lifted not in known and add(lifted, IdentityLift(expr)):
+                    return
+            for k in range(dim):
+                src = (dim, k, neg[:k], pos[:k], neg[k])
+                tgt = src[:4] + (pos[k],)
+                by_source.setdefault(src, []).append(cell)
+                by_target.setdefault(tgt, []).append(cell)
+                # when src == tgt both lists now end with the cell itself
+                for y in by_source.get(tgt, ()):
+                    composite = _composite(cell, y, k)
+                    if composite not in known and add(composite, Composite(k, expr, known[y])):
+                        return
+                for x in by_target.get(src, ()):
+                    if x is not cell:
+                        composite = _composite(x, cell, k)
+                        if composite not in known and add(composite, Composite(k, known[x], expr)):
+                            return
 
-    while queue:
-        cell = queue.popleft()
-        if cell.dim < max_dim:
-            add(identity(cell), IdentityLift(known[cell]))
-        for k in range(cell.dim):
-            src = face(cell, k, "source")
-            tgt = face(cell, k, "target")
-            partners_after = list(by_source.get((cell.dim, k, tgt), ()))
-            partners_before = list(by_target.get((cell.dim, k, src), ()))
-            by_source.setdefault((cell.dim, k, src), []).append(cell)
-            by_target.setdefault((cell.dim, k, tgt), []).append(cell)
-            if src == tgt:
-                partners_after.append(cell)
-                partners_before.append(cell)
-            for y in partners_after:
-                add(compose(cell, y, k), Composite(k, known[cell], known[y]))
-            for x in partners_before:
-                if x is not cell:
-                    add(compose(x, cell, k), Composite(k, known[x], known[cell]))
+    search()
     return known
 
 
 def generated_by_atoms(struct: Structure, table: CellTable) -> AtomExpression | None:
     """A witness that the cell is generated by atoms, if one exists.
 
-    The witness evaluates back to the cell exactly; absence means the
-    breadth-first closure of atoms and identities under composition does
-    not contain the cell.  Requires a weak parity complex; the closure is
-    capped as in atom_closure.
+    The witness evaluates back to the cell exactly, and is the one
+    atom_closure(struct, table.dim) gives; absence means that closure
+    does not contain the cell.  Requires a weak parity complex; the
+    closure stops once it reaches the cell, and is capped as in
+    atom_closure.
     """
     _require_weak(struct, "atom closure")
     complex_ = _as_complex(struct)
     ok, reason = validate_cell(complex_, table, mode="nu" if complex_.augmented else "rho")
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
-    return _closure(struct, table.dim).get(table)
+    cols = _Columns(struct, table.dim)
+    goal = cols.cell(table)
+    return _closure(struct, cols, table.dim, goal).get(goal)

@@ -285,7 +285,10 @@ def _cmd_freeness(args) -> int:
     closure = atom_closure(struct, args.max_dim)
     enumerated = enumerate_cells(struct, args.max_dim)
     missing = [c for c in enumerated if c not in closure]
-    bad = [c for c in enumerated if c in closure and closure[c].evaluate(struct) != c]
+    # one memo for every witness, so that the subexpressions they share
+    # are evaluated once, through the public atom, identity and compose
+    memo: dict = {}
+    bad = [c for c in enumerated if c in closure and closure[c]._evaluate(struct, memo) != c]
     if args.format == "structured":
         _emit_structured(
             {

@@ -9,6 +9,7 @@ output bytes are deterministic.
 from __future__ import annotations
 
 import json
+import sys
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from .multiset import MAX_COUNT, GeneratorId, Multiset
@@ -284,12 +285,13 @@ def payload_for(value: Any) -> tuple[str, dict]:
         return KIND_PARITY, structure_payload(value)
     if isinstance(value, AdditiveParityStructure):
         return KIND_ADDITIVE, structure_payload(value)
-    # Cells and morphisms are imported only for values that may be one.
-    from .cells import CellTable
-    if isinstance(value, CellTable):
+    # A cell or a morphism exists only once its module is loaded, so
+    # writing one never imports the other's module.
+    cells = sys.modules.get(f"{__package__}.cells")
+    if cells is not None and isinstance(value, cells.CellTable):
         return KIND_CELL, cell_payload(value)
-    from .morphisms import GradedMorphism
-    if isinstance(value, GradedMorphism):
+    morphisms = sys.modules.get(f"{__package__}.morphisms")
+    if morphisms is not None and isinstance(value, morphisms.GradedMorphism):
         return KIND_MORPHISM, morphism_payload(value)
     raise TypeError(f"no fixture form for {type(value).__name__}")
 

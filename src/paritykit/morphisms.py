@@ -9,10 +9,8 @@ on cell tables are provided with their functoriality testable.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .cells import CellTable, validate_cell
-from .chain import FreeDirectedComplex, from_structure
 from .multiset import GeneratorId, Multiset, SignedVector
 from .parity_core import (
     CLASS_ADDITIVE,
@@ -27,6 +25,10 @@ from .parity_core import (
     subset_faces,
     validate,
 )
+
+if TYPE_CHECKING:
+    from .cells import CellTable
+    from .chain import FreeDirectedComplex
 
 MODES = ("additive", "weak_parity")
 
@@ -262,6 +264,7 @@ def restrict_morphism(f: GradedMorphism, n: int) -> GradedMorphism:
 
 def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
     """Columnwise image of a cell table under the homomorphic extension."""
+    from .cells import CellTable, validate_cell
     ok, reason = validate_cell(f.source, table, mode="rho")
     if not ok:
         raise ValueError(f"not a valid cell over the source: {reason}")
@@ -340,6 +343,7 @@ def induced_chain_map(f: GradedMorphism) -> ChainMap:
     via their additive reading); commutation with the boundary is
     re-checked generator by generator on construction.
     """
+    from .chain import from_structure
     report = validate_morphism(f, "additive" if f.mode == "additive" else "weak_parity")
     if not report.valid:
         raise MorphismError(f"not a valid morphism: {report.failures}")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from itertools import combinations, product
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import randstruct
+from conftest import load_fixture
 from paritykit import cells
 from paritykit.cells import (
     AtomLeaf,
@@ -394,6 +396,19 @@ class TestGeneratedByAtoms:
         with pytest.raises(EnumerationCapError, match="atom closure reached 6 cells"):
             cells.generated_by_atoms(oriental2, t)
 
+    def test_witness_is_the_closure_witness(self, oriental3):
+        for t in cells.enumerate_cells(oriental3, 3):
+            expr = cells.generated_by_atoms(oriental3, t)
+            assert expr.to_payload() == cells.atom_closure(oriental3, t.dim)[t].to_payload()
+
+    def test_stops_at_the_cell(self, oriental2, monkeypatch):
+        # the six atoms up to dimension 1 pass the cap; 01 is the fourth
+        monkeypatch.setenv(cells.MAX_CELLS_ENV, "5")
+        edge = cells.atom(oriental2, oriental2.gen("01"))
+        with pytest.raises(EnumerationCapError):
+            cells.atom_closure(oriental2, 1)
+        assert cells.generated_by_atoms(oriental2, edge).to_payload() == ["atom", "01"]
+
     def test_requires_weak_parity_complex(self, circle):
         t = table(circle, [["p"], ["a"]], [["q"], ["a"]])
         with pytest.raises(StructureError, match="additive parity complex"):
@@ -406,6 +421,46 @@ class TestGeneratedByAtoms:
         expr = cells.generated_by_atoms(oriental2, t)
         payload = expr.to_payload()
         assert payload[0] == "compose" and payload[1] == 0
+
+
+class TestAtomClosure:
+    # SHA-256 of one line per closure entry, in dict order: str(cell), a
+    # tab, and the compact JSON of its witness payload; recorded from the
+    # closure over Multiset tables before it moved to bitmask columns.
+    GOLDEN = [
+        ("globe", 3, 3, 19, "f72f13f5e8828fd33badbc40c0003f3e9b1d7a0934d2317a7cad064ff6a4bd6c"),
+        ("oriental", 4, 4, 291, "ae757215e8cf26b68fc7b521f75d484765d19388b33f540a60b25e0ba16671ac"),
+        ("cube", 3, 3, 159, "230031140b2f71141a3450acdaee10846b65b1e6651f2e2ab665d016d1f151f2"),
+        ("weak_not_strong", None, 2, 26, "59e8216a21c4fb6582e866017a3976fbf68e4c34fdf0f0008a9d808e22d498c0"),
+    ]
+
+    @pytest.mark.parametrize("name, n, max_dim, count, digest", GOLDEN)
+    def test_golden_witnesses(self, name, n, max_dim, count, digest):
+        struct = load_fixture(name).value if n is None else family(name, n)
+        closure = cells.atom_closure(struct, max_dim)
+        assert len(closure) == count
+        text = "\n".join(
+            f"{cell}\t{json.dumps(expr.to_payload(), separators=(',', ':'))}"
+            for cell, expr in closure.items()
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_tables_are_marked_subset_columned(self, oriental2):
+        assert all(t._subset for t in cells.atom_closure(oriental2, 2))
+
+    def test_columns_must_be_subsets(self, oriental2):
+        cols = cells._Columns(oriental2, 2)
+        zero = oriental2.gen("0")
+        assert cols.column(0, cols.mask(Multiset.of(zero))) == Multiset.of(zero)
+        with pytest.raises(InternalCheckError, match="not a subset"):
+            cols.mask(Multiset.of(zero, zero))
+
+    def test_overlapping_composite_hard_errors(self):
+        edge = ((1, 0), (2, 0))
+        assert cells._composite(edge, ((2, 0), (4, 0)), 0) == ((1, 0), (4, 0))
+        loop = ((1, 1), (1, 1))
+        with pytest.raises(InternalCheckError, match="column 1"):
+            cells._composite(loop, loop, 0)
 
 
 class TestComputedOncePerStructure:

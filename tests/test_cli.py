@@ -216,6 +216,33 @@ class TestChainRoundtripFreeness:
         assert main(["freeness", oriental2_file, "--max-dim", "2"]) == 0
         assert "reached from atoms: 18" in capsys.readouterr().out
 
+    def test_freeness_evaluates_each_shared_witness_node_once(self, monkeypatch, tmp_path):
+        from paritykit import cells
+
+        path = tmp_path / "oriental3.json"
+        path.write_text(fixtures.dumps(oriental(3), name="oriental-3"))
+        seen, composites, stack = set(), 0, list(cells.atom_closure(oriental(3), 3).values())
+        while stack:
+            expr = stack.pop()
+            if id(expr) not in seen:
+                seen.add(id(expr))
+                composites += isinstance(expr, cells.Composite)
+                stack.extend(getattr(expr, name) for name in ("inner", "left", "right") if hasattr(expr, name))
+        calls = []
+        real = cells.compose
+        monkeypatch.setattr(cells, "compose", lambda *args: calls.append(args) or real(*args))
+        assert main(["freeness", str(path), "--max-dim", "3"]) == 0
+        assert len(calls) == composites > 0
+
+    def test_freeness_wrong_witness_exits_1(self, capsys, monkeypatch, oriental2_file):
+        from paritykit import cells
+
+        real = cells.identity
+        monkeypatch.setattr(cells, "identity", lambda table: real(real(table)))
+        assert main(["freeness", oriental2_file, "--max-dim", "1"]) == 1
+        assert main(["freeness", oriental2_file, "--max-dim", "1", "--format", "structured"]) == 1
+        assert '"witnesses_reevaluate": false' in capsys.readouterr().out
+
     def test_freeness_cap_exits_2(self, capsys, monkeypatch, oriental2_file):
         monkeypatch.setenv("PARITYKIT_MAX_CELLS", "5")
         assert main(["freeness", oriental2_file, "--max-dim", "2"]) == 2
@@ -310,6 +337,28 @@ class TestColdProcess:
         assert "paritykit.parity_core" in loaded and "paritykit.fixtures" in loaded
         unused = {"paritykit.cells", "paritykit.morphisms", "paritykit.chain", "dataclasses"}
         assert unused.isdisjoint(loaded)
+
+    def test_morphism_validate_and_compose_load_neither_cells_nor_chain(self, tmp_path):
+        from paritykit.generators import globe
+        from paritykit.morphisms import identity_morphism
+
+        ident = tmp_path / "identity.json"
+        ident.write_text(fixtures.dumps(identity_morphism(globe(1)), name="id-globe1"))
+        out = str(tmp_path / "composed.json")
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from paritykit.cli import main\n"
+            f"codes = [main(['morphism', 'validate', {MORPHISM!r}]),"
+            f" main(['morphism', 'compose', {str(ident)!r}, {MORPHISM!r}, '-o', {out!r}])]\n"
+            "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n"
+        )
+        proc = run_cold("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert "paritykit.morphisms" in loaded
+        assert {"paritykit.cells", "paritykit.chain"}.isdisjoint(loaded)
 
     def test_enumeration_cap_exits_2(self, oriental2_file):
         proc = run_cold(

@@ -34,6 +34,7 @@ from .parity_core import (
     ParityStructure,
     Structure,
     StructureError,
+    _parity_view,
     atom_faces,
     iterated_boundaries,
     validate,
@@ -357,7 +358,7 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     """
     _check_max_dim(max_dim)
     _require_weak(struct, "enumeration")
-    parity = struct if isinstance(struct, ParityStructure) else struct.as_parity()
+    parity = _parity_view(struct)
     cap = _max_cells()
     out: list[CellTable] = []
     cols = _Columns(parity, max_dim)

@@ -214,10 +214,7 @@ def is_well_formed_element(complex_: FreeDirectedComplex, v: Multiset) -> bool:
 
 def extract_structure(complex_: FreeDirectedComplex) -> AdditiveParityStructure:
     """Recover the generating structure from basis boundaries (round-trip)."""
-    faces = {}
-    for g in complex_.structure.all_generators():
-        if g.dim == 0:
-            faces[g] = (Multiset.empty(0), Multiset.empty(0))
-        else:
-            faces[g] = complex_.boundary_of(g).parts()
-    return AdditiveParityStructure(faces)
+    return AdditiveParityStructure({
+        g: complex_.boundary_of(g).parts() if g.dim else ((), ())
+        for g in complex_.structure.all_generators()
+    })

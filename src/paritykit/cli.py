@@ -24,6 +24,7 @@ from .parity_core import (
     CLASS_WEAK,
     CycleWitness,
     ValidationReport,
+    _additive_view,
     validate,
 )
 
@@ -268,9 +269,7 @@ def _cmd_roundtrip(args) -> int:
     from .chain import extract_structure, from_structure
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     struct = fixture.value
-    recovered = extract_structure(from_structure(struct))
-    original = struct.to_additive() if hasattr(struct, "to_additive") else struct
-    same = recovered == original
+    same = extract_structure(from_structure(struct)) == _additive_view(struct)
     if args.format == "structured":
         _emit_structured({"name": fixture.name, "isomorphic": same})
     else:

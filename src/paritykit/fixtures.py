@@ -233,25 +233,20 @@ def load_path(path) -> Fixture:
 # writing
 
 
-def _faces_payload(ms: Multiset) -> list:
-    if ms.is_radical():
-        return [g.name for g in ms]
-    return [[g.name, c] for g, c in ms.items()]
-
-
-def _subset_payload(gens) -> list:
-    return sorted(g.name for g in gens)
+def _faces_payload(faces: Multiset | frozenset[GeneratorId]) -> list:
+    """Names in name order, or [name, count] pairs if a count is 2 or more."""
+    if isinstance(faces, frozenset):
+        return sorted(g.name for g in faces)
+    if faces.is_radical():
+        return [g.name for g in faces]
+    return [[g.name, c] for g, c in faces.items()]
 
 
 def structure_payload(struct: Structure) -> dict:
     elements = []
     for g in struct.all_generators():
-        if isinstance(struct, ParityStructure):
-            neg = _subset_payload(struct.neg(g)) if g.dim else []
-            pos = _subset_payload(struct.pos(g)) if g.dim else []
-        else:
-            neg = _faces_payload(struct.neg(g)) if g.dim else []
-            pos = _faces_payload(struct.pos(g)) if g.dim else []
+        neg = _faces_payload(struct.neg(g)) if g.dim else []
+        pos = _faces_payload(struct.pos(g)) if g.dim else []
         elements.append({"id": g.name, "dim": g.dim, "neg": neg, "pos": pos})
     elements.sort(key=lambda el: (el["dim"], el["id"]))
     return {"elements": elements}

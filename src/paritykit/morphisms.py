@@ -15,10 +15,10 @@ from .multiset import GeneratorId, Multiset, SignedVector
 from .parity_core import (
     CLASS_ADDITIVE,
     CLASS_WEAK,
-    ParityStructure,
     Structure,
     StructureError,
     _additive_view,
+    _parity_view,
     is_well_formed,
     moves,
     skeleton,
@@ -178,8 +178,8 @@ def validate_morphism(f: GradedMorphism, mode: str | None = None) -> MorphismRep
     else:
         _require_level(f.source, CLASS_WEAK, "source", mode)
         _require_level(f.target, CLASS_WEAK, "target", mode)
-        source = f.source if isinstance(f.source, ParityStructure) else f.source.as_parity()
-        target = f.target if isinstance(f.target, ParityStructure) else f.target.as_parity()
+        source = _parity_view(f.source)
+        target = _parity_view(f.target)
         for g in source.all_generators():
             image = f.image(g)
             if not image.is_radical():
@@ -218,8 +218,8 @@ def check_strict_movement(f: GradedMorphism) -> bool:
     report = validate_morphism(f, "weak_parity")
     if not report.valid:
         raise MorphismError(f"not a valid weak-parity morphism: {report.failures}")
-    source = f.source if isinstance(f.source, ParityStructure) else f.source.as_parity()
-    target = f.target if isinstance(f.target, ParityStructure) else f.target.as_parity()
+    source = _parity_view(f.source)
+    target = _parity_view(f.target)
     for g in source.all_generators():
         if g.dim == 0:
             continue

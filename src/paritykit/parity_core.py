@@ -3,7 +3,8 @@
 A parity structure assigns each generator a disjoint pair of finite
 *subsets* of faces one dimension down; an additive parity structure
 assigns finite *multisets*.  Every parity structure embeds into an
-additive one by reading its face sets as count-1 multisets.
+additive one by reading its face sets as count-1 multisets.  The two
+classes share one implementation and differ only in their face values.
 
 The validator checks, with witnesses: disjointness of face pairs,
 globularity, unitality, normality, and weak / Steiner / strong
@@ -27,32 +28,82 @@ class UnknownGeneratorError(StructureError):
     """A generator is referenced that the structure does not contain."""
 
 
+class _RowIds(dict):
+    """The ids of ``build`` rows by (name, dim); a missing key is an unknown face."""
+
+    def __missing__(self, key: tuple[str, int]):
+        name, dim = key
+        raise UnknownGeneratorError(f"face {name!r} has no dimension-{dim} generator")
+
+
 class _GradedStructure:
-    """Shared bookkeeping for graded sets with per-generator face data.
+    """A graded set with a pair of face values per generator.
+
+    The two structure classes share this one implementation and differ
+    only in their face values: finite subsets in ``ParityStructure``,
+    finite multisets in ``AdditiveParityStructure``.  Each class reads
+    one given face value in ``_face`` and one ``build`` row's face data
+    in ``_resolve``; everything else lives here.
+
+    Face references to missing generators are construction-time errors;
+    face-pair disjointness is checked by the validator, not here, so
+    that the report's `disjoint` flag is informative.
 
     Structures are immutable, so what is derived from the whole of one
     (its validation report, its free complex, the additive view of a
     parity structure) is computed once and kept on it.  Equality ignores
-    these caches.  ``_by_key`` maps each id to itself; since an id equals
-    its ``(dim, name)`` tuple, it also answers lookups by that tuple.
+    these caches and holds only between structures of the same class.
+    ``_by_key`` maps each id to itself; since an id equals its
+    ``(dim, name)`` tuple, it also answers lookups by that tuple.
     """
 
     _by_dim: dict[int, tuple[GeneratorId, ...]]
     _by_key: dict[tuple[int, str], GeneratorId]
+    _neg: dict[GeneratorId, frozenset[GeneratorId] | Multiset]
+    _pos: dict[GeneratorId, frozenset[GeneratorId] | Multiset]
 
-    def __init__(self, gens: Iterable[GeneratorId]):
+    def __init__(self, faces: Mapping[GeneratorId, tuple]):
         self._report: ValidationReport | None = None  # filled by validate
         self._complex = None  # filled by chain.from_structure
         self._additive: AdditiveParityStructure | None = None  # filled by _additive_view
         by_dim: dict[int, list[GeneratorId]] = {}
-        by_key: dict[tuple[int, str], GeneratorId] = {}
-        for g in gens:
-            if g in by_key:
-                raise StructureError(f"duplicate generator {g.name!r} in dimension {g.dim}")
-            by_key[g] = g
+        for g in faces:
             by_dim.setdefault(g.dim, []).append(g)
         self._by_dim = {n: tuple(sorted(gs)) for n, gs in sorted(by_dim.items())}
-        self._by_key = by_key
+        self._by_key = {g: g for g in faces}
+        self._neg = {}
+        self._pos = {}
+        for g, (neg, pos) in faces.items():
+            if g.dim == 0:
+                if neg or pos:
+                    raise StructureError(f"dimension-0 generator {g.name!r} cannot have faces")
+                continue
+            neg, pos = self._face(g, neg), self._face(g, pos)
+            for f in (*neg, *pos):
+                if f not in self._by_key:
+                    raise UnknownGeneratorError(
+                        f"face {f.name!r} of {g.name!r} is not a generator of the structure"
+                    )
+            self._neg[g] = neg
+            self._pos[g] = pos
+
+    @classmethod
+    def build(cls, elements: Iterable[tuple[str, int, object, object]]):
+        """Build from (name, dim, neg, pos) rows; ``_resolve`` reads the faces."""
+        rows = list(elements)
+        ids = _RowIds({(name, dim): GeneratorId(dim, name) for name, dim, _, _ in rows})
+        if len(ids) != len(rows):
+            raise StructureError("duplicate (name, dim) row")
+        faces = {}
+        for name, dim, neg, pos in rows:
+            g = ids[(name, dim)]
+            if dim == 0:
+                if list(neg) or list(pos):
+                    raise StructureError(f"dimension-0 generator {name!r} cannot have faces")
+                faces[g] = ((), ())
+            else:
+                faces[g] = (cls._resolve(ids, dim - 1, neg), cls._resolve(ids, dim - 1, pos))
+        return cls(faces)
 
     @property
     def max_dim(self) -> int:
@@ -94,86 +145,53 @@ class _GradedStructure:
         if gen not in self._by_key:
             raise UnknownGeneratorError(f"generator {gen.name!r} (dim {gen.dim}) not in structure")
 
-
-class AdditiveParityStructure(_GradedStructure):
-    """Graded set with a pair of finite face multisets per generator.
-
-    Face references to missing generators are construction-time errors;
-    face-pair disjointness is checked by the validator, not here, so
-    that the report's `disjoint` flag is informative.
-    """
-
-    def __init__(self, faces: Mapping[GeneratorId, tuple[Multiset, Multiset]]):
-        super().__init__(faces.keys())
-        self._neg: dict[GeneratorId, Multiset] = {}
-        self._pos: dict[GeneratorId, Multiset] = {}
-        for g, (neg, pos) in faces.items():
-            if g.dim == 0:
-                if not (neg.is_empty() and pos.is_empty()):
-                    raise StructureError(f"dimension-0 generator {g.name!r} cannot have faces")
-                continue
-            if neg.dim != g.dim - 1 or pos.dim != g.dim - 1:
-                raise StructureError(
-                    f"faces of {g.name!r} (dim {g.dim}) must live in dimension {g.dim - 1}"
-                )
-            for f in list(neg) + list(pos):
-                if f not in self._by_key:
-                    raise UnknownGeneratorError(
-                        f"face {f.name!r} of {g.name!r} is not a generator of the structure"
-                    )
-            self._neg[g] = neg
-            self._pos[g] = pos
-
-    @classmethod
-    def build(cls, elements: Iterable[tuple[str, int, object, object]]) -> AdditiveParityStructure:
-        """Build from (name, dim, neg, pos) rows.
-
-        Face data may be an iterable of names (counts 1) or of
-        (name, count) pairs, or a name -> count mapping.
-        """
-        rows = list(elements)
-        ids = {(name, dim): GeneratorId(dim, name) for name, dim, _, _ in rows}
-        if len(ids) != len(rows):
-            raise StructureError("duplicate (name, dim) row")
-
-        def resolve(dim: int, data: object) -> Multiset:
-            if dim < 0:
-                raise StructureError("faces attached to a dimension-0 generator")
-            counts: dict[GeneratorId, int] = {}
-            pairs: Iterable
-            if isinstance(data, Mapping):
-                pairs = data.items()
-            else:
-                pairs = [(d, 1) if isinstance(d, str) else tuple(d) for d in data]  # type: ignore[union-attr]
-            for name, count in pairs:
-                g = ids.get((name, dim))
-                if g is None:
-                    raise UnknownGeneratorError(f"face {name!r} has no dimension-{dim} generator")
-                counts[g] = counts.get(g, 0) + int(count)
-            return Multiset(dim, counts)
-
-        faces = {}
-        for name, dim, neg, pos in rows:
-            g = ids[(name, dim)]
-            if dim == 0:
-                if neg or pos:
-                    raise StructureError(f"dimension-0 generator {name!r} cannot have faces")
-                faces[g] = (Multiset.empty(0), Multiset.empty(0))
-            else:
-                faces[g] = (resolve(dim - 1, neg), resolve(dim - 1, pos))
-        return cls(faces)
-
-    def neg(self, gen: GeneratorId) -> Multiset:
+    def neg(self, gen: GeneratorId):
         self.require(gen)
         if gen.dim == 0:
             raise StructureError(f"dimension-0 generator {gen.name!r} has no faces")
         return self._neg[gen]
 
-    def pos(self, gen: GeneratorId) -> Multiset:
+    def pos(self, gen: GeneratorId):
         self.require(gen)
         if gen.dim == 0:
             raise StructureError(f"dimension-0 generator {gen.name!r} has no faces")
         return self._pos[gen]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._by_dim == other._by_dim and self._neg == other._neg and self._pos == other._pos
+
+    def __repr__(self) -> str:
+        sizes = {n: len(gs) for n, gs in self._by_dim.items()}
+        return f"<{type(self).__name__} {sizes}>"
+
+
+class AdditiveParityStructure(_GradedStructure):
+    """Graded set with a pair of finite face multisets per generator.
+
+    ``build`` reads face data as an iterable of names (counts 1) or of
+    (name, count) pairs, or a name -> count mapping; repeats add up.
+    """
+
+    @staticmethod
+    def _face(g: GeneratorId, faces: Multiset) -> Multiset:
+        if faces.dim != g.dim - 1:
+            raise StructureError(f"faces of {g.name!r} (dim {g.dim}) must live in dimension {g.dim - 1}")
+        return faces
+
+    @staticmethod
+    def _resolve(ids: _RowIds, dim: int, data: object) -> Multiset:
+        pairs: Iterable
+        if isinstance(data, Mapping):
+            pairs = data.items()
+        else:
+            pairs = [(d, 1) if isinstance(d, str) else tuple(d) for d in data]  # type: ignore[union-attr]
+        counts: dict[GeneratorId, int] = {}
+        for name, count in pairs:
+            g = ids[name, dim]
+            counts[g] = counts.get(g, 0) + int(count)
+        return Multiset(dim, counts)
 
     def is_subset_valued(self) -> bool:
         """True iff every face multiset is a subset."""
@@ -186,109 +204,43 @@ class AdditiveParityStructure(_GradedStructure):
         """The parity-structure view; an error if any face has count >= 2."""
         if not self.is_subset_valued():
             raise StructureError("structure has multiset faces with counts >= 2")
-        faces = {}
-        for g in self.all_generators():
-            if g.dim == 0:
-                faces[g] = (frozenset(), frozenset())
-            else:
-                faces[g] = (self._neg[g].support_set(), self._pos[g].support_set())
-        return ParityStructure(faces)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AdditiveParityStructure):
-            return NotImplemented
-        return self._by_dim == other._by_dim and self._neg == other._neg and self._pos == other._pos
-
-    def __repr__(self) -> str:
-        sizes = {n: len(gs) for n, gs in self._by_dim.items()}
-        return f"<AdditiveParityStructure {sizes}>"
+        return ParityStructure({
+            g: (self._neg[g].support_set(), self._pos[g].support_set()) if g.dim else ((), ())
+            for g in self.all_generators()
+        })
 
 
 class ParityStructure(_GradedStructure):
-    """Graded set with a pair of finite face subsets per generator."""
+    """Graded set with a pair of finite face subsets per generator.
 
-    def __init__(self, faces: Mapping[GeneratorId, tuple[frozenset[GeneratorId], frozenset[GeneratorId]]]):
-        super().__init__(faces.keys())
-        self._neg: dict[GeneratorId, frozenset[GeneratorId]] = {}
-        self._pos: dict[GeneratorId, frozenset[GeneratorId]] = {}
-        for g, (neg, pos) in faces.items():
-            if g.dim == 0:
-                if neg or pos:
-                    raise StructureError(f"dimension-0 generator {g.name!r} cannot have faces")
-                continue
-            for f in list(neg) + list(pos):
-                if f.dim != g.dim - 1:
-                    raise StructureError(
-                        f"face {f.name!r} of {g.name!r} (dim {g.dim}) must have dimension {g.dim - 1}"
-                    )
-                if f not in self._by_key:
-                    raise UnknownGeneratorError(
-                        f"face {f.name!r} of {g.name!r} is not a generator of the structure"
-                    )
-            self._neg[g] = frozenset(neg)
-            self._pos[g] = frozenset(pos)
+    ``build`` reads face data as an iterable of names; a repeated name
+    is one face.
+    """
 
-    @classmethod
-    def build(cls, elements: Iterable[tuple[str, int, Iterable[str], Iterable[str]]]) -> ParityStructure:
-        """Build from (name, dim, neg_names, pos_names) rows."""
-        rows = list(elements)
-        ids = {(name, dim): GeneratorId(dim, name) for name, dim, _, _ in rows}
-        if len(ids) != len(rows):
-            raise StructureError("duplicate (name, dim) row")
+    @staticmethod
+    def _face(g: GeneratorId, faces: Iterable[GeneratorId]) -> frozenset[GeneratorId]:
+        faces = frozenset(faces)
+        for f in faces:
+            if f.dim != g.dim - 1:
+                raise StructureError(
+                    f"face {f.name!r} of {g.name!r} (dim {g.dim}) must have dimension {g.dim - 1}"
+                )
+        return faces
 
-        def resolve(dim: int, names: Iterable[str]) -> frozenset[GeneratorId]:
-            out = set()
-            for name in names:
-                g = ids.get((name, dim))
-                if g is None:
-                    raise UnknownGeneratorError(f"face {name!r} has no dimension-{dim} generator")
-                out.add(g)
-            return frozenset(out)
-
-        faces = {}
-        for name, dim, neg, pos in rows:
-            g = ids[(name, dim)]
-            if dim == 0:
-                if list(neg) or list(pos):
-                    raise StructureError(f"dimension-0 generator {name!r} cannot have faces")
-                faces[g] = (frozenset(), frozenset())
-            else:
-                faces[g] = (resolve(dim - 1, neg), resolve(dim - 1, pos))
-        return cls(faces)
-
-    def neg(self, gen: GeneratorId) -> frozenset[GeneratorId]:
-        self.require(gen)
-        if gen.dim == 0:
-            raise StructureError(f"dimension-0 generator {gen.name!r} has no faces")
-        return self._neg[gen]
-
-    def pos(self, gen: GeneratorId) -> frozenset[GeneratorId]:
-        self.require(gen)
-        if gen.dim == 0:
-            raise StructureError(f"dimension-0 generator {gen.name!r} has no faces")
-        return self._pos[gen]
+    @staticmethod
+    def _resolve(ids: _RowIds, dim: int, names: Iterable[str]) -> frozenset[GeneratorId]:
+        return frozenset([ids[name, dim] for name in names])
 
     def to_additive(self) -> AdditiveParityStructure:
         """Count-1 embedding into additive parity structures."""
-        faces = {}
-        for g in self.all_generators():
-            if g.dim == 0:
-                faces[g] = (Multiset.empty(0), Multiset.empty(0))
-            else:
-                faces[g] = (
-                    Multiset.subset(g.dim - 1, self._neg[g]),
-                    Multiset.subset(g.dim - 1, self._pos[g]),
-                )
-        return AdditiveParityStructure(faces)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParityStructure):
-            return NotImplemented
-        return self._by_dim == other._by_dim and self._neg == other._neg and self._pos == other._pos
-
-    def __repr__(self) -> str:
-        sizes = {n: len(gs) for n, gs in self._by_dim.items()}
-        return f"<ParityStructure {sizes}>"
+        return AdditiveParityStructure({
+            g: (
+                (Multiset.subset(g.dim - 1, self._neg[g]), Multiset.subset(g.dim - 1, self._pos[g]))
+                if g.dim
+                else ((), ())
+            )
+            for g in self.all_generators()
+        })
 
 
 Structure = AdditiveParityStructure | ParityStructure
@@ -302,6 +254,12 @@ def _additive_view(struct: Structure) -> AdditiveParityStructure:
     if view is None:
         view = struct._additive = struct.to_additive()
     return view
+
+
+def _parity_view(struct: Structure) -> ParityStructure:
+    """The structure itself, or the subset view of an additive structure
+    (a StructureError if a face has a count >= 2)."""
+    return struct if isinstance(struct, ParityStructure) else struct.as_parity()
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +403,7 @@ def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = 
         return fi.neg_boundary == m - p and fi.pos_boundary == p - m
     if mode not in ("subset", "strict"):
         raise ValueError(f"unknown movement mode {mode!r}")
-    parity = struct if isinstance(struct, ParityStructure) else struct.as_parity()
+    parity = _parity_view(struct)
     for name, ms in (("s", s), ("m", m), ("p", p)):
         if not ms.is_radical():
             raise ValueError(f"{name} must be a subset in {mode} mode, got {ms}")
@@ -586,7 +544,7 @@ def _validate(struct: Structure) -> ValidationReport:
     additive = _additive_view(struct)
     is_parity_input = isinstance(struct, ParityStructure)
     subset_valued = additive.is_subset_valued()
-    parity = struct if is_parity_input else (additive.as_parity() if subset_valued else None)
+    parity = _parity_view(struct) if subset_valued else None
 
     failures: list[AxiomFailure] = []
     witnesses: dict[str, OrderWitness | CycleWitness] = {}
@@ -788,20 +746,8 @@ def _validate(struct: Structure) -> ValidationReport:
 
 def skeleton(struct: Structure, n: int):
     """Discard all generators of dimension > n, restricting face data."""
-    if isinstance(struct, ParityStructure):
-        faces_p = {
-            g: ((struct.neg(g), struct.pos(g)) if g.dim >= 1 else (frozenset(), frozenset()))
-            for g in struct.all_generators()
-            if g.dim <= n
-        }
-        return ParityStructure(faces_p)
-    faces_a = {
-        g: (
-            (struct.neg(g), struct.pos(g))
-            if g.dim >= 1
-            else (Multiset.empty(0), Multiset.empty(0))
-        )
+    return type(struct)({
+        g: (struct.neg(g), struct.pos(g)) if g.dim else ((), ())
         for g in struct.all_generators()
         if g.dim <= n
-    }
-    return AdditiveParityStructure(faces_a)
+    })

@@ -279,6 +279,10 @@ class TestEnumerate:
         with pytest.raises(EnumerationCapError):
             cells.enumerate_cells(oriental2, 2)
 
+    def test_same_cells_over_the_additive_view(self, oriental3):
+        additive = oriental3.to_additive()
+        assert cells.enumerate_cells(additive, 3) == cells.enumerate_cells(oriental3, 3)
+
     def test_all_enumerated_cells_validate(self, oriental3):
         complex_ = from_structure(oriental3)
         for t in cells.enumerate_cells(oriental3, 3):

@@ -66,7 +66,7 @@ class TestValidate:
     def test_stdin_dash(self, capsys, monkeypatch, oriental2_file):
         import io
 
-        text = open(oriental2_file).read()
+        text = Path(oriental2_file).read_text()
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["classify", "-"]) == 0
         assert capsys.readouterr().out.strip() == "parity complex"
@@ -211,6 +211,19 @@ class TestChainRoundtripFreeness:
     def test_roundtrip(self, oriental2_file):
         assert main(["roundtrip", oriental2_file]) == 0
         assert main(["roundtrip", CIRCLE]) == 0
+
+    def test_roundtrip_builds_one_additive_view(self, monkeypatch, tmp_path):
+        from paritykit.parity_core import ParityStructure
+
+        path = tmp_path / "oriental3.json"
+        path.write_text(fixtures.dumps(oriental(3), name="oriental-3"))
+        built = []
+        to_additive = ParityStructure.to_additive
+        monkeypatch.setattr(
+            ParityStructure, "to_additive", lambda self: built.append(id(self)) or to_additive(self)
+        )
+        assert main(["roundtrip", str(path)]) == 0
+        assert len(built) == 1
 
     def test_freeness(self, capsys, oriental2_file):
         assert main(["freeness", oriental2_file, "--max-dim", "2"]) == 0

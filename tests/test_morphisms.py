@@ -139,6 +139,13 @@ class TestStrictMovement:
         with pytest.raises(MorphismError):
             check_strict_movement(f)
 
+    def test_same_verdicts_over_additive_views(self, globe_to_triangle):
+        f = globe_to_triangle
+        source, target = f.source.to_additive(), f.target.to_additive()
+        g = GradedMorphism(source, target, {x: f.image(x) for x in f.source.all_generators()}, f.mode)
+        assert validate_morphism(g, "weak_parity") == validate_morphism(f, "weak_parity")
+        assert check_strict_movement(g) == check_strict_movement(f) is True
+
 
 class TestCompose:
     def test_identity_is_a_unit(self, globe_to_triangle, globe1, oriental2):

@@ -40,6 +40,14 @@ def mset(struct, dim, *names_):
     return Multiset.subset(dim, [struct.gen(n, dim) for n in names_])
 
 
+X, Y, E, F = GeneratorId(0, "x"), GeneratorId(0, "y"), GeneratorId(1, "e"), GeneratorId(2, "F")
+
+
+def face(cls, dim, *gens):
+    """A face value of the given structure class."""
+    return frozenset(gens) if cls is ParityStructure else Multiset.subset(dim, gens)
+
+
 class TestConstruction:
     def test_missing_face_generator_is_an_error(self):
         with pytest.raises(UnknownGeneratorError):
@@ -64,6 +72,110 @@ class TestConstruction:
         with pytest.raises(StructureError):
             s.gen("x")
         assert s.gen("x", 1).dim == 1
+
+    # The construction contract: the same errors and messages for both
+    # classes, except for the wrong-dimension message, which names each
+    # class's own face value.
+    @pytest.mark.parametrize("cls", [ParityStructure, AdditiveParityStructure])
+    @pytest.mark.parametrize(
+        "attempt, error, message",
+        [
+            pytest.param(
+                lambda cls: cls.build([("x", 0, [], []), ("x", 0, [], [])]),
+                StructureError, "duplicate (name, dim) row", id="duplicate_row",
+            ),
+            pytest.param(
+                lambda cls: cls.build([("v", 0, ["v"], [])]),
+                StructureError, "dimension-0 generator 'v' cannot have faces", id="dim0_faces_build",
+            ),
+            pytest.param(
+                lambda cls: cls({X: (face(cls, 0, X), face(cls, 0))}),
+                StructureError, "dimension-0 generator 'x' cannot have faces", id="dim0_faces_init",
+            ),
+            pytest.param(
+                lambda cls: cls.build([("x", 1, ["nope"], [])]),
+                UnknownGeneratorError, "face 'nope' has no dimension-0 generator", id="unknown_face_build",
+            ),
+            pytest.param(
+                lambda cls: cls({X: (face(cls, 0), face(cls, 0)), E: (face(cls, 0, X), face(cls, 0, Y))}),
+                UnknownGeneratorError, "face 'y' of 'e' is not a generator of the structure",
+                id="unknown_face_init",
+            ),
+            pytest.param(
+                lambda cls: cls.build([("x", 0, [], [])]).neg(X),
+                StructureError, "dimension-0 generator 'x' has no faces", id="neg_of_point",
+            ),
+            pytest.param(
+                lambda cls: cls.build([("x", 0, [], [])]).pos(Y),
+                UnknownGeneratorError, "generator 'y' (dim 0) not in structure", id="pos_of_missing",
+            ),
+        ],
+    )
+    def test_construction_errors(self, cls, attempt, error, message):
+        with pytest.raises(error) as info:
+            attempt(cls)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "cls, message",
+        [
+            (ParityStructure, "face 'x' of 'F' (dim 2) must have dimension 1"),
+            (AdditiveParityStructure, "faces of 'F' (dim 2) must live in dimension 1"),
+        ],
+    )
+    def test_face_of_the_wrong_dimension(self, cls, message):
+        with pytest.raises(StructureError) as info:
+            cls({X: (face(cls, 0), face(cls, 0)), F: (face(cls, 0, X), face(cls, 0))})
+        assert type(info.value) is StructureError
+        assert str(info.value) == message
+
+    def test_parity_build_collapses_a_repeated_name(self):
+        s = ParityStructure.build([("x", 0, [], []), ("y", 0, [], []), ("e", 1, ["x", "x"], ["y"])])
+        assert s.neg(E) == frozenset([X])
+        assert type(s.neg(E)) is frozenset
+
+    def test_parity_build_rejects_a_count_pair(self):
+        with pytest.raises(UnknownGeneratorError, match=r"face \('x', 1\) has no dimension-0 generator"):
+            ParityStructure.build([("x", 0, [], []), ("y", 0, [], []), ("e", 1, [("x", 1)], ["y"])])
+
+    @pytest.mark.parametrize("neg", [["x", "x"], [("x", 1), "x"], [("x", 2)], {"x": 2}])
+    def test_additive_build_sums_repeats(self, neg):
+        s = AdditiveParityStructure.build([("x", 0, [], []), ("y", 0, [], []), ("e", 1, neg, ["y"])])
+        assert s.neg(E) == Multiset(0, {X: 2})
+        assert s.pos(E) == Multiset.of(Y)
+
+    def test_repr(self, oriental2):
+        assert repr(oriental2) == "<ParityStructure {0: 3, 1: 3, 2: 1}>"
+        assert repr(oriental2.to_additive()) == "<AdditiveParityStructure {0: 3, 1: 3, 2: 1}>"
+
+    def test_a_structure_never_equals_its_other_view(self, oriental2):
+        additive = oriental2.to_additive()
+        assert oriental2 != additive and additive != oriental2
+        assert not oriental2 == additive and not additive == oriental2
+        for s in (oriental2, additive):
+            with pytest.raises(TypeError):
+                hash(s)
+
+    def test_as_parity_rejects_a_count_2_face(self):
+        s = AdditiveParityStructure.build([("x", 0, [], []), ("y", 0, [], []), ("e", 1, {"x": 2}, ["y"])])
+        assert not s.is_subset_valued()
+        with pytest.raises(StructureError) as info:
+            s.as_parity()
+        assert type(info.value) is StructureError
+        assert str(info.value) == "structure has multiset faces with counts >= 2"
+
+    def test_skeleton_keeps_the_class(self, oriental2):
+        for s in (oriental2, oriental2.to_additive()):
+            for n in (0, 1, 2):
+                assert type(skeleton(s, n)) is type(s)
+
+    def test_face_values_keep_their_form(self, oriental2):
+        g = oriental2.gen("012")
+        assert type(oriental2.neg(g)) is frozenset and type(oriental2.pos(g)) is frozenset
+        additive = oriental2.to_additive()
+        assert type(additive.neg(g)) is Multiset and type(additive.pos(g)) is Multiset
+        assert additive.neg(g).support_set() == oriental2.neg(g)
 
 
 class TestFaceImages:
@@ -158,12 +270,15 @@ class TestAtomFaces:
 
 
 class TestMoves:
+    # Each case also runs on the additive view, which the subset and
+    # strict modes read through its parity view.
     def test_oriental2_all_modes(self, oriental2):
         s = mset(oriental2, 1, "01", "12")
         m = mset(oriental2, 0, "0")
         p = mset(oriental2, 0, "2")
-        for mode in ("additive", "subset", "strict"):
-            assert moves(oriental2, s, m, p, mode=mode)
+        for struct in (oriental2, oriental2.to_additive()):
+            for mode in ("additive", "subset", "strict"):
+                assert moves(struct, s, m, p, mode=mode)
 
     def test_empty_moves_anything_to_itself(self, oriental2):
         m = mset(oriental2, 0, "0", "1")
@@ -174,15 +289,18 @@ class TestMoves:
         s = mset(oriental2, 1, "01")
         m = mset(oriental2, 0, "0")
         p = mset(oriental2, 0, "2")
-        for mode in ("additive", "subset", "strict"):
-            assert not moves(oriental2, s, m, p, mode=mode)
+        for struct in (oriental2, oriental2.to_additive()):
+            for mode in ("additive", "subset", "strict"):
+                assert not moves(struct, s, m, p, mode=mode)
 
     def test_non_well_formed_s_is_an_error_in_subset_mode(self, oriental2):
         s = mset(oriental2, 1, "01", "02")  # shared source: not well-formed
         m = mset(oriental2, 0, "0")
-        assert moves(oriental2, s, m, m, mode="additive") in (True, False)  # no error
-        with pytest.raises(ValueError):
-            moves(oriental2, s, m, m, mode="subset")
+        for struct in (oriental2, oriental2.to_additive()):
+            assert moves(struct, s, m, m, mode="additive") in (True, False)  # no error
+            for mode in ("subset", "strict"):
+                with pytest.raises(ValueError, match="is not well-formed"):
+                    moves(struct, s, m, m, mode=mode)
 
     def test_dimension_mismatch(self, oriental2):
         with pytest.raises(DimensionMismatchError):

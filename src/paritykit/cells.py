@@ -34,6 +34,8 @@ from .parity_core import (
     ParityStructure,
     Structure,
     StructureError,
+    _bits,
+    _face_table,
     _parity_view,
     atom_faces,
     iterated_boundaries,
@@ -292,36 +294,35 @@ _MaskCell = tuple[tuple[int, ...], tuple[int, ...]]
 
 class _Columns:
     """Subset columns as int bitmasks over each dimension's sorted
-    generators: bit i of a dimension-d mask stands for generators(d)[i].
+    generators: bit i of a dimension-d mask stands for generators(d)[i],
+    index i of the structure's integer face table.
 
     Over a weak parity complex every column of a cell is a subset, so a
     mask represents it exactly; this is the one place where masks and
     Multisets are converted into each other.
     """
 
-    def __init__(self, struct: Structure, max_dim: int):
-        self.gens = [struct.generators(k) for k in range(max_dim + 1)]
-        #: per dimension, generator -> its bit
-        self.bits = [{g: 1 << i for i, g in enumerate(row)} for row in self.gens]
+    def __init__(self, struct: Structure):
+        self.faces = _face_table(struct)
         self._columns: dict[tuple[int, int], Multiset] = {}
 
     def column(self, dim: int, mask: int) -> Multiset:
         got = self._columns.get((dim, mask))
         if got is None:
-            row = self.gens[dim]
-            got = Multiset.subset(dim, [row[i] for i in range(mask.bit_length()) if mask >> i & 1])
-            self._columns[dim, mask] = got
+            # an identity's zero column may lie above the structure's top dimension
+            gens = [self.faces.gens[dim][i] for i in _bits(mask)]
+            got = self._columns[dim, mask] = Multiset.subset(dim, gens)
         return got
 
     def mask(self, column: Multiset) -> int:
-        bits = self.bits[column.dim]
+        index = self.faces.index
         out = 0
         for g, count in column.items():
             if count != 1:
                 raise InternalCheckError(
                     f"column {column} of a cell over a weak parity complex is not a subset"
                 )
-            out |= bits[g]
+            out |= 1 << index[g]
         return out
 
     def cell(self, table: CellTable) -> _MaskCell:
@@ -361,7 +362,7 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     parity = _parity_view(struct)
     cap = _max_cells()
     out: list[CellTable] = []
-    cols = _Columns(parity, max_dim)
+    cols = _Columns(parity)
     column = cols.column
 
     def emit(cell: CellTable) -> None:
@@ -373,22 +374,15 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
 
     # (cell, mask of its top column) for the cells of the current dimension
     level: list[tuple[CellTable, int]] = []
-    for i in range(len(cols.gens[0])):
+    for i in range(len(parity.generators(0))):
         point = column(0, 1 << i)
         cell = CellTable((point,), (point,))
         emit(cell)
         level.append((cell, 1 << i))
 
+    faces = cols.faces
     for d in range(1, max_dim + 1):
-        below = cols.bits[d - 1]
-        moves = [
-            (
-                1 << i,
-                sum(below[f] for f in parity.neg(b)),
-                sum(below[f] for f in parity.pos(b)),
-            )
-            for i, b in enumerate(cols.gens[d])
-        ]
+        moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(parity.generators(d)))]
         grown: list[tuple[CellTable, int]] = []
         for source, m in level:
             head_neg = source.neg
@@ -589,7 +583,7 @@ def atom_closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpress
     """
     _check_max_dim(max_dim)
     _require_weak(struct, "atom closure")
-    cols = _Columns(struct, max_dim)
+    cols = _Columns(struct)
     return {cols.table(*cell): expr for cell, expr in _closure(struct, cols, max_dim).items()}
 
 
@@ -689,6 +683,6 @@ def generated_by_atoms(struct: Structure, table: CellTable) -> AtomExpression | 
     ok, reason = validate_cell(complex_, table, mode="nu" if complex_.augmented else "rho")
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
-    cols = _Columns(struct, table.dim)
+    cols = _Columns(struct)
     goal = cols.cell(table)
     return _closure(struct, cols, table.dim, goal).get(goal)

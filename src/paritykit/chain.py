@@ -7,9 +7,9 @@ canonical augmentation sending every dimension-0 generator to 1.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .multiset import GeneratorId, Multiset, SignedVector
+from .multiset import GeneratorId, Multiset, SignedVector, _format_entries
 from .parity_core import (
     AdditiveParityStructure,
     ParityStructure,
@@ -17,11 +17,31 @@ from .parity_core import (
     StructureError,
     UnknownGeneratorError,
     _additive_view,
+    _ById,
+    _face_table,
 )
 
 
 class AugmentationMissingError(StructureError):
     """An operation needed the canonical augmentation of a non-normal basis."""
+
+
+def _signed(neg: tuple, pos: tuple) -> dict[int, int]:
+    """The boundary pos - neg of a pair of face rows, without zero entries."""
+    row = dict(pos)
+    for j, c in neg:
+        row[j] = row.get(j, 0) - c
+    return {j: c for j, c in row.items() if c}
+
+
+def _linear(boundaries, chain: Iterable[tuple]) -> dict:
+    """The boundary of a chain of (key, coefficient) pairs from the
+    boundary of each key, a mapping with ``items``; zero entries may remain."""
+    out: dict = {}
+    for key, coeff in chain:
+        for f, c in boundaries[key].items():
+            out[f] = out.get(f, 0) + coeff * c
+    return out
 
 
 class FreeDirectedComplex:
@@ -30,15 +50,22 @@ class FreeDirectedComplex:
     ``augmented`` is true exactly when the generating structure is
     normal, in which case the canonical augmentation (every dimension-0
     generator maps to 1) is attached.
+
+    The checks compute chains as index -> coefficient dicts over the
+    indices of the structure's integer face table: ``_rows[d][i]`` is the
+    boundary of generator i of dimension d.  ``_vectors`` holds the same
+    boundaries as SignedVectors by id, for chains given as SignedVectors.
     """
 
     def __init__(self, structure: AdditiveParityStructure):
         self._structure = structure
-        self._boundary: dict[GeneratorId, SignedVector] = {}
-        for g in structure.all_generators():
-            if g.dim == 0:
-                continue
-            self._boundary[g] = structure.pos(g).to_vector() - structure.neg(g).to_vector()
+        self._table = t = _face_table(structure)
+        self._rows = [[_signed(neg, pos) for neg, pos in zip(*level)] for level in zip(t.neg, t.pos)]
+        self._vectors = _ById(
+            (g, SignedVector(d - 1, {t.gens[d - 1][j]: c for j, c in row.items()}))
+            for d in range(1, len(t.gens))
+            for g, row in zip(t.gens[d], self._rows[d])
+        )
         self._augmented = all(
             structure.neg(g).total() == 1 and structure.pos(g).total() == 1
             for g in structure.generators(1)
@@ -67,20 +94,16 @@ class FreeDirectedComplex:
 
     def boundary_of(self, gen: GeneratorId) -> SignedVector:
         """Boundary of a single generator of dimension >= 1."""
-        self.require(gen)
         if gen.dim == 0:
+            self.require(gen)
             raise StructureError(f"dimension-0 generator {gen.name!r} has no boundary")
-        return self._boundary[gen]
+        return self._vectors[gen]
 
     def boundary(self, v: SignedVector) -> SignedVector:
         """Linear extension of the generator boundaries."""
         if v.dim < 1:
             raise StructureError("boundary needs a chain of dimension >= 1")
-        out: dict[GeneratorId, int] = {}
-        for g, coeff in v.items():
-            for f, c in self.boundary_of(g).items():
-                out[f] = out.get(f, 0) + coeff * c
-        return SignedVector(v.dim - 1, out)
+        return SignedVector(v.dim - 1, _linear(self._vectors, v.items()))
 
     def augmentation(self, v: SignedVector | Multiset) -> int:
         """Canonical augmentation of a dimension-0 chain (requires normality)."""
@@ -106,14 +129,19 @@ class FreeDirectedComplex:
         positive row.
         """
         self.require(gen)
-        neg_levels = [Multiset.of(gen)]
-        pos_levels = [Multiset.of(gen)]
-        for _ in range(gen.dim):
-            neg_levels.append(self.boundary(neg_levels[-1].to_vector()).parts()[0])
-            pos_levels.append(self.boundary(pos_levels[-1].to_vector()).parts()[1])
-        neg_levels.reverse()
-        pos_levels.reverse()
-        return tuple(neg_levels), tuple(pos_levels)
+        t = self._table
+        rows = self._parts(gen.dim, t.index[gen])
+        return tuple(tuple(t.multiset(k, counts) for k, counts in enumerate(row)) for row in rows)
+
+    def _parts(self, d: int, i: int) -> tuple[list[dict], list[dict]]:
+        """iterated_parts of generator i of dimension d, as index -> count dicts."""
+        neg_levels, pos_levels = [{i: 1}], [{i: 1}]
+        for k in range(d, 0, -1):
+            neg = _linear(self._rows[k], neg_levels[-1].items())
+            pos = _linear(self._rows[k], pos_levels[-1].items())
+            neg_levels.append({j: -c for j, c in neg.items() if c < 0})
+            pos_levels.append({j: c for j, c in pos.items() if c > 0})
+        return neg_levels[::-1], pos_levels[::-1]
 
 
 def from_structure(struct: Structure) -> FreeDirectedComplex:
@@ -153,15 +181,16 @@ def check_complex(complex_: FreeDirectedComplex) -> ChainReport:
     """Check ddx = 0 per generator, normality, and unitality of the basis."""
     failures: list[tuple[str, str, str]] = []
     struct = complex_.structure
+    t = complex_._table
 
     dd_zero = True
-    for g in struct.all_generators():
-        if g.dim < 2:
-            continue
-        dd = complex_.boundary(complex_.boundary_of(g))
-        if not dd.is_zero():
-            dd_zero = False
-            failures.append(("dd_zero", g.name, f"dd({g.name}) = {dd}"))
+    for d in range(2, len(t.gens)):
+        for i, g in enumerate(t.gens[d]):
+            dd = _linear(complex_._rows[d - 1], complex_._rows[d][i].items())
+            if any(dd.values()):
+                dd_zero = False
+                text = _format_entries((t.gens[d - 2][j].name, dd[j]) for j in sorted(dd) if dd[j])
+                failures.append(("dd_zero", g.name, f"dd({g.name}) = {text}"))
 
     normal = True
     for g in struct.generators(1):
@@ -175,15 +204,15 @@ def check_complex(complex_: FreeDirectedComplex) -> ChainReport:
         unital = False
         failures.append(("unital", "", "no augmentation: basis is not normal"))
     else:
-        for g in struct.all_generators():
-            neg_levels, pos_levels = complex_.iterated_parts(g)
-            if neg_levels[0].total() != 1 or pos_levels[0].total() != 1:
-                unital = False
-                failures.append(
-                    ("unital", g.name,
-                     f"iterated parts of {g.name} have augmentation "
-                     f"{neg_levels[0].total()} and {pos_levels[0].total()}")
-                )
+        for d, row in enumerate(t.gens):
+            for i, g in enumerate(row):
+                neg_levels, pos_levels = complex_._parts(d, i)
+                neg, pos = sum(neg_levels[0].values()), sum(pos_levels[0].values())
+                if neg != 1 or pos != 1:
+                    unital = False
+                    failures.append(
+                        ("unital", g.name, f"iterated parts of {g.name} have augmentation {neg} and {pos}")
+                    )
 
     return ChainReport(dd_zero, normal, unital, complex_.augmented, tuple(failures))
 

@@ -17,7 +17,6 @@ import json
 import sys
 
 from . import fixtures
-from .generators import FAMILIES
 from .parity_core import (
     CLASS_ADDITIVE,
     CLASS_PARITY_COMPLEX,
@@ -357,7 +356,11 @@ def _cmd_morphism(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given a command name, one that
+    fills in only that subcommand's arguments: a call runs one, and the
+    others are needed only by name and help line (usage, `--help` and
+    errors read nothing else)."""
     parser = argparse.ArgumentParser(
         prog="paritykit",
         description="Validate, generate, and explore parity complexes at desk scale.",
@@ -371,86 +374,94 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="run every axiom check on a structure fixture")
-    p.add_argument("file")
-    p.add_argument("--require", choices=sorted(REQUIRE_LEVELS))
-    p.set_defaults(func=_cmd_validate)
+    def add(name: str, help: str) -> argparse.ArgumentParser | None:
+        """The subparser to fill in, or None for one that is only listed."""
+        if command in (None, name):
+            return sub.add_parser(name, parents=[common], help=help)
+        sub.add_parser(name, help=help)
+        return None
 
-    p = sub.add_parser("classify", parents=[common], help="print the classification only")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
+    if p := add("validate", "run every axiom check on a structure fixture"):
+        p.add_argument("file")
+        p.add_argument("--require", choices=sorted(REQUIRE_LEVELS))
+        p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("generate", parents=[common], help="emit a standard family fixture")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=_cmd_generate)
+    if p := add("classify", "print the classification only"):
+        p.add_argument("file")
+        p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("chain", parents=[common], help="boundary report and chain-level checks")
-    p.add_argument("file")
-    p.add_argument("--check", action="store_true", help="exit 1 unless dd=0, normal, and unital")
-    p.set_defaults(func=_cmd_chain)
+    if p := add("generate", "emit a standard family fixture"):
+        from .generators import FAMILIES
+        p.add_argument("--family", choices=FAMILIES, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("-o", "--output", default="-")
+        p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("atom", parents=[common], help="the atom cell of a generator")
-    p.add_argument("file")
-    p.add_argument("generator")
-    p.set_defaults(func=_cmd_atom)
+    if p := add("chain", "boundary report and chain-level checks"):
+        p.add_argument("file")
+        p.add_argument("--check", action="store_true", help="exit 1 unless dd=0, normal, and unital")
+        p.set_defaults(func=_cmd_chain)
 
-    p = sub.add_parser("cells", parents=[common], help="enumerate the cells up to a dimension")
-    p.add_argument("file")
-    p.add_argument("--max-dim", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(func=_cmd_cells)
+    if p := add("atom", "the atom cell of a generator"):
+        p.add_argument("file")
+        p.add_argument("generator")
+        p.set_defaults(func=_cmd_atom)
 
-    p = sub.add_parser("face", parents=[common], help="source or target face of a cell")
-    p.add_argument("file")
-    p.add_argument("--cell", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--sign", choices=("source", "target"), required=True)
-    p.set_defaults(func=_cmd_face)
+    if p := add("cells", "enumerate the cells up to a dimension"):
+        p.add_argument("file")
+        p.add_argument("--max-dim", type=int, required=True)
+        p.add_argument("--count-only", action="store_true")
+        p.set_defaults(func=_cmd_cells)
 
-    p = sub.add_parser("compose", parents=[common], help="k-composite of two cells")
-    p.add_argument("file")
-    p.add_argument("--cells", nargs=2, required=True, metavar=("FIRST", "SECOND"))
-    p.add_argument("-k", type=int, required=True)
-    p.set_defaults(func=_cmd_compose)
+    if p := add("face", "source or target face of a cell"):
+        p.add_argument("file")
+        p.add_argument("--cell", required=True)
+        p.add_argument("-k", type=int, required=True)
+        p.add_argument("--sign", choices=("source", "target"), required=True)
+        p.set_defaults(func=_cmd_face)
 
-    p = sub.add_parser("decompose", parents=[common], help="excision decomposition of a cell")
-    p.add_argument("file")
-    p.add_argument("--cell", required=True)
-    p.set_defaults(func=_cmd_decompose)
+    if p := add("compose", "k-composite of two cells"):
+        p.add_argument("file")
+        p.add_argument("--cells", nargs=2, required=True, metavar=("FIRST", "SECOND"))
+        p.add_argument("-k", type=int, required=True)
+        p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("morphism", parents=[common], help="validate, compose, or apply morphism fixtures")
-    action = p.add_subparsers(dest="action", required=True)
-    q = action.add_parser("validate", parents=[common])
-    q.add_argument("morphism")
-    q.add_argument("--mode", choices=("additive", "weak_parity"))
-    q.set_defaults(func=_cmd_morphism)
-    q = action.add_parser("compose", parents=[common])
-    q.add_argument("morphism")
-    q.add_argument("second")
-    q.add_argument("-o", "--output", default="-")
-    q.set_defaults(func=_cmd_morphism)
-    q = action.add_parser("apply", parents=[common])
-    q.add_argument("morphism")
-    q.add_argument("--cell", required=True)
-    q.set_defaults(func=_cmd_morphism)
+    if p := add("decompose", "excision decomposition of a cell"):
+        p.add_argument("file")
+        p.add_argument("--cell", required=True)
+        p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("roundtrip", parents=[common], help="structure -> chain complex -> structure")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_roundtrip)
+    if p := add("morphism", "validate, compose, or apply morphism fixtures"):
+        action = p.add_subparsers(dest="action", required=True)
+        q = action.add_parser("validate", parents=[common])
+        q.add_argument("morphism")
+        q.add_argument("--mode", choices=("additive", "weak_parity"))
+        q.set_defaults(func=_cmd_morphism)
+        q = action.add_parser("compose", parents=[common])
+        q.add_argument("morphism")
+        q.add_argument("second")
+        q.add_argument("-o", "--output", default="-")
+        q.set_defaults(func=_cmd_morphism)
+        q = action.add_parser("apply", parents=[common])
+        q.add_argument("morphism")
+        q.add_argument("--cell", required=True)
+        q.set_defaults(func=_cmd_morphism)
 
-    p = sub.add_parser("freeness", parents=[common], help="check atoms generate all cells up to a dimension")
-    p.add_argument("file")
-    p.add_argument("--max-dim", type=int, required=True)
-    p.set_defaults(func=_cmd_freeness)
+    if p := add("roundtrip", "structure -> chain complex -> structure"):
+        p.add_argument("file")
+        p.set_defaults(func=_cmd_roundtrip)
+
+    if p := add("freeness", "check atoms generate all cells up to a dimension"):
+        p.add_argument("file")
+        p.add_argument("--max-dim", type=int, required=True)
+        p.set_defaults(func=_cmd_freeness)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, ValueError, OverflowError) as exc:

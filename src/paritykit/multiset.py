@@ -33,7 +33,8 @@ class GeneratorId(tuple):
     def __new__(cls, dim: int, name: str) -> GeneratorId:
         if dim < 0:
             raise ValueError(f"generator dimension must be >= 0, got {dim}")
-        if not name or any(c.isspace() or not c.isprintable() for c in name):
+        # A printable character is whitespace only if it is the space itself.
+        if not name or not name.isprintable() or " " in name:
             raise ValueError(
                 f"generator name must be a non-empty printable token, got {name!r}"
             )
@@ -227,10 +228,7 @@ class Multiset:
         return f"Multiset({self._dim}, {dict((g.name, c) for g, c in self._items)!r})"
 
     def __str__(self) -> str:
-        if not self._items:
-            return "{}"
-        parts = [g.name if c == 1 else f"{g.name}:{c}" for g, c in self._items]
-        return "{" + ", ".join(parts) + "}"
+        return _format_counts((g.name, c) for g, c in self._items)
 
 
 class SignedVector:
@@ -346,11 +344,15 @@ class SignedVector:
         return f"SignedVector({self._dim}, {dict((g.name, v) for g, v in self._items)!r})"
 
     def __str__(self) -> str:
-        if not self._items:
-            return "0"
-        terms = []
-        for g, v in self._items:
-            sign = "+" if v > 0 else "-"
-            mag = abs(v)
-            terms.append(f"{sign}{'' if mag == 1 else mag}{g.name}")
-        return " ".join(terms)
+        return _format_entries((g.name, v) for g, v in self._items)
+
+
+def _format_counts(pairs: Iterable[tuple[str, int]]) -> str:
+    """Text of a multiset from its (name, count) pairs in id order."""
+    return "{" + ", ".join(name if c == 1 else f"{name}:{c}" for name, c in pairs) + "}"
+
+
+def _format_entries(pairs: Iterable[tuple[str, int]]) -> str:
+    """Text of a signed vector from its nonzero (name, entry) pairs in id order."""
+    terms = [f"{'+' if v > 0 else '-'}{'' if abs(v) == 1 else abs(v)}{name}" for name, v in pairs]
+    return " ".join(terms) or "0"

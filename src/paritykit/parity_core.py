@@ -8,15 +8,19 @@ classes share one implementation and differ only in their face values.
 
 The validator checks, with witnesses: disjointness of face pairs,
 globularity, unitality, normality, and weak / Steiner / strong
-loop-freeness, and classifies the structure accordingly.
+loop-freeness, and classifies the structure accordingly.  It runs on
+each structure's integer face table, which numbers every dimension's
+sorted generators densely and keeps faces as (index, count) rows and
+bitmasks; ids and Multisets are built only for results.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .multiset import DimensionMismatchError, GeneratorId, Multiset
+from .multiset import DimensionMismatchError, GeneratorId, Multiset, _format_counts
 from .ordering import lex_topological_order
 
 
@@ -50,8 +54,9 @@ class _GradedStructure:
     that the report's `disjoint` flag is informative.
 
     Structures are immutable, so what is derived from the whole of one
-    (its validation report, its free complex, the additive view of a
-    parity structure) is computed once and kept on it.  Equality ignores
+    (its validation report, its free complex, its integer face table,
+    the additive view of a parity structure, the parity view of an
+    additive one) is computed once and kept on it.  Equality ignores
     these caches and holds only between structures of the same class.
     ``_by_key`` maps each id to itself; since an id equals its
     ``(dim, name)`` tuple, it also answers lookups by that tuple.
@@ -66,6 +71,8 @@ class _GradedStructure:
         self._report: ValidationReport | None = None  # filled by validate
         self._complex = None  # filled by chain.from_structure
         self._additive: AdditiveParityStructure | None = None  # filled by _additive_view
+        self._parity: ParityStructure | None = None  # filled by _parity_view
+        self._table: _FaceTable | None = None  # filled by _face_table
         by_dim: dict[int, list[GeneratorId]] = {}
         for g in faces:
             by_dim.setdefault(g.dim, []).append(g)
@@ -195,10 +202,7 @@ class AdditiveParityStructure(_GradedStructure):
 
     def is_subset_valued(self) -> bool:
         """True iff every face multiset is a subset."""
-        return all(
-            self._neg[g].is_radical() and self._pos[g].is_radical()
-            for g in self._neg
-        )
+        return _face_table(self).subset
 
     def as_parity(self) -> ParityStructure:
         """The parity-structure view; an error if any face has count >= 2."""
@@ -253,13 +257,147 @@ def _additive_view(struct: Structure) -> AdditiveParityStructure:
     view = struct._additive
     if view is None:
         view = struct._additive = struct.to_additive()
+        view._table = struct._table  # the same rows: a parity face counts 1
     return view
 
 
 def _parity_view(struct: Structure) -> ParityStructure:
-    """The structure itself, or the subset view of an additive structure
-    (a StructureError if a face has a count >= 2)."""
-    return struct if isinstance(struct, ParityStructure) else struct.as_parity()
+    """The structure itself, or the (cached) subset view of an additive
+    structure (a StructureError if a face has a count >= 2)."""
+    if isinstance(struct, ParityStructure):
+        return struct
+    view = struct._parity
+    if view is None:
+        view = struct._parity = struct.as_parity()
+        view._table = struct._table
+    return view
+
+
+# ---------------------------------------------------------------------------
+# the integer face table
+
+
+class _ById(dict):
+    """A dict keyed by generator ids; a missing key is an unknown generator."""
+
+    def __missing__(self, gen: GeneratorId):
+        raise UnknownGeneratorError(f"generator {gen.name!r} (dim {gen.dim}) not in structure")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _FaceTable:
+    """A structure's face data on dense ints.
+
+    Index i of dimension d stands for ``gens[d][i]``, dimension d's
+    generators in id order, and node ``offset[d] + i`` for the same
+    generator among all of them.  ``neg[d][i]`` and ``pos[d][i]`` are its
+    faces as ((index, count), ...) rows one dimension down, where a
+    parity face counts 1; ``neg_mask``/``pos_mask`` hold their supports.
+    """
+
+    def __init__(self, struct: _GradedStructure):
+        self.gens = [struct.generators(d) for d in range(struct.max_dim + 1)]
+        self.index = index = _ById((g, i) for row in self.gens for i, g in enumerate(row))
+        self.offset = [0, *accumulate(map(len, self.gens))]
+
+        def row(face) -> tuple[tuple[int, int], ...]:
+            pairs = face.items() if isinstance(face, Multiset) else [(f, 1) for f in face]
+            return tuple(sorted((index[f], c) for f, c in pairs))
+
+        self.neg = [[row(struct._neg.get(g, ())) for g in gs] for gs in self.gens]
+        self.pos = [[row(struct._pos.get(g, ())) for g in gs] for gs in self.gens]
+        self.neg_mask = [[sum(1 << j for j, _ in r) for r in level] for level in self.neg]
+        self.pos_mask = [[sum(1 << j for j, _ in r) for r in level] for level in self.pos]
+        self.subset = all(c == 1 for level in self.neg + self.pos for r in level for _, c in r)
+
+    def mask(self, dim: int, gens: Iterable[GeneratorId]) -> int:
+        out = 0
+        for g in gens:
+            if g.dim != dim:
+                raise DimensionMismatchError(f"{g.name!r} has dimension {g.dim}, expected {dim}")
+            out |= 1 << self.index[g]
+        return out
+
+    def members(self, k: int, mask: int) -> frozenset[GeneratorId]:
+        return frozenset(self.gens[k][j] for j in _bits(mask))
+
+    def multiset(self, k: int, counts: dict[int, int]) -> Multiset:
+        return Multiset(k, {self.gens[k][j]: c for j, c in counts.items()})
+
+    def text(self, k: int, counts: dict[int, int]) -> str:
+        """The text of the Multiset with these counts, which may exceed its bound."""
+        return _format_counts((self.gens[k][j].name, counts[j]) for j in sorted(counts))
+
+
+def _face_table(struct: Structure) -> _FaceTable:
+    """The (cached) integer face table of a structure."""
+    table = struct._table
+    if table is None:
+        table = struct._table = _FaceTable(struct)
+    return table
+
+
+def _images(t: _FaceTable, d: int, counts: Iterable[tuple[int, int]]) -> tuple[dict, dict]:
+    """Count-weighted sums of the negative and positive face rows of (index, count) pairs."""
+    neg, pos = {}, {}
+    for i, c in counts:
+        for j, e in t.neg[d][i]:
+            neg[j] = neg.get(j, 0) + c * e
+        for j, e in t.pos[d][i]:
+            pos[j] = pos.get(j, 0) + c * e
+    return neg, pos
+
+
+def _minus(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Truncated difference of index -> count dicts."""
+    return {j: c - b.get(j, 0) for j, c in a.items() if c > b.get(j, 0)}
+
+
+def _spread(t: _FaceTable, k: int, mask: int) -> tuple[int, int, bool]:
+    """Negative face union, positive face union and well-formedness of a dimension-k subset."""
+    if k == 0:
+        return 0, 0, mask != 0 and not mask & (mask - 1)
+    neg = pos = 0
+    well_formed = True
+    for i in _bits(mask):
+        n, p = t.neg_mask[k][i], t.pos_mask[k][i]
+        well_formed = well_formed and not (neg & n or pos & p)
+        neg |= n
+        pos |= p
+    return neg, pos, well_formed
+
+
+def _atom_masks(t: _FaceTable, d: int, i: int) -> list[list[tuple[int, bool]]]:
+    """Union levels of generator i of dimension d as (mask, well-formed)
+    pairs: its (negative, positive) rows, levels 0..d, level d = {i}."""
+    rows = []
+    for negative in (True, False):
+        mask, row = 1 << i, []
+        for k in range(d, -1, -1):
+            neg, pos, well_formed = _spread(t, k, mask)
+            row.append((mask, well_formed))
+            mask = neg & ~pos if negative else pos & ~neg
+        rows.append(row[::-1])
+    return rows
+
+
+def _columns(t: _FaceTable, d: int, i: int) -> tuple[list[dict], list[dict]]:
+    """Iterated multiset boundaries of generator i of dimension d: its
+    (negative, positive) rows of index -> count dicts, levels 0..d."""
+    neg_row, pos_row = [{i: 1}], [{i: 1}]
+    for k in range(d, 0, -1):
+        neg, pos = _images(t, k, neg_row[-1].items())
+        neg_row.append(_minus(neg, pos))
+        neg, pos = _images(t, k, pos_row[-1].items())
+        pos_row.append(_minus(pos, neg))
+    return neg_row[::-1], pos_row[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +417,9 @@ def face_images(struct: AdditiveParityStructure, s: Multiset) -> FaceImages:
     """Face images of a multiset over dimension >= 1 generators."""
     if s.dim < 1:
         raise DimensionMismatchError("face images need a multiset of dimension >= 1")
-    neg_counts: dict[GeneratorId, int] = {}
-    pos_counts: dict[GeneratorId, int] = {}
-    for g, count in s.items():
-        for f, c in struct.neg(g).items():
-            neg_counts[f] = neg_counts.get(f, 0) + count * c
-        for f, c in struct.pos(g).items():
-            pos_counts[f] = pos_counts.get(f, 0) + count * c
-    neg = Multiset(s.dim - 1, neg_counts)
-    pos = Multiset(s.dim - 1, pos_counts)
-    return FaceImages(neg, pos, neg - pos, pos - neg)
+    t = _face_table(struct)
+    neg, pos = _images(t, s.dim, [(t.index[g], c) for g, c in s.items()])
+    return FaceImages(*(t.multiset(s.dim - 1, x) for x in (neg, pos, _minus(neg, pos), _minus(pos, neg))))
 
 
 class SubsetFaces(NamedTuple):
@@ -304,14 +435,9 @@ def subset_faces(struct: ParityStructure, dim: int, s: Iterable[GeneratorId]) ->
     """Face unions of a subset of dimension >= 1 generators."""
     if dim < 1:
         raise DimensionMismatchError("subset faces need a subset of dimension >= 1")
-    neg: set[GeneratorId] = set()
-    pos: set[GeneratorId] = set()
-    for g in s:
-        if g.dim != dim:
-            raise DimensionMismatchError(f"{g.name!r} has dimension {g.dim}, expected {dim}")
-        neg |= struct.neg(g)
-        pos |= struct.pos(g)
-    return SubsetFaces(frozenset(neg), frozenset(pos), frozenset(neg - pos), frozenset(pos - neg))
+    t = _face_table(struct)
+    neg, pos, _ = _spread(t, dim, t.mask(dim, s))
+    return SubsetFaces(*(t.members(dim - 1, m) for m in (neg, pos, neg & ~pos, pos & ~neg)))
 
 
 def is_well_formed(struct: ParityStructure, dim: int, s: Iterable[GeneratorId]) -> bool:
@@ -325,17 +451,8 @@ def is_well_formed(struct: ParityStructure, dim: int, s: Iterable[GeneratorId]) 
             raise DimensionMismatchError(f"{g.name!r} has dimension {g.dim}, expected {dim}")
     if len(set(members)) != len(members):
         raise ValueError("subset with repeated members")
-    if dim == 0:
-        return len(members) == 1
-    seen_neg: set[GeneratorId] = set()
-    seen_pos: set[GeneratorId] = set()
-    for g in members:
-        ng, pg = struct.neg(g), struct.pos(g)
-        if seen_neg & ng or seen_pos & pg:
-            return False
-        seen_neg |= ng
-        seen_pos |= pg
-    return True
+    t = _face_table(struct)
+    return _spread(t, dim, t.mask(dim, members))[2]
 
 
 def atom_faces(
@@ -349,15 +466,9 @@ def atom_faces(
     well-formedness is imposed here; the unitality validator checks it.
     """
     struct.require(gen)
-    n = gen.dim
-    neg_levels: list[frozenset[GeneratorId]] = [frozenset([gen])]
-    pos_levels: list[frozenset[GeneratorId]] = [frozenset([gen])]
-    for k in range(n, 0, -1):
-        neg_levels.append(subset_faces(struct, k, neg_levels[-1]).neg_only)
-        pos_levels.append(subset_faces(struct, k, pos_levels[-1]).pos_only)
-    neg_levels.reverse()
-    pos_levels.reverse()
-    return tuple(neg_levels), tuple(pos_levels)
+    t = _face_table(struct)
+    rows = _atom_masks(t, gen.dim, t.index[gen])
+    return tuple(tuple(t.members(k, mask) for k, (mask, _) in enumerate(row)) for row in rows)
 
 
 def iterated_boundaries(
@@ -369,15 +480,9 @@ def iterated_boundaries(
     singleton {gen}; dually for the positive row.
     """
     struct.require(gen)
-    top = Multiset.of(gen)
-    neg_levels = [top]
-    pos_levels = [top]
-    for _ in range(gen.dim):
-        neg_levels.append(face_images(struct, neg_levels[-1]).neg_boundary)
-        pos_levels.append(face_images(struct, pos_levels[-1]).pos_boundary)
-    neg_levels.reverse()
-    pos_levels.reverse()
-    return tuple(neg_levels), tuple(pos_levels)
+    t = _face_table(struct)
+    rows = _columns(t, gen.dim, t.index[gen])
+    return tuple(tuple(t.multiset(k, counts) for k, counts in enumerate(row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +504,7 @@ def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = 
             f"moves needs s one dimension above m and p (got {s.dim}, {m.dim}, {p.dim})"
         )
     if mode == "additive":
-        fi = face_images(_additive_view(struct), s)
+        fi = face_images(struct, s)
         return fi.neg_boundary == m - p and fi.pos_boundary == p - m
     if mode not in ("subset", "strict"):
         raise ValueError(f"unknown movement mode {mode!r}")
@@ -508,21 +613,34 @@ class ValidationReport(NamedTuple):
         }
 
 
-def _order_or_cycle(successors, axiom, per_level, failures, witnesses):
-    """Run the per-level acyclicity checks and record witness/failure."""
+def _order_or_cycle(axiom, levels, failures, witnesses):
+    """Run the per-level acyclicity checks and record witness/failure.
+
+    Each level is (label, nodes, successors, gens): the digraph is on
+    int nodes, and ``gens[node]`` names a node in orders and cycles.
+    """
     orders = []
-    for level, level_nodes in per_level:
-        order, cycle = lex_topological_order(level_nodes, successors[level])
+    for level, nodes, successors, gens in levels:
+        order, cycle = lex_topological_order(nodes, successors)
         if cycle is not None:
-            names = tuple(g.name for g in cycle)
+            names = tuple(gens[x].name for x in cycle)
             witnesses[axiom] = CycleWitness(level, names)
             failures.append(
                 AxiomFailure(axiom, names, f"directed cycle at level {level}: {CycleWitness(level, names)}")
             )
             return False
-        orders.append((level, tuple(g.name for g in order)))
+        orders.append((level, tuple(gens[x].name for x in order)))
     witnesses[axiom] = OrderWitness(tuple(orders))
     return True
+
+
+def _meets(negs: dict, poss: dict) -> dict[int, list[int]]:
+    """Successors on int nodes: x -> y when the faces poss[x] meet the faces negs[y]."""
+    users: dict[int, list[int]] = {}
+    for y, faces in negs.items():
+        for f in faces:
+            users.setdefault(f, []).append(y)
+    return {x: sorted({y for f in faces for y in users.get(f, ())}) for x, faces in poss.items()}
 
 
 def validate(struct: Structure) -> ValidationReport:
@@ -541,192 +659,136 @@ def validate(struct: Structure) -> ValidationReport:
 
 
 def _validate(struct: Structure) -> ValidationReport:
-    additive = _additive_view(struct)
+    t = _face_table(struct)
+    gens, negs, poss = t.gens, t.neg, t.pos
+    nodes = [g for row in gens for g in row]
+    everything = range(len(nodes))
     is_parity_input = isinstance(struct, ParityStructure)
-    subset_valued = additive.is_subset_valued()
-    parity = _parity_view(struct) if subset_valued else None
 
     failures: list[AxiomFailure] = []
     witnesses: dict[str, OrderWitness | CycleWitness] = {}
     notes: list[str] = []
 
+    def fail(axiom: str, g: GeneratorId | None, detail: str) -> bool:
+        failures.append(AxiomFailure(axiom, (g.name,) if g else (), detail))
+        return False
+
     # Disjointness of each generator's face pair.
     disjoint = True
-    for g in additive.all_generators():
-        if g.dim == 0:
-            continue
-        overlap = additive.neg(g).meet(additive.pos(g))
-        if not overlap.is_empty():
-            disjoint = False
-            failures.append(
-                AxiomFailure("disjoint", (g.name,), f"negative and positive faces of {g.name} share {overlap}")
-            )
+    for d in range(1, len(gens)):
+        for i, g in enumerate(gens[d]):
+            if t.neg_mask[d][i] & t.pos_mask[d][i]:
+                pos = dict(poss[d][i])
+                overlap = t.text(d - 1, {j: min(c, pos[j]) for j, c in negs[d][i] if j in pos})
+                disjoint = fail("disjoint", g, f"negative and positive faces of {g.name} share {overlap}")
 
     # Globularity.  For parity inputs check the subset form; the additive
     # (multiset) form is computed alongside and their agreement recorded
-    # when the faces are well-formed.
+    # when the faces are well-formed.  Each form compares the unmatched
+    # remainders of the face images of the two rows.
     globular = True
-    for g in additive.all_generators():
-        if g.dim < 2:
-            continue
-        neg_b = face_images(additive, additive.neg(g))
-        pos_b = face_images(additive, additive.pos(g))
-        additive_ok = (
-            neg_b.neg_boundary == pos_b.neg_boundary
-            and neg_b.pos_boundary == pos_b.pos_boundary
-        )
-        if parity is not None:
-            neg_f = subset_faces(parity, g.dim - 1, parity.neg(g))
-            pos_f = subset_faces(parity, g.dim - 1, parity.pos(g))
-            subset_ok = neg_f.neg_only == pos_f.neg_only and neg_f.pos_only == pos_f.pos_only
-            faces_wf = is_well_formed(parity, g.dim - 1, parity.neg(g)) and is_well_formed(
-                parity, g.dim - 1, parity.pos(g)
-            )
-            if faces_wf and subset_ok != additive_ok:
-                raise AssertionError(
-                    f"subset and additive globularity disagree at {g.name} despite well-formed faces"
-                )
-            ok = subset_ok if is_parity_input else additive_ok
-        else:
-            ok = additive_ok
-        if not ok:
-            globular = False
-            failures.append(
-                AxiomFailure("globular", (g.name,), f"face boundaries of the two rows of {g.name} differ")
-            )
-    if parity is not None and globular:
+    for d in range(2, len(gens)):
+        for i, g in enumerate(gens[d]):
+            rows, masks = (negs[d][i], poss[d][i]), (t.neg_mask[d][i], t.pos_mask[d][i])
+            (a_neg, a_pos), (b_neg, b_pos) = (_images(t, d - 1, row) for row in rows)
+            ok = _minus(a_neg, a_pos) == _minus(b_neg, b_pos) and _minus(a_pos, a_neg) == _minus(b_pos, b_neg)
+            if t.subset:
+                (a_neg, a_pos, a_wf), (b_neg, b_pos, b_wf) = (_spread(t, d - 1, m) for m in masks)
+                subset_ok = a_neg & ~a_pos == b_neg & ~b_pos and a_pos & ~a_neg == b_pos & ~b_neg
+                if a_wf and b_wf and subset_ok != ok:
+                    raise AssertionError(
+                        f"subset and additive globularity disagree at {g.name} despite well-formed faces"
+                    )
+                ok = subset_ok if is_parity_input else ok
+            if not ok:
+                globular = fail("globular", g, f"face boundaries of the two rows of {g.name} differ")
+    if t.subset and globular:
         notes.append("globularity agrees in subset and additive form on all well-formed faces")
 
     # Normality: faces of 1-generators are singleton subsets.
     normal = True
-    for g in additive.generators(1):
-        neg, pos = additive.neg(g), additive.pos(g)
-        if not (neg.total() == 1 and pos.total() == 1):
-            normal = False
-            failures.append(
-                AxiomFailure("normal", (g.name,), f"faces of {g.name} are {neg} and {pos}, not singletons")
+    for i, g in enumerate(struct.generators(1)):
+        neg, pos = dict(negs[1][i]), dict(poss[1][i])
+        if sum(neg.values()) != 1 or sum(pos.values()) != 1:
+            normal = fail(
+                "normal", g, f"faces of {g.name} are {t.text(0, neg)} and {t.text(0, pos)}, not singletons"
             )
 
-    # Atom columns of every generator, read by the additive unitality
-    # check and by Steiner loop-freeness.
-    all_gens = tuple(additive.all_generators())
-    columns: dict[GeneratorId, tuple[tuple[Multiset, ...], tuple[Multiset, ...]]] = {
-        g: iterated_boundaries(additive, g) for g in all_gens
-    }
+    # Atom columns of every generator, by node, read by the additive
+    # unitality check and by Steiner loop-freeness.
+    columns = [_columns(t, d, i) for d, row in enumerate(gens) for i in range(len(row))]
 
     # Unitality.  Parity inputs: every level of every atom is well-formed.
     # Additive inputs: the structure is normal and iterated boundaries of
     # every generator bottom out in singletons (augmentation 1).
     unital = True
     if is_parity_input:
-        assert parity is not None
-        for g in parity.all_generators():
-            neg_levels, pos_levels = atom_faces(parity, g)
+        for g in nodes:
+            rows = tuple(zip(("negative", "positive"), _atom_masks(t, g.dim, t.index[g])))
             for k in range(g.dim + 1):
-                bad = []
-                if not is_well_formed(parity, k, neg_levels[k]):
-                    bad.append(f"negative level {k} = {sorted(x.name for x in neg_levels[k])}")
-                if not is_well_formed(parity, k, pos_levels[k]):
-                    bad.append(f"positive level {k} = {sorted(x.name for x in pos_levels[k])}")
+                bad = [
+                    f"{side} level {k} = {[gens[k][j].name for j in _bits(row[k][0])]}"
+                    for side, row in rows
+                    if not row[k][1]
+                ]
                 if bad:
-                    unital = False
-                    failures.append(
-                        AxiomFailure("unital", (g.name,), f"atom of {g.name}: {'; '.join(bad)} not well-formed")
-                    )
+                    unital = fail("unital", g, f"atom of {g.name}: {'; '.join(bad)} not well-formed")
+    elif not normal:
+        unital = fail("unital", None, "structure is not normal, so no augmentation is available")
     else:
-        if not normal:
-            unital = False
-            failures.append(
-                AxiomFailure("unital", (), "structure is not normal, so no augmentation is available")
-            )
-        else:
-            for g in all_gens:
-                neg_levels, pos_levels = columns[g]
-                if neg_levels[0].total() != 1 or pos_levels[0].total() != 1:
-                    unital = False
-                    failures.append(
-                        AxiomFailure(
-                            "unital",
-                            (g.name,),
-                            f"iterated boundaries of {g.name} reach {neg_levels[0]} and {pos_levels[0]}, "
-                            "not augmentation 1",
-                        )
-                    )
+        for g, (neg_row, pos_row) in zip(nodes, columns):
+            if sum(neg_row[0].values()) != 1 or sum(pos_row[0].values()) != 1:
+                unital = fail(
+                    "unital",
+                    g,
+                    f"iterated boundaries of {g.name} reach {t.text(0, neg_row[0])} and {t.text(0, pos_row[0])}, "
+                    "not augmentation 1",
+                )
 
     # Weak loop-freeness: one digraph per dimension n >= 1 on that
     # dimension's generators, x -> y when pos faces of x meet neg faces of y.
-    weak_edges: dict[int, dict[GeneratorId, list[GeneratorId]]] = {}
-    weak_levels = []
-    for n in sorted(additive.dims()):
-        if n < 1:
-            continue
-        gens = additive.generators(n)
-        neg_users: dict[GeneratorId, list[GeneratorId]] = {}
-        for y in gens:
-            for f in additive.neg(y):
-                neg_users.setdefault(f, []).append(y)
-        succ: dict[GeneratorId, list[GeneratorId]] = {g: [] for g in gens}
-        for x in gens:
-            hit: set[GeneratorId] = set()
-            for f in additive.pos(x):
-                hit.update(neg_users.get(f, ()))
-            succ[x] = sorted(hit)
-        weak_edges[n] = succ
-        weak_levels.append((n, gens))
-    weakly_loop_free = _order_or_cycle(
-        weak_edges, "weakly_loop_free", weak_levels, failures, witnesses
-    )
+    weak = []
+    for n in range(1, len(gens)):
+        if gens[n]:
+            succ = _meets(dict(enumerate(map(dict, negs[n]))), dict(enumerate(map(dict, poss[n]))))
+            weak.append((n, range(len(gens[n])), succ, gens[n]))
+    weakly_loop_free = _order_or_cycle("weakly_loop_free", weak, failures, witnesses)
 
     # Steiner loop-freeness: one digraph per level n >= 0 on all
     # generators, x -> y when the positive atom column of x at level n
-    # meets the negative atom column of y at level n.
-    steiner_edges: dict[int, dict[GeneratorId, list[GeneratorId]]] = {}
-    steiner_levels = []
-    for n in range(additive.max_dim + 1):
-        neg_users = {}
-        for y in all_gens:
-            if y.dim < n:
-                continue
-            for f in columns[y][0][n]:
-                neg_users.setdefault(f, []).append(y)
-        succ = {g: [] for g in all_gens}
-        for x in all_gens:
-            if x.dim < n:
-                continue
-            hit = set()
-            for f in columns[x][1][n]:
-                hit.update(neg_users.get(f, ()))
-            succ[x] = sorted(hit)
-        steiner_edges[n] = succ
-        steiner_levels.append((n, all_gens))
-    steiner_loop_free = _order_or_cycle(
-        steiner_edges, "steiner_loop_free", steiner_levels, failures, witnesses
-    )
+    # meets the negative atom column of y at level n.  The generators of
+    # dimension >= n are the nodes from offset[n] on.
+    steiner = []
+    for n in range(len(gens)):
+        high = range(t.offset[n], len(nodes))
+        succ = _meets({y: columns[y][0][n] for y in high}, {x: columns[x][1][n] for x in high})
+        steiner.append((n, everything, succ, nodes))
+    steiner_loop_free = _order_or_cycle("steiner_loop_free", steiner, failures, witnesses)
 
     # Strong loop-freeness: a single digraph on all generators,
     # x -> y when x is a negative face of y or y is a positive face of x.
-    strong_succ: dict[GeneratorId, set[GeneratorId]] = {g: set() for g in all_gens}
-    for g in all_gens:
-        if g.dim == 0:
-            continue
-        for f in additive.neg(g):
-            strong_succ[f].add(g)
-        for f in additive.pos(g):
-            strong_succ[g].add(f)
-    strong_sorted = {g: sorted(s) for g, s in strong_succ.items()}
+    strong: dict[int, set[int]] = {x: set() for x in everything}
+    for d in range(1, len(gens)):
+        for i in range(len(gens[d])):
+            x, below = t.offset[d] + i, t.offset[d - 1]
+            for f, _ in negs[d][i]:
+                strong[below + f].add(x)
+            for f, _ in poss[d][i]:
+                strong[x].add(below + f)
+    strong_sorted = {x: sorted(s) for x, s in strong.items()}
     strongly_loop_free = _order_or_cycle(
-        {None: strong_sorted}, "strongly_loop_free", [(None, all_gens)], failures, witnesses
+        "strongly_loop_free", [(None, everything, strong_sorted, nodes)], failures, witnesses
     )
 
-    if disjoint and globular and unital and subset_valued and strongly_loop_free:
+    if disjoint and globular and unital and t.subset and strongly_loop_free:
         classification = CLASS_PARITY_COMPLEX
-    elif disjoint and globular and unital and subset_valued and weakly_loop_free:
+    elif disjoint and globular and unital and t.subset and weakly_loop_free:
         classification = CLASS_WEAK
     elif disjoint and globular:
         classification = CLASS_ADDITIVE
     else:
         classification = CLASS_PARITY_STRUCTURE
-    if not subset_valued:
+    if not t.subset:
         notes.append("multiset faces with counts >= 2 rule out the parity-structure view")
 
     return ValidationReport(

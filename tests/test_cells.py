@@ -264,6 +264,12 @@ class TestEnumerate:
     def test_empty_structure(self):
         assert cells.enumerate_cells(ParityStructure.build([]), 3) == []
 
+    def test_identities_above_the_top_dimension(self, globe1):
+        # columns above dimension 1 are zero masks with no generators behind them
+        enumerated = cells.enumerate_cells(globe1, 3)
+        assert [sum(1 for t in enumerated if t.dim == d) for d in range(4)] == [2, 3, 3, 3]
+        assert set(cells.atom_closure(globe1, 3)) == set(enumerated)
+
     def test_requires_weak_parity_complex(self, circle):
         with pytest.raises(StructureError):
             cells.enumerate_cells(circle, 1)
@@ -453,7 +459,7 @@ class TestAtomClosure:
         assert all(t._subset for t in cells.atom_closure(oriental2, 2))
 
     def test_columns_must_be_subsets(self, oriental2):
-        cols = cells._Columns(oriental2, 2)
+        cols = cells._Columns(oriental2)
         zero = oriental2.gen("0")
         assert cols.column(0, cols.mask(Multiset.of(zero))) == Multiset.of(zero)
         with pytest.raises(InternalCheckError, match="not a subset"):

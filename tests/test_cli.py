@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import paritykit
 from conftest import FIXTURE_DIR
 from paritykit import fixtures
-from paritykit.cli import main
+from paritykit.cli import build_parser, main
 from paritykit.generators import oriental
 
 CIRCLE = str(FIXTURE_DIR / "circle.json")
@@ -100,7 +101,7 @@ class TestValidate:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: huge/x: count of 'v'")
 
-    def test_face_image_beyond_a_machine_word_exits_2(self, capsys, tmp_path):
+    def test_face_image_beyond_a_machine_word_is_reported(self, capsys, tmp_path):
         # every count fits, but the face image of G counts x 2^64 times
         big = 2**32
         doc = {
@@ -120,10 +121,13 @@ class TestValidate:
         }
         path = tmp_path / "products.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == 2
+        assert main(["validate", str(path)]) == 0
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: count for 'x' exceeds")
+        assert err == ""
+        assert "classification: parity structure only" in out
+        assert f"FAIL unital at G: iterated boundaries of G reach {{v:{big * big}}} and {{}}" in out
+        assert main(["validate", str(path), "--require", "apc"]) == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestCells:
@@ -348,7 +352,9 @@ class TestColdProcess:
         assert [m for m in bare if m.startswith("paritykit")] == ["paritykit"]
         assert codes == [0, 0]
         assert "paritykit.parity_core" in loaded and "paritykit.fixtures" in loaded
-        unused = {"paritykit.cells", "paritykit.morphisms", "paritykit.chain", "dataclasses"}
+        unused = {
+            "paritykit.cells", "paritykit.morphisms", "paritykit.chain", "paritykit.generators", "dataclasses"
+        }
         assert unused.isdisjoint(loaded)
 
     def test_morphism_validate_and_compose_load_neither_cells_nor_chain(self, tmp_path):
@@ -393,3 +399,18 @@ class TestColdProcess:
         bad.write_text('{"schema_version": 1, "kind": "cell", "payload": {"dim": 0}}')
         proc = run_cold("-m", "paritykit.cli", "face", CIRCLE, "--cell", str(bad), "-k", "0", "--sign", "source")
         assert_one_line_error(proc)
+
+
+class TestParser:
+    """A call fills in only its own subcommand's parser; what any parser
+    prints must not depend on that."""
+
+    @staticmethod
+    def subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_help_matches_the_full_parser(self):
+        full = build_parser()
+        assert build_parser("nosuch").format_help() == full.format_help()
+        for name, sub in self.subparsers(full).items():
+            assert self.subparsers(build_parser(name))[name].format_help() == sub.format_help()

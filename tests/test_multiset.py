@@ -32,6 +32,30 @@ class TestGeneratorId:
     def test_ordering_is_dim_then_name(self):
         assert GeneratorId(0, "z") < GeneratorId(1, "a") < GeneratorId(1, "b")
 
+    def test_name_check_matches_the_per_character_predicate(self):
+        # every code point, against the whitespace-or-unprintable test
+        # the constructor used to run character by character
+        def old_valid(c):
+            return not (c.isspace() or not c.isprintable())
+
+        differ = []
+        for cp in range(0x110000):
+            try:
+                GeneratorId(0, chr(cp))
+                valid = True
+            except ValueError:
+                valid = False
+            if valid != old_valid(chr(cp)):
+                differ.append(hex(cp))
+        assert differ == []
+        assert GeneratorId(0, "é→x").name == "é→x"
+
+    def test_both_messages_are_kept(self):
+        with pytest.raises(ValueError, match="generator name must be a non-empty printable token"):
+            GeneratorId(0, "a\u2028b")
+        with pytest.raises(ValueError, match="generator dimension must be >= 0"):
+            GeneratorId(-1, "a")
+
     def test_rejects_bad_names(self):
         for bad in ("", "a b", "a\tb", "x\n", " ", "a\x00b"):
             with pytest.raises(ValueError):

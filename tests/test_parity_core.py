@@ -545,15 +545,15 @@ class TestAdditiveViewIsBuiltOnce:
 
 
 class TestAtomColumnsAreBuiltOnce:
-    def test_one_iterated_boundaries_call_per_generator(self, monkeypatch):
+    def test_one_column_build_per_generator(self, monkeypatch):
         calls = []
-        original = parity_core.iterated_boundaries
+        original = parity_core._columns
 
-        def counting(struct, gen):
-            calls.append(gen)
-            return original(struct, gen)
+        def counting(table, dim, index):
+            calls.append(table.gens[dim][index])
+            return original(table, dim, index)
 
-        monkeypatch.setattr(parity_core, "iterated_boundaries", counting)
+        monkeypatch.setattr(parity_core, "_columns", counting)
         struct = oriental(5).to_additive()
         validate(struct)
         assert len(calls) == len(set(calls)) == len(struct) == 63
@@ -571,3 +571,124 @@ class TestAtomColumnsAreBuiltOnce:
         payload = validate(build().to_additive()).to_payload()
         text = json.dumps(payload, sort_keys=True).encode()
         assert hashlib.sha256(text).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the public face helpers against the Multiset algorithms they replaced
+
+
+def oracle_face_images(struct, s):
+    neg, pos = Multiset.empty(s.dim - 1), Multiset.empty(s.dim - 1)
+    for g, count in s.items():
+        for _ in range(count):
+            neg, pos = neg + struct.neg(g), pos + struct.pos(g)
+    return neg, pos, neg - pos, pos - neg
+
+
+def oracle_iterated_boundaries(struct, gen):
+    neg_levels, pos_levels = [Multiset.of(gen)], [Multiset.of(gen)]
+    for _ in range(gen.dim):
+        neg_levels.append(oracle_face_images(struct, neg_levels[-1])[2])
+        pos_levels.append(oracle_face_images(struct, pos_levels[-1])[3])
+    return tuple(neg_levels[::-1]), tuple(pos_levels[::-1])
+
+
+def oracle_subset_faces(struct, members):
+    neg = set().union(*(struct.neg(g) for g in members))
+    pos = set().union(*(struct.pos(g) for g in members))
+    return neg, pos, neg - pos, pos - neg
+
+
+def oracle_atom_faces(struct, gen):
+    neg_levels, pos_levels = [frozenset([gen])], [frozenset([gen])]
+    for _ in range(gen.dim):
+        neg_levels.append(frozenset(oracle_subset_faces(struct, neg_levels[-1])[2]))
+        pos_levels.append(frozenset(oracle_subset_faces(struct, pos_levels[-1])[3]))
+    return tuple(neg_levels[::-1]), tuple(pos_levels[::-1])
+
+
+def oracle_is_well_formed(struct, dim, members):
+    if dim == 0:
+        return len(members) == 1
+    return all(
+        not (struct.neg(a) & struct.neg(b)) and not (struct.pos(a) & struct.pos(b))
+        for a in members for b in members if a != b
+    )
+
+
+class TestFaceHelpersMatchTheMultisetAlgorithms:
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["parity", "additive", "deep"]), seed=st.integers(0, 2**32 - 1))
+    def test_on_random_structures(self, kind, seed):
+        rng = random.Random(seed)
+        if kind == "deep":
+            struct = randstruct.random_additive_structure(rng, max_gens=16, max_dim=4)
+        else:
+            struct = randstruct.random_structure(kind, rng)
+        additive = _additive_view(struct)
+        for gen in struct.all_generators():
+            assert iterated_boundaries(additive, gen) == oracle_iterated_boundaries(additive, gen)
+            if kind == "parity":
+                assert atom_faces(struct, gen) == oracle_atom_faces(struct, gen)
+        for dim in struct.dims():
+            gens = struct.generators(dim)
+            for _ in range(5):
+                s = Multiset(dim, {g: c for g in gens if (c := rng.randint(0, 3))})
+                if dim:
+                    assert tuple(face_images(additive, s)) == oracle_face_images(additive, s)
+                if kind == "parity":
+                    members = s.support_set()
+                    assert is_well_formed(struct, dim, members) == oracle_is_well_formed(struct, dim, members)
+                    if dim:
+                        assert tuple(subset_faces(struct, dim, members)) == oracle_subset_faces(struct, members)
+
+
+class TestValidateNeverRaises:
+    def test_face_images_beyond_a_machine_word(self):
+        # every count fits, but the face image of G counts x 2^64 times
+        big = 2**32
+        struct = AdditiveParityStructure.build([
+            ("v", 0, {}, {}), ("w", 0, {}, {}),
+            ("x", 1, ["v"], ["w"]), ("y", 1, ["v"], ["w"]),
+            ("F", 2, {"x": big}, {"y": big}),
+            ("G", 3, {"F": big}, {}),
+        ])
+        report = validate(struct)
+        assert not report.globular and not report.unital
+        assert report.failures[-1].detail == (
+            f"iterated boundaries of G reach {{v:{big * big}}} and {{}}, not augmentation 1"
+        )
+        from paritykit.chain import check_complex, from_structure
+
+        chain_report = check_complex(from_structure(struct))
+        assert not chain_report.dd_zero and not chain_report.unital
+        assert chain_report.failures[0][2] == f"dd(G) = +{big * big}x -{big * big}y"
+
+
+class TestParityViewIsBuiltOnce:
+    def test_one_as_parity_call_per_structure(self, monkeypatch):
+        from paritykit.cells import enumerate_cells
+        from paritykit.morphisms import GradedMorphism, check_strict_movement
+        from conftest import load_fixture
+
+        calls = []
+        original = AdditiveParityStructure.as_parity
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(AdditiveParityStructure, "as_parity", counting)
+        f = load_fixture("morphism_globe1_to_oriental2").value
+        source, target = f.source.to_additive(), f.target.to_additive()
+        g = GradedMorphism(source, target, {x: f.image(x) for x in source.all_generators()}, f.mode)
+        assert check_strict_movement(g) and check_strict_movement(g)
+        for _ in range(3):
+            enumerate_cells(target, 2)
+        assert sorted(map(id, calls)) == sorted({id(source), id(target)})
+
+    def test_a_count_2_face_still_raises(self):
+        s = AdditiveParityStructure.build([("v", 0, {}, {}), ("w", 0, {}, {}), ("x", 1, {"v": 2}, {"w": 1})])
+        for _ in range(2):
+            with pytest.raises(StructureError):
+                parity_core._parity_view(s)

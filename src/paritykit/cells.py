@@ -444,26 +444,22 @@ def excision_decompose(
     top = table.top
     if top.is_empty():
         return []
-    members = list(top.support())
+    members = sorted(top.support())
     if len(members) == 1 and top.is_radical():
         return [table]
 
     successors = {
-        b: sorted(
-            c
-            for c in members
-            if c != b and not struct.pos(b).disjoint(struct.neg(c))
-        )
-        for b in members
+        i: [j for j, c in enumerate(members) if j != i and not struct.pos(b).disjoint(struct.neg(c))]
+        for i, b in enumerate(members)
     }
-    order, cycle = lex_topological_order(sorted(members), successors)
+    order, cycle = lex_topological_order(len(members), successors)
     if order is None:
         raise InternalCheckError(
-            f"cycle among top members of a weakly loop-free structure: {cycle}"
+            f"cycle among top members of a weakly loop-free structure: {[members[i] for i in cycle]}"
         )
     sequence: list[GeneratorId] = []
-    for b in order:
-        sequence.extend([b] * top.count(b))
+    for i in order:
+        sequence.extend([members[i]] * top.count(members[i]))
 
     slices: list[CellTable] = []
     current = table.neg[table.dim - 1].to_vector()

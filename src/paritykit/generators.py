@@ -1,24 +1,24 @@
 """Constructors for the standard families: globes, orientals, parity cubes.
 
-Orientation conventions are pinned by two forcing cases plus an
-alternating-sign rule, and locked by snapshot tests:
+Cubes and orientals come from two products of face rows (name, dim,
+neg, pos), which name x ⊗ y and x ⋆ y by concatenating names:
 
-* oriental(n): dimension-k generators are the strictly increasing
-  (k+1)-letter words over 0..n; omitting the i-th letter gives a
-  positive face for even i and a negative face for odd i.  This is
-  forced up to global reversal by giving the 1-simplex "01" source
-  {"0"}.
-* cube(n): dimension-k generators are the length-n words over {0,1,*}
-  with exactly k stars; replacing the j-th star (counting stars from
-  the left, starting at 1) by 1 gives a positive face for odd j and a
-  negative face for even j, and replacing it by 0 gives the opposite.
-  Forced for n = 1 by giving "*" source {"0"}.  A globally reversed
-  convention would validate identically; this one is the contract.
+* tensor, with the Koszul sign: neg(x ⊗ y) = neg(x) ⊗ y ∪
+  x ⊗ (neg(y) if |x| is even else pos(y)), and dually for pos;
+* join, of dimension |x| + |y| + 1, with ∅ ⋆ y = y, a point's boundary
+  its augmentation ∅, and the sign (-1)^(|x|+1) on x ⋆ ∂y:
+  neg(x ⋆ y) = neg(x) ⋆ y ∪ x ⋆ (neg(y) if |x| is odd else pos(y)).
+
+cube(n) is the n-fold tensor power of the interval "*": "0" → "1", and
+oriental(n) the join of the points "0", ..., "n".  Two forcing cases
+pin the orientation: "*" and "01" have source {"0"}.  A globally
+reversed convention would validate identically; this one is the
+contract, locked by snapshot tests.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
 
 from .parity_core import ParityStructure
 
@@ -57,6 +57,34 @@ def globe(n: int, *, bound: int | None = None) -> ParityStructure:
     return ParityStructure.build(rows)
 
 
+_Rows = list[tuple[str, int, list[str], list[str]]]
+
+
+def _tensor(a: _Rows, b: _Rows, shift: int = 0) -> _Rows:
+    """The tensor product of two sets of rows, every dimension raised by
+    shift: rows x + y with faces of x times y, then x times the faces of
+    y, swapped when |x| + shift is odd."""
+    rows = []
+    for x, p, x_neg, x_pos in a:
+        for y, q, y_neg, y_pos in b:
+            if (p + shift) % 2:
+                y_neg, y_pos = y_pos, y_neg
+            neg = [f + y for f in x_neg] + [x + f for f in y_neg]
+            pos = [f + y for f in x_pos] + [x + f for f in y_pos]
+            rows.append((x + y, p + q + shift, neg, pos))
+    return rows
+
+
+def _join(a: _Rows, b: _Rows) -> _Rows:
+    """The join of two sets of rows: a, b, and every x ⋆ y as the tensor
+    of the augmented rows raised by one.  A list, so that build rejects
+    factors sharing a generator name."""
+    def augmented(rows: _Rows) -> _Rows:
+        return [(x, p, neg, pos) if p else (x, 0, [], [""]) for x, p, neg, pos in rows]
+
+    return [*a, *b, *_tensor(augmented(a), augmented(b), 1)]
+
+
 def oriental(n: int, *, bound: int | None = None) -> ParityStructure:
     """The parity n-simplex underlying the n-th oriental.
 
@@ -67,19 +95,7 @@ def oriental(n: int, *, bound: int | None = None) -> ParityStructure:
     digits = "0123456789"
     if n >= len(digits):
         raise ValueError(f"oriental({n}) needs {n + 1} vertices, but vertex names are single digits")
-    rows = []
-    letters = digits[: n + 1]
-    for k in range(n + 1):
-        for word in combinations(letters, k + 1):
-            name = "".join(word)
-            neg, pos = [], []
-            for i in range(len(word)):
-                face = name[:i] + name[i + 1:]
-                if not face:
-                    continue
-                (pos if i % 2 == 0 else neg).append(face)
-            rows.append((name, k, neg, pos))
-    return ParityStructure.build(rows)
+    return ParityStructure.build(reduce(_join, ([(v, 0, [], [])] for v in digits[: n + 1])))
 
 
 def cube(n: int, *, bound: int | None = None) -> ParityStructure:
@@ -88,34 +104,8 @@ def cube(n: int, *, bound: int | None = None) -> ParityStructure:
     The empty word of cube(0) is named "e" (names must be non-empty).
     """
     _check_bound("cube", n, CUBE_MAX, bound)
-
-    def name_of(word: str) -> str:
-        return word if word else "e"
-
-    def words(length: int):
-        if length == 0:
-            yield ""
-            return
-        for rest in words(length - 1):
-            for ch in "01*":
-                yield ch + rest
-
-    rows = []
-    for word in words(n):
-        k = word.count("*")
-        neg, pos = [], []
-        star_index = 0
-        for pos_i, ch in enumerate(word):
-            if ch != "*":
-                continue
-            star_index += 1
-            for bit in "01":
-                face = word[:pos_i] + bit + word[pos_i + 1:]
-                # odd star: 1 is positive; even star: 1 is negative
-                positive = (bit == "1") == (star_index % 2 == 1)
-                (pos if positive else neg).append(name_of(face))
-        rows.append((name_of(word), k, neg, pos))
-    return ParityStructure.build(rows)
+    interval = [("0", 0, [], []), ("1", 0, [], []), ("*", 1, ["0"], ["1"])]
+    return ParityStructure.build(reduce(_tensor, [interval] * n) if n else [("e", 0, [], [])])
 
 
 def family(name: str, n: int, *, bound: int | None = None) -> ParityStructure:

@@ -10,55 +10,46 @@ deterministic; on failure, an explicit directed cycle.
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
-
-N = TypeVar("N", bound=Hashable)
+from typing import Iterable, Mapping
 
 
 def lex_topological_order(
-    nodes: Sequence[N],
-    successors: Mapping[N, Iterable[N]],
-) -> tuple[list[N] | None, list[N] | None]:
+    n: int, successors: Mapping[int, Iterable[int]]
+) -> tuple[list[int] | None, list[int] | None]:
     """Return (order, None) if acyclic, else (None, cycle).
 
-    ``nodes`` must be given in the order that should break ties (the
-    least available node is emitted first).  ``successors`` may mention
-    only nodes from ``nodes``; self-loops are ignored.  A returned cycle
-    [v0, ..., vk] has edges v0 -> v1 -> ... -> vk -> v0 with k >= 1.
+    The nodes are 0..n-1, and the least available node is emitted
+    first.  ``successors`` maps a node to its distinct successors among
+    them; nodes it leaves out have none, and self-loops are ignored.  A
+    returned cycle [v0, ..., vk] has edges v0 -> v1 -> ... -> vk -> v0
+    with k >= 1.
     """
-    index = {node: i for i, node in enumerate(nodes)}
-    indegree = {node: 0 for node in nodes}
-    out: dict[N, list[N]] = {node: [] for node in nodes}
+    indegree = [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
     for src, dsts in successors.items():
-        seen = set()
-        for dst in dsts:
-            if dst == src or dst in seen:
-                continue
-            seen.add(dst)
-            out[src].append(dst)
+        out[src] = row = [dst for dst in dsts if dst != src]
+        for dst in row:
             indegree[dst] += 1
 
-    heap = [index[n] for n in nodes if indegree[n] == 0]
-    heapq.heapify(heap)
-    order: list[N] = []
+    heap = [x for x in range(n) if not indegree[x]]  # ascending, so a heap
+    order: list[int] = []
     while heap:
-        node = nodes[heapq.heappop(heap)]
+        node = heapq.heappop(heap)
         order.append(node)
         for dst in out[node]:
             indegree[dst] -= 1
-            if indegree[dst] == 0:
-                heapq.heappush(heap, index[dst])
-    if len(order) == len(nodes):
+            if not indegree[dst]:
+                heapq.heappush(heap, dst)
+    if len(order) == n:
         return order, None
-    remaining = [n for n in nodes if indegree[n] > 0]
-    return None, _find_cycle(remaining, out)
+    return None, _find_cycle([x for x in range(n) if indegree[x]], out)
 
 
-def _find_cycle(remaining: Sequence[N], out: Mapping[N, Sequence[N]]) -> list[N]:
+def _find_cycle(remaining: list[int], out: list[list[int]]) -> list[int]:
     # DFS with gray/black colouring over the stalled subgraph.
     alive = set(remaining)
     GRAY, BLACK = 1, 2
-    color: dict[N, int] = {}
+    color: dict[int, int] = {}
     for start in remaining:
         if start in color:
             continue

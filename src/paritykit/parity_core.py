@@ -512,15 +512,17 @@ def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = 
     for name, ms in (("s", s), ("m", m), ("p", p)):
         if not ms.is_radical():
             raise ValueError(f"{name} must be a subset in {mode} mode, got {ms}")
-    s_set = s.support_set()
-    if not is_well_formed(parity, s.dim, s_set):
+    t = _face_table(parity)
+    neg, pos, well_formed = _spread(t, s.dim, t.mask(s.dim, s.support_set()))
+    if not well_formed:
         raise ValueError(f"s = {s} is not well-formed, required in {mode} mode")
-    faces = subset_faces(parity, s.dim, s_set)
-    m_set, p_set = m.support_set(), p.support_set()
-    ok = faces.neg_only == m_set - p_set and faces.pos_only == p_set - m_set
+    # Members of m and p outside the structure meet no face, so they must cancel.
+    known, m_set, p_set = t.index.keys(), m.support_set(), p.support_set()
+    m_mask, p_mask = (t.mask(m.dim, x & known) for x in (m_set, p_set))
+    ok = m_set - known == p_set - known and neg & ~pos == m_mask & ~p_mask and pos & ~neg == p_mask & ~m_mask
     if not ok or mode == "subset":
         return ok
-    return not (m_set & faces.pos) and not (p_set & faces.neg)
+    return not (m_mask & pos or p_mask & neg)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +618,13 @@ class ValidationReport(NamedTuple):
 def _order_or_cycle(axiom, levels, failures, witnesses):
     """Run the per-level acyclicity checks and record witness/failure.
 
-    Each level is (label, nodes, successors, gens): the digraph is on
-    int nodes, and ``gens[node]`` names a node in orders and cycles.
+    Each level is (label, successors, gens): the digraph is on the int
+    nodes 0..len(gens)-1, and ``gens[node]`` names a node in orders and
+    cycles.
     """
     orders = []
-    for level, nodes, successors, gens in levels:
-        order, cycle = lex_topological_order(nodes, successors)
+    for level, successors, gens in levels:
+        order, cycle = lex_topological_order(len(gens), successors)
         if cycle is not None:
             names = tuple(gens[x].name for x in cycle)
             witnesses[axiom] = CycleWitness(level, names)
@@ -662,7 +665,6 @@ def _validate(struct: Structure) -> ValidationReport:
     t = _face_table(struct)
     gens, negs, poss = t.gens, t.neg, t.pos
     nodes = [g for row in gens for g in row]
-    everything = range(len(nodes))
     is_parity_input = isinstance(struct, ParityStructure)
 
     failures: list[AxiomFailure] = []
@@ -751,7 +753,7 @@ def _validate(struct: Structure) -> ValidationReport:
     for n in range(1, len(gens)):
         if gens[n]:
             succ = _meets(dict(enumerate(map(dict, negs[n]))), dict(enumerate(map(dict, poss[n]))))
-            weak.append((n, range(len(gens[n])), succ, gens[n]))
+            weak.append((n, succ, gens[n]))
     weakly_loop_free = _order_or_cycle("weakly_loop_free", weak, failures, witnesses)
 
     # Steiner loop-freeness: one digraph per level n >= 0 on all
@@ -762,12 +764,12 @@ def _validate(struct: Structure) -> ValidationReport:
     for n in range(len(gens)):
         high = range(t.offset[n], len(nodes))
         succ = _meets({y: columns[y][0][n] for y in high}, {x: columns[x][1][n] for x in high})
-        steiner.append((n, everything, succ, nodes))
+        steiner.append((n, succ, nodes))
     steiner_loop_free = _order_or_cycle("steiner_loop_free", steiner, failures, witnesses)
 
     # Strong loop-freeness: a single digraph on all generators,
     # x -> y when x is a negative face of y or y is a positive face of x.
-    strong: dict[int, set[int]] = {x: set() for x in everything}
+    strong: list[set[int]] = [set() for _ in nodes]
     for d in range(1, len(gens)):
         for i in range(len(gens[d])):
             x, below = t.offset[d] + i, t.offset[d - 1]
@@ -775,9 +777,8 @@ def _validate(struct: Structure) -> ValidationReport:
                 strong[below + f].add(x)
             for f, _ in poss[d][i]:
                 strong[x].add(below + f)
-    strong_sorted = {x: sorted(s) for x, s in strong.items()}
     strongly_loop_free = _order_or_cycle(
-        "strongly_loop_free", [(None, everything, strong_sorted, nodes)], failures, witnesses
+        "strongly_loop_free", [(None, dict(enumerate(map(sorted, strong))), nodes)], failures, witnesses
     )
 
     if disjoint and globular and unital and t.subset and strongly_loop_free:

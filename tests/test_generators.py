@@ -1,11 +1,14 @@
+import random
 from math import comb
 
 import pytest
 
+import randstruct
+from paritykit.cells import atom_closure, enumerate_cells
 from paritykit.chain import check_complex, from_structure
-from paritykit.generators import cube, family, globe, oriental
+from paritykit.generators import _join, _tensor, cube, family, globe, oriental
 from paritykit.multiset import GeneratorId, Multiset, SignedVector
-from paritykit.parity_core import validate
+from paritykit.parity_core import CLASS_PARITY_COMPLEX, ParityStructure, StructureError, validate
 
 
 def names(gens):
@@ -152,3 +155,62 @@ class TestFamilies:
 
         for k in range(5):
             assert validate(skeleton(s, k)).classification == "parity complex"
+
+
+def rows(struct, prefix):
+    """A structure's build rows, with every name prefixed."""
+    out = []
+    for g in struct.all_generators():
+        neg, pos = (struct.neg(g), struct.pos(g)) if g.dim else ((), ())
+        out.append((prefix + g.name, g.dim, [prefix + f.name for f in neg], [prefix + f.name for f in pos]))
+    return out
+
+
+def parity_complex_pairs(count):
+    """The pairs among `count` seeded random factor pairs whose factors are
+    both parity complexes, as build rows prefixed "a" and "b"."""
+    rng = random.Random(5)
+    pairs = [[randstruct.random_structured_parity(rng, max_gens=6) for _ in range(2)] for _ in range(count)]
+    return [
+        (rows(a, "a"), rows(b, "b"))
+        for a, b in pairs
+        if validate(a).classification == validate(b).classification == CLASS_PARITY_COMPLEX
+    ]
+
+
+class TestProducts:
+    """Tensor products and joins of random parity complexes are parity
+    complexes, on which enumeration and atom closure agree."""
+
+    def test_products_of_parity_complexes_are_parity_complexes(self):
+        pairs = parity_complex_pairs(60)
+        assert len(pairs) >= 50
+        dims = set()
+        for a, b in pairs:
+            for product in (_tensor, _join):
+                struct = ParityStructure.build(product(a, b))
+                dims.add(struct.max_dim)
+                assert validate(struct).classification == CLASS_PARITY_COMPLEX
+                report = check_complex(from_structure(struct))
+                assert report.dd_zero and report.normal and report.unital
+        assert max(dims) >= 4
+
+    def test_enumeration_equals_closure_on_products(self):
+        for a, b in parity_complex_pairs(20):
+            for product in (_tensor, _join):
+                struct = ParityStructure.build(product(a, b))
+                assert set(enumerate_cells(struct, struct.max_dim)) == set(atom_closure(struct, struct.max_dim))
+
+    def test_rows_of_small_products(self):
+        # a point's boundary is its augmentation: p * q is an edge p -> q
+        edge = _join([("p", 0, [], [])], [("q", 0, [], [])])
+        assert edge == [("p", 0, [], []), ("q", 0, [], []), ("pq", 1, ["p"], ["q"])]
+        assert ("pqr", 2, ["pr"], ["qr", "pq"]) in _join(edge, [("r", 0, [], [])])
+        # Koszul sign: the faces of the right factor swap after an odd left factor
+        square = _tensor(edge, [("0", 0, [], []), ("1", 0, [], []), ("*", 1, ["0"], ["1"])])
+        assert ("pq*", 2, ["p*", "pq1"], ["q*", "pq0"]) in square
+
+    def test_join_of_factors_sharing_a_name_raises(self):
+        a, _ = parity_complex_pairs(1)[0]
+        with pytest.raises(StructureError, match="duplicate"):
+            ParityStructure.build(_join(a, a))

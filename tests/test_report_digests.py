@@ -1,10 +1,14 @@
-"""Frozen validation and chain reports.
+"""Frozen validation and chain reports, and frozen family fixtures.
 
-Each digest is the SHA-256 of the canonical JSON of a population's
-`validate` and `check_complex` payloads, recorded from the Multiset
-implementation of both checks.  Many of the random structures fail an
-axiom, so failure texts, cycle witnesses and notes are locked along
-with the flags and orders.
+Each report digest is the SHA-256 of the canonical JSON of a
+population's `validate` and `check_complex` payloads, recorded from the
+Multiset implementation of both checks.  Many of the random structures
+fail an axiom, so failure texts, cycle witnesses and notes are locked
+along with the flags and orders.
+
+Each family digest is the SHA-256 of the fixture text of every family
+member up to its bound, recorded from the word-and-star constructors,
+so `generate` output is pinned byte for byte.
 """
 
 import hashlib
@@ -14,8 +18,9 @@ import random
 import pytest
 
 import randstruct
+from paritykit import fixtures
 from paritykit.chain import check_complex, from_structure
-from paritykit.generators import CUBE_MAX, GLOBE_MAX, ORIENTAL_MAX, cube, globe, oriental
+from paritykit.generators import CUBE_MAX, GLOBE_MAX, ORIENTAL_MAX, cube, family, globe, oriental
 from paritykit.parity_core import AdditiveParityStructure, ParityStructure, validate
 
 COUNT = 40
@@ -89,6 +94,23 @@ def _digest(structs):
 @pytest.mark.parametrize("population", sorted(POPULATIONS))
 def test_reports_unchanged(population):
     assert _digest(POPULATIONS[population]()) == DIGESTS[population]
+
+
+FAMILY_BOUNDS = {"globe": GLOBE_MAX, "oriental": ORIENTAL_MAX, "cube": CUBE_MAX}
+
+FAMILY_DIGESTS = {
+    "globe": "16491d75e304cd9ac6be8e1c74e652ab7c6b2d773f22365c61632428cb0a9c0f",
+    "oriental": "8561557502fe2c9d36320379d73450e7faf262860c029d2b063584588c90b27f",
+    "cube": "90ee3948aafbb0764be9450e9c31c19d33a5bdffc6b05214725345bcfdf17e29",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
+def test_family_fixtures_unchanged(name):
+    digest = hashlib.sha256()
+    for n in range(FAMILY_BOUNDS[name] + 1):
+        digest.update(fixtures.dumps(family(name, n), name=f"{name}-{n}").encode())
+    assert digest.hexdigest() == FAMILY_DIGESTS[name]
 
 
 def test_populations_reach_the_failure_paths():

@@ -36,7 +36,6 @@ from .parity_core import (
     StructureError,
     _bits,
     _face_table,
-    _parity_view,
     atom_faces,
     iterated_boundaries,
     validate,
@@ -359,10 +358,9 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     """
     _check_max_dim(max_dim)
     _require_weak(struct, "enumeration")
-    parity = _parity_view(struct)
     cap = _max_cells()
     out: list[CellTable] = []
-    cols = _Columns(parity)
+    cols = _Columns(struct)
     column = cols.column
 
     def emit(cell: CellTable) -> None:
@@ -374,7 +372,7 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
 
     # (cell, mask of its top column) for the cells of the current dimension
     level: list[tuple[CellTable, int]] = []
-    for i in range(len(parity.generators(0))):
+    for i in range(len(struct.generators(0))):
         point = column(0, 1 << i)
         cell = CellTable((point,), (point,))
         emit(cell)
@@ -382,7 +380,7 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
 
     faces = cols.faces
     for d in range(1, max_dim + 1):
-        moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(parity.generators(d)))]
+        moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(struct.generators(d)))]
         grown: list[tuple[CellTable, int]] = []
         for source, m in level:
             head_neg = source.neg

@@ -55,9 +55,10 @@ class _GradedStructure:
 
     Structures are immutable, so what is derived from the whole of one
     (its validation report, its free complex, its integer face table,
-    the additive view of a parity structure, the parity view of an
-    additive one) is computed once and kept on it.  Equality ignores
-    these caches and holds only between structures of the same class.
+    and the additive view of a parity structure) is computed once and
+    kept on it.  Subset checks on an additive structure read the
+    ``subset`` flag of its face table.  Equality ignores these caches
+    and holds only between structures of the same class.
     ``_by_key`` maps each id to itself; since an id equals its
     ``(dim, name)`` tuple, it also answers lookups by that tuple.
     """
@@ -71,7 +72,6 @@ class _GradedStructure:
         self._report: ValidationReport | None = None  # filled by validate
         self._complex = None  # filled by chain.from_structure
         self._additive: AdditiveParityStructure | None = None  # filled by _additive_view
-        self._parity: ParityStructure | None = None  # filled by _parity_view
         self._table: _FaceTable | None = None  # filled by _face_table
         by_dim: dict[int, list[GeneratorId]] = {}
         for g in faces:
@@ -261,18 +261,6 @@ def _additive_view(struct: Structure) -> AdditiveParityStructure:
     return view
 
 
-def _parity_view(struct: Structure) -> ParityStructure:
-    """The structure itself, or the (cached) subset view of an additive
-    structure (a StructureError if a face has a count >= 2)."""
-    if isinstance(struct, ParityStructure):
-        return struct
-    view = struct._parity
-    if view is None:
-        view = struct._parity = struct.as_parity()
-        view._table = struct._table
-    return view
-
-
 # ---------------------------------------------------------------------------
 # the integer face table
 
@@ -440,7 +428,7 @@ def subset_faces(struct: ParityStructure, dim: int, s: Iterable[GeneratorId]) ->
     return SubsetFaces(*(t.members(dim - 1, m) for m in (neg, pos, neg & ~pos, pos & ~neg)))
 
 
-def is_well_formed(struct: ParityStructure, dim: int, s: Iterable[GeneratorId]) -> bool:
+def is_well_formed(struct: Structure, dim: int, s: Iterable[GeneratorId]) -> bool:
     """Well-formedness of a subset: a singleton in dimension 0; in higher
     dimensions, distinct members have disjoint negative faces and disjoint
     positive faces."""
@@ -498,31 +486,34 @@ def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = 
     Strict mode adds the two intersection-emptiness conditions; it is
     provably equivalent for cells over weak parity complexes and exists
     as a separate oracle.
+
+    In every mode a member of s, m or p that the structure does not
+    contain raises UnknownGeneratorError; in subset and strict mode a
+    structure with a face count >= 2 raises StructureError.
     """
     if m.dim != p.dim or s.dim != m.dim + 1:
         raise DimensionMismatchError(
             f"moves needs s one dimension above m and p (got {s.dim}, {m.dim}, {p.dim})"
         )
+    t = _face_table(struct)
     if mode == "additive":
-        fi = face_images(struct, s)
-        return fi.neg_boundary == m - p and fi.pos_boundary == p - m
+        neg, pos = _images(t, s.dim, [(t.index[g], c) for g, c in s.items()])
+        mc, pc = ({t.index[g]: c for g, c in x.items()} for x in (m, p))
+        return _minus(neg, pos) == _minus(mc, pc) and _minus(pos, neg) == _minus(pc, mc)
     if mode not in ("subset", "strict"):
         raise ValueError(f"unknown movement mode {mode!r}")
-    parity = _parity_view(struct)
+    m_mask, p_mask = t.mask(m.dim, m), t.mask(p.dim, p)
+    if not t.subset:
+        raise StructureError("structure has multiset faces with counts >= 2")
     for name, ms in (("s", s), ("m", m), ("p", p)):
         if not ms.is_radical():
             raise ValueError(f"{name} must be a subset in {mode} mode, got {ms}")
-    t = _face_table(parity)
-    neg, pos, well_formed = _spread(t, s.dim, t.mask(s.dim, s.support_set()))
+    neg, pos, well_formed = _spread(t, s.dim, t.mask(s.dim, s))
     if not well_formed:
         raise ValueError(f"s = {s} is not well-formed, required in {mode} mode")
-    # Members of m and p outside the structure meet no face, so they must cancel.
-    known, m_set, p_set = t.index.keys(), m.support_set(), p.support_set()
-    m_mask, p_mask = (t.mask(m.dim, x & known) for x in (m_set, p_set))
-    ok = m_set - known == p_set - known and neg & ~pos == m_mask & ~p_mask and pos & ~neg == p_mask & ~m_mask
-    if not ok or mode == "subset":
-        return ok
-    return not (m_mask & pos or p_mask & neg)
+    if neg & ~pos != m_mask & ~p_mask or pos & ~neg != p_mask & ~m_mask:
+        return False
+    return mode == "subset" or not (m_mask & pos or p_mask & neg)
 
 
 # ---------------------------------------------------------------------------

@@ -414,3 +414,73 @@ class TestParser:
         assert build_parser("nosuch").format_help() == full.format_help()
         for name, sub in self.subparsers(full).items():
             assert self.subparsers(build_parser(name))[name].format_help() == sub.format_help()
+
+
+class TestContractFuzz:
+    """Seeded single-field mutations of structure fixtures, run through
+    every structure subcommand: the exit code is 0, 1 or 2, nothing
+    escapes, and stderr is written exactly on exit 2."""
+
+    COMMANDS = (
+        ["validate"], ["classify"], ["chain"], ["chain", "--check"], ["roundtrip"],
+        ["cells", "--max-dim", "2"], ["freeness", "--max-dim", "2"], ["atom"],
+    )
+
+    @staticmethod
+    def documents():
+        from paritykit.generators import cube, globe
+
+        structs = [globe(n) for n in range(4)] + [oriental(n) for n in range(4)] + [cube(n) for n in range(3)]
+        texts = [fixtures.dumps(s, name="s") for s in structs]
+        texts += [fixtures.dumps(s.to_additive(), name="a") for s in structs]
+        texts += [(FIXTURE_DIR / f"{name}.json").read_text() for name in ("circle", "weak_not_strong")]
+        return [json.loads(text) for text in texts]
+
+    @staticmethod
+    def mutate(doc, rng):
+        """Change one field of one element, or the fixture kind."""
+        field = rng.choice(("neg", "pos", "dim", "id", "kind"))
+        if field == "kind":
+            doc["kind"] = rng.choice(
+                ["parity_structure", "additive_parity_structure", "cell", "morphism", "bogus", None, 3]
+            )
+            return
+        elements = doc["payload"]["elements"]
+        element = rng.choice(elements)
+        other = rng.choice(elements)["id"]
+        if field == "id":
+            element["id"] = rng.choice([other, "", "fresh", 7, None, ["x"]])
+        elif field == "dim":
+            element["dim"] = rng.choice([element["dim"] - 1, element["dim"] + 1, -1, 0, 4, "1", None, 1.5, True])
+        else:
+            faces = element[field]
+            element[field] = rng.choice([
+                [], faces + [other], faces + ["nope"], faces + faces, [[other, 2]], [[other, -1]],
+                [[other, 0]], {other: 1}, "x", None, [other, 2], [[other]],
+            ])
+
+    def test_mutated_fixtures_keep_the_exit_contract(self, tmp_path):
+        import contextlib
+        import io
+        import random
+
+        rng = random.Random(10)
+        base = self.documents()
+        path = tmp_path / "f.json"
+        exits = set()
+        for _ in range(100):
+            doc = json.loads(json.dumps(rng.choice(base)))
+            self.mutate(doc, rng)
+            path.write_text(json.dumps(doc))
+            elements = doc["payload"]["elements"]
+            for command in self.COMMANDS:
+                argv = [command[0], str(path), *command[1:]]
+                if command == ["atom"]:
+                    argv.append(str(rng.choice(elements)["id"]))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv, doc)
+                assert (code == 2) == bool(err.getvalue()), (argv, doc, err.getvalue())
+                exits.add(code)
+        assert exits == {0, 1, 2}

@@ -270,8 +270,8 @@ class TestAtomFaces:
 
 
 class TestMoves:
-    # Each case also runs on the additive view, which the subset and
-    # strict modes read through its parity view.
+    # Each case also runs on the additive view; the subset and strict
+    # modes read its face table, as they do for the parity structure.
     def test_oriental2_all_modes(self, oriental2):
         s = mset(oriental2, 1, "01", "12")
         m = mset(oriental2, 0, "0")
@@ -301,6 +301,18 @@ class TestMoves:
             for mode in ("subset", "strict"):
                 with pytest.raises(ValueError, match="is not well-formed"):
                     moves(struct, s, m, m, mode=mode)
+
+    def test_unknown_members_raise_in_every_mode(self, oriental2):
+        # zz would cancel between m and p; it must not be taken as known
+        zz = GeneratorId(1, "zz")
+        s = mset(oriental2, 2, "012")
+        m, p = mset(oriental2, 1, "02"), mset(oriental2, 1, "01", "12")
+        for struct in (oriental2, oriental2.to_additive()):
+            for mode in ("additive", "subset", "strict"):
+                assert moves(struct, s, m, p, mode=mode)
+                for m_, p_ in ((m + Multiset.of(zz), p + Multiset.of(zz)), (m + Multiset.of(zz), p)):
+                    with pytest.raises(UnknownGeneratorError, match="'zz'"):
+                        moves(struct, s, m_, p_, mode=mode)
 
     def test_dimension_mismatch(self, oriental2):
         with pytest.raises(DimensionMismatchError):
@@ -665,8 +677,8 @@ class TestValidateNeverRaises:
         assert chain_report.failures[0][2] == f"dd(G) = +{big * big}x -{big * big}y"
 
 
-class TestParityViewIsBuiltOnce:
-    def test_one_as_parity_call_per_structure(self, monkeypatch):
+class TestNoParityViewIsBuilt:
+    def test_no_as_parity_call(self, monkeypatch):
         from paritykit.cells import enumerate_cells
         from paritykit.morphisms import GradedMorphism, check_strict_movement
         from conftest import load_fixture
@@ -685,10 +697,12 @@ class TestParityViewIsBuiltOnce:
         assert check_strict_movement(g) and check_strict_movement(g)
         for _ in range(3):
             enumerate_cells(target, 2)
-        assert sorted(map(id, calls)) == sorted({id(source), id(target)})
+        assert calls == []
 
-    def test_a_count_2_face_still_raises(self):
+    def test_a_count_2_face_raises_in_subset_and_strict_mode(self):
         s = AdditiveParityStructure.build([("v", 0, {}, {}), ("w", 0, {}, {}), ("x", 1, {"v": 2}, {"w": 1})])
-        for _ in range(2):
-            with pytest.raises(StructureError):
-                parity_core._parity_view(s)
+        x, v, w = (Multiset.of(s.gen(n)) for n in ("x", "v", "w"))
+        assert not moves(s, x, v, w, mode="additive")
+        for mode in ("subset", "strict"):
+            with pytest.raises(StructureError, match=r"^structure has multiset faces with counts >= 2$"):
+                moves(s, x, v, w, mode=mode)

@@ -15,9 +15,10 @@ the same source, so each growth step passes through cells only.
 
 Both searches, enumeration and atom closure, work on bitmask columns:
 one int per column over that dimension's sorted generators, which is
-exact because every column is a subset.  Closure composes, faces and
-lifts cells as pairs of int tuples and builds tables only for the cells
-it returns.
+exact because every column is a subset.  Both handle cells as pairs of
+int tuples: enumeration searches and sorts them, closure composes, faces
+and lifts them, and each builds tables only for the cells it returns,
+enumeration only after its sort.
 """
 
 from __future__ import annotations
@@ -352,57 +353,65 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     prefix of an excision order of a top is such a growth step (see
     excision_decompose); each T is kept once per source.
 
-    Every search state is an emitted cell, so the PARITYKIT_MAX_CELLS
-    cap bounds the work as well as the output.  Output is in canonical
-    order.
+    The search and the sort run on mask cells, and a table is built for
+    each cell only after the sort.  Every search state is an emitted
+    cell, so the PARITYKIT_MAX_CELLS cap bounds the work as well as the
+    output.  Output is in canonical order.
     """
+    found = _mask_cells(struct, max_dim)
+    bits: dict[int, tuple[int, ...]] = {}
+
+    def column_key(mask: int) -> tuple[int, ...]:
+        got = bits.get(mask)
+        if got is None:
+            got = bits[mask] = tuple(_bits(mask))
+        return got
+
+    # bit i of a dimension-d mask is generators(d)[i], in name order, so
+    # this orders cells as CellTable.sort_key does
+    found.sort(key=lambda c: (len(c[0]), tuple(map(column_key, c[0])), tuple(map(column_key, c[1]))))
+    table = _Columns(struct).table
+    return [table(neg, pos) for neg, pos in found]
+
+
+def _mask_cells(struct: Structure, max_dim: int) -> list[_MaskCell]:
+    """The cells of enumerate_cells as unsorted mask cells, capped and
+    gated as it is."""
     _check_max_dim(max_dim)
     _require_weak(struct, "enumeration")
     cap = _max_cells()
-    out: list[CellTable] = []
-    cols = _Columns(struct)
-    column = cols.column
+    out: list[_MaskCell] = []
 
-    def emit(cell: CellTable) -> None:
+    def emit(cell: _MaskCell) -> None:
         out.append(cell)
         if len(out) > cap:
             raise EnumerationCapError(
                 f"enumeration exceeded {cap} cells (set {MAX_CELLS_ENV} to raise)"
             )
 
-    # (cell, mask of its top column) for the cells of the current dimension
-    level: list[tuple[CellTable, int]] = []
     for i in range(len(struct.generators(0))):
-        point = column(0, 1 << i)
-        cell = CellTable((point,), (point,))
-        emit(cell)
-        level.append((cell, 1 << i))
+        emit(((1 << i,), (1 << i,)))
 
-    faces = cols.faces
+    faces = _face_table(struct)
+    start = 0
     for d in range(1, max_dim + 1):
         moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(struct.generators(d)))]
-        grown: list[tuple[CellTable, int]] = []
-        for source, m in level:
-            head_neg = source.neg
-            head_pos = source.pos[:-1]
+        level, start = out[start:], len(out)
+        for head_neg, source_pos in level:
+            head_pos = source_pos[:-1]
             seen = {0}
-            stack = [(0, m)]
+            stack = [(0, source_pos[-1])]
             while stack:
                 top, current = stack.pop()
-                t = column(d, top)
-                cell = CellTable(head_neg + (t,), head_pos + (column(d - 1, current), t))
-                emit(cell)
-                grown.append((cell, top))
+                emit((head_neg + (top,), head_pos + (current, top)))
+                outside = ~current
                 for bit, neg, pos in moves:
-                    if top & bit or neg & ~current or pos & current:
+                    if neg & outside or pos & current or top & bit:
                         continue
                     nxt = top | bit
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append((nxt, current ^ neg ^ pos))
-        level = grown
-
-    out.sort(key=CellTable.sort_key)
     return out
 
 
@@ -446,9 +455,12 @@ def excision_decompose(
     if len(members) == 1 and top.is_radical():
         return [table]
 
+    faces = _face_table(struct)
+    rows = [faces.index[b] for b in members]
+    neg = [faces.neg_mask[table.dim][i] for i in rows]
     successors = {
-        i: [j for j, c in enumerate(members) if j != i and not struct.pos(b).disjoint(struct.neg(c))]
-        for i, b in enumerate(members)
+        i: [j for j, n in enumerate(neg) if j != i and faces.pos_mask[table.dim][r] & n]
+        for i, r in enumerate(rows)
     }
     order, cycle = lex_topological_order(len(members), successors)
     if order is None:

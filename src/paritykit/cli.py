@@ -181,26 +181,21 @@ def _cmd_atom(args) -> int:
 
 
 def _cmd_cells(args) -> int:
-    from .cells import enumerate_cells
+    from .cells import _mask_cells, enumerate_cells
     fixture = _load(args.file, *_STRUCTURE_KINDS)
-    enumerated = enumerate_cells(fixture.value, args.max_dim)
+    if args.count_only:  # the search's mask cells: no table is built
+        enumerated, dims = [], [len(neg) - 1 for neg, _ in _mask_cells(fixture.value, args.max_dim)]
+    else:
+        enumerated = enumerate_cells(fixture.value, args.max_dim)
+        dims = [c.dim for c in enumerated]
     counts = [0] * (args.max_dim + 1)
-    for c in enumerated:
-        counts[c.dim] += 1
-    if args.count_only:
-        if args.format == "structured":
-            _emit_structured({"name": fixture.name, "counts": counts})
-        else:
-            print(" ".join(str(c) for c in counts))
-        return 0
+    for d in dims:
+        counts[d] += 1
     if args.format == "structured":
-        _emit_structured(
-            {
-                "name": fixture.name,
-                "counts": counts,
-                "cells": [fixtures.cell_payload(c) for c in enumerated],
-            }
-        )
+        payload = {"name": fixture.name, "counts": counts}
+        if not args.count_only:
+            payload["cells"] = [fixtures.cell_payload(c) for c in enumerated]
+        _emit_structured(payload)
     else:
         print(" ".join(str(c) for c in counts))
         for c in enumerated:
@@ -470,10 +465,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # Only `cells` raises EnumerationCapError, so it is loaded
-        # already when one is raised.
-        from .cells import EnumerationCapError
-        if not isinstance(exc, EnumerationCapError):
+        # Only `cells` raises these, so it is loaded already; an internal
+        # check fails when a structure breaks a cell operation's hypotheses.
+        from .cells import EnumerationCapError, InternalCheckError
+        if not isinstance(exc, (EnumerationCapError, InternalCheckError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -300,12 +300,35 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="max_dim"):
             cells.atom_closure(oriental2, -1)
 
+    def test_one_table_per_cell(self, tmp_path, monkeypatch):
+        from paritykit import fixtures
+        from paritykit.cli import main
+
+        built = []
+        init = CellTable.__init__
+
+        def counting_init(self, neg, pos):
+            built.append(None)
+            init(self, neg, pos)
+
+        monkeypatch.setattr(CellTable, "__init__", counting_init)
+        struct = family("cube", 3)
+        enumerated = cells.enumerate_cells(struct, 3)
+        assert len(built) == len(enumerated) == 159
+        built.clear()
+        path = tmp_path / "cube3.json"
+        path.write_text(fixtures.dumps(struct, name="cube-3"))
+        assert main(["cells", str(path), "--max-dim", "3", "--count-only"]) == 0
+        assert built == []
+
     # SHA-256 of the str() lines of the sorted enumeration, recorded from
     # the former top-down search before it was replaced.
     GOLDEN = [
         ("oriental", 4, 4, 291, "bd7d7d2bcff5119cabccfed6198d94a1195060c1a6992f4342befdf3a57f215b"),
         ("cube", 3, 3, 159, "f1065091805711b4d98b486fb354e69ecb8d47c31e0a4809af05f68b2eb8ed33"),
         ("oriental", 5, 5, 1721, "26de0236779c270ddf3e94a019fef9e5caa37df658cfa5b2bd4846d00f6c97a8"),
+        # recorded from the table-sorting search before the mask sort replaced it
+        ("cube", 4, 4, 1679, "6aef60bb4cfee0488d6d707478a221226f812eae2bf82632975bfd8d9699c73f"),
     ]
 
     @pytest.mark.parametrize("name, n, max_dim, count, digest", GOLDEN)
@@ -321,7 +344,8 @@ class TestEnumerate:
         struct = randstruct.random_structured_parity(random.Random(seed), max_gens)
         assume(validate(struct).meets(CLASS_WEAK))
         enumerated = cells.enumerate_cells(struct, struct.max_dim)
-        assert len(set(enumerated)) == len(enumerated)
+        keys = [t.sort_key() for t in enumerated]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
         # freeness: every cell is reached from atoms, and nothing else is
         assert set(enumerated) == set(cells.atom_closure(struct, struct.max_dim))
         # brute force up to the highest dimension with at most 2^10 tables

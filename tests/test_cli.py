@@ -141,6 +141,11 @@ class TestCells:
         assert payload["counts"] == [3, 7]
         assert len(payload["cells"]) == 10
 
+    def test_count_only_is_capped(self, capsys, oriental2_file, monkeypatch):
+        monkeypatch.setenv("PARITYKIT_MAX_CELLS", "5")
+        assert main(["cells", oriental2_file, "--max-dim", "2", "--count-only"]) == 2
+        assert "exceeded 5 cells" in capsys.readouterr().err
+
     def test_enumeration_rejected_on_circle(self, capsys):
         assert main(["cells", CIRCLE, "--max-dim", "1"]) == 2
 
@@ -200,6 +205,20 @@ class TestCellCommands:
                      "--format", "structured"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["slices"]) == 2
+
+    def test_composite_breaking_the_subset_guard_exits_2(self, capsys, tmp_path):
+        # over the circle, a+b is a subset but a+b+a is not: compose raises
+        # InternalCheckError, and the CLI reports it without a traceback
+        from paritykit import cells as cells_mod
+
+        circle = fixtures.loads(Path(CIRCLE).read_text()).value
+        a, b = (cells_mod.atom(circle, circle.gen(n)) for n in ("a", "b"))
+        loop, edge = tmp_path / "loop.json", tmp_path / "a.json"
+        loop.write_text(fixtures.dumps(cells_mod.compose(a, b, 0), name="loop"))
+        edge.write_text(fixtures.dumps(a, name="a"))
+        assert main(["compose", CIRCLE, "--cells", str(loop), str(edge), "-k", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not a subset" in err
 
 
 class TestChainRoundtripFreeness:
@@ -482,5 +501,93 @@ class TestContractFuzz:
                     code = main(argv)
                 assert code in (0, 1, 2), (argv, doc)
                 assert (code == 2) == bool(err.getvalue()), (argv, doc, err.getvalue())
+                exits.add(code)
+        assert exits == {0, 1, 2}
+
+
+class TestCellContractFuzz:
+    """Seeded single-field mutations of cell fixtures, run through face,
+    compose and decompose over the structure they came from: the exit
+    code is 0, 1 or 2, nothing escapes, and stderr is written exactly
+    on exit 2."""
+
+    @staticmethod
+    def documents():
+        """(structure text, cell documents over it): the atoms of each
+        structure and their composites, so that the CLI composes cells
+        two steps away from the atoms."""
+        from itertools import product
+
+        from paritykit import cells
+        from paritykit.generators import cube, globe
+
+        structs = [globe(2), oriental(2), oriental(3), cube(2)]
+        structs += [s.to_additive() for s in structs]
+        structs += [fixtures.loads((FIXTURE_DIR / f"{n}.json").read_text()).value for n in ("circle", "weak_not_strong")]
+        out = []
+        for s in structs:
+            pool = [cells.atom(s, g) for g in s.all_generators() if g.dim]
+            for x, y in product(list(pool), repeat=2):
+                for k in range(min(x.dim, y.dim)):
+                    try:
+                        pool.append(cells.compose(cells.lift(x, y.dim), cells.lift(y, x.dim), k))
+                    except (ValueError, RuntimeError):
+                        pass
+            docs = [json.loads(fixtures.dumps(c, name="c")) for c in pool]
+            out.append((fixtures.dumps(s, name="s"), docs))
+        return out
+
+    @staticmethod
+    def mutate(doc, rng):
+        """Change one column, a row, the dimension or the fixture kind,
+        or, as often, nothing: valid cells reach the cell operations."""
+        field = rng.choice(("neg", "pos", "dim", "kind", None, None, None, None))
+        payload = doc["payload"]
+        if field == "kind":
+            doc["kind"] = rng.choice(["parity_structure", "morphism", "bogus", None, 3])
+        elif field == "dim":
+            payload["dim"] = rng.choice([payload["dim"] - 1, payload["dim"] + 1, -1, "1", None, 1.5, True])
+        elif field is not None:
+            row = payload[field]
+            k = rng.randrange(len(row))
+            other = rng.choice([name for column in payload["neg"] for name in column])
+            if rng.random() < 0.2:
+                del row[k]
+            else:
+                row[k] = rng.choice([
+                    [], row[k] + [other], row[k] + ["nope"], row[k] + row[k], [[other, 2]],
+                    [[other, -1]], {other: 1}, "x", None, [[other]],
+                ])
+
+    def test_mutated_cell_fixtures_keep_the_exit_contract(self, tmp_path):
+        import contextlib
+        import io
+        import random
+
+        # a seed whose run composes a loop of the circle with an edge (see
+        # test_composite_breaking_the_subset_guard_exits_2)
+        rng = random.Random(14)
+        base = self.documents()
+        structure, first, second = (tmp_path / f"{n}.json" for n in ("s", "c1", "c2"))
+        exits = set()
+        for _ in range(200):
+            text, docs = rng.choice(base)
+            structure.write_text(text)
+            for path in (first, second):
+                doc = json.loads(json.dumps(rng.choice(docs)))
+                self.mutate(doc, rng)
+                path.write_text(json.dumps(doc))
+            k = str(rng.choice([-1, 0, 1, 2]))
+            sign = rng.choice(["source", "target"])
+            for argv in (
+                ["face", str(structure), "--cell", str(first), "-k", k, "--sign", sign],
+                ["compose", str(structure), "--cells", str(first), str(second), "-k", k],
+                ["decompose", str(structure), "--cell", str(first)],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), argv
+                assert (code == 2) == bool(err.getvalue()), (argv, err.getvalue())
                 exits.add(code)
         assert exits == {0, 1, 2}

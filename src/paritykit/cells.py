@@ -435,12 +435,12 @@ def excision_decompose(
     hypotheses were violated and raise InternalCheckError.
     """
     complex_ = _as_complex(source)
-    struct = complex_.structure
-    report = validate(struct)
-    if not (report.globular and report.weakly_loop_free):
+    # additive globularity is dd = 0; weak loop-freeness reads only supports
+    globular, weakly_loop_free = not complex_._dd_defects, validate(complex_.structure).weakly_loop_free
+    if not (globular and weakly_loop_free):
         raise StructureError(
             "excision needs a globular, weakly loop-free structure, got "
-            f"globular={report.globular}, weakly_loop_free={report.weakly_loop_free}"
+            f"globular={globular}, weakly_loop_free={weakly_loop_free}"
         )
     if table.dim < 1:
         raise ValueError("excision applies to cells of dimension >= 1")
@@ -455,7 +455,7 @@ def excision_decompose(
     if len(members) == 1 and top.is_radical():
         return [table]
 
-    faces = _face_table(struct)
+    faces = complex_._table
     rows = [faces.index[b] for b in members]
     neg = [faces.neg_mask[table.dim][i] for i in rows]
     successors = {

@@ -1,24 +1,28 @@
 """Free directed chain complexes generated by parity face data.
 
-The complex keeps one signed boundary vector per generator (positive
-faces minus negative faces) plus, when the basis is normal, the
-canonical augmentation sending every dimension-0 generator to 1.
+A complex reads the integer face table of a structure of either kind.
+It keeps one signed boundary row per generator (positive faces minus
+negative faces), built up front, and builds a generator's boundary as a
+SignedVector on first use.  When the basis is normal, the canonical
+augmentation sending every dimension-0 generator to 1 is attached.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .multiset import GeneratorId, Multiset, SignedVector, _format_entries
 from .parity_core import (
     AdditiveParityStructure,
-    ParityStructure,
     Structure,
     StructureError,
-    UnknownGeneratorError,
-    _additive_view,
-    _ById,
+    _columns,
     _face_table,
+    _FaceTable,
+    _non_normal,
+    _spread,
+    iterated_boundaries,
 )
 
 
@@ -44,35 +48,44 @@ def _linear(boundaries, chain: Iterable[tuple]) -> dict:
     return out
 
 
+class _Boundaries(dict):
+    """Boundary SignedVectors by generator id, each built from its signed
+    row on first use; an id the structure lacks raises."""
+
+    def __init__(self, table: _FaceTable, rows: list[list[dict[int, int]]]):
+        self._table, self._rows = table, rows
+
+    def __missing__(self, gen: GeneratorId) -> SignedVector:
+        t, d = self._table, gen.dim
+        i = t.index[gen]
+        vector = self[gen] = SignedVector(d - 1, {t.gens[d - 1][j]: c for j, c in self._rows[d][i].items()})
+        return vector
+
+
 class FreeDirectedComplex:
-    """Chain complex freely generated by an additive parity structure.
+    """Chain complex freely generated by a structure of either kind.
 
-    ``augmented`` is true exactly when the generating structure is
-    normal, in which case the canonical augmentation (every dimension-0
-    generator maps to 1) is attached.
+    A parity face counts 1, so a parity structure and its count-1
+    additive view generate the same complex.  ``augmented`` is true
+    exactly when the basis is normal, in which case the canonical
+    augmentation (every dimension-0 generator maps to 1) is attached.
 
-    The checks compute chains as index -> coefficient dicts over the
-    indices of the structure's integer face table: ``_rows[d][i]`` is the
-    boundary of generator i of dimension d.  ``_vectors`` holds the same
-    boundaries as SignedVectors by id, for chains given as SignedVectors.
+    ``_rows[d][i]`` is the boundary of generator i of dimension d as an
+    index -> coefficient dict over the face table's indices; the checks
+    run on these.  ``_vectors`` gives the same boundaries as
+    SignedVectors by id, each built on first use.
     """
 
-    def __init__(self, structure: AdditiveParityStructure):
+    def __init__(self, structure: Structure):
         self._structure = structure
         self._table = t = _face_table(structure)
         self._rows = [[_signed(neg, pos) for neg, pos in zip(*level)] for level in zip(t.neg, t.pos)]
-        self._vectors = _ById(
-            (g, SignedVector(d - 1, {t.gens[d - 1][j]: c for j, c in row.items()}))
-            for d in range(1, len(t.gens))
-            for g, row in zip(t.gens[d], self._rows[d])
-        )
-        self._augmented = all(
-            structure.neg(g).total() == 1 and structure.pos(g).total() == 1
-            for g in structure.generators(1)
-        )
+        self._vectors = _Boundaries(t, self._rows)
+        self._augmented = next(_non_normal(t), None) is None
 
     @property
-    def structure(self) -> AdditiveParityStructure:
+    def structure(self) -> Structure:
+        """The generating structure, as given."""
         return self._structure
 
     @property
@@ -111,10 +124,6 @@ class FreeDirectedComplex:
             raise AugmentationMissingError("complex has no augmentation (basis is not normal)")
         if v.dim != 0:
             raise StructureError(f"augmentation applies in dimension 0, got {v.dim}")
-        if isinstance(v, Multiset):
-            for g in v:
-                self.require(g)
-            return v.total()
         total = 0
         for g, coeff in v.items():
             self.require(g)
@@ -122,26 +131,19 @@ class FreeDirectedComplex:
         return total
 
     def iterated_parts(self, gen: GeneratorId) -> tuple[tuple[Multiset, ...], tuple[Multiset, ...]]:
-        """Atom columns of a generator, by alternating boundary and parts.
+        """Atom columns of a generator: its ``iterated_boundaries``, whose
+        level k negative row is the (dim-k)-fold negative part of the
+        iterated boundary of {gen}; dually for the positive row."""
+        return iterated_boundaries(self._structure, gen)
 
-        Level k of the negative row is the (dim-k)-fold negative part of
-        the iterated boundary, starting from {gen}; dually for the
-        positive row.
-        """
-        self.require(gen)
-        t = self._table
-        rows = self._parts(gen.dim, t.index[gen])
-        return tuple(tuple(t.multiset(k, counts) for k, counts in enumerate(row)) for row in rows)
-
-    def _parts(self, d: int, i: int) -> tuple[list[dict], list[dict]]:
-        """iterated_parts of generator i of dimension d, as index -> count dicts."""
-        neg_levels, pos_levels = [{i: 1}], [{i: 1}]
-        for k in range(d, 0, -1):
-            neg = _linear(self._rows[k], neg_levels[-1].items())
-            pos = _linear(self._rows[k], pos_levels[-1].items())
-            neg_levels.append({j: -c for j, c in neg.items() if c < 0})
-            pos_levels.append({j: c for j, c in pos.items() if c > 0})
-        return neg_levels[::-1], pos_levels[::-1]
+    @cached_property
+    def _dd_defects(self) -> tuple[tuple[int, int, dict[int, int]], ...]:
+        """(d, i, dd) for each generator i of dimension d with dd != 0; empty
+        exactly when dd = 0, which is globularity in its additive form."""
+        return tuple(
+            (d, i, dd) for d in range(2, len(self._rows)) for i, row in enumerate(self._rows[d])
+            if any((dd := _linear(self._rows[d - 1], row.items())).values())
+        )
 
 
 def from_structure(struct: Structure) -> FreeDirectedComplex:
@@ -152,7 +154,7 @@ def from_structure(struct: Structure) -> FreeDirectedComplex:
     """
     complex_ = struct._complex
     if complex_ is None:
-        complex_ = struct._complex = FreeDirectedComplex(_additive_view(struct))
+        complex_ = struct._complex = FreeDirectedComplex(struct)
     return complex_
 
 
@@ -180,33 +182,26 @@ class ChainReport(NamedTuple):
 def check_complex(complex_: FreeDirectedComplex) -> ChainReport:
     """Check ddx = 0 per generator, normality, and unitality of the basis."""
     failures: list[tuple[str, str, str]] = []
-    struct = complex_.structure
     t = complex_._table
 
-    dd_zero = True
-    for d in range(2, len(t.gens)):
-        for i, g in enumerate(t.gens[d]):
-            dd = _linear(complex_._rows[d - 1], complex_._rows[d][i].items())
-            if any(dd.values()):
-                dd_zero = False
-                text = _format_entries((t.gens[d - 2][j].name, dd[j]) for j in sorted(dd) if dd[j])
-                failures.append(("dd_zero", g.name, f"dd({g.name}) = {text}"))
+    for d, i, dd in complex_._dd_defects:
+        name = t.gens[d][i].name
+        text = _format_entries((t.gens[d - 2][j].name, dd[j]) for j in sorted(dd) if dd[j])
+        failures.append(("dd_zero", name, f"dd({name}) = {text}"))
+    dd_zero = not failures
 
-    normal = True
-    for g in struct.generators(1):
-        neg, pos = struct.neg(g), struct.pos(g)
-        if not (neg.total() == 1 and pos.total() == 1):
-            normal = False
-            failures.append(("normal", g.name, f"boundary parts {neg} and {pos} are not basis elements"))
+    normal = complex_.augmented
+    for g, neg, pos in _non_normal(t):
+        text = f"boundary parts {t.text(0, neg)} and {t.text(0, pos)} are not basis elements"
+        failures.append(("normal", g.name, text))
 
-    unital = True
+    unital = normal
     if not normal:
-        unital = False
         failures.append(("unital", "", "no augmentation: basis is not normal"))
     else:
         for d, row in enumerate(t.gens):
             for i, g in enumerate(row):
-                neg_levels, pos_levels = complex_._parts(d, i)
+                neg_levels, pos_levels = _columns(t, d, i)
                 neg, pos = sum(neg_levels[0].values()), sum(pos_levels[0].values())
                 if neg != 1 or pos != 1:
                     unital = False
@@ -228,22 +223,18 @@ def is_well_formed_element(complex_: FreeDirectedComplex, v: Multiset) -> bool:
         complex_.require(g)
     if v.dim == 0:
         return complex_.augmentation(v) == 1
-    if not v.is_radical():
-        return False
-    struct = complex_.structure
-    members = list(v)
-    for i, y in enumerate(members):
-        for z in members[i + 1:]:
-            if not struct.neg(y).disjoint(struct.neg(z)):
-                return False
-            if not struct.pos(y).disjoint(struct.pos(z)):
-                return False
-    return True
+    t = complex_._table
+    return v.is_radical() and _spread(t, v.dim, t.mask(v.dim, v))[2]
 
 
 def extract_structure(complex_: FreeDirectedComplex) -> AdditiveParityStructure:
-    """Recover the generating structure from basis boundaries (round-trip)."""
-    return AdditiveParityStructure({
-        g: complex_.boundary_of(g).parts() if g.dim else ((), ())
-        for g in complex_.structure.all_generators()
-    })
+    """Recover the generating structure from basis boundaries (round-trip):
+    a generator's faces are the negative and positive parts of its row."""
+    t, faces = complex_._table, {}
+    for d, (gens, rows) in enumerate(zip(t.gens, complex_._rows)):
+        for g, row in zip(gens, rows):
+            parts: tuple[dict, dict] = ({}, {})  # negative, positive; a row has no zero entry
+            for j, c in row.items():
+                parts[c > 0][t.gens[d - 1][j]] = abs(c)
+            faces[g] = tuple(Multiset(d - 1, part) for part in parts) if d else ((), ())
+    return AdditiveParityStructure(faces)

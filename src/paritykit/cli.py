@@ -22,8 +22,8 @@ from .parity_core import (
     CLASS_PARITY_COMPLEX,
     CLASS_WEAK,
     CycleWitness,
+    ParityStructure,
     ValidationReport,
-    _additive_view,
     validate,
 )
 
@@ -263,7 +263,8 @@ def _cmd_roundtrip(args) -> int:
     from .chain import extract_structure, from_structure
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     struct = fixture.value
-    same = extract_structure(from_structure(struct)) == _additive_view(struct)
+    additive = struct.to_additive() if isinstance(struct, ParityStructure) else struct
+    same = extract_structure(from_structure(struct)) == additive
     if args.format == "structured":
         _emit_structured({"name": fixture.name, "isomorphic": same})
     else:

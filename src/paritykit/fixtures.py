@@ -27,6 +27,10 @@ KIND_CELL = "cell"
 KIND_MORPHISM = "morphism"
 KINDS = (KIND_PARITY, KIND_ADDITIVE, KIND_CELL, KIND_MORPHISM)
 
+#: Largest dimension of a structure element, four times globe(16)'s: the
+#: work and output of validation grow with the largest dimension.
+MAX_DIM = 64
+
 
 class FixtureError(ValueError):
     """The text is not a well-formed fixture of a supported schema."""
@@ -89,8 +93,9 @@ def _parse_elements(payload: Mapping, where: str) -> list[tuple[str, int, list, 
             raise FixtureError(f"{where}: element missing {exc}")
         if not isinstance(name, str) or not _is_int(dim):
             raise FixtureError(f"{where}: element id must be a string and dim an integer")
-        if dim < 0:
-            raise FixtureError(f"{where}/{name}: dim must be >= 0, got {dim}")
+        if not 0 <= dim <= MAX_DIM:
+            bound = ">= 0" if dim < 0 else f"at most {MAX_DIM}"
+            raise FixtureError(f"{where}/{name}: dim must be {bound}, got {dim}")
         neg = _face_counts(el.get("neg", []), f"{where}/{name}")
         pos = _face_counts(el.get("pos", []), f"{where}/{name}")
         rows.append((name, dim, neg, pos))

@@ -17,7 +17,7 @@ from .parity_core import (
     CLASS_WEAK,
     Structure,
     StructureError,
-    _additive_view,
+    _face_table,
     is_well_formed,
     moves,
     skeleton,
@@ -161,18 +161,15 @@ def validate_morphism(f: GradedMorphism, mode: str | None = None) -> MorphismRep
     if mode == "additive":
         _require_level(f.source, CLASS_ADDITIVE, "source", mode)
         _require_level(f.target, CLASS_ADDITIVE, "target", mode)
-        source = _additive_view(f.source)
-        target = f.target
-        for g in source.all_generators():
-            if g.dim == 0:
-                continue
-            m = f.apply_multiset(source.neg(g))
-            p = f.apply_multiset(source.pos(g))
-            if not moves(target, f.image(g), m, p, mode="additive"):
-                failures.append(
-                    f"image of {g.name} does not move the image of its faces: "
-                    f"{f.image(g)} vs {m} -> {p}"
-                )
+        t = _face_table(f.source)
+        for d in range(1, len(t.gens)):
+            for g, neg, pos in zip(t.gens[d], t.neg[d], t.pos[d]):
+                m, p = (f.apply_multiset(t.multiset(d - 1, dict(row))) for row in (neg, pos))
+                if not moves(f.target, f.image(g), m, p, mode="additive"):
+                    failures.append(
+                        f"image of {g.name} does not move the image of its faces: "
+                        f"{f.image(g)} vs {m} -> {p}"
+                    )
     else:
         _require_level(f.source, CLASS_WEAK, "source", mode)
         _require_level(f.target, CLASS_WEAK, "target", mode)
@@ -264,11 +261,18 @@ def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
     return CellTable(neg, pos)
 
 
+def _same_faces(a: FreeDirectedComplex, b: FreeDirectedComplex) -> bool:
+    """Same generators and face rows, as a parity structure and its view have."""
+    s, t = a._table, b._table
+    return s is t or (s.gens, s.neg, s.pos) == (t.gens, t.neg, t.pos)
+
+
 class ChainMap:
     """Induced map of free directed complexes, checked on construction.
 
     Commutes with the boundaries on every generator; preserves the
-    canonical augmentations when the morphism is normal.
+    canonical augmentations when the morphism is normal.  Equality and
+    composability compare face tables, not structure classes.
     """
 
     def __init__(self, source: FreeDirectedComplex, target: FreeDirectedComplex,
@@ -309,7 +313,7 @@ class ChainMap:
         return SignedVector(v.dim, out)
 
     def then(self, other: ChainMap) -> ChainMap:
-        if self._target.structure != other._source.structure:
+        if not _same_faces(self._target, other._source):
             raise MorphismError("chain maps are not composable")
         images = {g: other.apply(v) for g, v in self._images.items()}
         return ChainMap(self._source, other._target, images)
@@ -318,8 +322,8 @@ class ChainMap:
         if not isinstance(other, ChainMap):
             return NotImplemented
         return (
-            self._source.structure == other._source.structure
-            and self._target.structure == other._target.structure
+            _same_faces(self._source, other._source)
+            and _same_faces(self._target, other._target)
             and self._images == other._images
         )
 

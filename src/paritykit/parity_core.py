@@ -54,11 +54,11 @@ class _GradedStructure:
     that the report's `disjoint` flag is informative.
 
     Structures are immutable, so what is derived from the whole of one
-    (its validation report, its free complex, its integer face table,
-    and the additive view of a parity structure) is computed once and
-    kept on it.  Subset checks on an additive structure read the
-    ``subset`` flag of its face table.  Equality ignores these caches
-    and holds only between structures of the same class.
+    (its validation report, its free complex and its integer face table)
+    is computed once and kept on it.  Subset checks on an additive
+    structure read the ``subset`` flag of its face table.  Equality
+    ignores these caches and holds only between structures of the same
+    class.
     ``_by_key`` maps each id to itself; since an id equals its
     ``(dim, name)`` tuple, it also answers lookups by that tuple.
     """
@@ -71,7 +71,6 @@ class _GradedStructure:
     def __init__(self, faces: Mapping[GeneratorId, tuple]):
         self._report: ValidationReport | None = None  # filled by validate
         self._complex = None  # filled by chain.from_structure
-        self._additive: AdditiveParityStructure | None = None  # filled by _additive_view
         self._table: _FaceTable | None = None  # filled by _face_table
         by_dim: dict[int, list[GeneratorId]] = {}
         for g in faces:
@@ -250,17 +249,6 @@ class ParityStructure(_GradedStructure):
 Structure = AdditiveParityStructure | ParityStructure
 
 
-def _additive_view(struct: Structure) -> AdditiveParityStructure:
-    """The structure itself, or the (cached) count-1 view of a parity structure."""
-    if not isinstance(struct, ParityStructure):
-        return struct
-    view = struct._additive
-    if view is None:
-        view = struct._additive = struct.to_additive()
-        view._table = struct._table  # the same rows: a parity face counts 1
-    return view
-
-
 # ---------------------------------------------------------------------------
 # the integer face table
 
@@ -332,6 +320,15 @@ def _face_table(struct: Structure) -> _FaceTable:
     return table
 
 
+def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], dict[int, int]]]:
+    """The 1-generators whose negative or positive faces are not a single
+    0-generator, each with those faces as index -> count dicts."""
+    for g, neg, pos in zip(t.gens[1], t.neg[1], t.pos[1]) if len(t.gens) > 1 else ():
+        neg, pos = dict(neg), dict(pos)
+        if sum(neg.values()) != 1 or sum(pos.values()) != 1:
+            yield g, neg, pos
+
+
 def _images(t: _FaceTable, d: int, counts: Iterable[tuple[int, int]]) -> tuple[dict, dict]:
     """Count-weighted sums of the negative and positive face rows of (index, count) pairs."""
     neg, pos = {}, {}
@@ -381,10 +378,15 @@ def _columns(t: _FaceTable, d: int, i: int) -> tuple[list[dict], list[dict]]:
     (negative, positive) rows of index -> count dicts, levels 0..d."""
     neg_row, pos_row = [{i: 1}], [{i: 1}]
     for k in range(d, 0, -1):
-        neg, pos = _images(t, k, neg_row[-1].items())
-        neg_row.append(_minus(neg, pos))
-        neg, pos = _images(t, k, pos_row[-1].items())
-        pos_row.append(_minus(pos, neg))
+        negs, poss = t.neg[k], t.pos[k]
+        for row, sign in ((neg_row, -1), (pos_row, 1)):
+            boundary: dict[int, int] = {}  # the signed boundary of the level above
+            for x, c in row[-1].items():
+                for j, e in poss[x]:
+                    boundary[j] = boundary.get(j, 0) + c * e
+                for j, e in negs[x]:
+                    boundary[j] = boundary.get(j, 0) - c * e
+            row.append({j: sign * c for j, c in boundary.items() if sign * c > 0})
     return neg_row[::-1], pos_row[::-1]
 
 
@@ -700,12 +702,8 @@ def _validate(struct: Structure) -> ValidationReport:
 
     # Normality: faces of 1-generators are singleton subsets.
     normal = True
-    for i, g in enumerate(struct.generators(1)):
-        neg, pos = dict(negs[1][i]), dict(poss[1][i])
-        if sum(neg.values()) != 1 or sum(pos.values()) != 1:
-            normal = fail(
-                "normal", g, f"faces of {g.name} are {t.text(0, neg)} and {t.text(0, pos)}, not singletons"
-            )
+    for g, neg, pos in _non_normal(t):
+        normal = fail("normal", g, f"faces of {g.name} are {t.text(0, neg)} and {t.text(0, pos)}, not singletons")
 
     # Atom columns of every generator, by node, read by the additive
     # unitality check and by Steiner loop-freeness.

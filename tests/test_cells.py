@@ -521,9 +521,9 @@ class TestComputedOncePerStructure:
             assert cells.validate_cell(struct, t) == (True, None)
             assert cells.generated_by_atoms(struct, t) is not None
         cells.atom_closure(struct, 2)
-        # the parity structure (for the weak gate) and its additive view
-        # (for excision), once each
-        assert calls == [struct, from_structure(struct).structure]
+        # the parity structure, once: the weak gate and excision share its
+        # report, and excision reads additive globularity as dd = 0
+        assert calls == [struct]
 
     def test_excision_checks_the_additive_view(self):
         # subset-globular, not additively globular (the faces are not
@@ -549,8 +549,8 @@ class TestComputedOncePerStructure:
         assert from_structure(struct) is complex_
         copy = skeleton(struct, struct.max_dim)
         assert copy == struct and copy is not struct
-        fresh = FreeDirectedComplex(copy.to_additive() if kind == "parity" else copy)
-        assert complex_.structure == fresh.structure
+        fresh = FreeDirectedComplex(copy)
+        assert complex_.structure is struct and fresh.structure is copy
         assert complex_.augmented == fresh.augmented
         gens = [g for g in struct.all_generators() if g.dim >= 1]
         assert [complex_.boundary_of(g) for g in gens] == [fresh.boundary_of(g) for g in gens]

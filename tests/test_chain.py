@@ -14,7 +14,7 @@ from paritykit.chain import (
 from paritykit.generators import oriental
 from paritykit.morphisms import ChainMap
 from paritykit.multiset import MAX_COUNT, Multiset, SignedVector
-from paritykit.parity_core import AdditiveParityStructure, _additive_view, iterated_boundaries
+from paritykit.parity_core import AdditiveParityStructure, ParityStructure, iterated_boundaries
 
 
 def vec(struct, dim, **entries):
@@ -64,7 +64,7 @@ class TestBoundary:
 
 def doubled(struct):
     """Two disjoint copies of a structure, generator names suffixed a and b."""
-    additive = _additive_view(struct)
+    additive = struct.to_additive() if isinstance(struct, ParityStructure) else struct
     rows = []
     for suffix in "ab":
         for g in additive.all_generators():

@@ -81,6 +81,22 @@ class TestValidate:
     def test_missing_file_exits_2(self, capsys):
         assert main(["validate", "/does/not/exist.json"]) == 2
 
+    @pytest.mark.parametrize("command", [["validate"], ["chain", "--check"], ["roundtrip"]])
+    def test_dim_beyond_max_dim_exits_2(self, capsys, tmp_path, command):
+        # refused at load: otherwise the per-level work grows with the dimension
+        doc = {
+            "schema_version": 1,
+            "name": "deep",
+            "kind": "parity_structure",
+            "payload": {"elements": [{"id": "x", "dim": 100000, "neg": [], "pos": []}]},
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: deep/x: dim must be at most 64, got 100000\n"
+
     def test_count_beyond_a_machine_word_exits_2(self, capsys, tmp_path):
         doc = {
             "schema_version": 1,
@@ -247,6 +263,10 @@ class TestChainRoundtripFreeness:
         )
         assert main(["roundtrip", str(path)]) == 0
         assert len(built) == 1
+        path.write_text(fixtures.dumps(oriental(3).to_additive(), name="oriental-3"))
+        built.clear()
+        assert main(["roundtrip", str(path)]) == 0
+        assert built == []
 
     def test_freeness(self, capsys, oriental2_file):
         assert main(["freeness", oriental2_file, "--max-dim", "2"]) == 0
@@ -589,5 +609,123 @@ class TestCellContractFuzz:
                     code = main(argv)
                 assert code in (0, 1, 2), argv
                 assert (code == 2) == bool(err.getvalue()), (argv, err.getvalue())
+                exits.add(code)
+        assert exits == {0, 1, 2}
+
+
+class TestMorphismContractFuzz:
+    """Seeded single-field mutations of morphism fixtures, run through
+    morphism validate, compose and apply: the exit code is 0, 1 or 2,
+    nothing escapes, and stderr is written exactly on exit 2."""
+
+    @staticmethod
+    def documents():
+        """(morphism document, cell documents over its source): coface maps
+        of orientals and identities, in both modes, over parity and
+        additive structures, and the frozen maps."""
+        from paritykit import cells
+        from paritykit.generators import cube, globe
+        from paritykit.morphisms import GradedMorphism, identity_morphism
+        from paritykit.multiset import Multiset
+
+        def coface(source, target, skip, mode):
+            shift = lambda name: "".join(str(int(v) + (int(v) >= skip)) for v in name)
+            images = {g: Multiset.of(target.gen(shift(g.name), g.dim)) for g in source.all_generators()}
+            return GradedMorphism(source, target, images, mode)
+
+        maps = [fixtures.loads(Path(path).read_text()).value for path in (MORPHISM, COLLAPSE)]
+        for mode in ("weak_parity", "additive"):
+            for n in (1, 2, 3):
+                maps += [coface(oriental(n - 1), oriental(n), skip, mode) for skip in (0, n)]
+                maps.append(coface(oriental(n - 1).to_additive(), oriental(n).to_additive(), n, mode))
+            maps += [identity_morphism(s, mode) for s in (globe(2), cube(2), cube(2).to_additive())]
+            maps.append(identity_morphism(fixtures.loads(Path(CIRCLE).read_text()).value, mode))
+        out = []
+        for f in maps:
+            atoms = [
+                cells.atom(f.source, g) if g.dim else cells.cell_zero(f.source, g) for g in f.source.all_generators()
+            ]
+            out.append((json.loads(fixtures.dumps(f, name="f")), [fixtures.dumps(c, name="c") for c in atoms]))
+        return out
+
+    @staticmethod
+    def mutate(doc, rng):
+        """Change the mode, one image, one element of the source or the
+        target, or the fixture kind; or, as often, nothing."""
+        field = rng.choice(("mode", "image", "source", "target", "kind", None, None, None))
+        payload = doc["payload"]
+        if field == "kind":
+            doc["kind"] = rng.choice(["parity_structure", "cell", "bogus", None, 3])
+        elif field == "mode":
+            payload["mode"] = rng.choice(["additive", "weak_parity", "bogus", None, 3])
+        elif field == "image":
+            assignment = payload["assignment"]
+            dim = rng.choice(sorted(assignment))
+            name = rng.choice(sorted(assignment[dim]))
+            image = assignment[dim][name]
+            names = [el["id"] for el in payload["target"]["elements"] if str(el["dim"]) == dim]
+            other = rng.choice(names or ["nope"])
+            choice = rng.randrange(12)
+            if choice == 0:
+                del assignment[dim][name]
+            elif choice == 1:
+                assignment[dim]["nope"] = [other]
+            elif choice == 2:
+                assignment[str(int(dim) + 1)] = {name: [other]}
+            elif choice == 3:
+                assignment["x"] = {}
+            else:
+                assignment[dim][name] = rng.choice([
+                    [], image + [other], image + ["nope"], image + image, [[other, 2]], [[other, -1]],
+                    [[other, 2**63 - 1]], [[other, 2**63]], {other: 1}, "x", None, [[other]],
+                ])
+        elif field is not None:
+            side = payload[field]
+            elements = side["elements"]
+            element = rng.choice(elements)
+            other = rng.choice(elements)["id"]
+            key = rng.choice(("neg", "pos", "dim", "id", "kind"))
+            if key == "kind":
+                side["kind"] = rng.choice(["parity_structure", "additive_parity_structure", "cell", None])
+            elif key == "id":
+                element["id"] = rng.choice([other, "", "fresh", 7, None])
+            elif key == "dim":
+                element["dim"] = rng.choice([element["dim"] - 1, element["dim"] + 1, -1, 65, "1", None, True])
+            else:
+                faces = element.get(key, [])
+                element[key] = rng.choice([
+                    [], faces + [other], faces + ["nope"], faces + faces, [[other, 2]], [[other, 0]],
+                    {other: 1}, "x", None,
+                ])
+
+    def test_mutated_morphism_fixtures_keep_the_exit_contract(self, tmp_path):
+        import contextlib
+        import io
+        import random
+
+        rng = random.Random(12)
+        base = self.documents()
+        first, second, cell = (tmp_path / f"{n}.json" for n in ("f", "g", "c"))
+        exits = set()
+        for _ in range(150):
+            doc, atoms = rng.choice(base)
+            doc = json.loads(json.dumps(doc))
+            self.mutate(doc, rng)
+            first.write_text(json.dumps(doc))
+            other, _ = rng.choice(base)
+            second.write_text(json.dumps(rng.choice([doc, other])))
+            cell.write_text(rng.choice(atoms))
+            fmt = rng.choice(["text", "structured"])
+            for argv in (
+                ["morphism", "validate", str(first), "--format", fmt],
+                ["morphism", "validate", str(first), "--mode", rng.choice(["additive", "weak_parity"])],
+                ["morphism", "compose", str(first), str(second)],
+                ["morphism", "apply", str(first), "--cell", str(cell), "--format", fmt],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), argv
+                assert (code == 2) == bool(err.getvalue()), (argv, doc, err.getvalue())
                 exits.add(code)
         assert exits == {0, 1, 2}

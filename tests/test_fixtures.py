@@ -176,6 +176,22 @@ class TestOnlyFixtureErrors:
         with pytest.raises(fixtures.FixtureError, match="bad/a: dim must be >= 0"):
             fixtures.loads(_structure_doc([{"id": "a", "dim": -1}]))
 
+    def test_dim_above_max_dim(self):
+        with pytest.raises(fixtures.FixtureError, match="^bad/a: dim must be at most 64, got 65$"):
+            fixtures.loads(_structure_doc([{"id": "a", "dim": fixtures.MAX_DIM + 1}]))
+
+    def test_dim_at_max_dim_loads(self):
+        assert fixtures.loads(_structure_doc([{"id": "a", "dim": fixtures.MAX_DIM}])).value.max_dim == 64
+
+    def test_dim_above_max_dim_in_a_morphism_source(self):
+        from paritykit.generators import globe
+        from paritykit.morphisms import identity_morphism
+
+        doc = json.loads(fixtures.dumps(identity_morphism(globe(1)), name="m"))
+        doc["payload"]["source"]["elements"][0]["dim"] = 100000
+        with pytest.raises(fixtures.FixtureError, match="^m/source/.*: dim must be at most 64, got 100000$"):
+            fixtures.loads(json.dumps(doc))
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_boolean_dim(self, flag):
         with pytest.raises(fixtures.FixtureError, match="dim an integer"):

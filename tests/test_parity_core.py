@@ -16,7 +16,6 @@ from paritykit.parity_core import (
     ParityStructure,
     StructureError,
     UnknownGeneratorError,
-    _additive_view,
     atom_faces,
     face_images,
     is_well_formed,
@@ -538,22 +537,27 @@ class TestValidationIsComputedOnce:
         assert first.to_payload() == fresh.to_payload()
 
 
-class TestAdditiveViewIsBuiltOnce:
-    def test_same_view_on_every_call(self):
-        p = oriental(3)
-        view = _additive_view(p)
-        assert _additive_view(p) is view
-        assert view == p.to_additive() and view is not p.to_additive()
+class TestNoAdditiveViewIsBuilt:
+    def test_no_to_additive_call(self, monkeypatch):
+        from paritykit.chain import check_complex, extract_structure, from_structure
 
-    def test_additive_input_is_its_own_view(self):
-        a = oriental(2).to_additive()
-        assert _additive_view(a) is a
+        calls = []
+        original = ParityStructure.to_additive
+        monkeypatch.setattr(ParityStructure, "to_additive", lambda self: calls.append(self) or original(self))
+        p = oriental(3)
+        complex_ = from_structure(p)
+        assert check_complex(complex_).unital
+        assert complex_.structure is p
+        assert calls == []
+        assert extract_structure(complex_) == original(p)
 
     def test_equality_ignores_the_cache(self):
-        viewed, fresh = oriental(2), oriental(2)
-        _additive_view(viewed)
-        assert viewed == fresh and fresh == viewed
-        assert _additive_view(viewed) == _additive_view(fresh)
+        from paritykit.chain import from_structure
+
+        complexed, fresh = oriental(2), oriental(2)
+        from_structure(complexed)
+        assert complexed == fresh and fresh == complexed
+        assert complexed.to_additive() == fresh.to_additive()
 
 
 class TestAtomColumnsAreBuiltOnce:
@@ -637,7 +641,7 @@ class TestFaceHelpersMatchTheMultisetAlgorithms:
             struct = randstruct.random_additive_structure(rng, max_gens=16, max_dim=4)
         else:
             struct = randstruct.random_structure(kind, rng)
-        additive = _additive_view(struct)
+        additive = struct.to_additive() if kind == "parity" else struct
         for gen in struct.all_generators():
             assert iterated_boundaries(additive, gen) == oracle_iterated_boundaries(additive, gen)
             if kind == "parity":

@@ -36,7 +36,6 @@ from .parity_core import (
     Structure,
     StructureError,
     _bits,
-    _face_table,
     atom_faces,
     iterated_boundaries,
     validate,
@@ -303,7 +302,7 @@ class _Columns:
     """
 
     def __init__(self, struct: Structure):
-        self.faces = _face_table(struct)
+        self.faces = struct._table
         self._columns: dict[tuple[int, int], Multiset] = {}
 
     def column(self, dim: int, mask: int) -> Multiset:
@@ -392,7 +391,7 @@ def _mask_cells(struct: Structure, max_dim: int) -> list[_MaskCell]:
     for i in range(len(struct.generators(0))):
         emit(((1 << i,), (1 << i,)))
 
-    faces = _face_table(struct)
+    faces = struct._table
     start = 0
     for d in range(1, max_dim + 1):
         moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(struct.generators(d)))]

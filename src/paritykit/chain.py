@@ -18,7 +18,6 @@ from .parity_core import (
     Structure,
     StructureError,
     _columns,
-    _face_table,
     _FaceTable,
     _non_normal,
     _spread,
@@ -78,7 +77,7 @@ class FreeDirectedComplex:
 
     def __init__(self, structure: Structure):
         self._structure = structure
-        self._table = t = _face_table(structure)
+        self._table = t = structure._table
         self._rows = [[_signed(neg, pos) for neg, pos in zip(*level)] for level in zip(t.neg, t.pos)]
         self._vectors = _Boundaries(t, self._rows)
         self._augmented = next(_non_normal(t), None) is None
@@ -230,11 +229,8 @@ def is_well_formed_element(complex_: FreeDirectedComplex, v: Multiset) -> bool:
 def extract_structure(complex_: FreeDirectedComplex) -> AdditiveParityStructure:
     """Recover the generating structure from basis boundaries (round-trip):
     a generator's faces are the negative and positive parts of its row."""
-    t, faces = complex_._table, {}
-    for d, (gens, rows) in enumerate(zip(t.gens, complex_._rows)):
-        for g, row in zip(gens, rows):
-            parts: tuple[dict, dict] = ({}, {})  # negative, positive; a row has no zero entry
-            for j, c in row.items():
-                parts[c > 0][t.gens[d - 1][j]] = abs(c)
-            faces[g] = tuple(Multiset(d - 1, part) for part in parts) if d else ((), ())
-    return AdditiveParityStructure(faces)
+    neg, pos = [], []
+    for rows in complex_._rows:
+        neg.append([tuple(sorted((j, -c) for j, c in row.items() if c < 0)) for row in rows])
+        pos.append([tuple(sorted((j, c) for j, c in row.items() if c > 0)) for row in rows])
+    return AdditiveParityStructure._of(_FaceTable(complex_._table.gens, neg, pos))

@@ -3,14 +3,16 @@
 Face data serializes as a sorted array of names when every count is 1,
 and as sorted [name, count] pairs otherwise; parsers accept either form
 (and mixtures).  Emission is canonical, so parse(print(x)) == x and
-output bytes are deterministic.
+output bytes are deterministic: they are those of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
+from json.encoder import encode_basestring_ascii as _encode
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .multiset import MAX_COUNT, GeneratorId, Multiset
 from .parity_core import AdditiveParityStructure, ParityStructure, Structure
@@ -50,84 +52,76 @@ class Fixture(NamedTuple):
 # as a FixtureError naming where in the document it happened.
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer; booleans are ints to Python but not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _face_counts(data: Any, where: str) -> list[tuple[str, int]]:
-    if not isinstance(data, list):
+def _check_faces(data: Any, where: str) -> bool:
+    """Check face entries (names, or [name, count] pairs); true when all are names."""
+    if type(data) is not list:
         raise FixtureError(f"{where}: faces must be an array")
-    out: list[tuple[str, int]] = []
+    names = True
     for entry in data:
-        if isinstance(entry, str):
-            out.append((entry, 1))
-        elif (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and isinstance(entry[0], str)
-            and _is_int(entry[1])
-        ):
-            if not 1 <= entry[1] <= MAX_COUNT:
-                raise FixtureError(
-                    f"{where}: count of {entry[0]!r} must be between 1 and {MAX_COUNT}, got {entry[1]}"
-                )
-            out.append((entry[0], entry[1]))
-        else:
+        if type(entry) is str:
+            continue
+        if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not str or type(entry[1]) is not int:
             raise FixtureError(f"{where}: face entries must be names or [name, count] pairs")
-    return out
+        if not 1 <= entry[1] <= MAX_COUNT:
+            raise FixtureError(
+                f"{where}: count of {entry[0]!r} must be between 1 and {MAX_COUNT}, got {entry[1]}"
+            )
+        names = False
+    return names
 
 
-def _parse_elements(payload: Mapping, where: str) -> list[tuple[str, int, list, list]]:
+def _parse_elements(payload: dict, where: str) -> tuple[list[tuple[str, int, list, list]], bool]:
+    """The (name, dim, neg, pos) rows of a structure payload, and whether
+    every face entry is a name."""
     elements = payload.get("elements")
-    if not isinstance(elements, list):
+    if type(elements) is not list:
         raise FixtureError(f"{where}: payload needs an 'elements' array")
-    rows = []
+    rows, names = [], True
     for el in elements:
-        if not isinstance(el, Mapping):
+        if type(el) is not dict:
             raise FixtureError(f"{where}: elements must be objects")
         try:
             name = el["id"]
             dim = el["dim"]
         except KeyError as exc:
             raise FixtureError(f"{where}: element missing {exc}")
-        if not isinstance(name, str) or not _is_int(dim):
+        if type(name) is not str or type(dim) is not int:
             raise FixtureError(f"{where}: element id must be a string and dim an integer")
         if not 0 <= dim <= MAX_DIM:
             bound = ">= 0" if dim < 0 else f"at most {MAX_DIM}"
             raise FixtureError(f"{where}/{name}: dim must be {bound}, got {dim}")
-        neg = _face_counts(el.get("neg", []), f"{where}/{name}")
-        pos = _face_counts(el.get("pos", []), f"{where}/{name}")
+        neg, pos, at = el.get("neg", []), el.get("pos", []), f"{where}/{name}"
+        names &= _check_faces(neg, at) & _check_faces(pos, at)
         rows.append((name, dim, neg, pos))
-    return rows
+    return rows, names
 
 
-def _structure_from_payload(kind: str, payload: Mapping, where: str) -> Structure:
-    rows = _parse_elements(payload, where)
-    if kind == KIND_PARITY:
+def _structure_from_payload(kind: str, payload: dict, where: str) -> Structure:
+    rows, names = _parse_elements(payload, where)
+    if kind == KIND_PARITY and not names:
+        # subset faces: a [name, count] pair must count 1, and becomes its name
         for name, _, neg, pos in rows:
-            for fname, count in neg + pos:
-                if count != 1:
-                    raise FixtureError(
-                        f"{where}/{name}: parity structures have subset faces; "
-                        f"{fname!r} has count {count}"
-                    )
+            for faces in (neg, pos):
+                for k, entry in enumerate(faces):
+                    if type(entry) is list:
+                        if entry[1] != 1:
+                            raise FixtureError(
+                                f"{where}/{name}: parity structures have subset faces; "
+                                f"{entry[0]!r} has count {entry[1]}"
+                            )
+                        faces[k] = entry[0]
     try:
-        if kind == KIND_PARITY:
-            return ParityStructure.build(
-                [(n, d, [f for f, _ in neg], [f for f, _ in pos]) for n, d, neg, pos in rows]
-            )
-        return AdditiveParityStructure.build(rows)
+        return (ParityStructure if kind == KIND_PARITY else AdditiveParityStructure).build(rows)
     except (ValueError, OverflowError) as exc:
         raise FixtureError(f"{where}: {exc}")
 
 
-def _cell_from_payload(payload: Mapping, where: str) -> CellTable:
+def _cell_from_payload(payload: dict, where: str) -> CellTable:
     from .cells import CellTable
     dim = payload.get("dim")
     neg = payload.get("neg")
     pos = payload.get("pos")
-    if not _is_int(dim) or not isinstance(neg, list) or not isinstance(pos, list):
+    if type(dim) is not int or type(neg) is not list or type(pos) is not list:
         raise FixtureError(f"{where}: cell payload needs integer 'dim' and 'neg'/'pos' arrays")
     if dim < 0:
         raise FixtureError(f"{where}: cell dimension must be >= 0, got {dim}")
@@ -136,10 +130,11 @@ def _cell_from_payload(payload: Mapping, where: str) -> CellTable:
 
     def column(k: int, data: Any, row: str) -> Multiset:
         at = f"{where}/{row}[{k}]"
-        pairs = _face_counts(data, at)
+        _check_faces(data, at)
         counts: dict[GeneratorId, int] = {}
         try:
-            for name, count in pairs:
+            for entry in data:
+                name, count = (entry, 1) if type(entry) is str else entry
                 g = GeneratorId(k, name)
                 counts[g] = counts.get(g, 0) + count
             return Multiset(k, counts)
@@ -152,7 +147,7 @@ def _cell_from_payload(payload: Mapping, where: str) -> CellTable:
     )
 
 
-def _morphism_from_payload(payload: Mapping, where: str) -> GradedMorphism:
+def _morphism_from_payload(payload: dict, where: str) -> GradedMorphism:
     from .morphisms import GradedMorphism
     for key in ("source", "target", "assignment"):
         if key not in payload:
@@ -161,7 +156,7 @@ def _morphism_from_payload(payload: Mapping, where: str) -> GradedMorphism:
 
     def sub_structure(key: str) -> Structure:
         sub = payload[key]
-        if not isinstance(sub, Mapping):
+        if type(sub) is not dict:
             raise FixtureError(f"{where}/{key}: must be an object")
         kind = sub.get("kind", KIND_PARITY)
         if kind not in (KIND_PARITY, KIND_ADDITIVE):
@@ -171,23 +166,26 @@ def _morphism_from_payload(payload: Mapping, where: str) -> GradedMorphism:
     source = sub_structure("source")
     target = sub_structure("target")
     raw = payload["assignment"]
-    if not isinstance(raw, Mapping):
+    if type(raw) is not dict:
         raise FixtureError(f"{where}: assignment must map dimensions to objects")
     assignment: dict[GeneratorId, Multiset] = {}
     for dim_key, per_dim in raw.items():
         try:
             dim = int(dim_key)
         except ValueError:
+            dim = None
+        if str(dim) != dim_key:  # only str(dim) itself, so that no two keys name one dimension
             raise FixtureError(f"{where}: assignment keys must be dimensions, got {dim_key!r}")
-        if not isinstance(per_dim, Mapping):
+        if type(per_dim) is not dict:
             raise FixtureError(f"{where}: assignment[{dim_key}] must be an object")
         for name, faces in per_dim.items():
             at = f"{where}/assignment/{dim_key}/{name}"
-            pairs = _face_counts(faces, at)
+            _check_faces(faces, at)
             counts: dict[GeneratorId, int] = {}
             try:
                 gen = source.gen(name, dim)
-                for fname, count in pairs:
+                for entry in faces:
+                    fname, count = (entry, 1) if type(entry) is str else entry
                     h = target.gen(fname, dim)
                     counts[h] = counts.get(h, 0) + count
                 assignment[gen] = Multiset(dim, counts)
@@ -205,7 +203,7 @@ def loads(text: str) -> Fixture:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FixtureError(f"not valid JSON: {exc}")
-    if not isinstance(doc, Mapping):
+    if type(doc) is not dict:
         raise FixtureError("fixture must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -214,10 +212,10 @@ def loads(text: str) -> Fixture:
     if kind not in KINDS:
         raise FixtureError(f"unknown fixture kind {kind!r}")
     name = doc.get("name", "")
-    if not isinstance(name, str):
+    if type(name) is not str:
         raise FixtureError("fixture name must be a string")
     payload = doc.get("payload")
-    if not isinstance(payload, Mapping):
+    if type(payload) is not dict:
         raise FixtureError("fixture needs a 'payload' object")
     where = name or kind
     if kind in (KIND_PARITY, KIND_ADDITIVE):
@@ -238,22 +236,28 @@ def load_path(path) -> Fixture:
 # writing
 
 
-def _faces_payload(faces: Multiset | frozenset[GeneratorId]) -> list:
+def _faces_payload(faces: Multiset) -> list:
     """Names in name order, or [name, count] pairs if a count is 2 or more."""
-    if isinstance(faces, frozenset):
-        return sorted(g.name for g in faces)
     if faces.is_radical():
         return [g.name for g in faces]
     return [[g.name, c] for g, c in faces.items()]
 
 
+def _row_payload(names: list[str], row: tuple) -> list:
+    """A face-table row in the form of ``_faces_payload``: the row's
+    indices follow name order."""
+    if all(c == 1 for _, c in row):
+        return [names[j] for j, _ in row]
+    return [[names[j], c] for j, c in row]
+
+
 def structure_payload(struct: Structure) -> dict:
-    elements = []
-    for g in struct.all_generators():
-        neg = _faces_payload(struct.neg(g)) if g.dim else []
-        pos = _faces_payload(struct.pos(g)) if g.dim else []
-        elements.append({"id": g.name, "dim": g.dim, "neg": neg, "pos": pos})
-    elements.sort(key=lambda el: (el["dim"], el["id"]))
+    t, elements, names = struct._table, [], []
+    for d, gens in enumerate(t.gens):
+        for g, neg, pos in zip(gens, t.neg[d], t.pos[d]):
+            neg, pos = _row_payload(names, neg), _row_payload(names, pos)
+            elements.append({"id": g.name, "dim": d, "neg": neg, "pos": pos})
+        names = [g.name for g in gens]
     return {"elements": elements}
 
 
@@ -296,13 +300,25 @@ def payload_for(value: Any) -> tuple[str, dict]:
     raise TypeError(f"no fixture form for {type(value).__name__}")
 
 
+def _text(value: Any, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a
+    fixture holds (dicts with string keys, lists, strings and ints),
+    with every line break followed by ``indent``'s spaces."""
+    if type(value) is str:
+        return _encode(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        items, brackets = [f"{_encode(k)}: {_text(value[k], inner)}" for k in sorted(value)], "{}"
+    else:
+        items, brackets = [_text(v, inner) for v in value], "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def dumps(value: Any, name: str = "") -> str:
     """Serialize to the canonical fixture text (stable bytes)."""
     kind, payload = payload_for(value)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "kind": kind,
-        "payload": payload,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _text({"schema_version": SCHEMA_VERSION, "name": name, "kind": kind, "payload": payload}) + "\n"

@@ -17,7 +17,6 @@ from .parity_core import (
     CLASS_WEAK,
     Structure,
     StructureError,
-    _face_table,
     is_well_formed,
     moves,
     skeleton,
@@ -161,7 +160,7 @@ def validate_morphism(f: GradedMorphism, mode: str | None = None) -> MorphismRep
     if mode == "additive":
         _require_level(f.source, CLASS_ADDITIVE, "source", mode)
         _require_level(f.target, CLASS_ADDITIVE, "target", mode)
-        t = _face_table(f.source)
+        t = f.source._table
         for d in range(1, len(t.gens)):
             for g, neg, pos in zip(t.gens[d], t.neg[d], t.pos[d]):
                 m, p = (f.apply_multiset(t.multiset(d - 1, dict(row))) for row in (neg, pos))
@@ -261,12 +260,6 @@ def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
     return CellTable(neg, pos)
 
 
-def _same_faces(a: FreeDirectedComplex, b: FreeDirectedComplex) -> bool:
-    """Same generators and face rows, as a parity structure and its view have."""
-    s, t = a._table, b._table
-    return s is t or (s.gens, s.neg, s.pos) == (t.gens, t.neg, t.pos)
-
-
 class ChainMap:
     """Induced map of free directed complexes, checked on construction.
 
@@ -313,7 +306,7 @@ class ChainMap:
         return SignedVector(v.dim, out)
 
     def then(self, other: ChainMap) -> ChainMap:
-        if not _same_faces(self._target, other._source):
+        if not self._target._table.same_faces(other._source._table):
             raise MorphismError("chain maps are not composable")
         images = {g: other.apply(v) for g, v in self._images.items()}
         return ChainMap(self._source, other._target, images)
@@ -322,8 +315,8 @@ class ChainMap:
         if not isinstance(other, ChainMap):
             return NotImplemented
         return (
-            _same_faces(self._source, other._source)
-            and _same_faces(self._target, other._target)
+            self._source._table.same_faces(other._source._table)
+            and self._target._table.same_faces(other._target._table)
             and self._images == other._images
         )
 

@@ -9,18 +9,20 @@ classes share one implementation and differ only in their face values.
 The validator checks, with witnesses: disjointness of face pairs,
 globularity, unitality, normality, and weak / Steiner / strong
 loop-freeness, and classifies the structure accordingly.  It runs on
-each structure's integer face table, which numbers every dimension's
-sorted generators densely and keeps faces as (index, count) rows and
-bitmasks; ids and Multisets are built only for results.
+each structure's integer face table, the structure's only face storage,
+which numbers every dimension's sorted generators densely and keeps
+faces as (index, count) rows and bitmasks; ids and Multisets are built
+only for results.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .multiset import DimensionMismatchError, GeneratorId, Multiset, _format_counts
+from .multiset import MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, _format_counts
 from .ordering import lex_topological_order
 
 
@@ -32,145 +34,173 @@ class UnknownGeneratorError(StructureError):
     """A generator is referenced that the structure does not contain."""
 
 
-class _RowIds(dict):
-    """The ids of ``build`` rows by (name, dim); a missing key is an unknown face."""
-
-    def __missing__(self, key: tuple[str, int]):
-        name, dim = key
-        raise UnknownGeneratorError(f"face {name!r} has no dimension-{dim} generator")
-
-
 class _GradedStructure:
     """A graded set with a pair of face values per generator.
 
     The two structure classes share this one implementation and differ
     only in their face values: finite subsets in ``ParityStructure``,
-    finite multisets in ``AdditiveParityStructure``.  Each class reads
-    one given face value in ``_face`` and one ``build`` row's face data
-    in ``_resolve``; everything else lives here.
+    finite multisets in ``AdditiveParityStructure``.  The integer face
+    table ``_table`` is a structure's only face storage: ``build``
+    resolves face names straight into its rows, the mapping constructor
+    converts face values into them, and ``neg``/``pos`` build a face
+    value from its row when asked.  Each class checks a given face value
+    in ``_face``, resolves a ``build`` row's faces in ``_resolve`` and
+    builds a face value in ``_value``; everything else lives here.
 
     Face references to missing generators are construction-time errors;
     face-pair disjointness is checked by the validator, not here, so
-    that the report's `disjoint` flag is informative.
-
-    Structures are immutable, so what is derived from the whole of one
-    (its validation report, its free complex and its integer face table)
-    is computed once and kept on it.  Subset checks on an additive
-    structure read the ``subset`` flag of its face table.  Equality
-    ignores these caches and holds only between structures of the same
-    class.
-    ``_by_key`` maps each id to itself; since an id equals its
-    ``(dim, name)`` tuple, it also answers lookups by that tuple.
+    that the report's `disjoint` flag is informative.  Structures are
+    immutable, so the validation report and the free complex are
+    computed once and kept on the structure.  Equality compares face
+    tables, ignores these caches and holds only within one class.
     """
 
-    _by_dim: dict[int, tuple[GeneratorId, ...]]
-    _by_key: dict[tuple[int, str], GeneratorId]
-    _neg: dict[GeneratorId, frozenset[GeneratorId] | Multiset]
-    _pos: dict[GeneratorId, frozenset[GeneratorId] | Multiset]
+    _table: _FaceTable
+    _report: ValidationReport | None = None  # set by validate
+    _complex = None  # set by chain.from_structure
 
     def __init__(self, faces: Mapping[GeneratorId, tuple]):
-        self._report: ValidationReport | None = None  # filled by validate
-        self._complex = None  # filled by chain.from_structure
-        self._table: _FaceTable | None = None  # filled by _face_table
-        by_dim: dict[int, list[GeneratorId]] = {}
-        for g in faces:
-            by_dim.setdefault(g.dim, []).append(g)
-        self._by_dim = {n: tuple(sorted(gs)) for n, gs in sorted(by_dim.items())}
-        self._by_key = {g: g for g in faces}
-        self._neg = {}
-        self._pos = {}
-        for g, (neg, pos) in faces.items():
+        gens = _graded(faces)
+        index, neg, pos = _index(gens), _no_faces(gens), _no_faces(gens)
+        for g, (n, p) in faces.items():
             if g.dim == 0:
-                if neg or pos:
+                if n or p:
                     raise StructureError(f"dimension-0 generator {g.name!r} cannot have faces")
                 continue
-            neg, pos = self._face(g, neg), self._face(g, pos)
-            for f in (*neg, *pos):
-                if f not in self._by_key:
+            n, p = self._face(g, n), self._face(g, p)
+            for f, _ in (*n, *p):
+                if f not in index:
                     raise UnknownGeneratorError(
                         f"face {f.name!r} of {g.name!r} is not a generator of the structure"
                     )
-            self._neg[g] = neg
-            self._pos[g] = pos
+            i = index[g]
+            neg[g.dim][i], pos[g.dim][i] = (tuple(sorted((index[f], c) for f, c in x)) for x in (n, p))
+        self._table = _FaceTable(gens, neg, pos)
+
+    @classmethod
+    def _of(cls, table: _FaceTable):
+        """The structure whose faces are this table's rows."""
+        struct = cls.__new__(cls)
+        struct._table = table
+        return struct
 
     @classmethod
     def build(cls, elements: Iterable[tuple[str, int, object, object]]):
-        """Build from (name, dim, neg, pos) rows; ``_resolve`` reads the faces."""
+        """Build from (name, dim, neg, pos) rows; ``_resolve`` reads the faces,
+        raising KeyError for an unknown name.
+
+        Every name is checked first, then duplicate rows, then each row's
+        faces in row order, negative before positive."""
         rows = list(elements)
-        ids = _RowIds({(name, dim): GeneratorId(dim, name) for name, dim, _, _ in rows})
+        ids = {(name, dim): GeneratorId(dim, name) for name, dim, _, _ in rows}
         if len(ids) != len(rows):
             raise StructureError("duplicate (name, dim) row")
-        faces = {}
-        for name, dim, neg, pos in rows:
-            g = ids[(name, dim)]
+        gens = _graded(ids.values())
+        # each name's count-1 row entry (index, 1), by dimension
+        units = [{g[1]: (i, 1) for i, g in enumerate(row)} for row in gens]
+        neg, pos = _no_faces(gens), _no_faces(gens)
+        for name, dim, n, p in rows:
             if dim == 0:
-                if list(neg) or list(pos):
+                if list(n) or list(p):
                     raise StructureError(f"dimension-0 generator {name!r} cannot have faces")
-                faces[g] = ((), ())
-            else:
-                faces[g] = (cls._resolve(ids, dim - 1, neg), cls._resolve(ids, dim - 1, pos))
-        return cls(faces)
+                continue
+            i = units[dim][name][0]
+            try:
+                neg[dim][i], pos[dim][i] = cls._resolve(units[dim - 1], gens[dim - 1], dim - 1, n, p)
+            except KeyError as exc:
+                missing = exc.args[0]
+                raise UnknownGeneratorError(f"face {missing!r} has no dimension-{dim - 1} generator") from None
+        return cls._of(_FaceTable(gens, neg, pos))
 
     @property
     def max_dim(self) -> int:
         """Largest dimension holding a generator; -1 for the empty structure."""
-        return max(self._by_dim, default=-1)
+        return len(self._table.gens) - 1
 
     def dims(self) -> tuple[int, ...]:
-        return tuple(self._by_dim)
+        return tuple(d for d, gs in enumerate(self._table.gens) if gs)
 
     def generators(self, n: int) -> tuple[GeneratorId, ...]:
-        return self._by_dim.get(n, ())
+        return self._table.gens[n] if 0 <= n <= self.max_dim else ()
 
     def all_generators(self) -> Iterator[GeneratorId]:
-        for n in sorted(self._by_dim):
-            yield from self._by_dim[n]
+        for row in self._table.gens:
+            yield from row
 
     def __len__(self) -> int:
-        return sum(len(gs) for gs in self._by_dim.values())
+        return self._table.offset[-1]
 
     def __contains__(self, gen: GeneratorId) -> bool:
-        return gen in self._by_key
+        return gen in self._table.index
 
     def gen(self, name: str, dim: int | None = None) -> GeneratorId:
         """Look a generator up by name (and dimension, if ambiguous)."""
+        t = self._table
         if dim is not None:
-            g = self._by_key.get((dim, name))
-            if g is None:
+            i = t.index.get((dim, name))
+            if i is None:
                 raise UnknownGeneratorError(f"no generator {name!r} in dimension {dim}")
-            return g
-        hits = [g for (d, nm), g in self._by_key.items() if nm == name]
+            return t.gens[dim][i]
+        hits = [t.gens[d][t.index[d, name]] for d in range(len(t.gens)) if (d, name) in t.index]
         if not hits:
             raise UnknownGeneratorError(f"no generator named {name!r}")
         if len(hits) > 1:
-            dims = sorted(g.dim for g in hits)
+            dims = [g.dim for g in hits]
             raise StructureError(f"generator name {name!r} is ambiguous across dimensions {dims}")
         return hits[0]
 
     def require(self, gen: GeneratorId) -> None:
-        if gen not in self._by_key:
-            raise UnknownGeneratorError(f"generator {gen.name!r} (dim {gen.dim}) not in structure")
+        self._table.index[gen]  # an id the structure lacks raises
 
     def neg(self, gen: GeneratorId):
-        self.require(gen)
-        if gen.dim == 0:
-            raise StructureError(f"dimension-0 generator {gen.name!r} has no faces")
-        return self._neg[gen]
+        return self._faces(gen, self._table.neg)
 
     def pos(self, gen: GeneratorId):
-        self.require(gen)
+        return self._faces(gen, self._table.pos)
+
+    def _faces(self, gen: GeneratorId, rows: list[list[tuple]]):
+        t = self._table
+        i = t.index[gen]
         if gen.dim == 0:
             raise StructureError(f"dimension-0 generator {gen.name!r} has no faces")
-        return self._pos[gen]
+        return self._value(t, gen.dim - 1, rows[gen.dim][i])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._by_dim == other._by_dim and self._neg == other._neg and self._pos == other._pos
+        return self._table.same_faces(other._table)
 
     def __repr__(self) -> str:
-        sizes = {n: len(gs) for n, gs in self._by_dim.items()}
+        sizes = {n: len(gs) for n, gs in enumerate(self._table.gens) if gs}
         return f"<{type(self).__name__} {sizes}>"
+
+
+def _graded(gens: Iterable[GeneratorId]) -> list[tuple[GeneratorId, ...]]:
+    """Generators by dimension 0..max, each dimension in id order."""
+    levels = {d: tuple(row) for d, row in groupby(sorted(gens), itemgetter(0))}
+    return [levels.get(d, ()) for d in range(max(levels, default=-1) + 1)]
+
+
+def _no_faces(gens: list[tuple[GeneratorId, ...]]) -> list[list[tuple]]:
+    return [[()] * len(row) for row in gens]
+
+
+def _index(gens: list[tuple[GeneratorId, ...]]) -> _ById:
+    """Each generator's index in its dimension."""
+    index = _ById()
+    for row in gens:
+        index.update(zip(row, range(len(row))))
+    return index
+
+
+def _masks(levels: list[list[tuple]]) -> list[list[int]]:
+    """The support bitmask of every row."""
+    out = [[0] * len(level) for level in levels]
+    for masks, level in zip(out, levels):
+        for i, row in enumerate(level):
+            for j, _ in row:
+                masks[i] |= 1 << j
+    return out
 
 
 class AdditiveParityStructure(_GradedStructure):
@@ -181,36 +211,38 @@ class AdditiveParityStructure(_GradedStructure):
     """
 
     @staticmethod
-    def _face(g: GeneratorId, faces: Multiset) -> Multiset:
+    def _face(g: GeneratorId, faces: Multiset) -> tuple[tuple[GeneratorId, int], ...]:
         if faces.dim != g.dim - 1:
             raise StructureError(f"faces of {g.name!r} (dim {g.dim}) must live in dimension {g.dim - 1}")
-        return faces
+        return faces.items()
 
     @staticmethod
-    def _resolve(ids: _RowIds, dim: int, data: object) -> Multiset:
-        pairs: Iterable
-        if isinstance(data, Mapping):
-            pairs = data.items()
-        else:
-            pairs = [(d, 1) if isinstance(d, str) else tuple(d) for d in data]  # type: ignore[union-attr]
-        counts: dict[GeneratorId, int] = {}
-        for name, count in pairs:
-            g = ids[name, dim]
-            counts[g] = counts.get(g, 0) + int(count)
-        return Multiset(dim, counts)
+    def _resolve(units: dict, gens: tuple, dim: int, neg: object, pos: object) -> list[tuple]:
+        rows = []
+        for data in (neg, pos):
+            counts: dict[int, int] = {}
+            for entry in data.items() if isinstance(data, Mapping) else data:  # type: ignore[attr-defined]
+                name, count = (entry, 1) if isinstance(entry, str) else entry
+                j = units[name][0]  # an unknown name raises KeyError
+                counts[j] = counts.get(j, 0) + int(count)
+            if counts and not 0 < min(counts.values()) <= max(counts.values()) <= MAX_COUNT:
+                Multiset(dim, {gens[j]: c for j, c in counts.items()})  # raises the first bad count's error
+            rows.append(tuple(sorted(counts.items())))
+        return rows
+
+    @staticmethod
+    def _value(t: _FaceTable, k: int, row: tuple) -> Multiset:
+        return t.multiset(k, dict(row))
 
     def is_subset_valued(self) -> bool:
         """True iff every face multiset is a subset."""
-        return _face_table(self).subset
+        return self._table.subset
 
     def as_parity(self) -> ParityStructure:
         """The parity-structure view; an error if any face has count >= 2."""
         if not self.is_subset_valued():
             raise StructureError("structure has multiset faces with counts >= 2")
-        return ParityStructure({
-            g: (self._neg[g].support_set(), self._pos[g].support_set()) if g.dim else ((), ())
-            for g in self.all_generators()
-        })
+        return ParityStructure._of(self._table)
 
 
 class ParityStructure(_GradedStructure):
@@ -221,29 +253,27 @@ class ParityStructure(_GradedStructure):
     """
 
     @staticmethod
-    def _face(g: GeneratorId, faces: Iterable[GeneratorId]) -> frozenset[GeneratorId]:
+    def _face(g: GeneratorId, faces: Iterable[GeneratorId]) -> list[tuple[GeneratorId, int]]:
         faces = frozenset(faces)
         for f in faces:
             if f.dim != g.dim - 1:
                 raise StructureError(
                     f"face {f.name!r} of {g.name!r} (dim {g.dim}) must have dimension {g.dim - 1}"
                 )
-        return faces
+        return [(f, 1) for f in faces]
 
     @staticmethod
-    def _resolve(ids: _RowIds, dim: int, names: Iterable[str]) -> frozenset[GeneratorId]:
-        return frozenset([ids[name, dim] for name in names])
+    def _resolve(units: dict, gens: tuple, dim: int, neg: Iterable[str], pos: Iterable[str]) -> tuple:
+        unit = units.__getitem__  # an unknown name raises KeyError
+        return tuple(sorted(set(map(unit, neg)))), tuple(sorted(set(map(unit, pos))))
+
+    @staticmethod
+    def _value(t: _FaceTable, k: int, row: tuple) -> frozenset[GeneratorId]:
+        return frozenset([t.gens[k][j] for j, _ in row])
 
     def to_additive(self) -> AdditiveParityStructure:
-        """Count-1 embedding into additive parity structures."""
-        return AdditiveParityStructure({
-            g: (
-                (Multiset.subset(g.dim - 1, self._neg[g]), Multiset.subset(g.dim - 1, self._pos[g]))
-                if g.dim
-                else ((), ())
-            )
-            for g in self.all_generators()
-        })
+        """Count-1 embedding into additive parity structures: the same face table."""
+        return AdditiveParityStructure._of(self._table)
 
 
 Structure = AdditiveParityStructure | ParityStructure
@@ -269,29 +299,28 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class _FaceTable:
-    """A structure's face data on dense ints.
+    """A structure's face data on dense ints, its only face storage.
 
     Index i of dimension d stands for ``gens[d][i]``, dimension d's
     generators in id order, and node ``offset[d] + i`` for the same
     generator among all of them.  ``neg[d][i]`` and ``pos[d][i]`` are its
-    faces as ((index, count), ...) rows one dimension down, where a
-    parity face counts 1; ``neg_mask``/``pos_mask`` hold their supports.
+    faces as ((index, count), ...) rows one dimension down, sorted by
+    index, where a parity face counts 1; a dimension-0 row is empty.
+    ``neg_mask``/``pos_mask`` hold their supports, ``subset`` says
+    whether every count is 1, and ``index`` maps each generator's id to
+    its index.  A parity structure and its additive view share one table.
     """
 
-    def __init__(self, struct: _GradedStructure):
-        self.gens = [struct.generators(d) for d in range(struct.max_dim + 1)]
-        self.index = index = _ById((g, i) for row in self.gens for i, g in enumerate(row))
-        self.offset = [0, *accumulate(map(len, self.gens))]
+    def __init__(self, gens: list[tuple[GeneratorId, ...]], neg: list[list[tuple]], pos: list[list[tuple]]):
+        self.gens, self.neg, self.pos = gens, neg, pos
+        self.offset = [0, *accumulate(map(len, gens))]
+        self.index = _index(gens)
+        self.neg_mask, self.pos_mask = _masks(neg), _masks(pos)
+        self.subset = all(c == 1 for level in neg + pos for r in level for _, c in r)
 
-        def row(face) -> tuple[tuple[int, int], ...]:
-            pairs = face.items() if isinstance(face, Multiset) else [(f, 1) for f in face]
-            return tuple(sorted((index[f], c) for f, c in pairs))
-
-        self.neg = [[row(struct._neg.get(g, ())) for g in gs] for gs in self.gens]
-        self.pos = [[row(struct._pos.get(g, ())) for g in gs] for gs in self.gens]
-        self.neg_mask = [[sum(1 << j for j, _ in r) for r in level] for level in self.neg]
-        self.pos_mask = [[sum(1 << j for j, _ in r) for r in level] for level in self.pos]
-        self.subset = all(c == 1 for level in self.neg + self.pos for r in level for _, c in r)
+    def same_faces(self, other: _FaceTable) -> bool:
+        """Same generators and face rows."""
+        return self is other or (self.gens, self.neg, self.pos) == (other.gens, other.neg, other.pos)
 
     def mask(self, dim: int, gens: Iterable[GeneratorId]) -> int:
         out = 0
@@ -310,14 +339,6 @@ class _FaceTable:
     def text(self, k: int, counts: dict[int, int]) -> str:
         """The text of the Multiset with these counts, which may exceed its bound."""
         return _format_counts((self.gens[k][j].name, counts[j]) for j in sorted(counts))
-
-
-def _face_table(struct: Structure) -> _FaceTable:
-    """The (cached) integer face table of a structure."""
-    table = struct._table
-    if table is None:
-        table = struct._table = _FaceTable(struct)
-    return table
 
 
 def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], dict[int, int]]]:
@@ -407,7 +428,7 @@ def face_images(struct: AdditiveParityStructure, s: Multiset) -> FaceImages:
     """Face images of a multiset over dimension >= 1 generators."""
     if s.dim < 1:
         raise DimensionMismatchError("face images need a multiset of dimension >= 1")
-    t = _face_table(struct)
+    t = struct._table
     neg, pos = _images(t, s.dim, [(t.index[g], c) for g, c in s.items()])
     return FaceImages(*(t.multiset(s.dim - 1, x) for x in (neg, pos, _minus(neg, pos), _minus(pos, neg))))
 
@@ -425,7 +446,7 @@ def subset_faces(struct: ParityStructure, dim: int, s: Iterable[GeneratorId]) ->
     """Face unions of a subset of dimension >= 1 generators."""
     if dim < 1:
         raise DimensionMismatchError("subset faces need a subset of dimension >= 1")
-    t = _face_table(struct)
+    t = struct._table
     neg, pos, _ = _spread(t, dim, t.mask(dim, s))
     return SubsetFaces(*(t.members(dim - 1, m) for m in (neg, pos, neg & ~pos, pos & ~neg)))
 
@@ -441,7 +462,7 @@ def is_well_formed(struct: Structure, dim: int, s: Iterable[GeneratorId]) -> boo
             raise DimensionMismatchError(f"{g.name!r} has dimension {g.dim}, expected {dim}")
     if len(set(members)) != len(members):
         raise ValueError("subset with repeated members")
-    t = _face_table(struct)
+    t = struct._table
     return _spread(t, dim, t.mask(dim, members))[2]
 
 
@@ -456,7 +477,7 @@ def atom_faces(
     well-formedness is imposed here; the unitality validator checks it.
     """
     struct.require(gen)
-    t = _face_table(struct)
+    t = struct._table
     rows = _atom_masks(t, gen.dim, t.index[gen])
     return tuple(tuple(t.members(k, mask) for k, (mask, _) in enumerate(row)) for row in rows)
 
@@ -470,7 +491,7 @@ def iterated_boundaries(
     singleton {gen}; dually for the positive row.
     """
     struct.require(gen)
-    t = _face_table(struct)
+    t = struct._table
     rows = _columns(t, gen.dim, t.index[gen])
     return tuple(tuple(t.multiset(k, counts) for k, counts in enumerate(row)) for row in rows)
 
@@ -497,7 +518,7 @@ def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = 
         raise DimensionMismatchError(
             f"moves needs s one dimension above m and p (got {s.dim}, {m.dim}, {p.dim})"
         )
-    t = _face_table(struct)
+    t = struct._table
     if mode == "additive":
         neg, pos = _images(t, s.dim, [(t.index[g], c) for g, c in s.items()])
         mc, pc = ({t.index[g]: c for g, c in x.items()} for x in (m, p))
@@ -655,7 +676,7 @@ def validate(struct: Structure) -> ValidationReport:
 
 
 def _validate(struct: Structure) -> ValidationReport:
-    t = _face_table(struct)
+    t = struct._table
     gens, negs, poss = t.gens, t.neg, t.pos
     nodes = [g for row in gens for g in row]
     is_parity_input = isinstance(struct, ParityStructure)
@@ -798,8 +819,6 @@ def _validate(struct: Structure) -> ValidationReport:
 
 def skeleton(struct: Structure, n: int):
     """Discard all generators of dimension > n, restricting face data."""
-    return type(struct)({
-        g: (struct.neg(g), struct.pos(g)) if g.dim else ((), ())
-        for g in struct.all_generators()
-        if g.dim <= n
-    })
+    t = struct._table
+    keep = max((d + 1 for d, gs in enumerate(t.gens[: n + 1]) if gs), default=0)
+    return type(struct)._of(_FaceTable(t.gens[:keep], t.neg[:keep], t.pos[:keep]))

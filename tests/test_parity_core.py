@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randstruct
+import test_report_digests
 from paritykit import parity_core
-from paritykit.generators import cube, oriental
+from paritykit.generators import cube, globe, oriental
 from paritykit.multiset import DimensionMismatchError, GeneratorId, Multiset
 from paritykit.parity_core import (
     AdditiveParityStructure,
@@ -710,3 +711,75 @@ class TestNoParityViewIsBuilt:
         for mode in ("subset", "strict"):
             with pytest.raises(StructureError, match=r"^structure has multiset faces with counts >= 2$"):
                 moves(s, x, v, w, mode=mode)
+
+
+class TestFaceValuesFromTheTable:
+    """A structure keeps its faces only in its face table; ``neg`` and
+    ``pos`` build them from its rows on request, in the class's form,
+    equal to what ``build`` was given."""
+
+    @staticmethod
+    def expected(cls, dim, data):
+        """The face value ``build`` was given, computed from the row alone."""
+        if cls is ParityStructure:
+            return frozenset(GeneratorId(dim, name) for name in data)
+        counts = {}
+        pairs = data.items() if isinstance(data, dict) else [(d, 1) if isinstance(d, str) else d for d in data]
+        for name, count in pairs:
+            counts[GeneratorId(dim, name)] = counts.get(GeneratorId(dim, name), 0) + count
+        return Multiset(dim, counts)
+
+    @pytest.mark.parametrize("population", sorted(test_report_digests.POPULATIONS))
+    def test_faces_equal_the_build_input(self, population, monkeypatch):
+        built = []
+        for cls in (ParityStructure, AdditiveParityStructure):
+            def recording(elements, cls=cls, build=cls.build):
+                rows = list(elements)
+                built.append((cls, rows, build(rows)))
+                return built[-1][2]
+            monkeypatch.setattr(cls, "build", recording)
+        structs = test_report_digests.POPULATIONS[population]()
+        assert built and len(structs) >= len(built)
+        for cls, rows, struct in built:
+            form = frozenset if cls is ParityStructure else Multiset
+            for name, dim, neg, pos in rows:
+                g = struct.gen(name, dim)
+                if dim == 0:
+                    with pytest.raises(StructureError):
+                        struct.neg(g)
+                    continue
+                assert type(struct.neg(g)) is form and type(struct.pos(g)) is form
+                assert struct.neg(g) == self.expected(cls, dim - 1, neg)
+                assert struct.pos(g) == self.expected(cls, dim - 1, pos)
+            assert len(struct) == len(rows)
+        for s in structs:
+            if isinstance(s, ParityStructure):
+                view = s.to_additive()
+                for g in s.all_generators():
+                    if g.dim:
+                        assert view.neg(g) == Multiset.subset(g.dim - 1, s.neg(g))
+                        assert view.pos(g) == Multiset.subset(g.dim - 1, s.pos(g))
+
+    def test_the_mapping_constructor_gives_the_same_structure(self, oriental2):
+        for s in (oriental2, oriental2.to_additive()):
+            faces = {g: (s.neg(g), s.pos(g)) if g.dim else ((), ()) for g in s.all_generators()}
+            again = type(s)(faces)
+            assert again == s and type(again) is type(s)
+            assert again.generators(1) == s.generators(1) and again.dims() == s.dims()
+
+    def test_equality_is_unchanged(self, oriental2):
+        additive = oriental2.to_additive()
+        assert additive.as_parity() == oriental2 and additive == oriental2.to_additive()
+        assert oriental2 != additive and additive != oriental2
+        assert oriental2 != globe(2) and additive != globe(2).to_additive()
+        assert skeleton(oriental2, 1) != oriental2 and skeleton(oriental2, 2) == oriental2
+        for s in (oriental2, additive, ParityStructure.build([])):
+            with pytest.raises(TypeError):
+                hash(s)
+
+    def test_an_empty_level_below_the_top(self):
+        s = ParityStructure.build([("x", 0, [], []), ("F", 2, [], [])])
+        assert s.dims() == (0, 2) and s.max_dim == 2 and s.generators(1) == ()
+        assert skeleton(s, 1).dims() == (0,) and skeleton(s, 1).max_dim == 0
+        assert repr(s) == "<ParityStructure {0: 1, 2: 1}>"
+        assert s.neg(s.gen("F")) == frozenset()

@@ -174,7 +174,8 @@ def _morphism_from_payload(payload: dict, where: str) -> GradedMorphism:
             dim = int(dim_key)
         except ValueError:
             dim = None
-        if str(dim) != dim_key:  # only str(dim) itself, so that no two keys name one dimension
+        # only str(dim) itself, so that no two keys name one dimension
+        if dim is None or str(dim) != dim_key:
             raise FixtureError(f"{where}: assignment keys must be dimensions, got {dim_key!r}")
         if type(per_dim) is not dict:
             raise FixtureError(f"{where}: assignment[{dim_key}] must be an object")
@@ -236,26 +237,23 @@ def load_path(path) -> Fixture:
 # writing
 
 
-def _faces_payload(faces: Multiset) -> list:
-    """Names in name order, or [name, count] pairs if a count is 2 or more."""
-    if faces.is_radical():
-        return [g.name for g in faces]
-    return [[g.name, c] for g, c in faces.items()]
-
-
-def _row_payload(names: list[str], row: tuple) -> list:
-    """A face-table row in the form of ``_faces_payload``: the row's
-    indices follow name order."""
+def _faces_payload(names, row) -> list:
+    """A row of (key, count) pairs in name order, written as names, or as
+    [name, count] pairs if a count is 2 or more; ``names[key]`` is the name."""
     if all(c == 1 for _, c in row):
         return [names[j] for j, _ in row]
     return [[names[j], c] for j, c in row]
+
+
+def _multiset_payload(faces: Multiset) -> list:
+    return _faces_payload({g: g.name for g in faces}, faces.items())
 
 
 def structure_payload(struct: Structure) -> dict:
     t, elements, names = struct._table, [], []
     for d, gens in enumerate(t.gens):
         for g, neg, pos in zip(gens, t.neg[d], t.pos[d]):
-            neg, pos = _row_payload(names, neg), _row_payload(names, pos)
+            neg, pos = _faces_payload(names, neg), _faces_payload(names, pos)
             elements.append({"id": g.name, "dim": d, "neg": neg, "pos": pos})
         names = [g.name for g in gens]
     return {"elements": elements}
@@ -264,15 +262,15 @@ def structure_payload(struct: Structure) -> dict:
 def cell_payload(table: CellTable) -> dict:
     return {
         "dim": table.dim,
-        "neg": [_faces_payload(c) for c in table.neg],
-        "pos": [_faces_payload(c) for c in table.pos],
+        "neg": [_multiset_payload(c) for c in table.neg],
+        "pos": [_multiset_payload(c) for c in table.pos],
     }
 
 
 def morphism_payload(f: GradedMorphism) -> dict:
     assignment: dict[str, dict[str, list]] = {}
     for g in f.source.all_generators():
-        assignment.setdefault(str(g.dim), {})[g.name] = _faces_payload(f.image(g))
+        assignment.setdefault(str(g.dim), {})[g.name] = _multiset_payload(f.image(g))
     def side(struct: Structure) -> dict:
         kind = KIND_PARITY if isinstance(struct, ParityStructure) else KIND_ADDITIVE
         return {"kind": kind, **structure_payload(struct)}

@@ -820,5 +820,5 @@ def _validate(struct: Structure) -> ValidationReport:
 def skeleton(struct: Structure, n: int):
     """Discard all generators of dimension > n, restricting face data."""
     t = struct._table
-    keep = max((d + 1 for d, gs in enumerate(t.gens[: n + 1]) if gs), default=0)
+    keep = max((d + 1 for d, gs in enumerate(t.gens[: max(n + 1, 0)]) if gs), default=0)
     return type(struct)._of(_FaceTable(t.gens[:keep], t.neg[:keep], t.pos[:keep]))

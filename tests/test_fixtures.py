@@ -472,7 +472,7 @@ class TestAssignmentKeys:
     """Assignment keys are dimensions written as ``str(dim)``; any other
     spelling would let a second key give the same generator another image."""
 
-    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "١"])
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "١", "None"])
     def test_a_non_canonical_key_is_refused(self, key):
         doc = json.loads(_morphism_doc())
         doc["payload"]["assignment"][key] = doc["payload"]["assignment"].pop("1")
@@ -522,7 +522,7 @@ class TestMutationFuzz:
         elif action == 1 and type(container) is list:
             container.insert(key, json.loads(json.dumps(container[key])))
         elif action == 1:
-            container[rng.choice(["0", "1", "01", "id", "dim", "neg", "pos", "x"])] = container.pop(key)
+            container[rng.choice(["0", "1", "01", "None", "id", "dim", "neg", "pos", "x"])] = container.pop(key)
         elif action == 2 and type(container[key]) is str:
             container[key] = rng.choice([container[key] * 2, container[key][:-1], "nope"])
         else:

@@ -781,5 +781,7 @@ class TestFaceValuesFromTheTable:
         s = ParityStructure.build([("x", 0, [], []), ("F", 2, [], [])])
         assert s.dims() == (0, 2) and s.max_dim == 2 and s.generators(1) == ()
         assert skeleton(s, 1).dims() == (0,) and skeleton(s, 1).max_dim == 0
+        for n in (-1, -2, -3):
+            assert skeleton(s, n) == ParityStructure.build([])
         assert repr(s) == "<ParityStructure {0: 1, 2: 1}>"
         assert s.neg(s.gen("F")) == frozenset()

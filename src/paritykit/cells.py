@@ -434,8 +434,9 @@ def excision_decompose(
     hypotheses were violated and raise InternalCheckError.
     """
     complex_ = _as_complex(source)
+    faces = complex_._table
     # additive globularity is dd = 0; weak loop-freeness reads only supports
-    globular, weakly_loop_free = not complex_._dd_defects, validate(complex_.structure).weakly_loop_free
+    globular, weakly_loop_free = not faces.dd_defects(), validate(complex_.structure).weakly_loop_free
     if not (globular and weakly_loop_free):
         raise StructureError(
             "excision needs a globular, weakly loop-free structure, got "
@@ -443,7 +444,7 @@ def excision_decompose(
         )
     if table.dim < 1:
         raise ValueError("excision applies to cells of dimension >= 1")
-    ok, reason = validate_cell(complex_, table, mode="nu" if complex_.augmented else "rho")
+    ok, reason = validate_cell(complex_, table, mode="nu" if faces.normal else "rho")
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
 
@@ -454,7 +455,6 @@ def excision_decompose(
     if len(members) == 1 and top.is_radical():
         return [table]
 
-    faces = complex_._table
     rows = [faces.index[b] for b in members]
     neg = [faces.neg_mask[table.dim][i] for i in rows]
     successors = {

@@ -13,7 +13,6 @@ code its subcommand needs (fixtures and the structure core always).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import fixtures
@@ -68,7 +67,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _emit_structured(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(fixtures._text(payload) + "\n")
 
 
 def _flag(value: bool) -> str:

@@ -2,9 +2,10 @@
 
 Face data serializes as a sorted array of names when every count is 1,
 and as sorted [name, count] pairs otherwise; parsers accept either form
-(and mixtures).  Emission is canonical, so parse(print(x)) == x and
-output bytes are deterministic: they are those of
-``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
+(and mixtures).  A key written twice in one JSON object is refused.
+Emission is canonical, so parse(print(x)) == x and output bytes are
+deterministic: they are those of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .multiset import MAX_COUNT, GeneratorId, Multiset
-from .parity_core import AdditiveParityStructure, ParityStructure, Structure
+from .parity_core import MAX_DIM, AdditiveParityStructure, ParityStructure, Structure
 
 if TYPE_CHECKING:
     from .cells import CellTable
@@ -28,10 +29,6 @@ KIND_ADDITIVE = "additive_parity_structure"
 KIND_CELL = "cell"
 KIND_MORPHISM = "morphism"
 KINDS = (KIND_PARITY, KIND_ADDITIVE, KIND_CELL, KIND_MORPHISM)
-
-#: Largest dimension of a structure element, four times globe(16)'s: the
-#: work and output of validation grow with the largest dimension.
-MAX_DIM = 64
 
 
 class FixtureError(ValueError):
@@ -198,10 +195,22 @@ def _morphism_from_payload(payload: dict, where: str) -> GradedMorphism:
         raise FixtureError(f"{where}: {exc}")
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object; a key written twice is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FixtureError(f"key {key!r} is repeated in one JSON object")
+            seen.add(key)
+    return obj
+
+
 def loads(text: str) -> Fixture:
     """Parse a fixture document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise FixtureError(f"not valid JSON: {exc}")
     if type(doc) is not dict:
@@ -300,10 +309,15 @@ def payload_for(value: Any) -> tuple[str, dict]:
 
 def _text(value: Any, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for the values a
-    fixture holds (dicts with string keys, lists, strings and ints),
-    with every line break followed by ``indent``'s spaces."""
+    fixture or report holds (dicts with string keys, lists, strings,
+    ints, booleans and None), with every line break followed by
+    ``indent``'s spaces."""
     if type(value) is str:
         return _encode(value)
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
     if type(value) is int:
         return int.__repr__(value)
     inner = indent + "  "

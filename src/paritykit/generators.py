@@ -43,6 +43,8 @@ def globe(n: int, *, bound: int | None = None) -> ParityStructure:
 
     Generators are named "e<k>-", "e<k>+" for k < n and "top"; every
     face set is a singleton, so all validator flags hold trivially.
+    A structure's dimension is at most ``parity_core.MAX_DIM``, so
+    ``globe(n, bound=n)`` for n > 64 raises StructureError.
     """
     _check_bound("globe", n, GLOBE_MAX, bound)
     rows: list[tuple[str, int, list[str], list[str]]] = []

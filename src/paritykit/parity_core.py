@@ -11,8 +11,8 @@ globularity, unitality, normality, and weak / Steiner / strong
 loop-freeness, and classifies the structure accordingly.  It runs on
 each structure's integer face table, the structure's only face storage,
 which numbers every dimension's sorted generators densely and keeps
-faces as (index, count) rows and bitmasks; ids and Multisets are built
-only for results.
+faces as (index, count) rows and bitmasks, and the free chain complex's
+data; ids and Multisets are built only for results.
 """
 
 from __future__ import annotations
@@ -22,8 +22,13 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .multiset import MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, _format_counts
+from .multiset import MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, SignedVector, _format_counts
 from .ordering import lex_topological_order
+
+#: Largest generator dimension of a structure, four times globe(16)'s: a
+#: face table is dense per dimension, so construction and validation
+#: grow with the largest dimension.
+MAX_DIM = 64
 
 
 class StructureError(ValueError):
@@ -47,17 +52,17 @@ class _GradedStructure:
     in ``_face``, resolves a ``build`` row's faces in ``_resolve`` and
     builds a face value in ``_value``; everything else lives here.
 
-    Face references to missing generators are construction-time errors;
-    face-pair disjointness is checked by the validator, not here, so
-    that the report's `disjoint` flag is informative.  Structures are
-    immutable, so the validation report and the free complex are
-    computed once and kept on the structure.  Equality compares face
-    tables, ignores these caches and holds only within one class.
+    Face references to missing generators and dimensions above
+    ``MAX_DIM`` are construction-time errors; face-pair disjointness is
+    checked by the validator, not here, so that the report's `disjoint`
+    flag is informative.  Structures are immutable, so the validation
+    report is computed once and kept on the structure; the free complex
+    is a view whose data lives on the table.  Equality compares face
+    tables, ignores the report and holds only within one class.
     """
 
     _table: _FaceTable
     _report: ValidationReport | None = None  # set by validate
-    _complex = None  # set by chain.from_structure
 
     def __init__(self, faces: Mapping[GeneratorId, tuple]):
         gens = _graded(faces)
@@ -176,9 +181,13 @@ class _GradedStructure:
 
 
 def _graded(gens: Iterable[GeneratorId]) -> list[tuple[GeneratorId, ...]]:
-    """Generators by dimension 0..max, each dimension in id order."""
+    """Generators by dimension 0..max, each dimension in id order; a
+    dimension above MAX_DIM raises before any per-dimension list exists."""
     levels = {d: tuple(row) for d, row in groupby(sorted(gens), itemgetter(0))}
-    return [levels.get(d, ()) for d in range(max(levels, default=-1) + 1)]
+    top = max(levels, default=-1)
+    if top > MAX_DIM:
+        raise StructureError(f"dimension {top} is above the largest supported dimension {MAX_DIM}")
+    return [levels.get(d, ()) for d in range(top + 1)]
 
 
 def _no_faces(gens: list[tuple[GeneratorId, ...]]) -> list[list[tuple]]:
@@ -298,6 +307,38 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _signed(neg: tuple, pos: tuple) -> dict[int, int]:
+    """The boundary pos - neg of a pair of face rows, without zero entries."""
+    row = dict(pos)
+    for j, c in neg:
+        row[j] = row.get(j, 0) - c
+    return row if all(row.values()) else {j: c for j, c in row.items() if c}
+
+
+def _linear(boundaries, chain: Iterable[tuple]) -> dict:
+    """The boundary of a chain of (key, coefficient) pairs from the
+    boundary of each key, a mapping with ``items``; zero entries may remain."""
+    out: dict = {}
+    for key, coeff in chain:
+        for f, c in boundaries[key].items():
+            out[f] = out.get(f, 0) + coeff * c
+    return out
+
+
+class _Boundaries(dict):
+    """Boundary SignedVectors by generator id, each built from its signed
+    row on first use; an id the structure lacks raises."""
+
+    def __init__(self, gens: list[tuple[GeneratorId, ...]], index: _ById, signed: list[list[dict[int, int]]]):
+        self._gens, self._index, self._signed = gens, index, signed
+
+    def __missing__(self, gen: GeneratorId) -> SignedVector:
+        d, i = gen.dim, self._index[gen]
+        faces = self._gens[d - 1]
+        vector = self[gen] = SignedVector(d - 1, {faces[j]: c for j, c in self._signed[d][i].items()})
+        return vector
+
+
 class _FaceTable:
     """A structure's face data on dense ints, its only face storage.
 
@@ -309,6 +350,12 @@ class _FaceTable:
     ``neg_mask``/``pos_mask`` hold their supports, ``subset`` says
     whether every count is 1, and ``index`` maps each generator's id to
     its index.  A parity structure and its additive view share one table.
+
+    The free chain complex's data lives here too: ``signed[d][i]`` is
+    the boundary pos - neg as an index -> coefficient dict without zeros,
+    ``normal`` says whether every 1-generator has singleton faces, and
+    ``boundaries`` (SignedVectors by id) and ``dd_defects()`` are filled
+    in on first use.
     """
 
     def __init__(self, gens: list[tuple[GeneratorId, ...]], neg: list[list[tuple]], pos: list[list[tuple]]):
@@ -317,6 +364,19 @@ class _FaceTable:
         self.index = _index(gens)
         self.neg_mask, self.pos_mask = _masks(neg), _masks(pos)
         self.subset = all(c == 1 for level in neg + pos for r in level for _, c in r)
+        self.signed = [[_signed(n, p) for n, p in zip(*level)] for level in zip(neg, pos)]
+        self.normal = next(_non_normal(self), None) is None
+        self.boundaries = _Boundaries(gens, self.index, self.signed)
+        self._dd: tuple | None = None
+
+    def dd_defects(self) -> tuple[tuple[int, int, dict[int, int]], ...]:
+        """(d, i, dd) for each generator i of dimension d with dd != 0; empty
+        exactly when dd = 0, which is globularity in its additive form."""
+        if self._dd is None:
+            s = self.signed
+            self._dd = tuple((d, i, dd) for d in range(2, len(s)) for i, row in enumerate(s[d])
+                             if any((dd := _linear(s[d - 1], row.items())).values()))
+        return self._dd
 
     def same_faces(self, other: _FaceTable) -> bool:
         """Same generators and face rows."""
@@ -345,9 +405,8 @@ def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], di
     """The 1-generators whose negative or positive faces are not a single
     0-generator, each with those faces as index -> count dicts."""
     for g, neg, pos in zip(t.gens[1], t.neg[1], t.pos[1]) if len(t.gens) > 1 else ():
-        neg, pos = dict(neg), dict(pos)
-        if sum(neg.values()) != 1 or sum(pos.values()) != 1:
-            yield g, neg, pos
+        if not (len(neg) == len(pos) == 1 and neg[0][1] == pos[0][1] == 1):
+            yield g, dict(neg), dict(pos)
 
 
 def _images(t: _FaceTable, d: int, counts: Iterable[tuple[int, int]]) -> tuple[dict, dict]:
@@ -399,14 +458,8 @@ def _columns(t: _FaceTable, d: int, i: int) -> tuple[list[dict], list[dict]]:
     (negative, positive) rows of index -> count dicts, levels 0..d."""
     neg_row, pos_row = [{i: 1}], [{i: 1}]
     for k in range(d, 0, -1):
-        negs, poss = t.neg[k], t.pos[k]
         for row, sign in ((neg_row, -1), (pos_row, 1)):
-            boundary: dict[int, int] = {}  # the signed boundary of the level above
-            for x, c in row[-1].items():
-                for j, e in poss[x]:
-                    boundary[j] = boundary.get(j, 0) + c * e
-                for j, e in negs[x]:
-                    boundary[j] = boundary.get(j, 0) - c * e
+            boundary = _linear(t.signed[k], row[-1].items())  # of the level above
             row.append({j: sign * c for j, c in boundary.items() if sign * c > 0})
     return neg_row[::-1], pos_row[::-1]
 
@@ -698,17 +751,18 @@ def _validate(struct: Structure) -> ValidationReport:
                 overlap = t.text(d - 1, {j: min(c, pos[j]) for j, c in negs[d][i] if j in pos})
                 disjoint = fail("disjoint", g, f"negative and positive faces of {g.name} share {overlap}")
 
-    # Globularity.  For parity inputs check the subset form; the additive
-    # (multiset) form is computed alongside and their agreement recorded
-    # when the faces are well-formed.  Each form compares the unmatched
-    # remainders of the face images of the two rows.
+    # Globularity.  For parity inputs check the subset form, which
+    # compares the unmatched remainders of the face unions of the two
+    # rows; the additive (multiset) form is dd = 0, read from the table,
+    # and the two forms' agreement is recorded when the faces are
+    # well-formed.
     globular = True
+    not_dd_zero = {(d, i) for d, i, _ in t.dd_defects()}
     for d in range(2, len(gens)):
         for i, g in enumerate(gens[d]):
-            rows, masks = (negs[d][i], poss[d][i]), (t.neg_mask[d][i], t.pos_mask[d][i])
-            (a_neg, a_pos), (b_neg, b_pos) = (_images(t, d - 1, row) for row in rows)
-            ok = _minus(a_neg, a_pos) == _minus(b_neg, b_pos) and _minus(a_pos, a_neg) == _minus(b_pos, b_neg)
+            ok = (d, i) not in not_dd_zero
             if t.subset:
+                masks = t.neg_mask[d][i], t.pos_mask[d][i]
                 (a_neg, a_pos, a_wf), (b_neg, b_pos, b_wf) = (_spread(t, d - 1, m) for m in masks)
                 subset_ok = a_neg & ~a_pos == b_neg & ~b_pos and a_pos & ~a_neg == b_pos & ~b_neg
                 if a_wf and b_wf and subset_ok != ok:

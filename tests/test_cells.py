@@ -499,11 +499,16 @@ class TestAtomClosure:
 
 class TestComputedOncePerStructure:
     def test_same_complex_on_every_call(self):
+        # every call is a fresh view; the views of a structure and of its
+        # additive counterpart share one table and its boundary vectors
         parity = oriental(3)
-        assert from_structure(parity) is from_structure(parity)
         additive = parity.to_additive()
-        assert from_structure(additive) is from_structure(additive)
-        assert from_structure(additive).structure is additive
+        structures = (parity, parity, additive, additive)
+        views = [from_structure(s) for s in structures]
+        g = parity.gen("0123")
+        for view, s in zip(views, structures):
+            assert view._table is parity._table and view.structure is s
+            assert view.boundary_of(g) is views[0].boundary_of(g)
 
     def test_cell_calls_validate_each_structure_once(self, monkeypatch):
         calls = []
@@ -545,8 +550,8 @@ class TestComputedOncePerStructure:
     @given(kind=st.sampled_from(["parity", "additive"]), seed=st.integers(0, 2**32 - 1))
     def test_cached_complex_equals_a_fresh_one(self, kind, seed):
         struct = randstruct.random_structure(kind, random.Random(seed))
-        complex_ = from_structure(struct)
-        assert from_structure(struct) is complex_
+        complex_, again = from_structure(struct), from_structure(struct)
+        assert complex_._table is again._table is struct._table and again.structure is struct
         copy = skeleton(struct, struct.max_dim)
         assert copy == struct and copy is not struct
         fresh = FreeDirectedComplex(copy)
@@ -554,4 +559,5 @@ class TestComputedOncePerStructure:
         assert complex_.augmented == fresh.augmented
         gens = [g for g in struct.all_generators() if g.dim >= 1]
         assert [complex_.boundary_of(g) for g in gens] == [fresh.boundary_of(g) for g in gens]
+        assert all(complex_.boundary_of(g) is again.boundary_of(g) for g in gens)
         assert validate(complex_.structure).to_payload() == validate(fresh.structure).to_payload()

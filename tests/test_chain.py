@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,28 @@ class TestFromStructure:
         assert not K.augmented
         with pytest.raises(AugmentationMissingError):
             K.augmentation(Multiset.of(s.gen("v")))
+
+
+class TestViewsHoldNoCycle:
+    """A complex is a view whose data lives on the face table, so a
+    structure that reached the chain layer is freed by reference
+    counting alone, with the cyclic collector off."""
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_dropped_structure_is_freed(self, additive):
+        struct = oriental(3).to_additive() if additive else oriental(3)
+        g = struct.gen("0123")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            from_structure(struct).boundary_of(g)
+            check_complex(from_structure(struct))
+            ref = weakref.ref(struct)
+            del struct
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestBoundary:

@@ -12,6 +12,7 @@ from conftest import FIXTURE_DIR
 from paritykit import fixtures
 from paritykit.cli import build_parser, main
 from paritykit.generators import oriental
+from paritykit.parity_core import AdditiveParityStructure
 
 CIRCLE = str(FIXTURE_DIR / "circle.json")
 WNS = str(FIXTURE_DIR / "weak_not_strong.json")
@@ -351,6 +352,43 @@ class TestDeterminism:
 
     def test_generate_bound(self, capsys):
         assert main(["generate", "--family", "oriental", "--n", "9"]) == 2
+
+
+class TestStructuredOutput:
+    """Structured stdout is the bytes of ``json.dumps(payload, indent=2,
+    sort_keys=True)`` plus a newline for every subcommand that prints a
+    report payload, with booleans, nulls and escaped names among them."""
+
+    COMMANDS = [
+        ["validate", "{o2}"], ["validate", CIRCLE], ["validate", "{odd}"], ["classify", WNS],
+        ["chain", "{o2}"], ["chain", "{odd}"], ["chain", "{o2}", "--check"], ["chain", "{odd}", "--check"],
+        ["roundtrip", "{odd}"], ["cells", "{o2}", "--max-dim", "2"], ["cells", WNS, "--max-dim", "2", "--count-only"],
+        ["freeness", "{o2}", "--max-dim", "2"], ["decompose", "{o2}", "--cell", "{atom}"],
+        ["morphism", "validate", MORPHISM], ["morphism", "validate", COLLAPSE, "--mode", "additive"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(Path(a).stem for a in c))
+    def test_bytes_of_json_dumps(self, capsys, tmp_path, oriental2_file, atom012_file, command):
+        odd = AdditiveParityStructure.build(
+            [("é", 0, [], []), ('a"b', 0, [], []), ("Ω", 1, {"é": 2}, ['a"b']), ("𝔸", 1, ["é"], ['a"b'])]
+        )
+        odd_file = tmp_path / "odd.json"
+        odd_file.write_text(fixtures.dumps(odd, name="ñ"))
+        files = {"o2": oriental2_file, "atom": atom012_file, "odd": str(odd_file)}
+        main([a.format(**files) for a in command] + ["--format", "structured"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestRepeatedKeys:
+    def test_exit_2_naming_the_key(self, capsys, tmp_path):
+        text = Path(MORPHISM).read_text()
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace('      "1": {\n', '      "1": {"top": ["02"]},\n      "1": {\n'))
+        assert main(["morphism", "validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: key '1' is repeated in one JSON object\n"
 
 
 def run_cold(*args, **env):

@@ -6,7 +6,7 @@ from conftest import FIXTURE_DIR
 from paritykit import cells, fixtures
 from paritykit.generators import cube, globe, oriental
 from paritykit.morphisms import GradedMorphism
-from paritykit.multiset import Multiset
+from paritykit.multiset import GeneratorId, Multiset
 from paritykit.parity_core import AdditiveParityStructure, ParityStructure
 
 
@@ -492,6 +492,41 @@ class TestAssignmentKeys:
             m.sort_key() for m in (Multiset.of(f.target.gen("2")), Multiset.of(f.target.gen("0")),
                                    Multiset.of(f.target.gen("01"), f.target.gen("12")))
         ]
+
+
+def _repeated(text, marker, extra):
+    """The text with ``extra`` inserted before its one ``marker``."""
+    assert text.count(marker) == 1
+    return text.replace(marker, extra + marker)
+
+
+class TestRepeatedKeys:
+    """A key written twice in one JSON object is refused; ``json.loads``
+    alone keeps the last value and drops the first without a word."""
+
+    @staticmethod
+    def refused(text, key):
+        with pytest.raises(fixtures.FixtureError) as info:
+            fixtures.loads(text)
+        assert str(info.value) == f"key {key!r} is repeated in one JSON object"
+
+    def test_a_second_assignment_key(self):
+        # before the real "1" entry, which maps top to {01, 12}
+        text = (FIXTURE_DIR / "morphism_globe1_to_oriental2.json").read_text()
+        self.refused(_repeated(text, '      "1": {\n', '      "1": {"top": ["02"]},\n'), "1")
+
+    def test_a_repeated_neg(self):
+        text = _structure_doc([_el("v", 0), _el("w", 0), _el("x", 1, ["v"], ["w"])])
+        assert fixtures.loads(text).value.neg(GeneratorId(1, "x")) == {GeneratorId(0, "v")}
+        self.refused(_repeated(text, '"neg": ["v"]', '"neg": ["w"], '), "neg")
+
+    def test_a_repeated_id(self):
+        text = _structure_doc([_el("v", 0)])
+        self.refused(_repeated(text, '"id": "v"', '"id": "u", '), "id")
+
+    def test_a_repeated_top_level_key(self):
+        text = _structure_doc([_el("v", 0)])
+        self.refused(_repeated(text, '"name": "bad"', '"name": "other", '), "name")
 
 
 class TestMutationFuzz:

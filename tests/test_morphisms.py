@@ -283,7 +283,10 @@ class TestNoAdditiveViewIsBuilt:
         assert validate_morphism(f, "additive").valid
         assert validate_morphism(f).valid
         cm = induced_chain_map(f)
-        assert cm.source is from_structure(source) and cm.target is from_structure(target)
+        for view, s in ((cm.source, source), (cm.target, target)):
+            assert view._table is s._table and view.structure is s
+            g = s.generators(s.max_dim)[0]
+            assert view.boundary_of(g) is from_structure(s).boundary_of(g)
         assert cm.then(induced_chain_map(identity_morphism(target))) == cm
         assert built == []
 

@@ -57,6 +57,26 @@ class TestConstruction:
         with pytest.raises(StructureError):
             ParityStructure.build([("x", 0, [], []), ("x", 0, [], [])])
 
+    def test_max_dim_is_the_fixture_bound(self):
+        from paritykit import fixtures
+
+        assert fixtures.MAX_DIM is parity_core.MAX_DIM == 64
+
+    @pytest.mark.parametrize("cls", [ParityStructure, AdditiveParityStructure])
+    def test_a_dimension_above_max_dim_is_refused_before_any_level_is_built(self, cls):
+        # one list entry per dimension up to 10**9 would need gigabytes
+        big, text = 10**9, "^dimension 1000000000 is above the largest supported dimension 64$"
+        with pytest.raises(StructureError, match=text):
+            cls.build([("x", big, [], [])])
+
+        def faces(dim):
+            return (Multiset.empty(dim - 1),) * 2 if cls is AdditiveParityStructure else ((), ())
+
+        with pytest.raises(StructureError, match=text):
+            cls({GeneratorId(big, "x"): faces(big)})
+        assert cls({GeneratorId(64, "x"): faces(64)}).max_dim == 64
+        assert cls.build([("x", 64, [], [])]).max_dim == 64
+
     def test_dim0_faces_rejected(self):
         with pytest.raises(StructureError):
             AdditiveParityStructure.build([("v", 0, {"v": 1}, {})])

@@ -63,6 +63,7 @@ class CellTable:
 
     Construction checks only the shape (equal row lengths, column k
     graded by dimension k); the cell conditions are validate_cell's job.
+    Tables pickle and copy through the constructor.
     """
 
     __slots__ = ("_neg", "_pos", "_hash", "_subset")
@@ -82,6 +83,9 @@ class CellTable:
 
     def __setattr__(self, name, value):
         raise AttributeError("CellTable is immutable")
+
+    def __reduce__(self):
+        return CellTable, (self._neg, self._pos)
 
     @property
     def dim(self) -> int:
@@ -396,6 +400,8 @@ def _mask_cells(struct: Structure, max_dim: int) -> list[_MaskCell]:
     for d in range(1, max_dim + 1):
         moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(struct.generators(d)))]
         level, start = out[start:], len(out)
+        if not level:  # no cell to grow: every higher level is empty too
+            break
         for head_neg, source_pos in level:
             head_pos = source_pos[:-1]
             seen = {0}

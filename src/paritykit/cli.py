@@ -180,13 +180,20 @@ def _cmd_atom(args) -> int:
 
 
 def _cmd_cells(args) -> int:
-    from .cells import _mask_cells, enumerate_cells
+    from .cells import MAX_CELLS_ENV, EnumerationCapError, _mask_cells, _max_cells, enumerate_cells
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     if args.count_only:  # the search's mask cells: no table is built
         enumerated, dims = [], [len(neg) - 1 for neg, _ in _mask_cells(fixture.value, args.max_dim)]
     else:
         enumerated = enumerate_cells(fixture.value, args.max_dim)
         dims = [c.dim for c in enumerated]
+    # a structure with a point has a cell in every dimension, so only one
+    # without points gets here with more counts than the cap allows cells
+    if args.max_dim + 1 > (cap := _max_cells()):
+        raise EnumerationCapError(
+            f"--max-dim {args.max_dim} asks for {args.max_dim + 1} counts, more than the cap of "
+            f"{cap} cells (set {MAX_CELLS_ENV} to raise)"
+        )
     counts = [0] * (args.max_dim + 1)
     for d in dims:
         counts[d] += 1

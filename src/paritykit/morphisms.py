@@ -263,9 +263,11 @@ def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
 class ChainMap:
     """Induced map of free directed complexes, checked on construction.
 
-    Commutes with the boundaries on every generator; preserves the
-    canonical augmentations when the morphism is normal.  Equality and
-    composability compare face tables, not structure classes.
+    Sends every generator to a chain of its own dimension over the
+    target's generators, and commutes with the boundaries on every
+    generator; preserves the canonical augmentations when the morphism
+    is normal.  Equality and composability compare face tables, not
+    structure classes.
     """
 
     def __init__(self, source: FreeDirectedComplex, target: FreeDirectedComplex,
@@ -276,8 +278,13 @@ class ChainMap:
         for g in source.structure.all_generators():
             if g not in self._images:
                 raise MorphismError(f"chain map is missing generator {g.name!r}")
+            image = self._images[g]
+            if image.dim != g.dim:
+                raise MorphismError(f"image of {g.name!r} has dimension {image.dim}, expected {g.dim}")
+            for h, _ in image.items():
+                target.require(h)
             if g.dim >= 1:
-                lhs = target.boundary(self._images[g])
+                lhs = target.boundary(image)
                 rhs = self.apply(source.boundary_of(g))
                 if lhs != rhs:
                     raise MorphismError(

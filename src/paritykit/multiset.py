@@ -2,8 +2,11 @@
 
 Multisets are the elements of the free commutative monoid on one
 dimension's generators; signed vectors are the elements of the free
-abelian group.  Everything here is immutable and pure, so values can be
-shared freely between threads and reused as dictionary keys.
+abelian group.  A multiset is a positive chain, so both classes share
+one base, ``_Chain``, for storage, equality, hashing and addition, and
+differ only in the entries they accept and in their own operations.
+Everything here is immutable and pure, so values can be shared freely
+between threads, reused as dictionary keys, pickled and copied.
 """
 
 from __future__ import annotations
@@ -53,14 +56,63 @@ class GeneratorId(tuple):
         return self.name
 
 
-def _same_dim(a: Multiset | SignedVector, b: Multiset | SignedVector) -> None:
+def _same_dim(a: _Chain, b: _Chain) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(
             f"operands graded by dimensions {a.dim} and {b.dim}"
         )
 
 
-class Multiset:
+class _Chain:
+    """What the two value classes share: a dimension and a sparse,
+    nonzero generator -> count mapping, fixed at construction.
+
+    Each class checks its entries in its own constructor, which writes
+    the four slots; everything built from them lives here.  Values are
+    immutable, pickle and copy through their constructor, and equal only
+    values of their own class.
+    """
+
+    __slots__ = ("_dim", "_counts", "_items", "_hash")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self._dim, self._counts)
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    def items(self) -> tuple[tuple[GeneratorId, int], ...]:
+        return self._items
+
+    def sort_key(self) -> tuple:
+        return tuple((g.name, c) for g, c in self._items)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _same_dim(self, other)
+        counts = dict(self._counts)
+        for g, c in other._counts.items():
+            counts[g] = counts.get(g, 0) + c
+        return type(self)(self._dim, counts)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._dim == other._dim and self._counts == other._counts
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._dim}, {dict((g.name, c) for g, c in self._items)!r})"
+
+
+class Multiset(_Chain):
     """Finite multiset of generators, all of one dimension.
 
     The zero element is the empty multiset, which still remembers its
@@ -69,7 +121,7 @@ class Multiset:
     is radical: a sum of distinct generators).
     """
 
-    __slots__ = ("_dim", "_counts", "_items", "_hash")
+    __slots__ = ()
 
     def __init__(self, dim: int, counts: Mapping[GeneratorId, int] | Iterable[tuple[GeneratorId, int]] = ()):
         if dim < 0:
@@ -92,9 +144,6 @@ class Multiset:
         object.__setattr__(self, "_counts", clean)
         object.__setattr__(self, "_items", tuple(sorted(clean.items())))
         object.__setattr__(self, "_hash", hash((dim, self._items)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multiset is immutable")
 
     @classmethod
     def empty(cls, dim: int) -> Multiset:
@@ -120,15 +169,8 @@ class Multiset:
             raise ValueError("Multiset.of needs at least one generator; use empty(dim)")
         return cls.tally(gens[0].dim, gens)
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     def count(self, gen: GeneratorId) -> int:
         return self._counts.get(gen, 0)
-
-    def items(self) -> tuple[tuple[GeneratorId, int], ...]:
-        return self._items
 
     def support(self) -> tuple[GeneratorId, ...]:
         return tuple(g for g, _ in self._items)
@@ -148,13 +190,7 @@ class Multiset:
         return all(c == 1 for c in self._counts.values())
 
     def disjoint_union(self, other: Multiset) -> Multiset:
-        _same_dim(self, other)
-        counts = dict(self._counts)
-        for g, c in other._counts.items():
-            counts[g] = counts.get(g, 0) + c
-        return Multiset(self._dim, counts)
-
-    __add__ = disjoint_union
+        return self + other
 
     def difference(self, other: Multiset) -> Multiset:
         """Truncated difference: pointwise max(count - other, 0)."""
@@ -204,9 +240,6 @@ class Multiset:
     def to_vector(self) -> SignedVector:
         return SignedVector(self._dim, self._counts)
 
-    def sort_key(self) -> tuple:
-        return tuple((g.name, c) for g, c in self._items)
-
     def __contains__(self, gen: GeneratorId) -> bool:
         return gen in self._counts
 
@@ -216,22 +249,11 @@ class Multiset:
     def __len__(self) -> int:
         return len(self._counts)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return self._dim == other._dim and self._counts == other._counts
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Multiset({self._dim}, {dict((g.name, c) for g, c in self._items)!r})"
-
     def __str__(self) -> str:
         return _format_counts((g.name, c) for g, c in self._items)
 
 
-class SignedVector:
+class SignedVector(_Chain):
     """Element of the free abelian group on one dimension's generators.
 
     Stored sparsely: only nonzero entries are kept.  The negative and
@@ -239,7 +261,7 @@ class SignedVector:
     the vector.
     """
 
-    __slots__ = ("_dim", "_entries", "_items", "_hash")
+    __slots__ = ()
 
     def __init__(self, dim: int, entries: Mapping[GeneratorId, int] | Iterable[tuple[GeneratorId, int]] = ()):
         if dim < 0:
@@ -259,12 +281,9 @@ class SignedVector:
                 raise OverflowError(f"entry for {gen.name!r} exceeds {MAX_COUNT}")
             clean[gen] = value
         object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_entries", clean)
+        object.__setattr__(self, "_counts", clean)
         object.__setattr__(self, "_items", tuple(sorted(clean.items())))
         object.__setattr__(self, "_hash", hash((dim, self._items)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedVector is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> SignedVector:
@@ -279,69 +298,41 @@ class SignedVector:
             entries[g] = entries.get(g, 0) - c
         return cls(pos.dim, entries)
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     def entry(self, gen: GeneratorId) -> int:
-        return self._entries.get(gen, 0)
-
-    def items(self) -> tuple[tuple[GeneratorId, int], ...]:
-        return self._items
+        return self._counts.get(gen, 0)
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._counts
 
     def parts(self) -> tuple[Multiset, Multiset]:
         """(negative part, positive part): disjoint multisets with pos - neg = self."""
-        neg = {g: -v for g, v in self._entries.items() if v < 0}
-        pos = {g: v for g, v in self._entries.items() if v > 0}
+        neg = {g: -v for g, v in self._counts.items() if v < 0}
+        pos = {g: v for g, v in self._counts.items() if v > 0}
         return Multiset(self._dim, neg), Multiset(self._dim, pos)
-
-    def __add__(self, other: SignedVector) -> SignedVector:
-        _same_dim(self, other)
-        entries = dict(self._entries)
-        for g, v in other._entries.items():
-            entries[g] = entries.get(g, 0) + v
-        return SignedVector(self._dim, entries)
 
     def __sub__(self, other: SignedVector) -> SignedVector:
         _same_dim(self, other)
-        entries = dict(self._entries)
-        for g, v in other._entries.items():
+        entries = dict(self._counts)
+        for g, v in other._counts.items():
             entries[g] = entries.get(g, 0) - v
         return SignedVector(self._dim, entries)
 
     def __neg__(self) -> SignedVector:
-        return SignedVector(self._dim, {g: -v for g, v in self._entries.items()})
+        return SignedVector(self._dim, {g: -v for g, v in self._counts.items()})
 
     def scale(self, k: int) -> SignedVector:
         if k == 0:
             return SignedVector.zero(self._dim)
-        return SignedVector(self._dim, {g: k * v for g, v in self._entries.items()})
+        return SignedVector(self._dim, {g: k * v for g, v in self._counts.items()})
 
     def is_positive(self) -> bool:
         """True iff every entry is >= 0, i.e. the vector is a multiset."""
-        return all(v > 0 for v in self._entries.values())
+        return all(v > 0 for v in self._counts.values())
 
     def to_multiset(self) -> Multiset:
         if not self.is_positive():
             raise ValueError(f"vector {self} has negative entries")
-        return Multiset(self._dim, self._entries)
-
-    def sort_key(self) -> tuple:
-        return tuple((g.name, v) for g, v in self._items)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedVector):
-            return NotImplemented
-        return self._dim == other._dim and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"SignedVector({self._dim}, {dict((g.name, v) for g, v in self._items)!r})"
+        return Multiset(self._dim, self._counts)
 
     def __str__(self) -> str:
         return _format_entries((g.name, v) for g, v in self._items)

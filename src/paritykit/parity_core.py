@@ -409,20 +409,10 @@ def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], di
             yield g, dict(neg), dict(pos)
 
 
-def _images(t: _FaceTable, d: int, counts: Iterable[tuple[int, int]]) -> tuple[dict, dict]:
-    """Count-weighted sums of the negative and positive face rows of (index, count) pairs."""
-    neg, pos = {}, {}
-    for i, c in counts:
-        for j, e in t.neg[d][i]:
-            neg[j] = neg.get(j, 0) + c * e
-        for j, e in t.pos[d][i]:
-            pos[j] = pos.get(j, 0) + c * e
-    return neg, pos
-
-
-def _minus(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Truncated difference of index -> count dicts."""
-    return {j: c - b.get(j, 0) for j, c in a.items() if c > b.get(j, 0)}
+def _boundary(t: _FaceTable, d: int, chain: list[tuple[int, int]]) -> dict[int, int]:
+    """The boundary of a dimension-d chain of (index, coefficient) pairs
+    from the signed rows, without zero entries."""
+    return {j: c for j, c in _linear(t.signed[d], chain).items() if c} if chain else {}
 
 
 def _spread(t: _FaceTable, k: int, mask: int) -> tuple[int, int, bool]:
@@ -478,12 +468,16 @@ class FaceImages(NamedTuple):
 
 
 def face_images(struct: AdditiveParityStructure, s: Multiset) -> FaceImages:
-    """Face images of a multiset over dimension >= 1 generators."""
+    """Face images of a multiset over dimension >= 1 generators; the two
+    boundary fields are the parts of its boundary, summed from the signed rows."""
     if s.dim < 1:
         raise DimensionMismatchError("face images need a multiset of dimension >= 1")
-    t = struct._table
-    neg, pos = _images(t, s.dim, [(t.index[g], c) for g, c in s.items()])
-    return FaceImages(*(t.multiset(s.dim - 1, x) for x in (neg, pos, _minus(neg, pos), _minus(pos, neg))))
+    t, d = struct._table, s.dim
+    chain = [(t.index[g], c) for g, c in s.items()]
+    images = [_linear({i: dict(rows[d][i]) for i, _ in chain}, chain) for rows in (t.neg, t.pos)]
+    boundary = _boundary(t, d, chain).items()
+    parts = {j: -c for j, c in boundary if c < 0}, {j: c for j, c in boundary if c > 0}
+    return FaceImages(*(t.multiset(d - 1, x) for x in (*images, *parts)))
 
 
 class SubsetFaces(NamedTuple):
@@ -556,9 +550,10 @@ def iterated_boundaries(
 def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = "additive") -> bool:
     """Does s move m to p?
 
-    In additive mode this is the pair of multiset equations on the
-    boundaries of s.  Subset mode states the same equations with face
-    unions, and requires s (and m, p) to be subsets with s well-formed.
+    In additive mode this is the boundary equation ds = p - m, with ds
+    summed from the face table's signed rows.  Subset mode states it
+    with face unions, and requires s (and m, p) to be subsets with s
+    well-formed.
     Strict mode adds the two intersection-emptiness conditions; it is
     provably equivalent for cells over weak parity complexes and exists
     as a separate oracle.
@@ -573,9 +568,8 @@ def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = 
         )
     t = struct._table
     if mode == "additive":
-        neg, pos = _images(t, s.dim, [(t.index[g], c) for g, c in s.items()])
-        mc, pc = ({t.index[g]: c for g, c in x.items()} for x in (m, p))
-        return _minus(neg, pos) == _minus(mc, pc) and _minus(pos, neg) == _minus(pc, mc)
+        chain, mc, pc = ([(t.index[g], c) for g, c in x.items()] for x in (s, m, p))
+        return _boundary(t, s.dim, chain) == _signed(mc, pc)
     if mode not in ("subset", "strict"):
         raise ValueError(f"unknown movement mode {mode!r}")
     m_mask, p_mask = t.mask(m.dim, m), t.mask(p.dim, p)

@@ -262,7 +262,10 @@ class TestEnumerate:
         assert counts == [2, 3]
 
     def test_empty_structure(self):
-        assert cells.enumerate_cells(ParityStructure.build([]), 3) == []
+        empty = ParityStructure.build([])
+        assert cells.enumerate_cells(empty, 3) == []
+        # the search stops at its first empty level
+        assert cells.enumerate_cells(empty, 10**6) == [] and cells.atom_closure(empty, 10**6) == {}
 
     def test_identities_above_the_top_dimension(self, globe1):
         # columns above dimension 1 are zero masks with no generators behind them

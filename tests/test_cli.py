@@ -12,7 +12,7 @@ from conftest import FIXTURE_DIR
 from paritykit import fixtures
 from paritykit.cli import build_parser, main
 from paritykit.generators import oriental
-from paritykit.parity_core import AdditiveParityStructure
+from paritykit.parity_core import AdditiveParityStructure, ParityStructure
 
 CIRCLE = str(FIXTURE_DIR / "circle.json")
 WNS = str(FIXTURE_DIR / "weak_not_strong.json")
@@ -391,7 +391,7 @@ class TestRepeatedKeys:
         assert captured.err == "error: key '1' is repeated in one JSON object\n"
 
 
-def run_cold(*args, **env):
+def run_cold(*args, timeout=120, **env):
     """Run `python *args` in a fresh interpreter that imports this checkout."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
@@ -399,7 +399,7 @@ def run_cold(*args, **env):
         capture_output=True,
         encoding="utf-8",
         env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8", **env},
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -463,6 +463,26 @@ class TestColdProcess:
         )
         assert_one_line_error(proc)
         assert "more than 1" in proc.stderr
+
+    def test_max_dim_on_a_structure_without_points(self, tmp_path):
+        # no level of the search holds a cell, so the work must not grow
+        # with --max-dim; the count line alone would exceed the cell cap
+        path = tmp_path / "empty.json"
+        path.write_text(fixtures.dumps(ParityStructure.build([]), name="empty"))
+        huge = "1000000000000"
+        proc = run_cold("-m", "paritykit.cli", "cells", str(path), "--max-dim", huge, "--count-only", timeout=20)
+        assert_one_line_error(proc)
+        assert proc.stderr == (
+            f"error: --max-dim {huge} asks for {int(huge) + 1} counts, more than the cap of "
+            "1000000 cells (set PARITYKIT_MAX_CELLS to raise)\n"
+        )
+        proc = run_cold("-m", "paritykit.cli", "cells", str(path), "--max-dim", "4", timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0 0 0\n", "")
+        proc = run_cold("-m", "paritykit.cli", "cells", str(path), "--max-dim", "4", PARITYKIT_MAX_CELLS="4", timeout=20)
+        assert_one_line_error(proc)
+        assert "asks for 5 counts, more than the cap of 4 cells" in proc.stderr
+        proc = run_cold("-m", "paritykit.cli", "freeness", str(path), "--max-dim", huge, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "cells: 0\nreached from atoms: 0\n", "")
 
     def test_non_composable_morphisms_exit_1(self, tmp_path):
         out = tmp_path / "composed.json"

@@ -8,6 +8,7 @@ from paritykit import cells
 from paritykit.chain import from_structure
 from paritykit.generators import globe, oriental
 from paritykit.morphisms import (
+    ChainMap,
     GradedMorphism,
     MorphismError,
     apply_to_cell,
@@ -19,8 +20,8 @@ from paritykit.morphisms import (
     restrict_morphism,
     validate_morphism,
 )
-from paritykit.multiset import Multiset
-from paritykit.parity_core import ParityStructure, is_well_formed, validate
+from paritykit.multiset import GeneratorId, Multiset, SignedVector
+from paritykit.parity_core import ParityStructure, UnknownGeneratorError, is_well_formed, validate
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +255,26 @@ class TestInducedChainMap:
         back = morphism_from_chain_map(cm)
         for g in globe_to_triangle.source.all_generators():
             assert back.image(g) == globe_to_triangle.image(g)
+
+
+class TestChainMapChecksItsImages:
+    """Commutation never looks at a dimension-0 image, so the images'
+    grading and membership in the target are checked on their own."""
+
+    def test_points_sent_outside_the_target(self):
+        source, target = globe(1), oriental(2)
+        nope = SignedVector(0, {GeneratorId(0, "nope"): 1})
+        images = {g: nope if g.dim == 0 else SignedVector.zero(1) for g in source.all_generators()}
+        with pytest.raises(UnknownGeneratorError, match=r"^generator 'nope' \(dim 0\) not in structure$"):
+            ChainMap(from_structure(source), from_structure(target), images)
+
+    def test_a_point_sent_to_a_1_chain(self):
+        source, target = ParityStructure.build([("p", 0, [], [])]), oriental(2)
+        images = {source.gen("p"): SignedVector(1, {target.gen("01"): 1})}
+        with pytest.raises(MorphismError, match=r"^image of 'p' has dimension 1, expected 0$"):
+            ChainMap(from_structure(source), from_structure(target), images)
+        p, point = source.gen("p"), SignedVector(0, {target.gen("0"): 1})
+        assert ChainMap(from_structure(source), from_structure(target), {p: point}).image(p) == point
 
 
 class TestNoAdditiveViewIsBuilt:

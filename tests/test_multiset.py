@@ -238,3 +238,145 @@ class TestConstruction:
         assert str(Multiset.empty(0)) == "{}"
         assert str(ms(a=1, b=2)) == "{a, b:2}"
         assert str(SignedVector(1, {A: 1, B: -1})) == "+a -b"
+
+
+X2 = GeneratorId(2, "x")
+TOO_BIG = MAX_COUNT + 1
+
+
+def raised(cls, dim, entries):
+    """The (type, text) of the error a constructor raises."""
+    with pytest.raises(Exception) as info:
+        cls(dim, entries)
+    return info.type, str(info.value)
+
+
+class TestConstructorContract:
+    """Both constructors' errors: type, exact text, and which fault wins."""
+
+    def test_multiset_faults(self):
+        assert raised(Multiset, 1, {A: 0}) == (ValueError, "count for 'a' must be positive, got 0")
+        assert raised(Multiset, 1, {A: -1}) == (ValueError, "count for 'a' must be positive, got -1")
+        assert raised(Multiset, 1, {A: TOO_BIG}) == (OverflowError, f"count for 'a' exceeds {MAX_COUNT}")
+        assert raised(Multiset, 1, [(A, 1), (A, 1)]) == (ValueError, "duplicate generator 'a'")
+        assert raised(Multiset, 1, {X2: 1}) == (
+            DimensionMismatchError, "generator 'x' has dimension 2, expected 1"
+        )
+        assert raised(Multiset, -1, {}) == (ValueError, "dimension must be >= 0, got -1")
+        assert Multiset(1, {A: MAX_COUNT}).count(A) == MAX_COUNT
+
+    def test_signed_vector_faults(self):
+        assert SignedVector(1, {A: 0}) == SignedVector.zero(1)
+        assert SignedVector(1, {A: -1}).entry(A) == -1
+        for value in (TOO_BIG, -TOO_BIG):
+            assert raised(SignedVector, 1, {A: value}) == (OverflowError, f"entry for 'a' exceeds {MAX_COUNT}")
+        assert SignedVector(1, {A: -MAX_COUNT}).entry(A) == -MAX_COUNT
+        assert raised(SignedVector, 1, [(A, 1), (A, -1)]) == (ValueError, "duplicate generator 'a'")
+        assert raised(SignedVector, 1, {X2: 1}) == (
+            DimensionMismatchError, "generator 'x' has dimension 2, expected 1"
+        )
+        assert raised(SignedVector, -1, {}) == (ValueError, "dimension must be >= 0, got -1")
+
+    def test_which_fault_wins(self):
+        # the dimension first, then entries in the given order; within
+        # one entry its grading, then a repeat, then its value
+        for cls in (Multiset, SignedVector):
+            assert raised(cls, -1, {X2: 0}) == (ValueError, "dimension must be >= 0, got -1")
+            assert raised(cls, 1, [(X2, 0)])[0] is DimensionMismatchError
+            assert raised(cls, 1, [(A, 1), (A, TOO_BIG)]) == (ValueError, "duplicate generator 'a'")
+            assert raised(cls, 1, [(A, 1), (A, 0)]) == (ValueError, "duplicate generator 'a'")
+        assert raised(Multiset, 1, [(A, 0), (X2, 1)]) == (ValueError, "count for 'a' must be positive, got 0")
+        assert raised(Multiset, 1, [(A, TOO_BIG), (B, 0)])[0] is OverflowError
+        assert raised(Multiset, 1, [(A, -TOO_BIG)]) == (
+            ValueError, f"count for 'a' must be positive, got {-TOO_BIG}"
+        )
+        # a zero entry is dropped, so the next entry's fault is the first
+        assert raised(SignedVector, 1, [(A, 0), (X2, 1)])[0] is DimensionMismatchError
+        assert raised(SignedVector, 1, [(A, TOO_BIG), (X2, 1)])[0] is OverflowError
+
+    def test_iterables_and_mappings_agree(self):
+        for cls in (Multiset, SignedVector):
+            assert cls(1, [(B, 2), (A, 1)]) == cls(1, {A: 1, B: 2})
+            assert cls(1, iter([(A, 3)])) == cls(1, {A: 3})
+
+
+class TestValueClasses:
+    def test_no_equality_across_classes(self):
+        m, v = Multiset(1, {A: 1}), SignedVector(1, {A: 1})
+        assert m != v and v != m
+        assert not (m == v) and not (v == m)
+        assert m.to_vector() == v and v.to_multiset() == m
+
+    def test_equality_needs_the_same_dimension(self):
+        assert Multiset.empty(1) != Multiset.empty(2)
+        assert SignedVector.zero(1) != SignedVector.zero(2)
+
+    def test_immutable(self):
+        for value, text in ((ms(a=1), "Multiset is immutable"), (SignedVector(1, {A: 1}), "SignedVector is immutable")):
+            for name in ("_dim", "_items", "_hash", "dim", "extra"):
+                with pytest.raises(AttributeError, match=f"^{text}$"):
+                    setattr(value, name, 0)
+
+    def test_equal_values_hash_equal(self):
+        for cls in (Multiset, SignedVector):
+            x, y = cls(1, {A: 1, B: 2}), cls(1, [(B, 2), (A, 1)])
+            assert x == y and hash(x) == hash(y)
+            assert len({x, y, cls(1, {B: 2, A: 1})}) == 1
+        assert hash(SignedVector(1, {A: 0, B: 1})) == hash(SignedVector(1, {B: 1}))
+
+    def test_repr_and_sort_key(self):
+        assert repr(ms(b=2, a=1)) == "Multiset(1, {'a': 1, 'b': 2})"
+        assert repr(SignedVector(1, {B: -2, A: 1})) == "SignedVector(1, {'a': 1, 'b': -2})"
+        assert ms(b=2, a=1).sort_key() == (("a", 1), ("b", 2))
+        assert SignedVector(1, {B: -2, A: 1}).sort_key() == (("a", 1), ("b", -2))
+        assert ms(a=1).items() == ((A, 1),) and ms(a=1).dim == 1
+
+    def test_signed_vector_arithmetic(self):
+        v, w = SignedVector(1, {A: 2, B: -1}), SignedVector(1, {A: 2, C: 3})
+        assert v - w == SignedVector(1, {B: -1, C: -3})
+        assert (v - v).is_zero() and v - SignedVector.zero(1) == v
+        assert -v == SignedVector(1, {A: -2, B: 1}) and -(-v) == v
+        assert v + w == SignedVector(1, {A: 4, B: -1, C: 3})
+        assert v.scale(0) == SignedVector.zero(1) and v.scale(0).dim == 1
+        assert v.scale(-3) == SignedVector(1, {A: -6, B: 3})
+        with pytest.raises(DimensionMismatchError):
+            v - SignedVector.zero(2)
+        with pytest.raises(OverflowError):
+            SignedVector(1, {A: -MAX_COUNT}) - SignedVector(1, {A: 1})
+
+    def test_signed_vector_from_parts_and_parts(self):
+        # overlapping parts cancel
+        v = SignedVector.from_parts(ms(a=2, b=1), ms(a=1, c=1))
+        assert v == SignedVector(1, {A: -1, B: -1, C: 1})
+        assert v.parts() == (ms(a=1, b=1), ms(c=1))
+        assert SignedVector.from_parts(ms(a=1), ms(a=1)).is_zero()
+        with pytest.raises(DimensionMismatchError):
+            SignedVector.from_parts(ms(a=1), Multiset.empty(2))
+
+
+def _pickle_and_copy_clones(value):
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    clones = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
+    return clones + [copy.copy(value), copy.deepcopy(value), copy.deepcopy([value])[0]]
+
+
+class TestValuesPickleAndCopy:
+    def test_multiset_signed_vector_and_cell_table(self):
+        from paritykit.cells import CellTable
+
+        p, q = GeneratorId(0, "p"), GeneratorId(0, "q")
+        column = Multiset(0, {p: 1})
+        values = [
+            ms(a=2, b=1),
+            Multiset.empty(3),
+            SignedVector(1, {A: -2, C: 1}),
+            SignedVector.zero(0),
+            CellTable([column, Multiset(1, {A: 1})], [Multiset(0, {q: 1}), Multiset(1, {A: 1})]),
+        ]
+        for value in values:
+            for clone in _pickle_and_copy_clones(value):
+                assert type(clone) is type(value)
+                assert clone == value and hash(clone) == hash(value)
+                assert str(clone) == str(value) and repr(clone) == repr(value)
+                with pytest.raises(AttributeError, match="is immutable"):
+                    clone._hash = 0

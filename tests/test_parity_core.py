@@ -805,3 +805,79 @@ class TestFaceValuesFromTheTable:
             assert skeleton(s, n) == ParityStructure.build([])
         assert repr(s) == "<ParityStructure {0: 1, 2: 1}>"
         assert s.neg(s.gen("F")) == frozenset()
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def oracle_moves(struct, s, m, p):
+    """The movement equations on the count-weighted face images; members
+    are looked up in s, m, p order."""
+    for x in (s, m, p):
+        for g in x:
+            struct.require(g)
+    _, _, neg_boundary, pos_boundary = oracle_face_images(struct, s)
+    return neg_boundary == m - p and pos_boundary == p - m
+
+
+class TestAdditiveMovesMatchTheMultisetEquations:
+    @staticmethod
+    def random_multiset(rng, dim, gens):
+        """Counts up to 3, each generator absent half the time."""
+        return Multiset(dim, {g: c for g in gens if (c := rng.choice((0, 0, 0, 1, 2, 3)))})
+
+    def test_on_seeded_random_structures(self):
+        moved = unmoved = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            struct = randstruct.random_additive_structure(rng, max_gens=14, max_dim=3)
+            top = struct.max_dim
+            for dim in range(1, top + 3):
+                gens, below = struct.generators(dim), struct.generators(dim - 1)
+                for _ in range(6):
+                    s = self.random_multiset(rng, dim, gens)
+                    extra = self.random_multiset(rng, dim - 1, below)
+                    _, _, neg_boundary, pos_boundary = oracle_face_images(struct, s)
+                    triples = [
+                        (s, self.random_multiset(rng, dim - 1, below), self.random_multiset(rng, dim - 1, below)),
+                        (s, neg_boundary + extra, pos_boundary + extra),  # moves
+                        (s, pos_boundary + extra, neg_boundary + extra),
+                    ]
+                    for s_, m, p in triples:
+                        want = oracle_moves(struct, s_, m, p)
+                        assert moves(struct, s_, m, p) is want
+                        moved, unmoved = moved + want, unmoved + (not want)
+                    # one unknown member in each of s, m and p, then in all three
+                    s_, m, p = triples[1]
+                    unknown = [x + Multiset.of(GeneratorId(x.dim, "zz")) for x in (s_, m, p)]
+                    for i in range(3):
+                        args = [s_, m, p]
+                        args[i] = unknown[i]
+                        want = outcome(oracle_moves, struct, *args)
+                        assert want[0] is UnknownGeneratorError
+                        assert outcome(moves, struct, *args) == want
+                    want = outcome(oracle_moves, struct, *unknown)
+                    assert want == (UnknownGeneratorError, f"generator 'zz' (dim {dim}) not in structure")
+                    assert outcome(moves, struct, *unknown) == want
+        assert moved > 1000 and unmoved > 1000
+
+    def test_an_empty_s_above_the_top(self, oriental2):
+        for struct in (oriental2.to_additive(), oriental2):
+            m, p = mset(struct, 2, "012"), Multiset.empty(2)
+            assert moves(struct, Multiset.empty(3), m, m) and moves(struct, Multiset.empty(3), p, p)
+            assert not moves(struct, Multiset.empty(3), m, p) and not moves(struct, Multiset.empty(3), p, m)
+            assert moves(struct, Multiset.empty(5), Multiset.empty(4), Multiset.empty(4))
+            zz = Multiset.of(GeneratorId(4, "zz"))
+            with pytest.raises(UnknownGeneratorError, match=r"^generator 'zz' \(dim 4\) not in structure$"):
+                moves(struct, Multiset.empty(5), zz, zz)
+            with pytest.raises(UnknownGeneratorError, match=r"^generator 'zz' \(dim 5\) not in structure$"):
+                moves(struct, Multiset.of(GeneratorId(5, "zz")), Multiset.empty(4), Multiset.empty(4))
+
+    def test_face_images_above_the_top(self, oriental2):
+        fi = face_images(oriental2.to_additive(), Multiset.empty(4))
+        assert all(x == Multiset.empty(3) for x in fi)

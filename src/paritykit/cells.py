@@ -13,12 +13,13 @@ is added one generator at a time.  This is complete because every
 prefix of an excision order of a top is itself the top of a cell with
 the same source, so each growth step passes through cells only.
 
-Both searches, enumeration and atom closure, work on bitmask columns:
-one int per column over that dimension's sorted generators, which is
-exact because every column is a subset.  Both handle cells as pairs of
-int tuples: enumeration searches and sorts them, closure composes, faces
-and lifts them, and each builds tables only for the cells it returns,
-enumeration only after its sort.
+Cells are handled on bitmask columns: one int per column over that
+dimension's sorted generators, which is exact because every column is a
+subset.  Enumeration searches and sorts pairs of mask rows, and atom
+closure composes, faces and lifts them.  The tables they return, and
+those of atom, cell_zero and of the cell operations on such tables, keep
+the mask rows and the structure's face table; a column's Multiset is
+built, once per face table, only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -27,16 +28,19 @@ import os
 from collections import deque
 from typing import Sequence
 
-from .chain import FreeDirectedComplex, from_structure
-from .multiset import GeneratorId, Multiset
+from .chain import AugmentationMissingError, FreeDirectedComplex, from_structure
+from .multiset import GeneratorId, Multiset, SignedVector
 from .ordering import lex_topological_order
 from .parity_core import (
     CLASS_WEAK,
     ParityStructure,
     Structure,
     StructureError,
+    _atom_masks,
     _bits,
-    atom_faces,
+    _boundary,
+    _FaceTable,
+    _signed,
     iterated_boundaries,
     validate,
 )
@@ -63,10 +67,20 @@ class CellTable:
 
     Construction checks only the shape (equal row lengths, column k
     graded by dimension k); the cell conditions are validate_cell's job.
-    Tables pickle and copy through the constructor.
+
+    A table that comes from a structure -- from enumeration, atom
+    closure, atom and cell_zero, and from the cell operations on such
+    tables -- keeps its columns as (neg, pos) rows of subset masks over
+    the structure's face table, and reads a column's Multiset from that
+    table's column cache only when neg, pos, top, str or sort_key asks
+    for it.  Two tables over one face table compare their masks, any
+    other pair their columns.  The hash is computed on first use from
+    the column hashes, so a table over masks and an equal one over
+    Multisets stand for each other as dict keys.  Tables pickle and copy
+    through the constructor.
     """
 
-    __slots__ = ("_neg", "_pos", "_hash", "_subset")
+    __slots__ = ("_rows", "_faces", "_hash", "_subset")
 
     def __init__(self, neg: Sequence[Multiset], pos: Sequence[Multiset]):
         neg = tuple(neg)
@@ -76,65 +90,97 @@ class CellTable:
         for k, (m, p) in enumerate(zip(neg, pos)):
             if m.dim != k or p.dim != k:
                 raise ValueError(f"column {k} must be graded by dimension {k}")
-        object.__setattr__(self, "_neg", neg)
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_hash", hash((neg, pos)))
-        object.__setattr__(self, "_subset", None)  # filled by is_subset_columned
+        _fill(self, (neg, pos), None)
+
+    @classmethod
+    def _of(cls, faces: _FaceTable | None, rows: tuple[tuple, tuple]) -> CellTable:
+        """A table without the shape check: (neg, pos) rows of subset
+        masks over faces, or of Multisets when faces is None."""
+        out = object.__new__(cls)
+        _fill(out, rows, faces)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("CellTable is immutable")
 
     def __reduce__(self):
-        return CellTable, (self._neg, self._pos)
+        return CellTable, (self.neg, self.pos)
 
     @property
     def dim(self) -> int:
-        return len(self._neg) - 1
+        return len(self._rows[0]) - 1
 
     @property
     def neg(self) -> tuple[Multiset, ...]:
-        return self._neg
+        return self._columns(self._rows[0])
 
     @property
     def pos(self) -> tuple[Multiset, ...]:
-        return self._pos
+        return self._columns(self._rows[1])
+
+    def _columns(self, row: tuple) -> tuple[Multiset, ...]:
+        if self._faces is None:
+            return row
+        columns = self._faces.columns
+        return tuple([columns[k, mask][0] for k, mask in enumerate(row)])
 
     @property
     def top(self) -> Multiset:
-        return self._neg[-1]
+        top = self._rows[0][-1]
+        return top if self._faces is None else self._faces.columns[self.dim, top][0]
 
     def is_identity(self) -> bool:
         """True iff the top column is empty (the lift of a lower cell)."""
-        return self.dim >= 1 and self._neg[-1].is_empty() and self._pos[-1].is_empty()
+        neg, pos = self._rows
+        return len(neg) > 1 and not neg[-1] and not pos[-1]  # an empty Multiset is false, as is mask 0
 
     def is_subset_columned(self) -> bool:
         subset = self._subset
         if subset is None:
-            subset = all(m.is_radical() and p.is_radical() for m, p in zip(self._neg, self._pos))
+            subset = all(c.is_radical() for row in self._rows for c in row)
             object.__setattr__(self, "_subset", subset)
         return subset
 
     def sort_key(self) -> tuple:
         return (
             self.dim,
-            tuple(m.sort_key() for m in self._neg),
-            tuple(p.sort_key() for p in self._pos),
+            tuple(m.sort_key() for m in self.neg),
+            tuple(p.sort_key() for p in self.pos),
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CellTable):
             return NotImplemented
-        return self._neg == other._neg and self._pos == other._pos
+        if self._faces is other._faces:  # masks over one face table, or Multisets on both sides
+            return self._rows == other._rows
+        return self.neg == other.neg and self.pos == other.pos
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            if self._faces is None:
+                h = hash(tuple([hash(c) for row in self._rows for c in row]))
+            else:
+                columns = self._faces.columns
+                h = hash(tuple([columns[k, mask][1] for row in self._rows for k, mask in enumerate(row)]))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"CellTable({self!s})"
 
     def __str__(self) -> str:
         row = lambda cols: ", ".join(str(c) for c in cols)
-        return f"({row(self._neg)}; {row(self._pos)})"
+        return f"({row(self.neg)}; {row(self.pos)})"
+
+
+def _fill(table: CellTable, rows: tuple[tuple, tuple], faces: _FaceTable | None) -> None:
+    """Write a new table's slots; mask rows are subset columns."""
+    fill = object.__setattr__
+    fill(table, "_rows", rows)
+    fill(table, "_faces", faces)
+    fill(table, "_hash", None)
+    fill(table, "_subset", None if faces is None else True)
 
 
 def _as_complex(source: Structure | FreeDirectedComplex) -> FreeDirectedComplex:
@@ -150,30 +196,44 @@ def validate_cell(
 
     Mode "rho" checks the boundary conditions and top equality; mode
     "nu" additionally requires augmentation 1 in dimension 0 (an error
-    if the complex has no augmentation).
+    if the complex has no augmentation).  The checks run on the columns
+    as (index, count) chains over the complex's face table, each boundary
+    summed from its signed rows; values are built only for a reason.
     """
     if mode not in ("rho", "nu"):
         raise ValueError(f"unknown cell mode {mode!r}")
     complex_ = _as_complex(source)
-    for column in (*table.neg, *table.pos):
-        for g in column:
-            complex_.require(g)
-    if table.neg[-1] != table.pos[-1]:
-        return False, f"top columns differ: {table.neg[-1]} vs {table.pos[-1]}"
+    t = complex_._table
+    neg, pos = _chains(t, table)
+    if neg[-1] != pos[-1]:
+        return False, f"top columns differ: {table.top} vs {table.pos[-1]}"
+    vector = lambda k, counts: SignedVector(k, {t.gens[k][j]: c for j, c in counts.items()})
     for k in range(table.dim):
-        want = table.pos[k].to_vector() - table.neg[k].to_vector()
-        for label, column in (("negative", table.neg[k + 1]), ("positive", table.pos[k + 1])):
-            got = complex_.boundary(column.to_vector())
+        want = _signed(neg[k], pos[k])
+        for label, column in (("negative", neg[k + 1]), ("positive", pos[k + 1])):
+            got = _boundary(t, k + 1, column)
             if got != want:
                 return (
                     False,
-                    f"{label} column {k + 1} has boundary {got}, expected {want}",
+                    f"{label} column {k + 1} has boundary {vector(k, got)}, expected {vector(k, want)}",
                 )
     if mode == "nu":
-        for label, column in (("negative", table.neg[0]), ("positive", table.pos[0])):
-            if complex_.augmentation(column) != 1:
-                return False, f"{label} column 0 has augmentation {column.total()}, expected 1"
+        if not t.normal:
+            raise AugmentationMissingError("complex has no augmentation (basis is not normal)")
+        for label, column in (("negative", neg[0]), ("positive", pos[0])):
+            total = sum(c for _, c in column)
+            if total != 1:
+                return False, f"{label} column 0 has augmentation {total}, expected 1"
     return True, None
+
+
+def _chains(t: _FaceTable, table: CellTable) -> tuple[list[list[tuple[int, int]]], ...]:
+    """The (neg, pos) rows of a table as sorted (index, count) chains over
+    face table t; a generator t lacks raises UnknownGeneratorError."""
+    if table._faces is t:
+        return tuple([[(j, 1) for j in _bits(mask)] for mask in row] for row in table._rows)
+    index = t.index
+    return tuple([[(index[g], c) for g, c in column.items()] for column in row] for row in (table.neg, table.pos))
 
 
 def face(table: CellTable, k: int, sign: str) -> CellTable:
@@ -182,14 +242,16 @@ def face(table: CellTable, k: int, sign: str) -> CellTable:
         raise ValueError(f"face index {k} out of range for a {table.dim}-cell")
     if sign not in ("source", "target"):
         raise ValueError(f"sign must be 'source' or 'target', got {sign!r}")
-    last = table.neg[k] if sign == "source" else table.pos[k]
-    return CellTable(table.neg[:k] + (last,), table.pos[:k] + (last,))
+    neg, pos = table._rows
+    last = neg[k] if sign == "source" else pos[k]
+    return CellTable._of(table._faces, (neg[:k] + (last,), pos[:k] + (last,)))
 
 
 def identity(table: CellTable) -> CellTable:
     """The identity one dimension up: same columns plus a pair of zeros."""
-    empty = Multiset.empty(table.dim + 1)
-    return CellTable(table.neg + (empty,), table.pos + (empty,))
+    neg, pos = table._rows
+    zero = Multiset.empty(table.dim + 1) if table._faces is None else 0
+    return CellTable._of(table._faces, (neg + (zero,), pos + (zero,)))
 
 
 def lift(table: CellTable, dim: int) -> CellTable:
@@ -213,22 +275,26 @@ def compose(x: CellTable, y: CellTable, k: int) -> CellTable:
         raise NotComposableError(f"dimensions differ: {x.dim} vs {y.dim}")
     if not 0 <= k < x.dim:
         raise NotComposableError(f"composition index {k} out of range for {x.dim}-cells")
+    same = x._faces is y._faces  # masks over one face table, or Multisets on both sides
+    (x_neg, x_pos), (y_neg, y_pos) = (x._rows, y._rows) if same else ((x.neg, x.pos), (y.neg, y.pos))
     # the k-target of x against the k-source of y, column by column
-    if x.pos[k] != y.neg[k] or x.neg[:k] != y.neg[:k] or x.pos[:k] != y.pos[:k]:
+    if x_pos[k] != y_neg[k] or x_neg[:k] != y_neg[:k] or x_pos[:k] != y_pos[:k]:
         raise NotComposableError(f"{k}-target of the first is not the {k}-source of the second")
+    if same and x._faces is not None:
+        return CellTable._of(x._faces, _composite(x._rows, y._rows, k))
     check_subsets = x.is_subset_columned() and y.is_subset_columned()
-    neg = list(x.neg[: k + 1])
-    pos = list(y.pos[: k + 1])
+    neg = list(x_neg[: k + 1])
+    pos = list(y_pos[: k + 1])
     for j in range(k + 1, x.dim + 1):
-        m = x.neg[j] + y.neg[j]
-        p = x.pos[j] + y.pos[j]
+        m = x_neg[j] + y_neg[j]
+        p = x_pos[j] + y_pos[j]
         if check_subsets and not (m.is_radical() and p.is_radical()):
             raise InternalCheckError(
                 f"column {j} of a composite of subset-columned cells is not a subset"
             )
         neg.append(m)
         pos.append(p)
-    out = CellTable(neg, pos)
+    out = CellTable._of(None, (tuple(neg), tuple(pos)))
     if check_subsets:
         object.__setattr__(out, "_subset", True)  # every column was checked or shared
     return out
@@ -238,27 +304,25 @@ def atom(struct: Structure, gen: GeneratorId) -> CellTable:
     """The atom of a generator: its iterated face levels as a table.
 
     For parity structures the rows are the subset face levels; for
-    additive structures the iterated multiset boundaries.  The result is
-    a valid nu-cell exactly when the structure is unital at the
-    generator.
+    additive structures the iterated multiset boundaries, which are the
+    same subsets when the faces are and every level is well-formed.  The
+    result is a valid nu-cell exactly when the structure is unital at
+    the generator.
     """
-    struct.require(gen)
-    if isinstance(struct, ParityStructure):
-        neg_levels, pos_levels = atom_faces(struct, gen)
-        neg = [Multiset.subset(k, level) for k, level in enumerate(neg_levels)]
-        pos = [Multiset.subset(k, level) for k, level in enumerate(pos_levels)]
-        return CellTable(neg, pos)
-    neg_ms, pos_ms = iterated_boundaries(struct, gen)
-    return CellTable(neg_ms, pos_ms)
+    t = struct._table
+    levels = _atom_masks(t, gen.dim, t.index[gen])
+    if isinstance(struct, ParityStructure) or (t.subset and all(wf for row in levels for _, wf in row)):
+        return CellTable._of(t, tuple(tuple(mask for mask, _ in row) for row in levels))
+    return CellTable(*iterated_boundaries(struct, gen))
 
 
 def cell_zero(struct: Structure, gen: GeneratorId) -> CellTable:
     """The 0-cell at a dimension-0 generator."""
-    struct.require(gen)
+    t = struct._table
+    bit = 1 << t.index[gen]
     if gen.dim != 0:
         raise ValueError(f"{gen.name!r} has dimension {gen.dim}, expected 0")
-    column = Multiset.of(gen)
-    return CellTable((column,), (column,))
+    return CellTable._of(t, ((bit,), (bit,)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,51 +359,20 @@ def _require_weak(struct: Structure, task: str) -> None:
 _MaskCell = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class _Columns:
-    """Subset columns as int bitmasks over each dimension's sorted
-    generators: bit i of a dimension-d mask stands for generators(d)[i],
-    index i of the structure's integer face table.
-
-    Over a weak parity complex every column of a cell is a subset, so a
-    mask represents it exactly; this is the one place where masks and
-    Multisets are converted into each other.
-    """
-
-    def __init__(self, struct: Structure):
-        self.faces = struct._table
-        self._columns: dict[tuple[int, int], Multiset] = {}
-
-    def column(self, dim: int, mask: int) -> Multiset:
-        got = self._columns.get((dim, mask))
-        if got is None:
-            # an identity's zero column may lie above the structure's top dimension
-            gens = [self.faces.gens[dim][i] for i in _bits(mask)]
-            got = self._columns[dim, mask] = Multiset.subset(dim, gens)
-        return got
-
-    def mask(self, column: Multiset) -> int:
-        index = self.faces.index
-        out = 0
-        for g, count in column.items():
-            if count != 1:
+def _mask_rows(t: _FaceTable, table: CellTable) -> _MaskCell:
+    """The (neg, pos) mask rows of a table over the structure with face
+    table t; a column that is not a subset raises InternalCheckError."""
+    if table._faces is t:
+        return table._rows
+    rows = []
+    for row in (table.neg, table.pos):
+        for column in row:
+            if not column.is_radical():
                 raise InternalCheckError(
                     f"column {column} of a cell over a weak parity complex is not a subset"
                 )
-            out |= 1 << index[g]
-        return out
-
-    def cell(self, table: CellTable) -> _MaskCell:
-        """The (neg, pos) mask rows of a table."""
-        return tuple(map(self.mask, table.neg)), tuple(map(self.mask, table.pos))
-
-    def table(self, neg: Sequence[int], pos: Sequence[int]) -> CellTable:
-        """The table of a pair of mask rows, marked as subset-columned."""
-        out = CellTable(
-            [self.column(k, m) for k, m in enumerate(neg)],
-            [self.column(k, p) for k, p in enumerate(pos)],
-        )
-        object.__setattr__(out, "_subset", True)
-        return out
+        rows.append(tuple(t.mask(k, column) for k, column in enumerate(row)))
+    return rows[0], rows[1]
 
 
 def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
@@ -356,10 +389,10 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     prefix of an excision order of a top is such a growth step (see
     excision_decompose); each T is kept once per source.
 
-    The search and the sort run on mask cells, and a table is built for
-    each cell only after the sort.  Every search state is an emitted
-    cell, so the PARITYKIT_MAX_CELLS cap bounds the work as well as the
-    output.  Output is in canonical order.
+    The search and the sort run on mask cells, and after the sort each
+    cell's table is made on its mask rows.  Every search state is an
+    emitted cell, so the PARITYKIT_MAX_CELLS cap bounds the work as well
+    as the output.  Output is in canonical order.
     """
     found = _mask_cells(struct, max_dim)
     bits: dict[int, tuple[int, ...]] = {}
@@ -373,8 +406,8 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     # bit i of a dimension-d mask is generators(d)[i], in name order, so
     # this orders cells as CellTable.sort_key does
     found.sort(key=lambda c: (len(c[0]), tuple(map(column_key, c[0])), tuple(map(column_key, c[1]))))
-    table = _Columns(struct).table
-    return [table(neg, pos) for neg, pos in found]
+    t, table = struct._table, CellTable._of
+    return [table(t, cell) for cell in found]
 
 
 def _mask_cells(struct: Structure, max_dim: int) -> list[_MaskCell]:
@@ -454,7 +487,8 @@ def excision_decompose(
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
 
-    top = table.top
+    neg_row, pos_row = table.neg, table.pos
+    top = neg_row[-1]
     if top.is_empty():
         return []
     members = sorted(top.support())
@@ -477,7 +511,7 @@ def excision_decompose(
         sequence.extend([members[i]] * top.count(members[i]))
 
     slices: list[CellTable] = []
-    current = table.neg[table.dim - 1].to_vector()
+    current = neg_row[-2].to_vector()
     for b in sequence:
         nxt = current + complex_.boundary_of(b)
         if not nxt.is_positive():
@@ -487,12 +521,12 @@ def excision_decompose(
         column = Multiset.of(b)
         slices.append(
             CellTable(
-                table.neg[: table.dim - 1] + (current.to_multiset(), column),
-                table.pos[: table.dim - 1] + (nxt.to_multiset(), column),
+                neg_row[:-2] + (current.to_multiset(), column),
+                pos_row[:-2] + (nxt.to_multiset(), column),
             )
         )
         current = nxt
-    if current.to_multiset() != table.pos[table.dim - 1]:
+    if current.to_multiset() != pos_row[-2]:
         raise InternalCheckError("excision slices do not close up to the target column")
     return slices
 
@@ -589,13 +623,13 @@ def atom_closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpress
     of each dimension <= max_dim.  Requires a weak parity complex, as
     enumerate_cells does, so that every column is a subset: the search
     runs on the enumerator's bitmask columns, and tables are built only
-    for the returned dict.  The PARITYKIT_MAX_CELLS cap applies to the
-    cells reached.
+    for the returned dict, on the mask rows.  The PARITYKIT_MAX_CELLS
+    cap applies to the cells reached.
     """
     _check_max_dim(max_dim)
     _require_weak(struct, "atom closure")
-    cols = _Columns(struct)
-    return {cols.table(*cell): expr for cell, expr in _closure(struct, cols, max_dim).items()}
+    t, table = struct._table, CellTable._of
+    return {table(t, cell): expr for cell, expr in _closure(struct, max_dim).items()}
 
 
 def _composite(x: _MaskCell, y: _MaskCell, k: int) -> _MaskCell:
@@ -617,7 +651,7 @@ def _composite(x: _MaskCell, y: _MaskCell, k: int) -> _MaskCell:
 
 
 def _closure(
-    struct: Structure, cols: _Columns, max_dim: int, goal: _MaskCell | None = None
+    struct: Structure, max_dim: int, goal: _MaskCell | None = None
 ) -> dict[_MaskCell, AtomExpression]:
     """The closure on mask cells, in the order reached; stops as soon as
     goal, if given, is reached.
@@ -648,7 +682,7 @@ def _closure(
         for g in sorted(struct.all_generators()):
             if g.dim <= max_dim:
                 leaf = AtomLeaf(g)
-                cell = cols.cell(leaf.evaluate(struct))
+                cell = _mask_rows(struct._table, leaf.evaluate(struct))
                 if cell not in known and add(cell, leaf):
                     return
         while queue:
@@ -694,6 +728,5 @@ def generated_by_atoms(struct: Structure, table: CellTable) -> AtomExpression | 
     ok, reason = validate_cell(complex_, table, mode="nu" if complex_.augmented else "rho")
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
-    cols = _Columns(struct)
-    goal = cols.cell(table)
-    return _closure(struct, cols, table.dim, goal).get(goal)
+    goal = _mask_rows(struct._table, table)
+    return _closure(struct, table.dim, goal).get(goal)

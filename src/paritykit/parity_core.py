@@ -339,6 +339,21 @@ class _Boundaries(dict):
         return vector
 
 
+class _SubsetColumns(dict):
+    """Subset columns by (dim, mask), each a (Multiset, hash) pair built
+    on first use: bit j of a dimension-d mask stands for ``gens[d][j]``."""
+
+    def __init__(self, gens: list[tuple[GeneratorId, ...]]):
+        self._gens = gens
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[Multiset, int]:
+        d, mask = key
+        # an identity's zero column may lie above the structure's top dimension
+        column = Multiset(d, [(self._gens[d][j], 1) for j in _bits(mask)])
+        got = self[key] = column, hash(column)
+        return got
+
+
 class _FaceTable:
     """A structure's face data on dense ints, its only face storage.
 
@@ -355,7 +370,8 @@ class _FaceTable:
     the boundary pos - neg as an index -> coefficient dict without zeros,
     ``normal`` says whether every 1-generator has singleton faces, and
     ``boundaries`` (SignedVectors by id) and ``dd_defects()`` are filled
-    in on first use.
+    in on first use, as are the cell columns ``columns`` that cell tables
+    over the structure read.
     """
 
     def __init__(self, gens: list[tuple[GeneratorId, ...]], neg: list[list[tuple]], pos: list[list[tuple]]):
@@ -367,6 +383,7 @@ class _FaceTable:
         self.signed = [[_signed(n, p) for n, p in zip(*level)] for level in zip(neg, pos)]
         self.normal = next(_non_normal(self), None) is None
         self.boundaries = _Boundaries(gens, self.index, self.signed)
+        self.columns = _SubsetColumns(gens)
         self._dd: tuple | None = None
 
     def dd_defects(self) -> tuple[tuple[int, int, dict[int, int]], ...]:

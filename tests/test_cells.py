@@ -303,26 +303,36 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="max_dim"):
             cells.atom_closure(oriental2, -1)
 
-    def test_one_table_per_cell(self, tmp_path, monkeypatch):
-        from paritykit import fixtures
-        from paritykit.cli import main
+    def test_tables_on_rows_and_count_only_builds_none(self, tmp_path, monkeypatch):
+        # enumeration builds one table per cell on its mask rows and no
+        # column; `cells --count-only` builds neither
+        from paritykit import cli, fixtures
 
-        built = []
-        init = CellTable.__init__
+        built, loaded = [], []
+        init, of, load = CellTable.__init__, CellTable._of.__func__, cli._load
 
         def counting_init(self, neg, pos):
             built.append(None)
             init(self, neg, pos)
 
+        def counting_of(cls, faces, rows):
+            built.append(None)
+            return of(cls, faces, rows)
+
         monkeypatch.setattr(CellTable, "__init__", counting_init)
+        monkeypatch.setattr(CellTable, "_of", classmethod(counting_of))
+        monkeypatch.setattr(cli, "_load", lambda *args: loaded.append(load(*args)) or loaded[-1])
         struct = family("cube", 3)
         enumerated = cells.enumerate_cells(struct, 3)
         assert len(built) == len(enumerated) == 159
+        assert struct._table.columns == {}
+        last = enumerated[-1]
+        assert str(last) and {c for c, _ in struct._table.columns.values()} == {*last.neg, *last.pos}
         built.clear()
         path = tmp_path / "cube3.json"
         path.write_text(fixtures.dumps(struct, name="cube-3"))
-        assert main(["cells", str(path), "--max-dim", "3", "--count-only"]) == 0
-        assert built == []
+        assert cli.main(["cells", str(path), "--max-dim", "3", "--count-only"]) == 0
+        assert built == [] and loaded[0].value._table.columns == {}
 
     # SHA-256 of the str() lines of the sorted enumeration, recorded from
     # the former top-down search before it was replaced.
@@ -485,12 +495,17 @@ class TestAtomClosure:
     def test_tables_are_marked_subset_columned(self, oriental2):
         assert all(t._subset for t in cells.atom_closure(oriental2, 2))
 
-    def test_columns_must_be_subsets(self, oriental2):
-        cols = cells._Columns(oriental2)
+    def test_a_non_subset_column_hard_errors(self, oriental2, monkeypatch):
+        # a table made from Multisets is read as mask rows; a column that is
+        # not a subset cannot be, which over a weak parity complex means
+        # the inputs are suspect
         zero = oriental2.gen("0")
-        assert cols.column(0, cols.mask(Multiset.of(zero))) == Multiset.of(zero)
+        point = CellTable([Multiset.of(zero)], [Multiset.of(zero)])
+        assert cells.generated_by_atoms(oriental2, point).to_payload() == ["atom", "0"]
+        doubled = CellTable([Multiset.of(zero, zero)], [Multiset.of(zero, zero)])
+        monkeypatch.setattr(cells, "validate_cell", lambda *args, **kwargs: (True, None))
         with pytest.raises(InternalCheckError, match="not a subset"):
-            cols.mask(Multiset.of(zero, zero))
+            cells.generated_by_atoms(oriental2, doubled)
 
     def test_overlapping_composite_hard_errors(self):
         edge = ((1, 0), (2, 0))

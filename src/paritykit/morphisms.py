@@ -275,6 +275,8 @@ class ChainMap:
         self._source = source
         self._target = target
         self._images = dict(images)
+        for g in self._images:
+            source.require(g)
         for g in source.structure.all_generators():
             if g not in self._images:
                 raise MorphismError(f"chain map is missing generator {g.name!r}")

@@ -268,14 +268,16 @@ class SignedVector(_Chain):
             raise ValueError(f"dimension must be >= 0, got {dim}")
         pairs = entries.items() if isinstance(entries, Mapping) else list(entries)
         clean: dict[GeneratorId, int] = {}
+        zeros: set[GeneratorId] = set()  # dropped, but a repeat of one is still a repeat
         for gen, value in pairs:
             if gen.dim != dim:
                 raise DimensionMismatchError(
                     f"generator {gen.name!r} has dimension {gen.dim}, expected {dim}"
                 )
-            if gen in clean:
+            if gen in clean or (zeros and gen in zeros):
                 raise ValueError(f"duplicate generator {gen.name!r}")
             if value == 0:
+                zeros.add(gen)
                 continue
             if abs(value) > MAX_COUNT:
                 raise OverflowError(f"entry for {gen.name!r} exceeds {MAX_COUNT}")

@@ -277,6 +277,18 @@ class TestChainMapChecksItsImages:
         assert ChainMap(from_structure(source), from_structure(target), {p: point}).image(p) == point
 
 
+    def test_an_image_of_a_generator_the_source_lacks(self):
+        # the identity images plus one for a generator outside the source
+        complex_ = from_structure(oriental(2))
+        images = {g: SignedVector(g.dim, {g: 1}) for g in oriental(2).all_generators()}
+        junk = GeneratorId(5, "junk")
+        with pytest.raises(UnknownGeneratorError, match=r"^generator 'junk' \(dim 5\) not in structure$"):
+            ChainMap(complex_, complex_, {**images, junk: SignedVector.zero(5)})
+        with pytest.raises(UnknownGeneratorError, match="'junk'"):
+            ChainMap(complex_, complex_, {**images, GeneratorId(0, "junk"): SignedVector.zero(0)})
+        assert ChainMap(complex_, complex_, images) == induced_chain_map(identity_morphism(oriental(2)))
+
+
 class TestNoAdditiveViewIsBuilt:
     @staticmethod
     def coface(source, target, skip):

@@ -294,6 +294,12 @@ class TestConstructorContract:
         assert raised(SignedVector, 1, [(A, 0), (X2, 1)])[0] is DimensionMismatchError
         assert raised(SignedVector, 1, [(A, TOO_BIG), (X2, 1)])[0] is OverflowError
 
+    def test_a_repeated_zero_entry_is_a_repeat(self):
+        # in either order, as [(a, 1), (a, 0)] is
+        for entries in ([(A, 0), (A, 1)], [(A, 0), (A, 0)], [(A, 0), (B, 1), (A, -1)]):
+            assert raised(SignedVector, 1, entries) == (ValueError, "duplicate generator 'a'")
+        assert SignedVector(1, [(A, 0), (B, 1)]) == SignedVector(1, {B: 1})
+
     def test_iterables_and_mappings_agree(self):
         for cls in (Multiset, SignedVector):
             assert cls(1, [(B, 2), (A, 1)]) == cls(1, {A: 1, B: 2})

@@ -29,7 +29,7 @@ from collections import deque
 from typing import Sequence
 
 from .chain import AugmentationMissingError, FreeDirectedComplex, from_structure
-from .multiset import GeneratorId, Multiset, SignedVector
+from .multiset import GeneratorId, Multiset
 from .ordering import lex_topological_order
 from .parity_core import (
     CLASS_WEAK,
@@ -207,7 +207,6 @@ def validate_cell(
     neg, pos = _chains(t, table)
     if neg[-1] != pos[-1]:
         return False, f"top columns differ: {table.top} vs {table.pos[-1]}"
-    vector = lambda k, counts: SignedVector(k, {t.gens[k][j]: c for j, c in counts.items()})
     for k in range(table.dim):
         want = _signed(neg[k], pos[k])
         for label, column in (("negative", neg[k + 1]), ("positive", pos[k + 1])):
@@ -215,7 +214,7 @@ def validate_cell(
             if got != want:
                 return (
                     False,
-                    f"{label} column {k + 1} has boundary {vector(k, got)}, expected {vector(k, want)}",
+                    f"{label} column {k + 1} has boundary {t.vector(k, got)}, expected {t.vector(k, want)}",
                 )
     if mode == "nu":
         if not t.normal:

@@ -16,10 +16,10 @@ from .parity_core import (
     AdditiveParityStructure,
     Structure,
     StructureError,
-    _columns,
+    _boundary,
     _FaceTable,
-    _linear,
     _non_normal,
+    _non_unital,
     _spread,
     iterated_boundaries,
 )
@@ -66,17 +66,21 @@ class FreeDirectedComplex:
         self._structure.require(gen)
 
     def boundary_of(self, gen: GeneratorId) -> SignedVector:
-        """Boundary of a single generator of dimension >= 1."""
+        """Boundary of a generator of dimension >= 1, built on first use and kept on the face table."""
+        t = self._table
+        i = t.index[gen]  # a generator the structure lacks raises
         if gen.dim == 0:
-            self.require(gen)
             raise StructureError(f"dimension-0 generator {gen.name!r} has no boundary")
-        return self._table.boundaries[gen]
+        if gen not in t.boundaries:
+            t.boundaries[gen] = t.vector(gen.dim - 1, t.signed[gen.dim][i])
+        return t.boundaries[gen]
 
     def boundary(self, v: SignedVector) -> SignedVector:
-        """Linear extension of the generator boundaries."""
+        """Linear extension of the generator boundaries, summed from the signed rows."""
         if v.dim < 1:
             raise StructureError("boundary needs a chain of dimension >= 1")
-        return SignedVector(v.dim - 1, _linear(self._table.boundaries, v.items()))
+        t = self._table
+        return t.vector(v.dim - 1, _boundary(t, v.dim, [(t.index[g], c) for g, c in v.items()]))
 
     def augmentation(self, v: SignedVector | Multiset) -> int:
         """Canonical augmentation of a dimension-0 chain (requires normality)."""
@@ -147,15 +151,10 @@ def check_complex(complex_: FreeDirectedComplex) -> ChainReport:
     if not normal:
         failures.append(("unital", "", "no augmentation: basis is not normal"))
     else:
-        for d, row in enumerate(t.gens):
-            for i, g in enumerate(row):
-                neg_levels, pos_levels = _columns(t, d, i)
-                neg, pos = sum(neg_levels[0].values()), sum(pos_levels[0].values())
-                if neg != 1 or pos != 1:
-                    unital = False
-                    failures.append(
-                        ("unital", g.name, f"iterated parts of {g.name} have augmentation {neg} and {pos}")
-                    )
+        for g, neg, pos in _non_unital(t):
+            unital = False
+            text = f"iterated parts of {g.name} have augmentation {sum(neg.values())} and {sum(pos.values())}"
+            failures.append(("unital", g.name, text))
 
     return ChainReport(dd_zero, normal, unital, normal, tuple(failures))
 

@@ -278,8 +278,10 @@ def cell_payload(table: CellTable) -> dict:
 
 def morphism_payload(f: GradedMorphism) -> dict:
     assignment: dict[str, dict[str, list]] = {}
-    for g in f.source.all_generators():
-        assignment.setdefault(str(g.dim), {})[g.name] = _multiset_payload(f.image(g))
+    for d, (gens, rows) in enumerate(zip(f.source._table.gens, f._rows)):
+        names = [h.name for h in f.target.generators(d)]
+        if gens:
+            assignment[str(d)] = {g.name: _faces_payload(names, sorted(row.items())) for g, row in zip(gens, rows)}
     def side(struct: Structure) -> dict:
         kind = KIND_PARITY if isinstance(struct, ParityStructure) else KIND_ADDITIVE
         return {"kind": kind, **structure_payload(struct)}

@@ -2,23 +2,30 @@
 
 A graded morphism assigns each source generator a finite multiset
 (additive mode) or well-formed subset (weak-parity mode) of target
-generators of the same dimension.  Validation checks the movement
-equations; composition, the induced chain map, and the induced action
-on cell tables are provided with their functoriality testable.
+generators of the same dimension; a chain map assigns it a chain.  Both
+keep the image of generator i of dimension d as ``rows[d][i]``, an index
+-> count dict over the target face table's dimension-d generators, as
+the table keeps its signed rows.  Everything but the results and the
+text of a failure is computed on these rows, where no count overflows.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import attrgetter, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .multiset import GeneratorId, Multiset, SignedVector
+from .multiset import MAX_COUNT, GeneratorId, Multiset, SignedVector, _format_entries
 from .parity_core import (
     CLASS_ADDITIVE,
     CLASS_WEAK,
     Structure,
-    StructureError,
-    is_well_formed,
-    moves,
+    _bits,
+    _boundary,
+    _FaceTable,
+    _linear,
+    _moves,
+    _spread,
     skeleton,
     validate,
 )
@@ -37,93 +44,106 @@ class MorphismError(ValueError):
 class GradedMorphism:
     """Dimension-preserving assignment of face data between structures.
 
-    Equality is extensional: same source, target, and assignment on
-    every generator.  The assignment must be total; weak-parity mode
-    additionally requires every image to be a subset.
+    Equality is extensional: same source, target, and image of every
+    generator; the mode is not compared.  The assignment must be total;
+    weak-parity mode additionally requires every image to be a subset.
+    The images are kept as rows over the target's face table.
     """
 
-    def __init__(
-        self,
-        source: Structure,
-        target: Structure,
-        assignment: Mapping[GeneratorId, Multiset],
-        mode: str = "weak_parity",
-    ):
+    def __init__(self, source: Structure, target: Structure, assignment: Mapping[GeneratorId, Multiset],
+                 mode: str = "weak_parity"):
         if mode not in MODES:
             raise MorphismError(f"unknown morphism mode {mode!r}")
-        self._source = source
-        self._target = target
-        self._mode = mode
-        clean: dict[GeneratorId, Multiset] = {}
         for g in source.all_generators():
             if g not in assignment:
                 raise MorphismError(f"assignment is missing generator {g.name!r} (dim {g.dim})")
+        index, into = source._table.index, target._table.index
+        rows = [[{}] * len(gens) for gens in source._table.gens]
         for g, image in assignment.items():
-            source.require(g)
+            i = index[g]  # a generator the source lacks raises
             if image.dim != g.dim:
-                raise MorphismError(
-                    f"image of {g.name!r} has dimension {image.dim}, expected {g.dim}"
-                )
-            for h in image:
-                target.require(h)
+                raise MorphismError(f"image of {g.name!r} has dimension {image.dim}, expected {g.dim}")
+            rows[g.dim][i] = {into[h]: c for h, c in image.items()}  # so does one the target lacks
             if mode == "weak_parity" and not image.is_radical():
                 raise MorphismError(f"image of {g.name!r} is not a subset: {image}")
-            clean[g] = image
-        self._assignment = clean
+        self._source, self._target, self._rows, self._mode = source, target, rows, mode
 
-    @property
-    def source(self) -> Structure:
-        return self._source
+    @classmethod
+    def _of(cls, source: Structure, target: Structure, rows: list, mode: str) -> GradedMorphism:
+        """The morphism with these image rows, which are not checked."""
+        f = cls.__new__(cls)
+        f._source, f._target, f._rows, f._mode = source, target, rows, mode
+        return f
 
-    @property
-    def target(self) -> Structure:
-        return self._target
-
-    @property
-    def mode(self) -> str:
-        return self._mode
+    source = property(attrgetter("_source"))
+    target = property(attrgetter("_target"))
+    mode = property(attrgetter("_mode"))
 
     def image(self, gen: GeneratorId) -> Multiset:
-        self._source.require(gen)
-        return self._assignment[gen]
+        return self._target._table.multiset(gen.dim, _row(self, gen))
 
     def apply_multiset(self, s: Multiset) -> Multiset:
         """Homomorphic extension to multisets."""
-        counts: dict[GeneratorId, int] = {}
-        for g, c in s.items():
-            for h, d in self.image(g).items():
-                counts[h] = counts.get(h, 0) + c * d
-        return Multiset(s.dim, counts)
+        return self._target._table.multiset(s.dim, _apply(self, s))
 
     def apply_union(self, dim: int, s: Iterable[GeneratorId]) -> frozenset[GeneratorId]:
         """Union extension to subsets."""
-        out: set[GeneratorId] = set()
+        mask = 0
         for g in s:
             if g.dim != dim:
                 raise MorphismError(f"{g.name!r} has dimension {g.dim}, expected {dim}")
-            out |= self.image(g).support_set()
-        return frozenset(out)
+            mask |= sum(1 << j for j in _row(self, g))
+        return self._target._table.members(dim, mask)
 
     def is_normal(self) -> bool:
         """True iff every dimension-0 image is a singleton."""
-        return all(self.image(g).total() == 1 for g in self._source.generators(0))
+        return all(sum(row.values()) == 1 for level in self._rows[:1] for row in level)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMorphism):
             return NotImplemented
-        return (
-            self._source == other._source
-            and self._target == other._target
-            and self._assignment == other._assignment
-        )
+        return (self._source, self._target, self._rows) == (other._source, other._target, other._rows)
 
     def __repr__(self) -> str:
-        return f"<GradedMorphism {self._mode} on {len(self._assignment)} generators>"
+        return f"<GradedMorphism {self._mode} on {len(self._source)} generators>"
+
+
+def _row(f: GradedMorphism | ChainMap, gen: GeneratorId) -> dict[int, int]:
+    """The image row of a generator of f's source, which raises for any other."""
+    i = f._source._table.index[gen]
+    return f._rows[gen.dim][i]
+
+
+def _apply(f: GradedMorphism | ChainMap, v: Multiset | SignedVector) -> dict[int, int]:
+    """The image of a chain under f, as an index -> count dict."""
+    chain = [(f._source._table.index[g], c) for g, c in v.items()]
+    return _linear(f._rows[v.dim], chain) if chain else {}
+
+
+def _images(t: _FaceTable, rows: list) -> Iterator[tuple[GeneratorId, int, int, dict[int, int]]]:
+    """(generator, dimension, index, image row) of each generator of source table t, in id order."""
+    for d, gens in enumerate(t.gens):
+        for i, g in enumerate(gens):
+            yield g, d, i, rows[d][i]
+
+
+def _boundaries(s: _FaceTable, t: _FaceTable, rows: list, d: int, i: int) -> tuple[dict, dict]:
+    """The boundary of the image of the source's generator i of dimension d and the
+    image of its boundary, without zero entries; both are empty in dimension 0."""
+    image = {j: c for j, c in _linear(rows[d - 1], s.signed[d][i].items()).items() if c}
+    return _boundary(t, d, rows[d][i].items()), image
+
+
+def _composed(rows: list, after: list) -> list:
+    """The rows ``after`` applied to each of ``rows``, without zero entries."""
+    return [
+        [{j: c for j, c in _linear(after[d], row.items()).items() if c} if row else {} for row in level]
+        for d, level in enumerate(rows)
+    ]
 
 
 def identity_morphism(struct: Structure, mode: str = "weak_parity") -> GradedMorphism:
-    assignment = {g: Multiset.of(g) for g in struct.all_generators()}
-    return GradedMorphism(struct, struct, assignment, mode)
+    return GradedMorphism(struct, struct, {g: Multiset.of(g) for g in struct.all_generators()}, mode)
 
 
 class MorphismReport(NamedTuple):
@@ -135,15 +155,6 @@ class MorphismReport(NamedTuple):
         return {"valid": self.valid, "normal": self.normal, "failures": list(self.failures)}
 
 
-def _require_level(struct: Structure, classification: str, role: str, mode: str) -> None:
-    report = validate(struct)
-    if not report.meets(classification):
-        raise MorphismError(
-            f"{mode} morphisms need the {role} to be at least a {classification}, "
-            f"got {report.classification}"
-        )
-
-
 def validate_morphism(f: GradedMorphism, mode: str | None = None) -> MorphismReport:
     """Check the movement equations defining a morphism.
 
@@ -152,53 +163,58 @@ def validate_morphism(f: GradedMorphism, mode: str | None = None) -> MorphismRep
     homomorphically.  Weak-parity mode: every image is well-formed and
     the movement holds in subset form with union extensions.  The
     normality flag reports whether dimension-0 images are singletons.
+    A count beyond MAX_COUNT is reported like any other.
     """
     mode = mode or f.mode
     if mode not in MODES:
         raise MorphismError(f"unknown morphism mode {mode!r}")
     failures: list[str] = []
+    level = CLASS_ADDITIVE if mode == "additive" else CLASS_WEAK
+    for role, struct in (("source", f.source), ("target", f.target)):
+        report = validate(struct)
+        if not report.meets(level):
+            raise MorphismError(
+                f"{mode} morphisms need the {role} to be at least a {level}, got {report.classification}"
+            )
     if mode == "additive":
-        _require_level(f.source, CLASS_ADDITIVE, "source", mode)
-        _require_level(f.target, CLASS_ADDITIVE, "target", mode)
-        t = f.source._table
-        for d in range(1, len(t.gens)):
-            for g, neg, pos in zip(t.gens[d], t.neg[d], t.pos[d]):
-                m, p = (f.apply_multiset(t.multiset(d - 1, dict(row))) for row in (neg, pos))
-                if not moves(f.target, f.image(g), m, p, mode="additive"):
-                    failures.append(
-                        f"image of {g.name} does not move the image of its faces: "
-                        f"{f.image(g)} vs {m} -> {p}"
-                    )
+        s, t, rows = f.source._table, f.target._table, f._rows
+        for g, d, i, row in _images(s, rows):
+            lhs, rhs = _boundaries(s, t, rows, d, i)
+            if lhs != rhs:
+                m, p = (_linear(rows[d - 1], faces[d][i]) for faces in (s.neg, s.pos))
+                failures.append(
+                    f"image of {g.name} does not move the image of its faces: "
+                    f"{t.text(d, row)} vs {t.text(d - 1, m)} -> {t.text(d - 1, p)}"
+                )
     else:
-        _require_level(f.source, CLASS_WEAK, "source", mode)
-        _require_level(f.target, CLASS_WEAK, "target", mode)
-        failures.extend(_union_movement_failures(f, "subset"))
+        failures.extend(_union_movement_failures(f, strict=False))
     return MorphismReport(not failures, f.is_normal(), tuple(failures))
 
 
-def _union_movement_failures(f: GradedMorphism, mode: str) -> Iterator[str]:
-    """Why images fail to move the union images of their faces, in the
-    ``moves`` mode given ("subset" or "strict"), generator by generator.
+def _union_movement_failures(f: GradedMorphism, strict: bool) -> Iterator[str]:
+    """Why images fail to move the union images of their faces, in subset
+    or strict form, generator by generator.
 
-    Both structures are weak parity complexes, so every face counts 1.
+    Both structures are weak parity complexes, so every face counts 1,
+    and a union image is an OR of image masks; a dimension-0 generator
+    has no faces to move.
     """
-    source, target = f.source, f.target
-    for g in source.all_generators():
-        image = f.image(g)
-        if not image.is_radical():
-            yield f"image of {g.name} is not a subset: {image}"
+    s, t = f.source._table, f.target._table
+    masks = [[sum(1 << j for j in row) for row in level] for level in f._rows]
+    for g, d, i, row in _images(s, f._rows):
+        if max(row.values(), default=1) > 1:
+            yield f"image of {g.name} is not a subset: {t.text(d, row)}"
             continue
-        if not is_well_formed(target, g.dim, image):
-            yield f"image of {g.name} is not well-formed: {image}"
+        neg, pos, well_formed = _spread(t, d, masks[d][i])
+        if not well_formed:
+            yield f"image of {g.name} is not well-formed: {t.text(d, row)}"
             continue
-        if g.dim == 0:
-            continue
-        m = f.apply_union(g.dim - 1, source.neg(g))
-        p = f.apply_union(g.dim - 1, source.pos(g))
-        if not moves(target, image, Multiset.subset(g.dim - 1, m), Multiset.subset(g.dim - 1, p), mode=mode):
+        m, p = (reduce(or_, [masks[d - 1][j] for j, _ in faces[d][i]], 0) for faces in (s.neg, s.pos))
+        if not _moves(neg, pos, m, p, strict):
+            m_names, p_names = ([t.gens[d - 1][j].name for j in _bits(x)] for x in (m, p))
             yield (
                 f"image of {g.name} does not move the union image of its faces: "
-                f"{image} vs {sorted(x.name for x in m)} -> {sorted(x.name for x in p)}"
+                f"{t.text(d, row)} vs {m_names} -> {p_names}"
             )
 
 
@@ -214,7 +230,7 @@ def check_strict_movement(f: GradedMorphism) -> bool:
     report = validate_morphism(f, "weak_parity")
     if not report.valid:
         raise MorphismError(f"not a valid weak-parity morphism: {report.failures}")
-    return next(_union_movement_failures(f, "strict"), None) is None
+    return next(_union_movement_failures(f, strict=True), None) is None
 
 
 def compose_morphisms(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
@@ -223,30 +239,25 @@ def compose_morphisms(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
     Additive mode extends g homomorphically over each image; weak-parity
     mode takes unions, which are guaranteed disjoint for valid morphisms
     (a violation raises MorphismError since the inputs were no
-    morphisms).
+    morphisms).  A count beyond MAX_COUNT raises OverflowError.
     """
     if f.mode != g.mode:
         raise MorphismError(f"cannot compose {f.mode} with {g.mode} morphisms")
     if f.target != g.source:
         raise MorphismError("target of the first morphism is not the source of the second")
-    assignment: dict[GeneratorId, Multiset] = {}
-    for x in f.source.all_generators():
-        image = f.image(x)
-        composed = g.apply_multiset(image)
-        if f.mode == "weak_parity" and not composed.is_radical():
-            raise MorphismError(
-                f"union image of {x.name} under the composite is not disjoint: {composed}"
-            )
-        assignment[x] = composed
-    return GradedMorphism(f.source, g.target, assignment, f.mode)
+    t, rows = g.target._table, _composed(f._rows, g._rows)
+    for x, d, _, row in _images(f.source._table, rows):
+        if max(row.values(), default=0) > MAX_COUNT:
+            t.multiset(d, row)  # raises the first overflowing count's error
+        if f.mode == "weak_parity" and max(row.values(), default=1) > 1:
+            raise MorphismError(f"union image of {x.name} under the composite is not disjoint: {t.text(d, row)}")
+    return GradedMorphism._of(f.source, g.target, rows, f.mode)
 
 
 def restrict_morphism(f: GradedMorphism, n: int) -> GradedMorphism:
-    """Restriction to n-skeleta (for the inductive characterizations)."""
+    """Restriction to n-skeleta (for the inductive characterizations); empty for n < 0."""
     src = skeleton(f.source, n)
-    tgt = skeleton(f.target, n)
-    assignment = {g: f.image(g) for g in src.all_generators()}
-    return GradedMorphism(src, tgt, assignment, f.mode)
+    return GradedMorphism._of(src, skeleton(f.target, n), f._rows[: len(src._table.gens)], f.mode)
 
 
 def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
@@ -255,9 +266,7 @@ def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
     ok, reason = validate_cell(f.source, table, mode="rho")
     if not ok:
         raise ValueError(f"not a valid cell over the source: {reason}")
-    neg = [f.apply_multiset(column) for column in table.neg]
-    pos = [f.apply_multiset(column) for column in table.pos]
-    return CellTable(neg, pos)
+    return CellTable(*([f.apply_multiset(column) for column in row] for row in (table.neg, table.pos)))
 
 
 class ChainMap:
@@ -266,59 +275,53 @@ class ChainMap:
     Sends every generator to a chain of its own dimension over the
     target's generators, and commutes with the boundaries on every
     generator; preserves the canonical augmentations when the morphism
-    is normal.  Equality and composability compare face tables, not
+    is normal.  The images are kept as rows over the target's face
+    table.  Equality and composability compare face tables, not
     structure classes.
     """
 
     def __init__(self, source: FreeDirectedComplex, target: FreeDirectedComplex,
                  images: Mapping[GeneratorId, SignedVector]):
-        self._source = source
-        self._target = target
-        self._images = dict(images)
-        for g in self._images:
+        images = dict(images)
+        for g in images:
             source.require(g)
-        for g in source.structure.all_generators():
-            if g not in self._images:
+        s, t = source._table, target._table
+        rows = [[{}] * len(gens) for gens in s.gens]
+        for g, d, i, _ in _images(s, rows):  # in dimension order, so each face's image is in place
+            if g not in images:
                 raise MorphismError(f"chain map is missing generator {g.name!r}")
-            image = self._images[g]
+            image = images[g]
             if image.dim != g.dim:
                 raise MorphismError(f"image of {g.name!r} has dimension {image.dim}, expected {g.dim}")
-            for h, _ in image.items():
-                target.require(h)
-            if g.dim >= 1:
-                lhs = target.boundary(image)
-                rhs = self.apply(source.boundary_of(g))
-                if lhs != rhs:
-                    raise MorphismError(
-                        f"chain map does not commute with the boundary at {g.name}: "
-                        f"{lhs} vs {rhs}"
-                    )
+            rows[d][i] = {t.index[h]: c for h, c in image.items()}  # a generator the target lacks raises
+            lhs, rhs = _boundaries(s, t, rows, d, i)
+            if lhs != rhs:
+                raise MorphismError(
+                    f"chain map does not commute with the boundary at {g.name}: "
+                    f"{t.text(d - 1, lhs, _format_entries)} vs {t.text(d - 1, rhs, _format_entries)}"
+                )
+        self._source, self._target, self._rows = source, target, rows
 
-    @property
-    def source(self) -> FreeDirectedComplex:
-        return self._source
+    @classmethod
+    def _of(cls, source: FreeDirectedComplex, target: FreeDirectedComplex, rows: list) -> ChainMap:
+        """The chain map with these image rows, which are not checked."""
+        cm = cls.__new__(cls)
+        cm._source, cm._target, cm._rows = source, target, rows
+        return cm
 
-    @property
-    def target(self) -> FreeDirectedComplex:
-        return self._target
+    source = property(attrgetter("_source"))
+    target = property(attrgetter("_target"))
 
     def image(self, gen: GeneratorId) -> SignedVector:
-        self._source.require(gen)
-        return self._images[gen]
+        return self._target._table.vector(gen.dim, _row(self, gen))
 
     def apply(self, v: SignedVector) -> SignedVector:
-        out: dict[GeneratorId, int] = {}
-        for g, coeff in v.items():
-            self._source.require(g)
-            for h, c in self._images[g].items():
-                out[h] = out.get(h, 0) + coeff * c
-        return SignedVector(v.dim, out)
+        return self._target._table.vector(v.dim, _apply(self, v))
 
     def then(self, other: ChainMap) -> ChainMap:
         if not self._target._table.same_faces(other._source._table):
             raise MorphismError("chain maps are not composable")
-        images = {g: other.apply(v) for g, v in self._images.items()}
-        return ChainMap(self._source, other._target, images)
+        return ChainMap._of(self._source, other._target, _composed(self._rows, other._rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChainMap):
@@ -326,41 +329,37 @@ class ChainMap:
         return (
             self._source._table.same_faces(other._source._table)
             and self._target._table.same_faces(other._target._table)
-            and self._images == other._images
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:
-        return f"<ChainMap on {len(self._images)} generators>"
+        return f"<ChainMap on {len(self._source.structure)} generators>"
 
 
 def induced_chain_map(f: GradedMorphism) -> ChainMap:
     """The chain map sending each generator to its image multiset.
 
-    Requires a valid additive morphism (weak-parity morphisms qualify
-    via their additive reading); commutation with the boundary is
-    re-checked generator by generator on construction.
+    Requires a valid morphism whose additive reading is valid too, which
+    is checked here for a weak-parity morphism.  The dimension-0 images of
+    a normal morphism have augmentation 1, so it preserves augmentations.
     """
     from .chain import from_structure
-    report = validate_morphism(f, "additive" if f.mode == "additive" else "weak_parity")
-    if not report.valid:
-        raise MorphismError(f"not a valid morphism: {report.failures}")
-    source = from_structure(f.source)
-    target = from_structure(f.target)
-    images = {g: f.image(g).to_vector() for g in f.source.all_generators()}
-    chain_map = ChainMap(source, target, images)
-    if report.normal and source.augmented and target.augmented:
-        for g in f.source.generators(0):
-            if target.augmentation(chain_map.image(g)) != 1:
-                raise MorphismError(f"normal morphism fails to preserve augmentation at {g.name}")
-    return chain_map
+    for mode in dict.fromkeys((f.mode, "additive")):
+        report = validate_morphism(f, mode)
+        if not report.valid:
+            raise MorphismError(f"not a valid morphism: {report.failures}")
+    return ChainMap._of(from_structure(f.source), from_structure(f.target), f._rows)
 
 
 def morphism_from_chain_map(cm: ChainMap, mode: str = "additive") -> GradedMorphism:
     """Recover the graded morphism from a chain map's generator images."""
-    assignment = {}
-    for g in cm.source.structure.all_generators():
-        v = cm.image(g)
-        if not v.is_positive():
-            raise MorphismError(f"image of {g.name} is not positive: {v}")
-        assignment[g] = v.to_multiset()
-    return GradedMorphism(cm.source.structure, cm.target.structure, assignment, mode)
+    s, t = cm.source._table, cm.target._table
+    for g, d, _, row in _images(s, cm._rows):
+        if min(row.values(), default=1) < 0:
+            raise MorphismError(f"image of {g.name} is not positive: {t.text(d, row, _format_entries)}")
+    if mode not in MODES:
+        raise MorphismError(f"unknown morphism mode {mode!r}")
+    for g, d, _, row in _images(s, cm._rows) if mode == "weak_parity" else ():
+        if max(row.values(), default=1) > 1:
+            raise MorphismError(f"image of {g.name!r} is not a subset: {t.text(d, row)}")
+    return GradedMorphism._of(cm.source.structure, cm.target.structure, cm._rows, mode)

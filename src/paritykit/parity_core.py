@@ -17,6 +17,7 @@ data; ids and Multisets are built only for results.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate, groupby
 from operator import itemgetter
 from types import MappingProxyType
@@ -325,20 +326,6 @@ def _linear(boundaries, chain: Iterable[tuple]) -> dict:
     return out
 
 
-class _Boundaries(dict):
-    """Boundary SignedVectors by generator id, each built from its signed
-    row on first use; an id the structure lacks raises."""
-
-    def __init__(self, gens: list[tuple[GeneratorId, ...]], index: _ById, signed: list[list[dict[int, int]]]):
-        self._gens, self._index, self._signed = gens, index, signed
-
-    def __missing__(self, gen: GeneratorId) -> SignedVector:
-        d, i = gen.dim, self._index[gen]
-        faces = self._gens[d - 1]
-        vector = self[gen] = SignedVector(d - 1, {faces[j]: c for j, c in self._signed[d][i].items()})
-        return vector
-
-
 class _SubsetColumns(dict):
     """Subset columns by (dim, mask), each a (Multiset, hash) pair built
     on first use: bit j of a dimension-d mask stands for ``gens[d][j]``."""
@@ -369,9 +356,9 @@ class _FaceTable:
     The free chain complex's data lives here too: ``signed[d][i]`` is
     the boundary pos - neg as an index -> coefficient dict without zeros,
     ``normal`` says whether every 1-generator has singleton faces, and
-    ``boundaries`` (SignedVectors by id) and ``dd_defects()`` are filled
-    in on first use, as are the cell columns ``columns`` that cell tables
-    over the structure read.
+    ``boundaries`` (SignedVectors by id), ``dd_defects()`` and the atom
+    columns ``atom_columns`` are filled in on first use, as are the cell
+    columns ``columns`` that cell tables over the structure read.
     """
 
     def __init__(self, gens: list[tuple[GeneratorId, ...]], neg: list[list[tuple]], pos: list[list[tuple]]):
@@ -382,7 +369,7 @@ class _FaceTable:
         self.subset = all(c == 1 for level in neg + pos for r in level for _, c in r)
         self.signed = [[_signed(n, p) for n, p in zip(*level)] for level in zip(neg, pos)]
         self.normal = next(_non_normal(self), None) is None
-        self.boundaries = _Boundaries(gens, self.index, self.signed)
+        self.boundaries: dict[GeneratorId, SignedVector] = {}
         self.columns = _SubsetColumns(gens)
         self._dd: tuple | None = None
 
@@ -394,6 +381,11 @@ class _FaceTable:
             self._dd = tuple((d, i, dd) for d in range(2, len(s)) for i, row in enumerate(s[d])
                              if any((dd := _linear(s[d - 1], row.items())).values()))
         return self._dd
+
+    @cached_property
+    def atom_columns(self) -> list[tuple[list[dict], list[dict]]]:
+        """The ``_columns`` of every generator, by node."""
+        return [_columns(self, d, i) for d, row in enumerate(self.gens) for i in range(len(row))]
 
     def same_faces(self, other: _FaceTable) -> bool:
         """Same generators and face rows."""
@@ -413,9 +405,12 @@ class _FaceTable:
     def multiset(self, k: int, counts: dict[int, int]) -> Multiset:
         return Multiset(k, {self.gens[k][j]: c for j, c in counts.items()})
 
-    def text(self, k: int, counts: dict[int, int]) -> str:
-        """The text of the Multiset with these counts, which may exceed its bound."""
-        return _format_counts((self.gens[k][j].name, counts[j]) for j in sorted(counts))
+    def vector(self, k: int, entries: dict[int, int]) -> SignedVector:
+        return SignedVector(k, {self.gens[k][j]: c for j, c in entries.items()})
+
+    def text(self, k: int, counts: dict[int, int], form=_format_counts) -> str:
+        """The text of the Multiset (or, by _format_entries, SignedVector) of these counts, unbounded."""
+        return form((self.gens[k][j].name, counts[j]) for j in sorted(counts))
 
 
 def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], dict[int, int]]]:
@@ -424,6 +419,14 @@ def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], di
     for g, neg, pos in zip(t.gens[1], t.neg[1], t.pos[1]) if len(t.gens) > 1 else ():
         if not (len(neg) == len(pos) == 1 and neg[0][1] == pos[0][1] == 1):
             yield g, dict(neg), dict(pos)
+
+
+def _non_unital(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], dict[int, int]]]:
+    """Each generator whose iterated boundaries miss augmentation 1, with its level-0 columns."""
+    nodes = (g for row in t.gens for g in row)
+    for g, (neg, pos) in zip(nodes, t.atom_columns):
+        if sum(neg[0].values()) != 1 or sum(pos[0].values()) != 1:
+            yield g, neg[0], pos[0]
 
 
 def _boundary(t: _FaceTable, d: int, chain: list[tuple[int, int]]) -> dict[int, int]:
@@ -444,6 +447,12 @@ def _spread(t: _FaceTable, k: int, mask: int) -> tuple[int, int, bool]:
         neg |= n
         pos |= p
     return neg, pos, well_formed
+
+
+def _moves(neg: int, pos: int, m: int, p: int, strict: bool) -> bool:
+    """Does a well-formed subset with face unions neg and pos move the subset m to
+    the subset p, all given as masks?  Strict movement keeps m off pos and p off neg."""
+    return neg & ~pos == m & ~p and pos & ~neg == p & ~m and not (strict and (m & pos or p & neg))
 
 
 def _atom_masks(t: _FaceTable, d: int, i: int) -> list[list[tuple[int, bool]]]:
@@ -598,9 +607,7 @@ def moves(struct: Structure, s: Multiset, m: Multiset, p: Multiset, mode: str = 
     neg, pos, well_formed = _spread(t, s.dim, t.mask(s.dim, s))
     if not well_formed:
         raise ValueError(f"s = {s} is not well-formed, required in {mode} mode")
-    if neg & ~pos != m_mask & ~p_mask or pos & ~neg != p_mask & ~m_mask:
-        return False
-    return mode == "subset" or not (m_mask & pos or p_mask & neg)
+    return _moves(neg, pos, m_mask, p_mask, mode == "strict")
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +798,6 @@ def _validate(struct: Structure) -> ValidationReport:
     for g, neg, pos in _non_normal(t):
         normal = fail("normal", g, f"faces of {g.name} are {t.text(0, neg)} and {t.text(0, pos)}, not singletons")
 
-    # Atom columns of every generator, by node, read by the additive
-    # unitality check and by Steiner loop-freeness.
-    columns = [_columns(t, d, i) for d, row in enumerate(gens) for i in range(len(row))]
-
     # Unitality.  Parity inputs: every level of every atom is well-formed.
     # Additive inputs: the structure is normal and iterated boundaries of
     # every generator bottom out in singletons (augmentation 1).
@@ -813,14 +816,11 @@ def _validate(struct: Structure) -> ValidationReport:
     elif not normal:
         unital = fail("unital", None, "structure is not normal, so no augmentation is available")
     else:
-        for g, (neg_row, pos_row) in zip(nodes, columns):
-            if sum(neg_row[0].values()) != 1 or sum(pos_row[0].values()) != 1:
-                unital = fail(
-                    "unital",
-                    g,
-                    f"iterated boundaries of {g.name} reach {t.text(0, neg_row[0])} and {t.text(0, pos_row[0])}, "
-                    "not augmentation 1",
-                )
+        for g, neg, pos in _non_unital(t):
+            unital = fail(
+                "unital", g, f"iterated boundaries of {g.name} reach {t.text(0, neg)} and {t.text(0, pos)}, "
+                "not augmentation 1",
+            )
 
     # Weak loop-freeness: one digraph per dimension n >= 1 on that
     # dimension's generators, x -> y when pos faces of x meet neg faces of y.
@@ -835,7 +835,7 @@ def _validate(struct: Structure) -> ValidationReport:
     # generators, x -> y when the positive atom column of x at level n
     # meets the negative atom column of y at level n.  The generators of
     # dimension >= n are the nodes from offset[n] on.
-    steiner = []
+    columns, steiner = t.atom_columns, []
     for n in range(len(gens)):
         high = range(t.offset[n], len(nodes))
         succ = _meets({y: columns[y][0][n] for y in high}, {x: columns[x][1][n] for x in high})

@@ -8,7 +8,10 @@ condition.  On every map it compares the additive hom-set (valid in
 additive mode, normal) with the weak-parity hom-set (valid in
 weak-parity mode).  The theorem predicts that every additive map is
 subset-valued and that the two hom-sets are equal; each valid map must
-also come back from its induced chain map.
+also come back from its induced chain map.  On the Steiner side, each
+assignment is also built as a chain map of the free complexes: it
+commutes with the boundary and preserves the augmentation exactly when
+it is a valid, normal additive map.
 
 The pool is fixed: the weak parity complexes among seed-7
 ``random_structured_parity(max_gens=7)`` draws, plus globe(1),
@@ -28,7 +31,9 @@ from conftest import load_fixture
 from paritykit.chain import from_structure
 from paritykit.generators import globe, oriental
 from paritykit.morphisms import (
+    ChainMap,
     GradedMorphism,
+    MorphismError,
     induced_chain_map,
     morphism_from_chain_map,
     validate_morphism,
@@ -44,6 +49,16 @@ def _pool():
     drawn = [randstruct.random_structured_parity(rng, max_gens=7) for _ in range(DRAWS)]
     weak = [s for s in drawn if validate(s).meets(CLASS_WEAK)]
     return [*weak, globe(1), oriental(2), load_fixture("weak_not_strong").value]
+
+
+def _steiner(source, target, assignment):
+    """Does the assignment, read as a chain map of the free complexes,
+    commute with the boundary and preserve the augmentation?"""
+    try:
+        cm = ChainMap(source, target, {g: image.to_vector() for g, image in assignment.items()})
+    except MorphismError:
+        return False
+    return all(target.augmentation(cm.image(g)) == 1 for g in source.generators(0))
 
 
 def _candidates(target, dim):
@@ -110,10 +125,13 @@ def test_the_pool_holds_weak_parity_complexes():
 @pytest.mark.parametrize("i, j", PAIRS)
 def test_additive_and_weak_parity_hom_sets_agree(i, j):
     source, target = POOL[i], POOL[j]
+    complexes = from_structure(source), from_structure(target)
     mismatches = []
     for assignment in _normal_maps(source, target):
         f = GradedMorphism(source, target, assignment, "additive")
         additive = validate_morphism(f, "additive").valid and f.is_normal()
+        if _steiner(*complexes, assignment) != additive:
+            mismatches.append((f"additive {additive}, Steiner {not additive}", assignment))
         subset_valued = all(image.is_radical() for image in assignment.values())
         weak = subset_valued and validate_morphism(GradedMorphism(source, target, assignment)).valid
         if additive and not subset_valued:

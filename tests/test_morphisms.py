@@ -6,7 +6,7 @@ import pytest
 from conftest import load_fixture
 from paritykit import cells
 from paritykit.chain import from_structure
-from paritykit.generators import globe, oriental
+from paritykit.generators import cube, globe, oriental
 from paritykit.morphisms import (
     ChainMap,
     GradedMorphism,
@@ -20,8 +20,14 @@ from paritykit.morphisms import (
     restrict_morphism,
     validate_morphism,
 )
-from paritykit.multiset import GeneratorId, Multiset, SignedVector
-from paritykit.parity_core import ParityStructure, UnknownGeneratorError, is_well_formed, validate
+from paritykit.multiset import MAX_COUNT, GeneratorId, Multiset, SignedVector
+from paritykit.parity_core import (
+    AdditiveParityStructure,
+    ParityStructure,
+    UnknownGeneratorError,
+    is_well_formed,
+    validate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -329,3 +335,70 @@ class TestRestriction:
         restricted = restrict_morphism(globe_to_triangle, 0)
         assert validate_morphism(restricted).valid
         assert restricted.source.max_dim == 0
+
+
+class TestChecksComputeOnRows:
+    """The checks, composition and the induced chain map read the image
+    rows; on the second of two identical calls they build no Multiset
+    and no SignedVector, and the chain map at most one per generator."""
+
+    @staticmethod
+    def maps():
+        yield identity_morphism(cube(5))
+        yield TestNoAdditiveViewIsBuilt.coface(oriental(4), oriental(5), 2)
+
+    def test_values_built(self, monkeypatch):
+        built = {Multiset: 0, SignedVector: 0}
+        for cls in built:
+            def counting(self, *args, _init=cls.__init__, _cls=cls):
+                built[_cls] += 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        def second_call(call):
+            call()
+            built.update(dict.fromkeys(built, 0))
+            return call()
+
+        for f in self.maps():
+            after = identity_morphism(f.target)
+            for call in (
+                lambda: validate_morphism(f, "additive"),
+                lambda: validate_morphism(f, "weak_parity"),
+                lambda: check_strict_movement(f),
+                lambda: compose_morphisms(f, after),
+            ):
+                assert second_call(call)
+                assert built == {Multiset: 0, SignedVector: 0}
+            cm = second_call(lambda: induced_chain_map(f))
+            assert built[Multiset] == 0 and built[SignedVector] <= len(f.source)
+            assert all(cm.image(g) == f.image(g).to_vector() for g in f.source.all_generators())
+
+
+class TestOverflowingCounts:
+    """u, v; a, c: u -> v; b: v -> u; x: a a b => c, mapped to itself by
+    the identity except a -> MAX_COUNT a: the image of the faces of x
+    counts a twice MAX_COUNT times."""
+
+    @staticmethod
+    def big():
+        s = AdditiveParityStructure.build([
+            ("u", 0, [], []), ("v", 0, [], []),
+            ("a", 1, ["u"], ["v"]), ("c", 1, ["u"], ["v"]), ("b", 1, ["v"], ["u"]),
+            ("x", 2, ["a", "a", "b"], ["c"]),
+        ])
+        images = {g: Multiset.of(g) for g in s.all_generators()}
+        images[s.gen("a")] = Multiset(1, {s.gen("a"): MAX_COUNT})
+        return GradedMorphism(s, s, images, "additive")
+
+    def test_additive_validation_reports_the_count(self):
+        assert validate_morphism(self.big()) == (
+            False,
+            True,
+            (
+                f"image of a does not move the image of its faces: {{a:{MAX_COUNT}}} vs {{u}} -> {{v}}",
+                f"image of x does not move the image of its faces: {{x}} vs {{a:{2 * MAX_COUNT}, b}} -> {{c}}",
+            ),
+        )
+        with pytest.raises(MorphismError, match="^not a valid morphism"):
+            induced_chain_map(self.big())

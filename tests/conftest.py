@@ -26,6 +26,24 @@ def load_fixture(name: str) -> fixtures.Fixture:
     return fixtures.load_path(FIXTURE_DIR / f"{name}.json")
 
 
+def overflow_map():
+    """u, v; a, c: u -> v; b: v -> u; x: a a b => c, mapped to itself by
+    the identity except a -> MAX_COUNT a: the image of the faces of x
+    counts a twice MAX_COUNT times."""
+    from paritykit.morphisms import GradedMorphism
+    from paritykit.multiset import MAX_COUNT, Multiset
+    from paritykit.parity_core import AdditiveParityStructure
+
+    s = AdditiveParityStructure.build([
+        ("u", 0, [], []), ("v", 0, [], []),
+        ("a", 1, ["u"], ["v"]), ("c", 1, ["u"], ["v"]), ("b", 1, ["v"], ["u"]),
+        ("x", 2, ["a", "a", "b"], ["c"]),
+    ])
+    images = {g: Multiset.of(g) for g in s.all_generators()}
+    images[s.gen("a")] = Multiset(1, {s.gen("a"): MAX_COUNT})
+    return GradedMorphism(s, s, images, "additive")
+
+
 @pytest.fixture(scope="session")
 def oriental2():
     return oriental(2)

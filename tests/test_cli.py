@@ -342,21 +342,11 @@ class TestMorphismCommands:
         assert payload["payload"]["neg"] == [["0"], ["01", "12"]]
 
     def test_validate_reports_an_overflowing_face_image(self, capsys, tmp_path):
-        # the identity of u, v; a, c: u -> v; b: v -> u; x: a a b => c
-        # except a -> MAX_COUNT a, whose image of the faces of x counts
-        # a twice MAX_COUNT times
-        from paritykit.morphisms import GradedMorphism
-        from paritykit.multiset import MAX_COUNT, Multiset
+        from conftest import overflow_map
+        from paritykit.multiset import MAX_COUNT
 
-        s = AdditiveParityStructure.build([
-            ("u", 0, [], []), ("v", 0, [], []),
-            ("a", 1, ["u"], ["v"]), ("c", 1, ["u"], ["v"]), ("b", 1, ["v"], ["u"]),
-            ("x", 2, ["a", "a", "b"], ["c"]),
-        ])
-        images = {g: Multiset.of(g) for g in s.all_generators()}
-        images[s.gen("a")] = Multiset(1, {s.gen("a"): MAX_COUNT})
         path = tmp_path / "big.json"
-        path.write_text(fixtures.dumps(GradedMorphism(s, s, images, "additive"), name="big"))
+        path.write_text(fixtures.dumps(overflow_map(), name="big"))
         assert main(["morphism", "validate", str(path)]) == 1
         out, err = capsys.readouterr()
         assert err == "" and out == (

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import load_fixture
+from conftest import load_fixture, overflow_map
 from paritykit import cells
 from paritykit.chain import from_structure
 from paritykit.generators import cube, globe, oriental
@@ -21,13 +21,7 @@ from paritykit.morphisms import (
     validate_morphism,
 )
 from paritykit.multiset import MAX_COUNT, GeneratorId, Multiset, SignedVector
-from paritykit.parity_core import (
-    AdditiveParityStructure,
-    ParityStructure,
-    UnknownGeneratorError,
-    is_well_formed,
-    validate,
-)
+from paritykit.parity_core import ParityStructure, UnknownGeneratorError, is_well_formed, validate
 
 
 @pytest.fixture(scope="module")
@@ -376,23 +370,8 @@ class TestChecksComputeOnRows:
 
 
 class TestOverflowingCounts:
-    """u, v; a, c: u -> v; b: v -> u; x: a a b => c, mapped to itself by
-    the identity except a -> MAX_COUNT a: the image of the faces of x
-    counts a twice MAX_COUNT times."""
-
-    @staticmethod
-    def big():
-        s = AdditiveParityStructure.build([
-            ("u", 0, [], []), ("v", 0, [], []),
-            ("a", 1, ["u"], ["v"]), ("c", 1, ["u"], ["v"]), ("b", 1, ["v"], ["u"]),
-            ("x", 2, ["a", "a", "b"], ["c"]),
-        ])
-        images = {g: Multiset.of(g) for g in s.all_generators()}
-        images[s.gen("a")] = Multiset(1, {s.gen("a"): MAX_COUNT})
-        return GradedMorphism(s, s, images, "additive")
-
     def test_additive_validation_reports_the_count(self):
-        assert validate_morphism(self.big()) == (
+        assert validate_morphism(overflow_map()) == (
             False,
             True,
             (
@@ -401,4 +380,4 @@ class TestOverflowingCounts:
             ),
         )
         with pytest.raises(MorphismError, match="^not a valid morphism"):
-            induced_chain_map(self.big())
+            induced_chain_map(overflow_map())

@@ -16,10 +16,11 @@ from paritykit.cells import (
     InternalCheckError,
     NotComposableError,
 )
-from paritykit import parity_core
+from paritykit import fixtures, parity_core
 from paritykit.chain import FreeDirectedComplex, from_structure
-from paritykit.generators import family, oriental
+from paritykit.generators import cube, family, globe, oriental
 from paritykit.multiset import Multiset
+from paritykit.ordering import lex_topological_order
 from paritykit.parity_core import (
     CLASS_WEAK,
     ParityStructure,
@@ -369,7 +370,95 @@ class TestEnumerate:
             assert set(t for t in enumerated if t.dim <= d) == brute_force_cells(struct, d)
 
 
+def value_excision(source, table):
+    """excision_decompose on values: the column is a SignedVector that
+    each top member moves by adding its boundary vector, and every slice
+    is built from Multisets.  The reference of TestExcision."""
+    complex_ = cells._as_complex(source)
+    faces = complex_._table
+    globular, weakly_loop_free = not faces.dd_defects(), validate(complex_.structure).weakly_loop_free
+    if not (globular and weakly_loop_free):
+        raise StructureError(
+            "excision needs a globular, weakly loop-free structure, got "
+            f"globular={globular}, weakly_loop_free={weakly_loop_free}"
+        )
+    if table.dim < 1:
+        raise ValueError("excision applies to cells of dimension >= 1")
+    ok, reason = cells.validate_cell(complex_, table, mode="nu" if faces.normal else "rho")
+    if not ok:
+        raise ValueError(f"not a valid cell: {reason}")
+    neg_row, pos_row = table.neg, table.pos
+    top = neg_row[-1]
+    if top.is_empty():
+        return []
+    members = sorted(top.support())
+    if len(members) == 1 and top.is_radical():
+        return [table]
+    rows = [faces.index[b] for b in members]
+    neg = [faces.neg_mask[table.dim][i] for i in rows]
+    successors = {
+        i: [j for j, n in enumerate(neg) if j != i and faces.pos_mask[table.dim][r] & n]
+        for i, r in enumerate(rows)
+    }
+    order, cycle = lex_topological_order(len(members), successors)
+    if order is None:
+        raise InternalCheckError(
+            f"cycle among top members of a weakly loop-free structure: {[members[i] for i in cycle]}"
+        )
+    slices = []
+    current = neg_row[-2].to_vector()
+    for b in [members[i] for i in order for _ in range(top.count(members[i]))]:
+        nxt = current + complex_.boundary_of(b)
+        if not nxt.is_positive():
+            raise InternalCheckError(f"intermediate column {nxt} is not positive; excision order failed")
+        column = Multiset.of(b)
+        slices.append(
+            CellTable(neg_row[:-2] + (current.to_multiset(), column), pos_row[:-2] + (nxt.to_multiset(), column))
+        )
+        current = nxt
+    if current.to_multiset() != pos_row[-2]:
+        raise InternalCheckError("excision slices do not close up to the target column")
+    return slices
+
+
+def excision_inputs():
+    """(structure, table) pairs: the enumerated cells of the A4 corpus,
+    oriental(4), cube(3), weak_not_strong and the weak parity complexes
+    among seeded random draws, each also rebuilt from its fixture text,
+    whose table is on Multisets; and a few tables excision refuses."""
+    rng = random.Random(18)
+    drawn = [randstruct.random_structured_parity(rng) for _ in range(30)]
+    pool = [(oriental(2), 2), (oriental(3), 3), (cube(2), 2), (globe(3), 3), (oriental(4), 4), (cube(3), 3)]
+    pool.append((load_fixture("weak_not_strong").value, 2))
+    pool += [(s, s.max_dim) for s in drawn if validate(s).meets(CLASS_WEAK)]
+    for struct, max_dim in pool:
+        for t in cells.enumerate_cells(struct, max_dim):
+            yield struct, t
+            yield struct, fixtures.loads(fixtures.dumps(t, name="cell")).value
+    o2 = oriental(2)
+    yield o2, table(o2, [["0"], ["01"]], [["2"], ["01"]])
+    yield o2, table(o2, [["0"], ["01", "12"], ["012"]], [["2"], ["02"], ["012"]])
+    circle = load_fixture("circle").value
+    yield circle, table(circle, [["p"], ["a"]], [["q"], ["a"]])
+
+
+def outcome(call, *args):
+    """A call's result, or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestExcision:
+    def test_matches_the_value_algorithm(self):
+        checked = set()
+        for struct, t in excision_inputs():
+            got, want = outcome(cells.excision_decompose, struct, t), outcome(value_excision, struct, t)
+            assert got == want and str(got) == str(want), (struct, t)
+            checked.add(type(want) is list and len(want) > 1)
+        assert checked == {True, False}
+
     def test_path_splits_into_edges(self, oriental2):
         t = table(oriental2, [["0"], ["01", "12"]], [["2"], ["01", "12"]])
         slices = cells.excision_decompose(oriental2, t)

@@ -8,7 +8,9 @@ condition.  On every map it compares the additive hom-set (valid in
 additive mode, normal) with the weak-parity hom-set (valid in
 weak-parity mode).  The theorem predicts that every additive map is
 subset-valued and that the two hom-sets are equal; each valid map must
-also come back from its induced chain map.  On the Steiner side, each
+also come back from its induced chain map.  Every 8th valid map of each
+pair, in enumeration order, also sends each enumerated source cell to a
+valid target cell, which equals the column-by-column image.  On the Steiner side, each
 assignment is also built as a chain map of the free complexes: it
 commutes with the boundary and preserves the augmentation exactly when
 it is a valid, normal additive map.
@@ -28,12 +30,14 @@ import pytest
 
 import randstruct
 from conftest import load_fixture
+from paritykit.cells import CellTable, enumerate_cells, validate_cell
 from paritykit.chain import from_structure
 from paritykit.generators import globe, oriental
 from paritykit.morphisms import (
     ChainMap,
     GradedMorphism,
     MorphismError,
+    apply_to_cell,
     induced_chain_map,
     morphism_from_chain_map,
     validate_morphism,
@@ -42,6 +46,8 @@ from paritykit.multiset import Multiset, SignedVector
 from paritykit.parity_core import CLASS_WEAK, is_well_formed, moves, validate
 
 DRAWS = 8
+#: One valid map in this many has its cell images checked.
+CELL_SAMPLE = 8
 
 
 def _pool():
@@ -113,8 +119,19 @@ def _normal_maps(source, target):
     return search(0)
 
 
+def _cell_image_failures(f, cells):
+    """The source cells whose image under f is not a valid target cell
+    equal to the table of the columns' images."""
+    for cell in cells:
+        image = apply_to_cell(f, cell)
+        columns = CellTable(*([f.apply_multiset(c) for c in row] for row in (cell.neg, cell.pos)))
+        if validate_cell(f.target, image) != (True, None) or image != columns or str(image) != str(columns):
+            yield cell
+
+
 POOL = _pool()
 PAIRS = [(i, j) for i in range(len(POOL)) for j in range(len(POOL))]
+CELLS = [enumerate_cells(s, s.max_dim) for s in POOL]
 
 
 def test_the_pool_holds_weak_parity_complexes():
@@ -127,6 +144,7 @@ def test_additive_and_weak_parity_hom_sets_agree(i, j):
     source, target = POOL[i], POOL[j]
     complexes = from_structure(source), from_structure(target)
     mismatches = []
+    valid = 0
     for assignment in _normal_maps(source, target):
         f = GradedMorphism(source, target, assignment, "additive")
         additive = validate_morphism(f, "additive").valid and f.is_normal()
@@ -140,4 +158,7 @@ def test_additive_and_weak_parity_hom_sets_agree(i, j):
             mismatches.append((f"additive {additive}, weak parity {weak}", assignment))
         if additive and morphism_from_chain_map(induced_chain_map(f)) != f:
             mismatches.append(("chain map round trip", assignment))
+        if additive and valid % CELL_SAMPLE == 0:
+            mismatches += [("cell image", assignment, cell) for cell in _cell_image_failures(f, CELLS[i])]
+        valid += additive
     assert mismatches == []

@@ -381,3 +381,20 @@ class TestOverflowingCounts:
         )
         with pytest.raises(MorphismError, match="^not a valid morphism"):
             induced_chain_map(overflow_map())
+
+    def test_cell_images_past_the_subset_rows(self):
+        # an image with a count above 1 is a table on Multisets; one whose
+        # count outgrows a machine word raises when its column is built
+        f = overflow_map()
+        s = f.source
+        u, v, a = s.gen("u"), s.gen("v"), s.gen("a")
+        path = cells.CellTable([Multiset.of(u), Multiset.of(a)], [Multiset.of(v), Multiset.of(a)])
+        image = apply_to_cell(f, path)
+        big = Multiset(1, {a: MAX_COUNT})
+        assert image == cells.CellTable([Multiset.of(u), big], [Multiset.of(v), big])
+        assert str(image) == f"({{u}}, {{a:{MAX_COUNT}}}; {{v}}, {{a:{MAX_COUNT}}})"
+        assert not image.is_subset_columned()
+        doubled = cells.CellTable([Multiset.of(u, u), Multiset.of(a, a)], [Multiset.of(v, v), Multiset.of(a, a)])
+        assert cells.validate_cell(s, doubled, "rho") == (True, None)
+        with pytest.raises(OverflowError, match=f"^count for 'a' exceeds {MAX_COUNT}$"):
+            apply_to_cell(f, doubled)

@@ -16,9 +16,9 @@ the same source, so each growth step passes through cells only.
 Cells are handled on bitmask columns: one int per column over that
 dimension's sorted generators, which is exact because every column is a
 subset.  Enumeration searches and sorts pairs of mask rows, and atom
-closure composes, faces and lifts them.  The tables they return, and
-those of atom, cell_zero and of the cell operations on such tables, keep
-the mask rows and the structure's face table; a column's Multiset is
+closure composes, faces and lifts them.  The subset tables they return,
+and those of atom, cell_zero, excision, apply_to_cell and the cell
+operations, keep the mask rows and a face table; a column's Multiset is
 built, once per face table, only when a caller reads it.
 """
 
@@ -29,7 +29,7 @@ from collections import deque
 from typing import Sequence
 
 from .chain import AugmentationMissingError, FreeDirectedComplex, from_structure
-from .multiset import GeneratorId, Multiset
+from .multiset import GeneratorId, Multiset, _format_entries
 from .ordering import lex_topological_order
 from .parity_core import (
     CLASS_WEAK,
@@ -39,9 +39,9 @@ from .parity_core import (
     _atom_masks,
     _bits,
     _boundary,
+    _columns,
     _FaceTable,
     _signed,
-    iterated_boundaries,
     validate,
 )
 
@@ -68,10 +68,10 @@ class CellTable:
     Construction checks only the shape (equal row lengths, column k
     graded by dimension k); the cell conditions are validate_cell's job.
 
-    A table that comes from a structure -- from enumeration, atom
-    closure, atom and cell_zero, and from the cell operations on such
-    tables -- keeps its columns as (neg, pos) rows of subset masks over
-    the structure's face table, and reads a column's Multiset from that
+    A subset table that comes from a structure -- from enumeration,
+    atom closure, atom, cell_zero, excision, apply_to_cell and the cell
+    operations -- keeps its columns as (neg, pos) rows of masks over the
+    structure's face table, and reads a column's Multiset from that
     table's column cache only when neg, pos, top, str or sort_key asks
     for it.  Two tables over one face table compare their masks, any
     other pair their columns.  The hash is computed on first use from
@@ -80,7 +80,7 @@ class CellTable:
     through the constructor.
     """
 
-    __slots__ = ("_rows", "_faces", "_hash", "_subset")
+    __slots__ = ("_rows", "_faces", "_hash")
 
     def __init__(self, neg: Sequence[Multiset], pos: Sequence[Multiset]):
         neg = tuple(neg)
@@ -135,11 +135,7 @@ class CellTable:
         return len(neg) > 1 and not neg[-1] and not pos[-1]  # an empty Multiset is false, as is mask 0
 
     def is_subset_columned(self) -> bool:
-        subset = self._subset
-        if subset is None:
-            subset = all(c.is_radical() for row in self._rows for c in row)
-            object.__setattr__(self, "_subset", subset)
-        return subset
+        return self._faces is not None or all(c.is_radical() for row in self._rows for c in row)
 
     def sort_key(self) -> tuple:
         return (
@@ -175,12 +171,19 @@ class CellTable:
 
 
 def _fill(table: CellTable, rows: tuple[tuple, tuple], faces: _FaceTable | None) -> None:
-    """Write a new table's slots; mask rows are subset columns."""
+    """Write a new table's slots."""
     fill = object.__setattr__
     fill(table, "_rows", rows)
     fill(table, "_faces", faces)
     fill(table, "_hash", None)
-    fill(table, "_subset", None if faces is None else True)
+
+
+def _table_on(t: _FaceTable, rows: Sequence[Sequence[dict[int, int]]]) -> CellTable:
+    """The table of (neg, pos) rows of index -> count columns over face
+    table t: on mask rows over t when every count is 1, else on Multisets."""
+    if all(c == 1 for row in rows for column in row for c in column.values()):
+        return CellTable._of(t, tuple(tuple(sum(1 << j for j in column) for column in row) for row in rows))
+    return CellTable._of(None, tuple(tuple(t.multiset(k, column) for k, column in enumerate(row)) for row in rows))
 
 
 def _as_complex(source: Structure | FreeDirectedComplex) -> FreeDirectedComplex:
@@ -293,10 +296,7 @@ def compose(x: CellTable, y: CellTable, k: int) -> CellTable:
             )
         neg.append(m)
         pos.append(p)
-    out = CellTable._of(None, (tuple(neg), tuple(pos)))
-    if check_subsets:
-        object.__setattr__(out, "_subset", True)  # every column was checked or shared
-    return out
+    return CellTable._of(None, (tuple(neg), tuple(pos)))
 
 
 def atom(struct: Structure, gen: GeneratorId) -> CellTable:
@@ -309,10 +309,10 @@ def atom(struct: Structure, gen: GeneratorId) -> CellTable:
     the generator.
     """
     t = struct._table
-    levels = _atom_masks(t, gen.dim, t.index[gen])
-    if isinstance(struct, ParityStructure) or (t.subset and all(wf for row in levels for _, wf in row)):
-        return CellTable._of(t, tuple(tuple(mask for mask, _ in row) for row in levels))
-    return CellTable(*iterated_boundaries(struct, gen))
+    i = t.index[gen]
+    if isinstance(struct, ParityStructure):
+        return CellTable._of(t, tuple(tuple(mask for mask, _ in row) for row in _atom_masks(t, gen.dim, i)))
+    return _table_on(t, _columns(t, gen.dim, i))
 
 
 def cell_zero(struct: Structure, gen: GeneratorId) -> CellTable:
@@ -361,17 +361,12 @@ _MaskCell = tuple[tuple[int, ...], tuple[int, ...]]
 def _mask_rows(t: _FaceTable, table: CellTable) -> _MaskCell:
     """The (neg, pos) mask rows of a table over the structure with face
     table t; a column that is not a subset raises InternalCheckError."""
-    if table._faces is t:
-        return table._rows
-    rows = []
-    for row in (table.neg, table.pos):
-        for column in row:
-            if not column.is_radical():
-                raise InternalCheckError(
-                    f"column {column} of a cell over a weak parity complex is not a subset"
-                )
-        rows.append(tuple(t.mask(k, column) for k, column in enumerate(row)))
-    return rows[0], rows[1]
+    if table._faces is not t:
+        table = _table_on(t, [[dict(column) for column in row] for row in _chains(t, table)])
+    if table._faces is None:
+        column = next(c for row in table._rows for c in row if not c.is_radical())
+        raise InternalCheckError(f"column {column} of a cell over a weak parity complex is not a subset")
+    return table._rows
 
 
 def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
@@ -467,6 +462,9 @@ def excision_decompose(
     i >= j -- and the slices' (n-1)-composite, left to right, equals the
     input.  Identity cells decompose into the empty list.
 
+    The column below the top moves by each member's signed row, its
+    boundary p - m, as index -> count dicts over the complex's face table.
+
     Requires a globular, weakly loop-free structure and a valid cell of
     dimension >= 1; intermediate columns failing positivity mean the
     hypotheses were violated and raise InternalCheckError.
@@ -486,46 +484,39 @@ def excision_decompose(
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
 
-    neg_row, pos_row = table.neg, table.pos
-    top = neg_row[-1]
-    if top.is_empty():
+    n = table.dim
+    neg_row, pos_row = _chains(faces, table)
+    top = sorted(neg_row[-1])
+    if not top:
         return []
-    members = sorted(top.support())
-    if len(members) == 1 and top.is_radical():
+    if len(top) == 1 and top[0][1] == 1:
         return [table]
 
-    rows = [faces.index[b] for b in members]
-    neg = [faces.neg_mask[table.dim][i] for i in rows]
+    members = [i for i, _ in top]
+    neg = [faces.neg_mask[n][i] for i in members]
     successors = {
-        i: [j for j, n in enumerate(neg) if j != i and faces.pos_mask[table.dim][r] & n]
-        for i, r in enumerate(rows)
+        i: [j for j, m in enumerate(neg) if j != i and faces.pos_mask[n][r] & m]
+        for i, r in enumerate(members)
     }
     order, cycle = lex_topological_order(len(members), successors)
     if order is None:
-        raise InternalCheckError(
-            f"cycle among top members of a weakly loop-free structure: {[members[i] for i in cycle]}"
-        )
-    sequence: list[GeneratorId] = []
-    for i in order:
-        sequence.extend([members[i]] * top.count(members[i]))
+        names = [faces.gens[n][members[i]] for i in cycle]
+        raise InternalCheckError(f"cycle among top members of a weakly loop-free structure: {names}")
 
+    heads = [[dict(column) for column in row[:-2]] for row in (neg_row, pos_row)]
     slices: list[CellTable] = []
-    current = neg_row[-2].to_vector()
-    for b in sequence:
-        nxt = current + complex_.boundary_of(b)
-        if not nxt.is_positive():
-            raise InternalCheckError(
-                f"intermediate column {nxt} is not positive; excision order failed"
-            )
-        column = Multiset.of(b)
-        slices.append(
-            CellTable(
-                neg_row[:-2] + (current.to_multiset(), column),
-                pos_row[:-2] + (nxt.to_multiset(), column),
-            )
-        )
+    current = dict(neg_row[-2])
+    for i in [top[k][0] for k in order for _ in range(top[k][1])]:
+        nxt = dict(current)
+        for j, c in faces.signed[n][i].items():
+            nxt[j] = nxt.get(j, 0) + c
+        nxt = {j: c for j, c in nxt.items() if c}
+        if min(nxt.values(), default=0) < 0:
+            text = faces.text(n - 1, nxt, _format_entries)
+            raise InternalCheckError(f"intermediate column {text} is not positive; excision order failed")
+        slices.append(_table_on(faces, (heads[0] + [current, {i: 1}], heads[1] + [nxt, {i: 1}])))
         current = nxt
-    if current.to_multiset() != pos_row[-2]:
+    if current != dict(pos_row[-2]):
         raise InternalCheckError("excision slices do not close up to the target column")
     return slices
 

@@ -334,7 +334,7 @@ def _cmd_morphism(args) -> int:
         second = _load(args.second, fixtures.KIND_MORPHISM)
         try:
             composed = morphisms.compose_morphisms(first.value, second.value)
-        except morphisms.MorphismError as exc:
+        except (morphisms.MorphismError, OverflowError) as exc:
             print(f"not composable: {exc}")
             return 1
         _write_out(

@@ -261,12 +261,16 @@ def restrict_morphism(f: GradedMorphism, n: int) -> GradedMorphism:
 
 
 def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
-    """Columnwise image of a cell table under the homomorphic extension."""
-    from .cells import CellTable, validate_cell
+    """Columnwise image of a cell table under the homomorphic extension:
+    each column's chain mapped through the image rows, as in _apply, into
+    a table over the target's face table; a count beyond MAX_COUNT raises."""
+    from .cells import _chains, _table_on, validate_cell
     ok, reason = validate_cell(f.source, table, mode="rho")
     if not ok:
         raise ValueError(f"not a valid cell over the source: {reason}")
-    return CellTable(*([f.apply_multiset(column) for column in row] for row in (table.neg, table.pos)))
+    chains, rows = _chains(f.source._table, table), f._rows
+    images = [[_linear(rows[k], c) if c else {} for k, c in enumerate(row)] for row in chains]
+    return _table_on(f.target._table, images)
 
 
 class ChainMap:

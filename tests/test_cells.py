@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -20,7 +21,6 @@ from paritykit import fixtures, parity_core
 from paritykit.chain import FreeDirectedComplex, from_structure
 from paritykit.generators import cube, family, globe, oriental
 from paritykit.multiset import Multiset
-from paritykit.ordering import lex_topological_order
 from paritykit.parity_core import (
     CLASS_WEAK,
     ParityStructure,
@@ -400,7 +400,7 @@ def value_excision(source, table):
         i: [j for j, n in enumerate(neg) if j != i and faces.pos_mask[table.dim][r] & n]
         for i, r in enumerate(rows)
     }
-    order, cycle = lex_topological_order(len(members), successors)
+    order, cycle = cells.lex_topological_order(len(members), successors)
     if order is None:
         raise InternalCheckError(
             f"cycle among top members of a weakly loop-free structure: {[members[i] for i in cycle]}"
@@ -421,6 +421,7 @@ def value_excision(source, table):
     return slices
 
 
+@functools.cache
 def excision_inputs():
     """(structure, table) pairs: the enumerated cells of the A4 corpus,
     oriental(4), cube(3), weak_not_strong and the weak parity complexes
@@ -431,15 +432,15 @@ def excision_inputs():
     pool = [(oriental(2), 2), (oriental(3), 3), (cube(2), 2), (globe(3), 3), (oriental(4), 4), (cube(3), 3)]
     pool.append((load_fixture("weak_not_strong").value, 2))
     pool += [(s, s.max_dim) for s in drawn if validate(s).meets(CLASS_WEAK)]
+    out = []
     for struct, max_dim in pool:
         for t in cells.enumerate_cells(struct, max_dim):
-            yield struct, t
-            yield struct, fixtures.loads(fixtures.dumps(t, name="cell")).value
-    o2 = oriental(2)
-    yield o2, table(o2, [["0"], ["01"]], [["2"], ["01"]])
-    yield o2, table(o2, [["0"], ["01", "12"], ["012"]], [["2"], ["02"], ["012"]])
-    circle = load_fixture("circle").value
-    yield circle, table(circle, [["p"], ["a"]], [["q"], ["a"]])
+            out += [(struct, t), (struct, fixtures.loads(fixtures.dumps(t, name="cell")).value)]
+    o2, circle = oriental(2), load_fixture("circle").value
+    out.append((o2, table(o2, [["0"], ["01"]], [["2"], ["01"]])))
+    out.append((o2, table(o2, [["0"], ["01", "12"], ["012"]], [["2"], ["02"], ["012"]])))
+    out.append((circle, table(circle, [["p"], ["a"]], [["q"], ["a"]])))
+    return out
 
 
 def outcome(call, *args):
@@ -458,6 +459,21 @@ class TestExcision:
             assert got == want and str(got) == str(want), (struct, t)
             checked.add(type(want) is list and len(want) > 1)
         assert checked == {True, False}
+
+    @pytest.mark.parametrize(
+        "order",
+        [lambda n, successors: (list(range(n))[::-1], None), lambda n, successors: (None, list(range(n)))],
+        ids=["reversed", "cycle"],
+    )
+    def test_hard_errors_match(self, monkeypatch, order):
+        # with the members out of excision order, both algorithms fail alike
+        monkeypatch.setattr(cells, "lex_topological_order", order)
+        raised = set()
+        for struct, t in excision_inputs():
+            got, want = outcome(cells.excision_decompose, struct, t), outcome(value_excision, struct, t)
+            assert got == want and str(got) == str(want), (struct, t)
+            raised.add(want[0] if type(want) is tuple else None)
+        assert InternalCheckError in raised
 
     def test_path_splits_into_edges(self, oriental2):
         t = table(oriental2, [["0"], ["01", "12"]], [["2"], ["01", "12"]])
@@ -582,7 +598,7 @@ class TestAtomClosure:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_tables_are_marked_subset_columned(self, oriental2):
-        assert all(t._subset for t in cells.atom_closure(oriental2, 2))
+        assert all(t.is_subset_columned() for t in cells.atom_closure(oriental2, 2))
 
     def test_a_non_subset_column_hard_errors(self, oriental2, monkeypatch):
         # a table made from Multisets is read as mask rows; a column that is

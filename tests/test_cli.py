@@ -355,6 +355,18 @@ class TestMorphismCommands:
             f"FAIL: image of x does not move the image of its faces: {{x}} vs {{a:{2 * MAX_COUNT}, b}} -> {{c}}\n"
         )
 
+    def test_composite_beyond_max_count_is_not_composable(self, capsys, tmp_path):
+        from conftest import overflow_map
+        from paritykit.multiset import MAX_COUNT
+
+        path = tmp_path / "big.json"
+        path.write_text(fixtures.dumps(overflow_map(), name="big"))
+        out_path = tmp_path / "composite.json"
+        assert main(["morphism", "compose", str(path), str(path), "--output", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (f"not composable: count for 'a' exceeds {MAX_COUNT}\n", "")
+        assert not out_path.exists()
+
 
 class TestDeterminism:
     def test_generate_bytes_stable(self, capsys):

@@ -369,6 +369,40 @@ class TestChecksComputeOnRows:
             assert all(cm.image(g) == f.image(g).to_vector() for g in f.source.all_generators())
 
 
+class TestCellsComputeOnRows:
+    """Excision, the recomposition of its slices and apply_to_cell read a
+    cell's columns as chains over the face table and step or map them on
+    its rows: on the second of two identical passes over subset cells they
+    build no Multiset and no SignedVector."""
+
+    def test_values_built(self, monkeypatch):
+        struct = oriental(5)
+        wide = [t for t in cells.enumerate_cells(struct, 5) if len(t.top) >= 2]
+        assert len(wide) == 261
+        f = TestNoAdditiveViewIsBuilt.coface(oriental(4), struct, 2)
+        sources = cells.enumerate_cells(f.source, 4)
+
+        def one_pass():
+            for t in wide:
+                slices = cells.excision_decompose(struct, t)
+                back = slices[0]
+                for s in slices[1:]:
+                    back = cells.compose(back, s, t.dim - 1)
+                assert len(slices) == len(t.top) and back == t
+            for t in sources:
+                assert apply_to_cell(f, t).is_subset_columned()
+
+        one_pass()
+        built = {Multiset: 0, SignedVector: 0}
+        for cls in built:
+            def counting(self, *args, _init=cls.__init__, _cls=cls):
+                built[_cls] += 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        one_pass()
+        assert built == {Multiset: 0, SignedVector: 0}
+
+
 class TestOverflowingCounts:
     def test_additive_validation_reports_the_count(self):
         assert validate_morphism(overflow_map()) == (

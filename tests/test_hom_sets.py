@@ -8,12 +8,12 @@ condition.  On every map it compares the additive hom-set (valid in
 additive mode, normal) with the weak-parity hom-set (valid in
 weak-parity mode).  The theorem predicts that every additive map is
 subset-valued and that the two hom-sets are equal; each valid map must
-also come back from its induced chain map.  Every 8th valid map of each
-pair, in enumeration order, also sends each enumerated source cell to a
-valid target cell, which equals the column-by-column image.  On the Steiner side, each
+also come back from its induced chain map.  On the Steiner side, each
 assignment is also built as a chain map of the free complexes: it
 commutes with the boundary and preserves the augmentation exactly when
-it is a valid, normal additive map.
+it is a valid, normal additive map.  Every 8th valid map of each pair,
+in enumeration order, must send each enumerated source cell to a valid
+target cell equal to the column-by-column image.
 
 The pool is fixed: the weak parity complexes among seed-7
 ``random_structured_parity(max_gens=7)`` draws, plus globe(1),

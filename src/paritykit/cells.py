@@ -614,7 +614,10 @@ def atom_closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpress
     enumerate_cells does, so that every column is a subset: the search
     runs on the enumerator's bitmask columns, and tables are built only
     for the returned dict, on the mask rows.  The PARITYKIT_MAX_CELLS
-    cap applies to the cells reached.
+    cap applies to the cells reached.  Identities are units for every
+    k-composite, so a cell whose columns above k are zero (the identity
+    on its k-face) is never composed at level k: the composite would be
+    the other operand, which was reached before.
     """
     _check_max_dim(max_dim)
     _require_weak(struct, "atom closure")
@@ -684,7 +687,12 @@ def _closure(
                 lifted = (neg + (0,), pos + (0,))
                 if lifted not in known and add(lifted, IdentityLift(expr)):
                     return
-            for k in range(dim):
+            # unit law: above its last nonzero column the cell is an
+            # identity, whose k-composite with y is y, already known
+            top = dim
+            while top and not (neg[top] or pos[top]):
+                top -= 1
+            for k in range(top):
                 src = (dim, k, neg[:k], pos[:k], neg[k])
                 tgt = src[:4] + (pos[k],)
                 by_source.setdefault(src, []).append(cell)

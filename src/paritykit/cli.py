@@ -209,12 +209,21 @@ def _cmd_cells(args) -> int:
     return 0
 
 
+def _check_cell(struct, table):
+    """validate_cell in "nu" mode when the complex is augmented and in
+    "rho" mode otherwise, as generated_by_atoms does."""
+    from .cells import validate_cell
+    from .chain import from_structure
+    complex_ = from_structure(struct)
+    return validate_cell(complex_, table, mode="nu" if complex_.augmented else "rho")
+
+
 def _cmd_face(args) -> int:
-    from .cells import face, validate_cell
+    from .cells import face
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     cell_fixture = _load(args.cell, fixtures.KIND_CELL)
     table = cell_fixture.value
-    ok, reason = validate_cell(fixture.value, table)
+    ok, reason = _check_cell(fixture.value, table)
     if not ok:
         print(f"invalid cell: {reason}")
         return 1
@@ -224,12 +233,12 @@ def _cmd_face(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    from .cells import NotComposableError, compose, validate_cell
+    from .cells import NotComposableError, compose
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     first = _load(args.cells[0], fixtures.KIND_CELL)
     second = _load(args.cells[1], fixtures.KIND_CELL)
     for label, cf in (("first", first), ("second", second)):
-        ok, reason = validate_cell(fixture.value, cf.value)
+        ok, reason = _check_cell(fixture.value, cf.value)
         if not ok:
             print(f"invalid {label} cell: {reason}")
             return 1
@@ -346,7 +355,7 @@ def _cmd_morphism(args) -> int:
         cell_fixture = _load(args.cell, fixtures.KIND_CELL)
         try:
             result = morphisms.apply_to_cell(fixture.value, cell_fixture.value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             print(f"cannot apply: {exc}")
             return 1
         _cell_out(args, result, name=f"{fixture.name}-{cell_fixture.name}")

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+from collections import deque
 from itertools import combinations, product
 
 import pytest
@@ -13,7 +14,9 @@ from paritykit import cells
 from paritykit.cells import (
     AtomLeaf,
     CellTable,
+    Composite,
     EnumerationCapError,
+    IdentityLift,
     InternalCheckError,
     NotComposableError,
 )
@@ -422,16 +425,22 @@ def value_excision(source, table):
 
 
 @functools.cache
+def weak_pool(seed=18, draws=30):
+    """The weak parity complexes among seeded random_structured_parity draws."""
+    rng = random.Random(seed)
+    drawn = [randstruct.random_structured_parity(rng) for _ in range(draws)]
+    return [s for s in drawn if validate(s).meets(CLASS_WEAK)]
+
+
+@functools.cache
 def excision_inputs():
     """(structure, table) pairs: the enumerated cells of the A4 corpus,
     oriental(4), cube(3), weak_not_strong and the weak parity complexes
     among seeded random draws, each also rebuilt from its fixture text,
     whose table is on Multisets; and a few tables excision refuses."""
-    rng = random.Random(18)
-    drawn = [randstruct.random_structured_parity(rng) for _ in range(30)]
     pool = [(oriental(2), 2), (oriental(3), 3), (cube(2), 2), (globe(3), 3), (oriental(4), 4), (cube(3), 3)]
     pool.append((load_fixture("weak_not_strong").value, 2))
-    pool += [(s, s.max_dim) for s in drawn if validate(s).meets(CLASS_WEAK)]
+    pool += [(s, s.max_dim) for s in weak_pool()]
     out = []
     for struct, max_dim in pool:
         for t in cells.enumerate_cells(struct, max_dim):
@@ -522,6 +531,74 @@ class TestExcision:
             cells.excision_decompose(circle, t)
 
 
+def unpruned_closure(struct, max_dim, goal=None):
+    """cells._closure before it skipped identity operands: a dequeued
+    cell is composed at every level k below its dimension.  The
+    reference of TestAtomClosure::test_matches_the_unpruned_search."""
+    cap = cells._max_cells()
+    known = {}
+    queue = deque()
+    by_source, by_target = {}, {}
+
+    def add(cell, expr):
+        known[cell] = expr
+        queue.append(cell)
+        if len(known) > cap:
+            raise EnumerationCapError(
+                f"atom closure reached {len(known)} cells, more than {cap} "
+                f"(set {cells.MAX_CELLS_ENV} to raise)"
+            )
+        return cell == goal
+
+    def search():
+        for g in sorted(struct.all_generators()):
+            if g.dim <= max_dim:
+                leaf = AtomLeaf(g)
+                cell = cells._mask_rows(struct._table, leaf.evaluate(struct))
+                if cell not in known and add(cell, leaf):
+                    return
+        while queue:
+            cell = queue.popleft()
+            neg, pos = cell
+            dim = len(neg) - 1
+            expr = known[cell]
+            if dim < max_dim:
+                lifted = (neg + (0,), pos + (0,))
+                if lifted not in known and add(lifted, IdentityLift(expr)):
+                    return
+            for k in range(dim):
+                src = (dim, k, neg[:k], pos[:k], neg[k])
+                tgt = src[:4] + (pos[k],)
+                by_source.setdefault(src, []).append(cell)
+                by_target.setdefault(tgt, []).append(cell)
+                for y in by_source.get(tgt, ()):
+                    composite = cells._composite(cell, y, k)
+                    if composite not in known and add(composite, Composite(k, expr, known[y])):
+                        return
+                for x in by_target.get(src, ()):
+                    if x is not cell:
+                        composite = cells._composite(x, cell, k)
+                        if composite not in known and add(composite, Composite(k, known[x], expr)):
+                            return
+
+    search()
+    return known
+
+
+def closure_cases():
+    """(structure, max_dim): families, weak_not_strong and seeded weak pools."""
+    yield from ((globe(n), n) for n in range(1, 9))
+    yield from ((oriental(n), n) for n in range(1, 6))
+    yield oriental(6), 2
+    yield from ((cube(n), n) for n in range(1, 4))
+    yield load_fixture("weak_not_strong").value, 2
+    yield from ((s, s.max_dim) for s in weak_pool() + weak_pool(19, 200))
+
+
+def payloads(closure):
+    return [(cell, expr.to_payload()) for cell, expr in closure.items()]
+
+
 class TestGeneratedByAtoms:
     def test_atom_is_its_own_witness(self, oriental2):
         t = cells.atom(oriental2, oriental2.gen("012"))
@@ -596,6 +673,32 @@ class TestAtomClosure:
             for cell, expr in closure.items()
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_matches_the_unpruned_search(self, monkeypatch):
+        # an identity is a unit for every k-composite, so skipping identity
+        # operands leaves the cells, their order and their witnesses alone
+        rng = random.Random(19)
+        for struct, max_dim in closure_cases():
+            want = unpruned_closure(struct, max_dim)
+            assert payloads(cells._closure(struct, max_dim)) == payloads(want)
+            for goal in rng.sample(list(want), min(3, len(want))):
+                got = cells._closure(struct, max_dim, goal)
+                assert payloads(got) == payloads(unpruned_closure(struct, max_dim, goal))
+                t = CellTable._of(struct._table, goal)
+                assert cells.generated_by_atoms(struct, t).to_payload() == want[goal].to_payload()
+        monkeypatch.setenv(cells.MAX_CELLS_ENV, "100")
+        o4 = oriental(4)
+        capped = outcome(cells._closure, o4, 4)
+        assert capped == outcome(unpruned_closure, o4, 4) and capped[0] is EnumerationCapError
+
+    def test_composites_tried(self, monkeypatch):
+        calls = []
+        composite = cells._composite
+        monkeypatch.setattr(cells, "_composite", lambda *args: calls.append(1) or composite(*args))
+        for struct, max_dim, count in [(oriental(5), 5, 2882), (oriental(6), 2, 2853)]:
+            calls.clear()
+            cells.atom_closure(struct, max_dim)
+            assert len(calls) == count  # 12,829 and 6,938 with identity operands
 
     def test_tables_are_marked_subset_columned(self, oriental2):
         assert all(t.is_subset_columned() for t in cells.atom_closure(oriental2, 2))

@@ -12,6 +12,7 @@ from conftest import FIXTURE_DIR
 from paritykit import fixtures
 from paritykit.cli import build_parser, main
 from paritykit.generators import oriental
+from paritykit.multiset import Multiset
 from paritykit.parity_core import AdditiveParityStructure, ParityStructure
 
 CIRCLE = str(FIXTURE_DIR / "circle.json")
@@ -237,6 +238,32 @@ class TestCellCommands:
         out, err = capsys.readouterr()
         assert out == "" and "not a subset" in err
 
+    def test_face_and_compose_without_an_augmentation(self, capsys, tmp_path):
+        # u, v; a: u -> 2v is not normal, so its complex has no
+        # augmentation: cells are checked in "rho" mode, as decompose does
+        from paritykit import cells as cells_mod
+
+        s = AdditiveParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("a", 1, ["u"], ["v", "v"])])
+        struct, edge, point = tmp_path / "s.json", tmp_path / "a.json", tmp_path / "v.json"
+        struct.write_text(fixtures.dumps(s, name="s"))
+        a = cells_mod.atom(s, s.gen("a"))
+        edge.write_text(fixtures.dumps(a, name="a"))
+        point.write_text(fixtures.dumps(cells_mod.identity(cells_mod.face(a, 0, "target")), name="v"))
+        assert main(["face", str(struct), "--cell", str(edge), "-k", "0", "--sign", "source"]) == 0
+        assert capsys.readouterr() == ("dim: 0\nneg: {u}\npos: {u}\n", "")
+        assert main(["compose", str(struct), "--cells", str(edge), str(point), "-k", "0"]) == 0
+        assert capsys.readouterr() == ("dim: 1\nneg: {u}, {a}\npos: {v:2}, {a}\n", "")
+        bad = tmp_path / "bad.json"
+        v = Multiset.of(s.gen("v"))
+        bad.write_text(fixtures.dumps(cells_mod.CellTable(a.neg, (v, a.top)), name="bad"))
+        assert main(["face", str(struct), "--cell", str(bad), "-k", "0", "--sign", "source"]) == 1
+        assert main(["compose", str(struct), "--cells", str(bad), str(point), "-k", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and out == (
+            "invalid cell: negative column 1 has boundary -u +2v, expected -u +v\n"
+            "invalid first cell: negative column 1 has boundary -u +2v, expected -u +v\n"
+        )
+
 
 class TestChainRoundtripFreeness:
     def test_chain_check(self, capsys, oriental2_file):
@@ -366,6 +393,21 @@ class TestMorphismCommands:
         out, err = capsys.readouterr()
         assert (out, err) == (f"not composable: count for 'a' exceeds {MAX_COUNT}\n", "")
         assert not out_path.exists()
+
+    def test_image_beyond_max_count_cannot_be_applied(self, capsys, tmp_path):
+        from conftest import overflow_map
+        from paritykit.cells import CellTable
+        from paritykit.multiset import MAX_COUNT
+
+        f = overflow_map()
+        u, v, a = (f.source.gen(n) for n in "uva")
+        doubled = CellTable([Multiset.of(u, u), Multiset.of(a, a)], [Multiset.of(v, v), Multiset.of(a, a)])
+        path, cell = tmp_path / "big.json", tmp_path / "doubled.json"
+        path.write_text(fixtures.dumps(f, name="big"))
+        cell.write_text(fixtures.dumps(doubled, name="doubled"))
+        assert main(["morphism", "apply", str(path), "--cell", str(cell)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (f"cannot apply: count for 'a' exceeds {MAX_COUNT}\n", "")
 
 
 class TestDeterminism:

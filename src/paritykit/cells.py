@@ -19,7 +19,8 @@ subset.  Enumeration searches and sorts pairs of mask rows, and atom
 closure composes, faces and lifts them.  The subset tables they return,
 and those of atom, cell_zero, excision, apply_to_cell and the cell
 operations, keep the mask rows and a face table; a column's Multiset is
-built, once per face table, only when a caller reads it.
+built, once per face table, only when a caller reads it or hashes the
+table.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ class CellTable:
     for it.  Two tables over one face table compare their masks, any
     other pair their columns.  The hash is computed on first use from
     the column hashes, so a table over masks and an equal one over
-    Multisets stand for each other as dict keys.  Tables pickle and copy
-    through the constructor.
+    Multisets stand for each other as dict keys; hashing builds each
+    distinct column's Multiset once per face table.  Tables pickle and
+    copy through the constructor.
     """
 
     __slots__ = ("_rows", "_faces", "_hash")
@@ -200,13 +202,13 @@ def validate_cell(
     Mode "rho" checks the boundary conditions and top equality; mode
     "nu" additionally requires augmentation 1 in dimension 0 (an error
     if the complex has no augmentation).  The checks run on the columns
-    as (index, count) chains over the complex's face table, each boundary
-    summed from its signed rows; values are built only for a reason.
+    as (index, count) chains over the face table, which a structure and
+    its complex share, each boundary summed from its signed rows; values
+    are built only for a reason.
     """
     if mode not in ("rho", "nu"):
         raise ValueError(f"unknown cell mode {mode!r}")
-    complex_ = _as_complex(source)
-    t = complex_._table
+    t = source._table
     neg, pos = _chains(t, table)
     if neg[-1] != pos[-1]:
         return False, f"top columns differ: {table.top} vs {table.pos[-1]}"
@@ -227,6 +229,12 @@ def validate_cell(
             if total != 1:
                 return False, f"{label} column 0 has augmentation {total}, expected 1"
     return True, None
+
+
+def _check_cell(source: Structure | FreeDirectedComplex, table: CellTable) -> tuple[bool, str | None]:
+    """validate_cell in "nu" mode when the complex is augmented (the basis
+    is normal) and in "rho" mode otherwise."""
+    return validate_cell(source, table, "nu" if source._table.normal else "rho")
 
 
 def _chains(t: _FaceTable, table: CellTable) -> tuple[list[list[tuple[int, int]]], ...]:
@@ -300,7 +308,8 @@ def compose(x: CellTable, y: CellTable, k: int) -> CellTable:
 
 
 def atom(struct: Structure, gen: GeneratorId) -> CellTable:
-    """The atom of a generator: its iterated face levels as a table.
+    """The atom of a generator: its iterated face levels as a table (for
+    a point, its 0-cell).
 
     For parity structures the rows are the subset face levels; for
     additive structures the iterated multiset boundaries, which are the
@@ -316,12 +325,11 @@ def atom(struct: Structure, gen: GeneratorId) -> CellTable:
 
 
 def cell_zero(struct: Structure, gen: GeneratorId) -> CellTable:
-    """The 0-cell at a dimension-0 generator."""
-    t = struct._table
-    bit = 1 << t.index[gen]
+    """The 0-cell at a dimension-0 generator, which is its atom."""
+    struct.require(gen)
     if gen.dim != 0:
         raise ValueError(f"{gen.name!r} has dimension {gen.dim}, expected 0")
-    return CellTable._of(t, ((bit,), (bit,)))
+    return atom(struct, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +488,7 @@ def excision_decompose(
         )
     if table.dim < 1:
         raise ValueError("excision applies to cells of dimension >= 1")
-    ok, reason = validate_cell(complex_, table, mode="nu" if faces.normal else "rho")
+    ok, reason = _check_cell(complex_, table)
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
 
@@ -556,11 +564,9 @@ class AtomLeaf(AtomExpression):
     __slots__ = ("gen",)
 
     def __init__(self, gen: GeneratorId):
-        object.__setattr__(self, "gen", gen)
+        self.gen = gen
 
     def _build(self, struct: Structure, memo: dict[AtomExpression, CellTable]) -> CellTable:
-        if self.gen.dim == 0:
-            return cell_zero(struct, self.gen)
         return atom(struct, self.gen)
 
     def to_payload(self) -> list:
@@ -574,7 +580,7 @@ class IdentityLift(AtomExpression):
     __slots__ = ("inner",)
 
     def __init__(self, inner: AtomExpression):
-        object.__setattr__(self, "inner", inner)
+        self.inner = inner
 
     def _build(self, struct: Structure, memo: dict[AtomExpression, CellTable]) -> CellTable:
         return identity(self.inner._evaluate(struct, memo))
@@ -590,9 +596,7 @@ class Composite(AtomExpression):
     __slots__ = ("level", "left", "right")
 
     def __init__(self, level: int, left: AtomExpression, right: AtomExpression):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        self.level, self.left, self.right = level, left, right
 
     def _build(self, struct: Structure, memo: dict[AtomExpression, CellTable]) -> CellTable:
         left = self.left._evaluate(struct, memo)
@@ -672,7 +676,7 @@ def _closure(
         return cell == goal
 
     def search() -> None:
-        for g in sorted(struct.all_generators()):
+        for g in struct.all_generators():  # in id order
             if g.dim <= max_dim:
                 leaf = AtomLeaf(g)
                 cell = _mask_rows(struct._table, leaf.evaluate(struct))
@@ -722,8 +726,7 @@ def generated_by_atoms(struct: Structure, table: CellTable) -> AtomExpression | 
     atom_closure.
     """
     _require_weak(struct, "atom closure")
-    complex_ = _as_complex(struct)
-    ok, reason = validate_cell(complex_, table, mode="nu" if complex_.augmented else "rho")
+    ok, reason = _check_cell(struct, table)
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
     goal = _mask_rows(struct._table, table)

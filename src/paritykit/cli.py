@@ -144,20 +144,17 @@ def _cmd_chain(args) -> int:
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     complex_ = from_structure(fixture.value)
     report = check_complex(complex_)
+    boundaries = [] if args.check else [
+        (g.name, str(complex_.boundary_of(g))) for g in complex_.structure.all_generators() if g.dim >= 1
+    ]
     if args.format == "structured":
         payload = {"name": fixture.name, **report.to_payload()}
         if not args.check:
-            payload["boundaries"] = {
-                g.name: str(complex_.boundary_of(g))
-                for g in complex_.structure.all_generators()
-                if g.dim >= 1
-            }
+            payload["boundaries"] = dict(boundaries)
         _emit_structured(payload)
     else:
-        if not args.check:
-            for g in complex_.structure.all_generators():
-                if g.dim >= 1:
-                    print(f"d({g.name}) = {complex_.boundary_of(g)}")
+        for name, boundary in boundaries:
+            print(f"d({name}) = {boundary}")
         print(f"dd zero: {_flag(report.dd_zero)}")
         print(f"normal: {_flag(report.normal)}")
         print(f"unital: {_flag(report.unital)}")
@@ -170,12 +167,10 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_atom(args) -> int:
-    from .cells import atom, cell_zero
-    fixture = _load(args.file, *_STRUCTURE_KINDS)
-    struct = fixture.value
+    from .cells import atom
+    struct = _load(args.file, *_STRUCTURE_KINDS).value
     gen = struct.gen(args.generator)
-    table = atom(struct, gen) if gen.dim else cell_zero(struct, gen)
-    _cell_out(args, table, name=f"atom-{gen.name}")
+    _cell_out(args, atom(struct, gen), name=f"atom-{gen.name}")
     return 0
 
 
@@ -209,17 +204,8 @@ def _cmd_cells(args) -> int:
     return 0
 
 
-def _check_cell(struct, table):
-    """validate_cell in "nu" mode when the complex is augmented and in
-    "rho" mode otherwise, as generated_by_atoms does."""
-    from .cells import validate_cell
-    from .chain import from_structure
-    complex_ = from_structure(struct)
-    return validate_cell(complex_, table, mode="nu" if complex_.augmented else "rho")
-
-
 def _cmd_face(args) -> int:
-    from .cells import face
+    from .cells import _check_cell, face
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     cell_fixture = _load(args.cell, fixtures.KIND_CELL)
     table = cell_fixture.value
@@ -233,7 +219,7 @@ def _cmd_face(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    from .cells import NotComposableError, compose
+    from .cells import NotComposableError, _check_cell, compose
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     first = _load(args.cells[0], fixtures.KIND_CELL)
     second = _load(args.cells[1], fixtures.KIND_CELL)
@@ -316,51 +302,52 @@ def _cmd_freeness(args) -> int:
     return 0 if not missing and not bad else 1
 
 
-def _cmd_morphism(args) -> int:
-    from . import morphisms
-    if args.action == "validate":
-        fixture = _load(args.morphism, fixtures.KIND_MORPHISM)
-        f = fixture.value
-        report = morphisms.validate_morphism(f, args.mode or f.mode)
-        strict = None
-        if report.valid and (args.mode or f.mode) == "weak_parity":
-            strict = morphisms.check_strict_movement(f)
-        if args.format == "structured":
-            payload = {"name": fixture.name, **report.to_payload()}
-            if strict is not None:
-                payload["strict_movement"] = strict
-            _emit_structured(payload)
-        else:
-            print(f"valid: {_flag(report.valid)}")
-            print(f"normal: {_flag(report.normal)}")
-            if strict is not None:
-                print(f"strict movement: {_flag(strict)}")
-            for failure in report.failures:
-                print(f"FAIL: {failure}")
-        return 0 if report.valid else 1
-    if args.action == "compose":
-        first = _load(args.morphism, fixtures.KIND_MORPHISM)
-        second = _load(args.second, fixtures.KIND_MORPHISM)
-        try:
-            composed = morphisms.compose_morphisms(first.value, second.value)
-        except (morphisms.MorphismError, OverflowError) as exc:
-            print(f"not composable: {exc}")
-            return 1
-        _write_out(
-            fixtures.dumps(composed, name=f"{first.name}-then-{second.name}"), args.output
-        )
-        return 0
-    if args.action == "apply":
-        fixture = _load(args.morphism, fixtures.KIND_MORPHISM)
-        cell_fixture = _load(args.cell, fixtures.KIND_CELL)
-        try:
-            result = morphisms.apply_to_cell(fixture.value, cell_fixture.value)
-        except (ValueError, OverflowError) as exc:
-            print(f"cannot apply: {exc}")
-            return 1
-        _cell_out(args, result, name=f"{fixture.name}-{cell_fixture.name}")
-        return 0
-    raise _UsageError(f"unknown morphism action {args.action!r}")
+def _cmd_morphism_validate(args) -> int:
+    from .morphisms import check_strict_movement, validate_morphism
+    fixture = _load(args.morphism, fixtures.KIND_MORPHISM)
+    f = fixture.value
+    mode = args.mode or f.mode
+    report = validate_morphism(f, mode)
+    strict = check_strict_movement(f) if report.valid and mode == "weak_parity" else None
+    if args.format == "structured":
+        payload = {"name": fixture.name, **report.to_payload()}
+        if strict is not None:
+            payload["strict_movement"] = strict
+        _emit_structured(payload)
+    else:
+        print(f"valid: {_flag(report.valid)}")
+        print(f"normal: {_flag(report.normal)}")
+        if strict is not None:
+            print(f"strict movement: {_flag(strict)}")
+        for failure in report.failures:
+            print(f"FAIL: {failure}")
+    return 0 if report.valid else 1
+
+
+def _cmd_morphism_compose(args) -> int:
+    from .morphisms import MorphismError, compose_morphisms
+    first = _load(args.morphism, fixtures.KIND_MORPHISM)
+    second = _load(args.second, fixtures.KIND_MORPHISM)
+    try:
+        composed = compose_morphisms(first.value, second.value)
+    except (MorphismError, OverflowError) as exc:
+        print(f"not composable: {exc}")
+        return 1
+    _write_out(fixtures.dumps(composed, name=f"{first.name}-then-{second.name}"), args.output)
+    return 0
+
+
+def _cmd_morphism_apply(args) -> int:
+    from .morphisms import apply_to_cell
+    fixture = _load(args.morphism, fixtures.KIND_MORPHISM)
+    cell_fixture = _load(args.cell, fixtures.KIND_CELL)
+    try:
+        result = apply_to_cell(fixture.value, cell_fixture.value)
+    except (ValueError, OverflowError) as exc:
+        print(f"cannot apply: {exc}")
+        return 1
+    _cell_out(args, result, name=f"{fixture.name}-{cell_fixture.name}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +434,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         q = action.add_parser("validate", parents=[common])
         q.add_argument("morphism")
         q.add_argument("--mode", choices=("additive", "weak_parity"))
-        q.set_defaults(func=_cmd_morphism)
+        q.set_defaults(func=_cmd_morphism_validate)
         q = action.add_parser("compose", parents=[common])
         q.add_argument("morphism")
         q.add_argument("second")
         q.add_argument("-o", "--output", default="-")
-        q.set_defaults(func=_cmd_morphism)
+        q.set_defaults(func=_cmd_morphism_compose)
         q = action.add_parser("apply", parents=[common])
         q.add_argument("morphism")
         q.add_argument("--cell", required=True)
-        q.set_defaults(func=_cmd_morphism)
+        q.set_defaults(func=_cmd_morphism_apply)
 
     if p := add("roundtrip", "structure -> chain complex -> structure"):
         p.add_argument("file")

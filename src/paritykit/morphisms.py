@@ -357,12 +357,12 @@ def induced_chain_map(f: GradedMorphism) -> ChainMap:
 
 def morphism_from_chain_map(cm: ChainMap, mode: str = "additive") -> GradedMorphism:
     """Recover the graded morphism from a chain map's generator images."""
+    if mode not in MODES:
+        raise MorphismError(f"unknown morphism mode {mode!r}")
     s, t = cm.source._table, cm.target._table
     for g, d, _, row in _images(s, cm._rows):
         if min(row.values(), default=1) < 0:
             raise MorphismError(f"image of {g.name} is not positive: {t.text(d, row, _format_entries)}")
-    if mode not in MODES:
-        raise MorphismError(f"unknown morphism mode {mode!r}")
     for g, d, _, row in _images(s, cm._rows) if mode == "weak_parity" else ():
         if max(row.values(), default=1) > 1:
             raise MorphismError(f"image of {g.name!r} is not a subset: {t.text(d, row)}")

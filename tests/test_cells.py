@@ -23,11 +23,12 @@ from paritykit.cells import (
 from paritykit import fixtures, parity_core
 from paritykit.chain import FreeDirectedComplex, from_structure
 from paritykit.generators import cube, family, globe, oriental
-from paritykit.multiset import Multiset
+from paritykit.multiset import GeneratorId, Multiset
 from paritykit.parity_core import (
     CLASS_WEAK,
     ParityStructure,
     StructureError,
+    UnknownGeneratorError,
     is_well_formed,
     skeleton,
     validate,
@@ -212,6 +213,23 @@ class TestAtom:
         assert cells.cell_zero(oriental2, oriental2.gen("1")) == CellTable(
             [Multiset.of(oriental2.gen("1"))], [Multiset.of(oriental2.gen("1"))]
         )
+
+    def test_point_atom_is_cell_zero(self):
+        structs = [globe(3), oriental(4), cube(3), *(load_fixture(n).value for n in ("circle", "weak_not_strong"))]
+        points = 0
+        for struct in structs:
+            for s in (struct, struct.to_additive()):
+                for g in s.generators(0):
+                    made, zero = cells.atom(s, g), cells.cell_zero(s, g)
+                    assert made == zero and made._rows == zero._rows and made._faces is zero._faces is s._table
+                    points += 1
+        assert points == 40
+
+    def test_cell_zero_checks_the_generator_before_its_dimension(self, oriental2):
+        with pytest.raises(UnknownGeneratorError):
+            cells.cell_zero(oriental2, GeneratorId(1, "nowhere"))
+        with pytest.raises(ValueError, match="'01' has dimension 1, expected 0"):
+            cells.cell_zero(oriental2, oriental2.gen("01"))
 
     def test_additive_atom_matches_parity_atom(self, oriental3):
         additive = oriental3.to_additive()

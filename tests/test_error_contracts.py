@@ -1,0 +1,133 @@
+"""The public error contracts: each documented refusal raises its error
+type with its message, checked in one table.  Also the order of the
+checks in morphism_from_chain_map (the mode is checked before the images)
+and the CLI's exit code for a fixture of the wrong kind."""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import FIXTURE_DIR
+from paritykit import cells, cli, fixtures
+from paritykit.cells import CellTable
+from paritykit.chain import AugmentationMissingError, from_structure
+from paritykit.generators import globe, oriental
+from paritykit.morphisms import (
+    ChainMap,
+    MorphismError,
+    apply_to_cell,
+    identity_morphism,
+    induced_chain_map,
+    morphism_from_chain_map,
+)
+from paritykit.multiset import Multiset, SignedVector
+from paritykit.parity_core import (
+    DimensionMismatchError,
+    ParityStructure,
+    StructureError,
+    is_well_formed,
+    moves,
+    subset_faces,
+)
+
+G1, O2 = globe(1), oriental(2)
+POINT, EDGE = O2.gen("0"), O2.gen("01")
+#: a: {u, v} -> {w}, whose basis is not normal
+NOT_NORMAL = ParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("w", 0, [], []), ("a", 1, ["u", "v"], ["w"])])
+
+
+def point(struct, name):
+    return Multiset.of(struct.gen(name, 0))
+
+
+def two_points():
+    """Chain complexes of one point u and of two points a, b."""
+    one = ParityStructure.build([("u", 0, [], [])])
+    two = ParityStructure.build([("a", 0, [], []), ("b", 0, [], [])])
+    return from_structure(one), from_structure(two)
+
+
+def chain_map(scale):
+    """The map of the complex of globe(1) to itself sending x to scale * x."""
+    c = from_structure(G1)
+    return ChainMap(c, c, {g: SignedVector(g.dim, {g: scale}) for g in G1.all_generators()})
+
+
+#: The points 0 and 1 of oriental(2), as a 0-cell whose top columns differ.
+MISMATCHED = lambda: CellTable([point(O2, "0")], [point(O2, "1")])
+
+CASES = [
+    # cells
+    ("CellTable empty rows", lambda: CellTable([], []), ValueError, "cell table needs equal, nonempty rows"),
+    ("CellTable ungraded column", lambda: CellTable([Multiset.empty(1)], [Multiset.empty(1)]),
+     ValueError, "column 0 must be graded by dimension 0"),
+    ("validate_cell mode", lambda: cells.validate_cell(O2, cells.atom(O2, POINT), mode="bogus"),
+     ValueError, "unknown cell mode 'bogus'"),
+    ("validate_cell nu without augmentation",
+     lambda: cells.validate_cell(NOT_NORMAL, CellTable([point(NOT_NORMAL, "u")], [point(NOT_NORMAL, "u")]), "nu"),
+     AugmentationMissingError, r"complex has no augmentation \(basis is not normal\)"),
+    ("face sign", lambda: cells.face(cells.atom(O2, EDGE), 0, "up"),
+     ValueError, "sign must be 'source' or 'target', got 'up'"),
+    ("cell_zero dimension", lambda: cells.cell_zero(O2, EDGE), ValueError, "'01' has dimension 1, expected 0"),
+    ("generated_by_atoms invalid cell", lambda: cells.generated_by_atoms(O2, MISMATCHED()),
+     ValueError, "not a valid cell: top columns differ"),
+    # chain
+    ("boundary_of a point", lambda: from_structure(O2).boundary_of(POINT),
+     StructureError, "dimension-0 generator '0' has no boundary"),
+    ("boundary in dimension 0", lambda: from_structure(O2).boundary(SignedVector.zero(0)),
+     StructureError, "boundary needs a chain of dimension >= 1"),
+    ("augmentation above dimension 0", lambda: from_structure(O2).augmentation(Multiset.of(EDGE)),
+     StructureError, "augmentation applies in dimension 0, got 1"),
+    # morphisms
+    ("apply_to_cell invalid cell", lambda: apply_to_cell(identity_morphism(O2), MISMATCHED()),
+     ValueError, "not a valid cell over the source: top columns differ"),
+    ("ChainMap.then", lambda: induced_chain_map(identity_morphism(G1)).then(induced_chain_map(identity_morphism(O2))),
+     MorphismError, "chain maps are not composable"),
+    ("morphism_from_chain_map negative image", lambda: morphism_from_chain_map(chain_map(-1)),
+     MorphismError, r"image of e0\+ is not positive: -e0\+"),
+    ("morphism_from_chain_map mode", lambda: morphism_from_chain_map(chain_map(1), mode="bogus"),
+     MorphismError, "unknown morphism mode 'bogus'"),
+    ("morphism_from_chain_map weak parity count", lambda: morphism_from_chain_map(chain_map(2), mode="weak_parity"),
+     MorphismError, r"image of 'e0\+' is not a subset: \{e0\+:2\}"),
+    # parity_core
+    ("subset_faces in dimension 0", lambda: subset_faces(O2, 0, [POINT]),
+     DimensionMismatchError, "subset faces need a subset of dimension >= 1"),
+    ("is_well_formed dimension", lambda: is_well_formed(O2, 1, [POINT]),
+     DimensionMismatchError, "'0' has dimension 0, expected 1"),
+    ("is_well_formed repeat", lambda: is_well_formed(O2, 1, [EDGE, EDGE]), ValueError, "subset with repeated members"),
+    ("moves mode", lambda: moves(O2, Multiset.of(EDGE), point(O2, "0"), point(O2, "1"), mode="bogus"),
+     ValueError, "unknown movement mode 'bogus'"),
+    # multiset
+    ("Multiset.of nothing", lambda: Multiset.of(),
+     ValueError, r"Multiset.of needs at least one generator; use empty\(dim\)"),
+    ("SignedVector.to_multiset negative", lambda: SignedVector(0, {POINT: -1}).to_multiset(),
+     ValueError, "vector -0 has negative entries"),
+    # fixtures and cli
+    ("dumps of a non-value", lambda: fixtures.dumps(3), TypeError, "no fixture form for int"),
+    ("cli fixture kind", lambda: cli._load(str(FIXTURE_DIR / "morphism_collapse_globe1.json"), fixtures.KIND_CELL),
+     cli._UsageError, "fixture kind 'morphism' not usable here \\(expected cell\\)"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_error_contract(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_morphism_from_chain_map_checks_the_mode_before_the_images():
+    one, two = two_points()
+    a, b = two.generators(0)
+    cm = ChainMap(one, two, {one.generators(0)[0]: SignedVector(0, {a: 2, b: -1})})
+    with pytest.raises(MorphismError, match="unknown morphism mode 'bogus'"):
+        morphism_from_chain_map(cm, mode="bogus")
+    with pytest.raises(MorphismError, match=r"image of u is not positive: \+2a -b"):
+        morphism_from_chain_map(cm)
+
+
+def test_cli_refuses_a_fixture_of_the_wrong_kind(capsys):
+    code = cli.main(["validate", str(FIXTURE_DIR / "morphism_collapse_globe1.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    expected = "parity_structure or additive_parity_structure"
+    assert err.endswith(f"fixture kind 'morphism' not usable here (expected {expected})\n")

@@ -13,7 +13,10 @@ assignment is also built as a chain map of the free complexes: it
 commutes with the boundary and preserves the augmentation exactly when
 it is a valid, normal additive map.  Every 8th valid map of each pair,
 in enumeration order, must send each enumerated source cell to a valid
-target cell equal to the column-by-column image.
+target cell equal to the column-by-column image, and the image must
+commute with the cell operations: the image of each face and of the
+identity is that face and the identity of the image, and the images of
+the cell's excision slices compose back to the image of the cell.
 
 The pool is fixed: the weak parity complexes among seed-7
 ``random_structured_parity(max_gens=7)`` draws, plus globe(1),
@@ -24,13 +27,14 @@ frozen as a fixture, never filtered out.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
 
 import randstruct
 from conftest import load_fixture
-from paritykit.cells import CellTable, enumerate_cells, validate_cell
+from paritykit.cells import CellTable, compose, enumerate_cells, excision_decompose, face, identity, validate_cell
 from paritykit.chain import from_structure
 from paritykit.generators import globe, oriental
 from paritykit.morphisms import (
@@ -119,24 +123,41 @@ def _normal_maps(source, target):
     return search(0)
 
 
-def _cell_image_failures(f, cells):
+def _cell_image_failures(f, cells, slices):
     """The source cells whose image under f is not a valid target cell
-    equal to the table of the columns' images."""
-    for cell in cells:
+    equal to the table of the columns' images, or does not commute with
+    faces, the identity and the composite of the cell's slices."""
+    for cell, parts in zip(cells, slices):
         image = apply_to_cell(f, cell)
         columns = CellTable(*([f.apply_multiset(c) for c in row] for row in (cell.neg, cell.pos)))
         if validate_cell(f.target, image) != (True, None) or image != columns or str(image) != str(columns):
-            yield cell
+            yield "image", cell
+        faces = [(k, sign) for k in range(cell.dim) for sign in ("source", "target")]
+        if any(apply_to_cell(f, face(cell, k, sign)) != face(image, k, sign) for k, sign in faces):
+            yield "face", cell
+        if apply_to_cell(f, identity(cell)) != identity(image):
+            yield "identity", cell
+        images = [apply_to_cell(f, part) for part in parts]
+        if images and reduce(lambda x, y: compose(x, y, cell.dim - 1), images) != image:
+            yield "composite", cell
 
 
 POOL = _pool()
 PAIRS = [(i, j) for i in range(len(POOL)) for j in range(len(POOL))]
 CELLS = [enumerate_cells(s, s.max_dim) for s in POOL]
+#: Each cell's excision slices; none for a point or an identity.
+SLICES = [[excision_decompose(s, c) if c.dim else [] for c in cells] for s, cells in zip(POOL, CELLS)]
 
 
 def test_the_pool_holds_weak_parity_complexes():
     assert len(POOL) == 11
     assert all(validate(s).meets(CLASS_WEAK) for s in POOL)
+
+
+def test_slices_compose_back_to_their_cell():
+    for cells, slices in zip(CELLS, SLICES):
+        for cell, parts in zip(cells, slices):
+            assert not parts or reduce(lambda x, y: compose(x, y, cell.dim - 1), parts) == cell
 
 
 @pytest.mark.parametrize("i, j", PAIRS)
@@ -159,6 +180,7 @@ def test_additive_and_weak_parity_hom_sets_agree(i, j):
         if additive and morphism_from_chain_map(induced_chain_map(f)) != f:
             mismatches.append(("chain map round trip", assignment))
         if additive and valid % CELL_SAMPLE == 0:
-            mismatches += [("cell image", assignment, cell) for cell in _cell_image_failures(f, CELLS[i])]
+            failures = _cell_image_failures(f, CELLS[i], SLICES[i])
+            mismatches += [(f"cell {what}", assignment, cell) for what, cell in failures]
         valid += additive
     assert mismatches == []

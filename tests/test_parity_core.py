@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import randstruct
 import test_report_digests
+from conftest import load_fixture
 from paritykit import parity_core
+from paritykit.chain import from_structure
 from paritykit.generators import cube, globe, oriental
 from paritykit.multiset import DimensionMismatchError, GeneratorId, Multiset
 from paritykit.parity_core import (
@@ -881,3 +883,59 @@ class TestAdditiveMovesMatchTheMultisetEquations:
     def test_face_images_above_the_top(self, oriental2):
         fi = face_images(oriental2.to_additive(), Multiset.empty(4))
         assert all(x == Multiset.empty(3) for x in fi)
+
+
+class TestSelfLoop:
+    """a: u -> u, frozen in tests/fixtures/self_loop.json.  The faces of a
+    share u, so it is not disjoint, and its atom's level 0 rows are empty,
+    so it is not unital.  It is Steiner loop-free but not strongly
+    loop-free, and this is intended: the boundary of a in the complex is
+    u - u = 0, so the Steiner digraph, which reads boundaries, has no
+    edge at a, while the strong digraph reads the face rows u -> a -> u."""
+
+    def payload(self, unital_detail):
+        return {
+            "flags": {
+                "disjoint": False,
+                "globular": True,
+                "unital": False,
+                "normal": True,
+                "weakly_loop_free": True,
+                "steiner_loop_free": True,
+                "strongly_loop_free": False,
+            },
+            "classification": "parity structure only",
+            "witnesses": {
+                "steiner_loop_free": {
+                    "kind": "order",
+                    "orders": [{"level": 0, "order": ["u", "a"]}, {"level": 1, "order": ["u", "a"]}],
+                },
+                "strongly_loop_free": {"kind": "cycle", "level": None, "cycle": ["u", "a"]},
+                "weakly_loop_free": {"kind": "order", "orders": [{"level": 1, "order": ["a"]}]},
+            },
+            "failures": [
+                {"axiom": "disjoint", "generators": ["a"], "detail": "negative and positive faces of a share {u}"},
+                {"axiom": "unital", "generators": ["a"], "detail": unital_detail},
+                {
+                    "axiom": "strongly_loop_free",
+                    "generators": ["u", "a"],
+                    "detail": "directed cycle at level None: u → a → u",
+                },
+            ],
+            "notes": ["globularity agrees in subset and additive form on all well-formed faces"],
+        }
+
+    def test_parity_payload(self):
+        struct = load_fixture("self_loop").value
+        assert isinstance(struct, ParityStructure)
+        detail = "atom of a: negative level 0 = []; positive level 0 = [] not well-formed"
+        assert validate(struct).to_payload() == self.payload(detail)
+
+    def test_additive_payload(self):
+        struct = load_fixture("self_loop").value.to_additive()
+        detail = "iterated boundaries of a reach {} and {}, not augmentation 1"
+        assert validate(struct).to_payload() == self.payload(detail)
+
+    def test_the_complex_sees_no_boundary(self):
+        struct = load_fixture("self_loop").value
+        assert from_structure(struct).boundary_of(struct.gen("a")).is_zero()

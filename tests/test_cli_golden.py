@@ -22,11 +22,13 @@ FAMILY_COMMANDS = {
     "boundaries": ["chain", "{file}"],
     "cells": ["cells", "{file}", "--max-dim", "{n}"],
     "roundtrip": ["roundtrip", "{file}"],
+    "structured_boundaries": ["chain", "{file}", "--format", "structured"],
 }
 FIXTURE_COMMANDS = {
     "validate": ["validate", "{file}"],
     "chain": ["chain", "{file}", "--check"],
     "boundaries": ["chain", "{file}"],
+    "structured_boundaries": ["chain", "{file}", "--format", "structured"],
 }
 
 GOLDEN = {
@@ -51,6 +53,12 @@ GOLDEN = {
     ("weak_not_strong", None, "validate"): "71078ba6b3fce4c5262a6b46dff2dc09e038c1bc4c2c0a41a580723ea6d38cd0",
     ("weak_not_strong", None, "chain"): "a2aa2aa932bff6e23ad2a4022105a31a8b8732adeada68b020418d0811de82dd",
     ("weak_not_strong", None, "boundaries"): "66cdfaa0dd1a7405a27e25a7d7e9b3fbfb2e65927a089517fcd89a97e3420610",
+    ("globe", 3, "structured_boundaries"): "4ac9676d91422dc894db69a4acdc4499847333514dd73a6ed7988c21b75f0fdd",
+    ("oriental", 4, "structured_boundaries"): "63d639316051d49e80fc7e3650da5b8569863a6b836487fc155f9e30cefc2b93",
+    ("cube", 3, "structured_boundaries"): "8ce16369b0fbb685c3ef03eb1fccf2c82956eb41efb5c17e8b1d16c9d57aa0f0",
+    ("circle", None, "structured_boundaries"): "5ac2664977c2d9c23a73521285c9b7026c2833bd1c035d12672a689116323f58",
+    ("weak_not_strong", None, "structured_boundaries"): "aec8cd78d3f4debd3ef70cace21fe1b4fb8153d0a5b2e5fa1b49a2cad59c5e7f",
+    ("shared_name", None, "structured_boundaries"): "7ef08d479e845f57c3b6f861a8f750992e28ec05b94a4cfc82283d35928187e1",
 }
 
 
@@ -76,3 +84,22 @@ def test_fixture_output(capsys, name, command):
     path = FIXTURE_DIR / f"{name}.json"
     digest = run_digest(capsys, FIXTURE_COMMANDS[command], path)
     assert digest == GOLDEN[(name, None, command)]
+
+
+def shared_name():
+    """u, v; x, y: u -> v; x: x => y, where a 1-generator and a
+    2-generator are both named x."""
+    from paritykit.parity_core import ParityStructure
+
+    return ParityStructure.build([
+        ("u", 0, [], []), ("v", 0, [], []),
+        ("x", 1, ["u"], ["v"]), ("y", 1, ["u"], ["v"]),
+        ("x", 2, ["x"], ["y"]),
+    ])
+
+
+def test_structured_boundaries_of_a_shared_name(capsys, tmp_path):
+    path = tmp_path / "shared-name.json"
+    path.write_text(fixtures.dumps(shared_name(), name="shared-name"))
+    digest = run_digest(capsys, FIXTURE_COMMANDS["structured_boundaries"], path)
+    assert digest == GOLDEN[("shared_name", None, "structured_boundaries")]

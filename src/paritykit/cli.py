@@ -144,17 +144,20 @@ def _cmd_chain(args) -> int:
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     complex_ = from_structure(fixture.value)
     report = check_complex(complex_)
-    boundaries = [] if args.check else [
-        (g.name, str(complex_.boundary_of(g))) for g in complex_.structure.all_generators() if g.dim >= 1
-    ]
+    # by dimension, then name, as a morphism fixture's assignment: names are unique only per dimension
+    boundaries = {} if args.check else {
+        str(d): {g.name: str(complex_.boundary_of(g)) for g in complex_.generators(d)}
+        for d in fixture.value.dims() if d
+    }
     if args.format == "structured":
         payload = {"name": fixture.name, **report.to_payload()}
         if not args.check:
-            payload["boundaries"] = dict(boundaries)
+            payload["boundaries"] = boundaries
         _emit_structured(payload)
     else:
-        for name, boundary in boundaries:
-            print(f"d({name}) = {boundary}")
+        for by_name in boundaries.values():
+            for name, boundary in by_name.items():
+                print(f"d({name}) = {boundary}")
         print(f"dd zero: {_flag(report.dd_zero)}")
         print(f"normal: {_flag(report.normal)}")
         print(f"unital: {_flag(report.unital)}")

@@ -1,12 +1,15 @@
 """Golden CLI output: SHA-256 of the exit code and stdout of fixed commands.
 
 The digests were recorded before the multiset arithmetic was reworked;
-any change in what the CLI prints on these inputs fails here.  CI runs
+any change in what the CLI prints on these inputs fails here.  The
+``structured_boundaries`` digests were recorded when ``chain --format
+structured`` began to key its ``boundaries`` by dimension, then name.  CI runs
 this file again under two fixed ``PYTHONHASHSEED`` values, so output that
 depends on set or dict iteration order of string-keyed data shows up.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -53,12 +56,12 @@ GOLDEN = {
     ("weak_not_strong", None, "validate"): "71078ba6b3fce4c5262a6b46dff2dc09e038c1bc4c2c0a41a580723ea6d38cd0",
     ("weak_not_strong", None, "chain"): "a2aa2aa932bff6e23ad2a4022105a31a8b8732adeada68b020418d0811de82dd",
     ("weak_not_strong", None, "boundaries"): "66cdfaa0dd1a7405a27e25a7d7e9b3fbfb2e65927a089517fcd89a97e3420610",
-    ("globe", 3, "structured_boundaries"): "4ac9676d91422dc894db69a4acdc4499847333514dd73a6ed7988c21b75f0fdd",
-    ("oriental", 4, "structured_boundaries"): "63d639316051d49e80fc7e3650da5b8569863a6b836487fc155f9e30cefc2b93",
-    ("cube", 3, "structured_boundaries"): "8ce16369b0fbb685c3ef03eb1fccf2c82956eb41efb5c17e8b1d16c9d57aa0f0",
-    ("circle", None, "structured_boundaries"): "5ac2664977c2d9c23a73521285c9b7026c2833bd1c035d12672a689116323f58",
-    ("weak_not_strong", None, "structured_boundaries"): "aec8cd78d3f4debd3ef70cace21fe1b4fb8153d0a5b2e5fa1b49a2cad59c5e7f",
-    ("shared_name", None, "structured_boundaries"): "7ef08d479e845f57c3b6f861a8f750992e28ec05b94a4cfc82283d35928187e1",
+    ("globe", 3, "structured_boundaries"): "dbdfb72325aef30bb4e5e75376d836ae9f6706bdf1d5aae729305541e0bc2dcb",
+    ("oriental", 4, "structured_boundaries"): "d4876f2d49fc2c928dc06f85d260fa04a3a1485ac9e1c4a44a4540f84a5e7184",
+    ("cube", 3, "structured_boundaries"): "d210b2cde620123f36b4319f1f58f56500270444895e2129c6d4b7204cee319c",
+    ("circle", None, "structured_boundaries"): "92c9cf5b9d7d519dc5852256b2bf2eae09339006ba7afcb2c380f63016a2816c",
+    ("weak_not_strong", None, "structured_boundaries"): "eb873426cb54d97b8c2d2c19b33e0fbed5254b00a9f3265ae7f3f1ac697f540b",
+    ("shared_name", None, "structured_boundaries"): "1c676dcd5c67f5bec9497861d0174bd10a9b0c2f55adc9a2e3dca554af437f6b",
 }
 
 
@@ -101,5 +104,8 @@ def shared_name():
 def test_structured_boundaries_of_a_shared_name(capsys, tmp_path):
     path = tmp_path / "shared-name.json"
     path.write_text(fixtures.dumps(shared_name(), name="shared-name"))
+    assert main(["chain", str(path), "--format", "structured"]) == 0
+    boundaries = json.loads(capsys.readouterr().out)["boundaries"]
+    assert boundaries == {"1": {"x": "-u +v", "y": "-u +v"}, "2": {"x": "-x +y"}}
     digest = run_digest(capsys, FIXTURE_COMMANDS["structured_boundaries"], path)
     assert digest == GOLDEN[("shared_name", None, "structured_boundaries")]

@@ -37,10 +37,8 @@ from .parity_core import (
     ParityStructure,
     Structure,
     StructureError,
-    _atom_masks,
     _bits,
     _boundary,
-    _columns,
     _FaceTable,
     _signed,
     validate,
@@ -114,13 +112,13 @@ class CellTable:
 
     @property
     def neg(self) -> tuple[Multiset, ...]:
-        return self._columns(self._rows[0])
+        return self._multisets(self._rows[0])
 
     @property
     def pos(self) -> tuple[Multiset, ...]:
-        return self._columns(self._rows[1])
+        return self._multisets(self._rows[1])
 
-    def _columns(self, row: tuple) -> tuple[Multiset, ...]:
+    def _multisets(self, row: tuple) -> tuple[Multiset, ...]:
         if self._faces is None:
             return row
         columns = self._faces.columns
@@ -318,10 +316,10 @@ def atom(struct: Structure, gen: GeneratorId) -> CellTable:
     the generator.
     """
     t = struct._table
-    i = t.index[gen]
+    rows = t.atom(gen.dim, t.index[gen])
     if isinstance(struct, ParityStructure):
-        return CellTable._of(t, tuple(tuple(mask for mask, _ in row) for row in _atom_masks(t, gen.dim, i)))
-    return _table_on(t, _columns(t, gen.dim, i))
+        return CellTable._of(t, tuple(tuple(mask for mask, _, _ in row) for row in rows))
+    return _table_on(t, [[counts for _, _, counts in row] for row in rows])
 
 
 def cell_zero(struct: Structure, gen: GeneratorId) -> CellTable:

@@ -95,9 +95,7 @@ class FreeDirectedComplex:
         return total
 
     def iterated_parts(self, gen: GeneratorId) -> tuple[tuple[Multiset, ...], tuple[Multiset, ...]]:
-        """Atom columns of a generator: its ``iterated_boundaries``, whose
-        level k negative row is the (dim-k)-fold negative part of the
-        iterated boundary of {gen}; dually for the positive row."""
+        """The atom of a generator in its multiset reading: its ``iterated_boundaries``."""
         return iterated_boundaries(self._structure, gen)
 
 

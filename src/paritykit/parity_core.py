@@ -7,17 +7,19 @@ additive one by reading its face sets as count-1 multisets.  The two
 classes share one implementation and differ only in their face values.
 
 The validator checks, with witnesses: disjointness of face pairs,
-globularity, unitality, normality, and weak / Steiner / strong
-loop-freeness, and classifies the structure accordingly.  It runs on
-each structure's integer face table, the structure's only face storage,
-which numbers every dimension's sorted generators densely and keeps
-faces as (index, count) rows and bitmasks, and the free chain complex's
-data; ids and Multisets are built only for results.
+globularity (in subset form for parity inputs, as dd = 0 for additive
+ones), unitality, normality, and weak / Steiner / strong loop-freeness,
+and classifies the structure accordingly; every problem is a report
+entry, and nothing raises.  It runs on each structure's integer face
+table, the structure's only face storage, which numbers every
+dimension's sorted generators densely and keeps faces as (index, count)
+rows and bitmasks, the free chain complex's data, and each generator's
+atom, built once in its subset and its multiset reading; ids and
+Multisets are built only for results.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import accumulate, groupby
 from operator import itemgetter
 from types import MappingProxyType
@@ -205,12 +207,7 @@ def _index(gens: list[tuple[GeneratorId, ...]]) -> _ById:
 
 def _masks(levels: list[list[tuple]]) -> list[list[int]]:
     """The support bitmask of every row."""
-    out = [[0] * len(level) for level in levels]
-    for masks, level in zip(out, levels):
-        for i, row in enumerate(level):
-            for j, _ in row:
-                masks[i] |= 1 << j
-    return out
+    return [[sum(1 << j for j, _ in row) for row in level] for level in levels]
 
 
 class AdditiveParityStructure(_GradedStructure):
@@ -356,9 +353,12 @@ class _FaceTable:
     The free chain complex's data lives here too: ``signed[d][i]`` is
     the boundary pos - neg as an index -> coefficient dict without zeros,
     ``normal`` says whether every 1-generator has singleton faces, and
-    ``boundaries`` (SignedVectors by id), ``dd_defects()`` and the atom
-    columns ``atom_columns`` are filled in on first use, as are the cell
-    columns ``columns`` that cell tables over the structure read.
+    ``boundaries`` (SignedVectors by id), ``dd_defects()``, the cell
+    columns ``columns`` that cell tables read and each generator's
+    ``atom`` are filled in on first use.  An atom is built once, in both
+    readings, for parity unitality, ``_non_unital`` (so ``check_complex``),
+    the Steiner digraphs, ``atom_faces``, ``iterated_boundaries`` and
+    ``cells.atom``.
     """
 
     def __init__(self, gens: list[tuple[GeneratorId, ...]], neg: list[list[tuple]], pos: list[list[tuple]]):
@@ -372,6 +372,7 @@ class _FaceTable:
         self.boundaries: dict[GeneratorId, SignedVector] = {}
         self.columns = _SubsetColumns(gens)
         self._dd: tuple | None = None
+        self._atoms: dict[tuple[int, int], tuple[list[tuple], list[tuple]]] = {}
 
     def dd_defects(self) -> tuple[tuple[int, int, dict[int, int]], ...]:
         """(d, i, dd) for each generator i of dimension d with dd != 0; empty
@@ -382,10 +383,12 @@ class _FaceTable:
                              if any((dd := _linear(s[d - 1], row.items())).values()))
         return self._dd
 
-    @cached_property
-    def atom_columns(self) -> list[tuple[list[dict], list[dict]]]:
-        """The ``_columns`` of every generator, by node."""
-        return [_columns(self, d, i) for d, row in enumerate(self.gens) for i in range(len(row))]
+    def atom(self, d: int, i: int) -> tuple[list[tuple], list[tuple]]:
+        """The ``_atom`` of generator i of dimension d, built on first use."""
+        got = self._atoms.get((d, i))
+        if got is None:
+            got = self._atoms[d, i] = _atom(self, d, i)
+        return got
 
     def same_faces(self, other: _FaceTable) -> bool:
         """Same generators and face rows."""
@@ -422,11 +425,12 @@ def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], di
 
 
 def _non_unital(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], dict[int, int]]]:
-    """Each generator whose iterated boundaries miss augmentation 1, with its level-0 columns."""
-    nodes = (g for row in t.gens for g in row)
-    for g, (neg, pos) in zip(nodes, t.atom_columns):
-        if sum(neg[0].values()) != 1 or sum(pos[0].values()) != 1:
-            yield g, neg[0], pos[0]
+    """Each generator whose iterated boundaries miss augmentation 1, with its level-0 counts."""
+    for d, row in enumerate(t.gens):
+        for i, g in enumerate(row):
+            neg, pos = [levels[0][2] for levels in t.atom(d, i)]
+            if sum(neg.values()) != 1 or sum(pos.values()) != 1:
+                yield g, neg, pos
 
 
 def _boundary(t: _FaceTable, d: int, chain: list[tuple[int, int]]) -> dict[int, int]:
@@ -455,29 +459,34 @@ def _moves(neg: int, pos: int, m: int, p: int, strict: bool) -> bool:
     return neg & ~pos == m & ~p and pos & ~neg == p & ~m and not (strict and (m & pos or p & neg))
 
 
-def _atom_masks(t: _FaceTable, d: int, i: int) -> list[list[tuple[int, bool]]]:
-    """Union levels of generator i of dimension d as (mask, well-formed)
-    pairs: its (negative, positive) rows, levels 0..d, level d = {i}."""
+def _atom(t: _FaceTable, d: int, i: int) -> tuple[list[tuple], list[tuple]]:
+    """The atom of generator i of dimension d: its (negative, positive) rows
+    of (mask, well-formed, counts) levels 0..d, level d = {i}.  Below a level
+    lies its unmatched negative (positive) remainder, as a subset (the mask,
+    by face unions) and as a multiset (index -> count, by the signed rows).
+    On subset faces the two agree while every level above is well-formed, so
+    the counts are read off the mask until the first level that is not.  On
+    multiset faces they are summed from the top; mask and flag are None."""
+    def part(k: int, counts: dict[int, int], sign: int) -> dict[int, int]:  # of the boundary of a k-chain
+        return {j: sign * c for j, c in _linear(t.signed[k], counts.items()).items() if sign * c > 0}
+
     rows = []
-    for negative in (True, False):
-        mask, row = 1 << i, []
-        for k in range(d, -1, -1):
-            neg, pos, well_formed = _spread(t, k, mask)
-            row.append((mask, well_formed))
-            mask = neg & ~pos if negative else pos & ~neg
+    for sign in (-1, 1):
+        mask, agree, counts, row = 1 << i, True, {i: 1}, []
+        if t.subset:
+            for k in range(d, -1, -1):
+                neg, pos, well_formed = _spread(t, k, mask)
+                row.append((mask, well_formed, counts))
+                if k:
+                    agree = agree and well_formed
+                    mask = neg & ~pos if sign < 0 else pos & ~neg
+                    counts = dict.fromkeys(_bits(mask), 1) if agree else part(k, counts, sign)
+        else:
+            for k in range(d, -1, -1):
+                row.append((None, None, counts))
+                counts = part(k, counts, sign) if k else None
         rows.append(row[::-1])
-    return rows
-
-
-def _columns(t: _FaceTable, d: int, i: int) -> tuple[list[dict], list[dict]]:
-    """Iterated multiset boundaries of generator i of dimension d: its
-    (negative, positive) rows of index -> count dicts, levels 0..d."""
-    neg_row, pos_row = [{i: 1}], [{i: 1}]
-    for k in range(d, 0, -1):
-        for row, sign in ((neg_row, -1), (pos_row, 1)):
-            boundary = _linear(t.signed[k], row[-1].items())  # of the level above
-            row.append({j: sign * c for j, c in boundary.items() if sign * c > 0})
-    return neg_row[::-1], pos_row[::-1]
+    return rows[0], rows[1]
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +557,13 @@ def atom_faces(
     top level {gen}; each lower negative level is the unmatched negative
     remainder of the level above, dually for positive levels.  No
     well-formedness is imposed here; the unitality validator checks it.
+    A structure with a face count >= 2 raises StructureError.
     """
-    struct.require(gen)
     t = struct._table
-    rows = _atom_masks(t, gen.dim, t.index[gen])
-    return tuple(tuple(t.members(k, mask) for k, (mask, _) in enumerate(row)) for row in rows)
+    if not t.subset:
+        raise StructureError("structure has multiset faces with counts >= 2")
+    rows = t.atom(gen.dim, t.index[gen])  # a generator the structure lacks raises
+    return tuple(tuple(t.members(k, mask) for k, (mask, _, _) in enumerate(row)) for row in rows)
 
 
 def iterated_boundaries(
@@ -563,10 +574,9 @@ def iterated_boundaries(
     Level k of the negative row is the k-fold negative boundary of the
     singleton {gen}; dually for the positive row.
     """
-    struct.require(gen)
     t = struct._table
-    rows = _columns(t, gen.dim, t.index[gen])
-    return tuple(tuple(t.multiset(k, counts) for k, counts in enumerate(row)) for row in rows)
+    rows = t.atom(gen.dim, t.index[gen])  # a generator the structure lacks raises
+    return tuple(tuple(t.multiset(k, counts) for k, (_, _, counts) in enumerate(row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -769,27 +779,22 @@ def _validate(struct: Structure) -> ValidationReport:
                 overlap = t.text(d - 1, {j: min(c, pos[j]) for j, c in negs[d][i] if j in pos})
                 disjoint = fail("disjoint", g, f"negative and positive faces of {g.name} share {overlap}")
 
-    # Globularity.  For parity inputs check the subset form, which
-    # compares the unmatched remainders of the face unions of the two
-    # rows; the additive (multiset) form is dd = 0, read from the table,
-    # and the two forms' agreement is recorded when the faces are
-    # well-formed.
-    globular = True
-    not_dd_zero = {(d, i) for d, i, _ in t.dd_defects()}
-    for d in range(2, len(gens)):
-        for i, g in enumerate(gens[d]):
-            ok = (d, i) not in not_dd_zero
-            if t.subset:
-                masks = t.neg_mask[d][i], t.pos_mask[d][i]
-                (a_neg, a_pos, a_wf), (b_neg, b_pos, b_wf) = (_spread(t, d - 1, m) for m in masks)
-                subset_ok = a_neg & ~a_pos == b_neg & ~b_pos and a_pos & ~a_neg == b_pos & ~b_neg
-                if a_wf and b_wf and subset_ok != ok:
-                    raise AssertionError(
-                        f"subset and additive globularity disagree at {g.name} despite well-formed faces"
-                    )
-                ok = subset_ok if is_parity_input else ok
-            if not ok:
-                globular = fail("globular", g, f"face boundaries of the two rows of {g.name} differ")
+    # Globularity, one form per class.  A parity input compares the
+    # unmatched remainders of the face unions of its two face rows; an
+    # additive input asks for dd = 0, read from the table.  Where both rows
+    # are well-formed the two forms agree, as the note says; the tests
+    # check that theorem.
+    globular, unequal = True, []
+    if is_parity_input:
+        for d in range(2, len(gens)):
+            for i in range(len(gens[d])):
+                (a, b, _), (m, p, _) = (_spread(t, d - 1, rows[d][i]) for rows in (t.neg_mask, t.pos_mask))
+                if (a & ~b, b & ~a) != (m & ~p, p & ~m):
+                    unequal.append((d, i))
+    else:
+        unequal = [(d, i) for d, i, _ in t.dd_defects()]
+    for d, i in unequal:
+        globular = fail("globular", gens[d][i], f"face boundaries of the two rows of {gens[d][i].name} differ")
     if t.subset and globular:
         notes.append("globularity agrees in subset and additive form on all well-formed faces")
 
@@ -803,16 +808,14 @@ def _validate(struct: Structure) -> ValidationReport:
     # every generator bottom out in singletons (augmentation 1).
     unital = True
     if is_parity_input:
-        for g in nodes:
-            rows = tuple(zip(("negative", "positive"), _atom_masks(t, g.dim, t.index[g])))
-            for k in range(g.dim + 1):
-                bad = [
-                    f"{side} level {k} = {[gens[k][j].name for j in _bits(row[k][0])]}"
-                    for side, row in rows
-                    if not row[k][1]
-                ]
-                if bad:
-                    unital = fail("unital", g, f"atom of {g.name}: {'; '.join(bad)} not well-formed")
+        for d, row in enumerate(gens):
+            for i, g in enumerate(row):
+                sides = tuple(zip(("negative", "positive"), t.atom(d, i)))
+                for k in range(d + 1):
+                    bad = [f"{side} level {k} = {[gens[k][j].name for j in _bits(levels[k][0])]}"
+                           for side, levels in sides if not levels[k][1]]
+                    if bad:
+                        unital = fail("unital", g, f"atom of {g.name}: {'; '.join(bad)} not well-formed")
     elif not normal:
         unital = fail("unital", None, "structure is not normal, so no augmentation is available")
     else:
@@ -824,21 +827,18 @@ def _validate(struct: Structure) -> ValidationReport:
 
     # Weak loop-freeness: one digraph per dimension n >= 1 on that
     # dimension's generators, x -> y when pos faces of x meet neg faces of y.
-    weak = []
-    for n in range(1, len(gens)):
-        if gens[n]:
-            succ = _meets(dict(enumerate(map(dict, negs[n]))), dict(enumerate(map(dict, poss[n]))))
-            weak.append((n, succ, gens[n]))
+    weak = [(n, _meets(dict(enumerate(map(dict, negs[n]))), dict(enumerate(map(dict, poss[n])))), gens[n])
+            for n in range(1, len(gens)) if gens[n]]
     weakly_loop_free = _order_or_cycle("weakly_loop_free", weak, failures, witnesses)
 
     # Steiner loop-freeness: one digraph per level n >= 0 on all
-    # generators, x -> y when the positive atom column of x at level n
-    # meets the negative atom column of y at level n.  The generators of
+    # generators, x -> y when the positive atom counts of x at level n
+    # meet the negative atom counts of y at level n.  The generators of
     # dimension >= n are the nodes from offset[n] on.
-    columns, steiner = t.atom_columns, []
+    atoms, steiner = [t.atom(d, i) for d, row in enumerate(gens) for i in range(len(row))], []
     for n in range(len(gens)):
         high = range(t.offset[n], len(nodes))
-        succ = _meets({y: columns[y][0][n] for y in high}, {x: columns[x][1][n] for x in high})
+        succ = _meets({y: atoms[y][0][n][2] for y in high}, {x: atoms[x][1][n][2] for x in high})
         steiner.append((n, succ, nodes))
     steiner_loop_free = _order_or_cycle("steiner_loop_free", steiner, failures, witnesses)
 

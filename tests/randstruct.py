@@ -4,7 +4,8 @@ Two populations: raw random face data (mostly failing the axioms, good
 for exercising both flag values), and structured parallel-path builds
 (globular by construction, often unital and loop-free).  Also the
 bounded search for a weakly-but-not-strongly-loop-free parity
-structure used by acceptance criterion A8.
+structure used by acceptance criterion A8, and the search for a
+smallest atom whose subset and multiset readings part.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from paritykit.parity_core import (
     AdditiveParityStructure,
     CLASS_WEAK,
     ParityStructure,
+    atom_faces,
+    iterated_boundaries,
     validate,
 )
 
@@ -178,4 +181,60 @@ def search_weak_not_strong(
                         report = validate(candidate)
                         if report.meets(CLASS_WEAK) and not report.strongly_loop_free:
                             return candidate
+    return None
+
+
+# ---------------------------------------------------------------------------
+# where the subset and multiset readings of an atom part
+
+
+def random_raw_parity(rng: random.Random, n_gens: int) -> ParityStructure:
+    """n_gens generators over consecutive dimensions from 0, each face one
+    dimension down drawn negative, positive or neither."""
+    sizes = [1]
+    for _ in range(n_gens - 1):
+        if rng.random() < 0.5:
+            sizes.append(1)
+        else:
+            sizes[rng.randrange(len(sizes))] += 1
+    rows, below = [], []
+    for dim, size in enumerate(sizes):
+        names = [f"d{dim}x{i}" for i in range(size)]
+        for name in names:
+            neg, pos = [], []
+            for face in below:
+                roll = rng.random()
+                if roll < 0.4:
+                    neg.append(face)
+                elif roll < 0.8:
+                    pos.append(face)
+            rows.append((name, dim, neg, pos))
+        below = names
+    return ParityStructure.build(rows)
+
+
+def parting_levels(struct: ParityStructure) -> list[tuple[str, int, str, int]]:
+    """(generator, dim, side, level) wherever a level of the generator's
+    atom differs as a subset (atom_faces) and as a multiset
+    (iterated_boundaries): never while every level above is well-formed."""
+    out = []
+    additive = struct.to_additive()
+    for gen in struct.all_generators():
+        subsets, multisets = atom_faces(struct, gen), iterated_boundaries(additive, gen)
+        for side, levels, counts in zip(("negative", "positive"), subsets, multisets):
+            out.extend((gen.name, gen.dim, side, k) for k in range(gen.dim + 1)
+                       if Multiset(k, dict.fromkeys(levels[k], 1)) != counts[k])
+    return out
+
+
+def search_parting_atom(max_generators: int, seed: int = 0, attempts: int = 200) -> ParityStructure | None:
+    """A smallest parity structure with an atom whose subset and multiset
+    readings part, by random_raw_parity draws of 1, 2, ... generators up to
+    max_generators; None when no draw within the bound parts."""
+    rng = random.Random(seed)
+    for n_gens in range(1, max_generators + 1):
+        for _ in range(attempts):
+            candidate = random_raw_parity(rng, n_gens)
+            if parting_levels(candidate):
+                return candidate
     return None

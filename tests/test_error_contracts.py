@@ -22,9 +22,11 @@ from paritykit.morphisms import (
 )
 from paritykit.multiset import Multiset, SignedVector
 from paritykit.parity_core import (
+    AdditiveParityStructure,
     DimensionMismatchError,
     ParityStructure,
     StructureError,
+    atom_faces,
     is_well_formed,
     moves,
     subset_faces,
@@ -34,6 +36,10 @@ G1, O2 = globe(1), oriental(2)
 POINT, EDGE = O2.gen("0"), O2.gen("01")
 #: a: {u, v} -> {w}, whose basis is not normal
 NOT_NORMAL = ParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("w", 0, [], []), ("a", 1, ["u", "v"], ["w"])])
+#: a, c: u -> v; x: 2a => c, whose faces are not subsets
+MULTISET = AdditiveParityStructure.build([
+    ("u", 0, [], []), ("v", 0, [], []), ("a", 1, ["u"], ["v"]), ("c", 1, ["u"], ["v"]), ("x", 2, ["a", "a"], ["c"]),
+])
 
 
 def point(struct, name):
@@ -97,6 +103,8 @@ CASES = [
     ("is_well_formed repeat", lambda: is_well_formed(O2, 1, [EDGE, EDGE]), ValueError, "subset with repeated members"),
     ("moves mode", lambda: moves(O2, Multiset.of(EDGE), point(O2, "0"), point(O2, "1"), mode="bogus"),
      ValueError, "unknown movement mode 'bogus'"),
+    ("atom_faces on multiset faces", lambda: atom_faces(MULTISET, MULTISET.gen("x")),
+     StructureError, "structure has multiset faces with counts >= 2"),
     # multiset
     ("Multiset.of nothing", lambda: Multiset.of(),
      ValueError, r"Multiset.of needs at least one generator; use empty\(dim\)"),

@@ -583,19 +583,49 @@ class TestNoAdditiveViewIsBuilt:
         assert complexed.to_additive() == fresh.to_additive()
 
 
+def count_atom_builds(monkeypatch) -> list:
+    """The generators whose atom ``parity_core._atom`` builds from now on."""
+    calls = []
+    original = parity_core._atom
+
+    def counting(table, dim, index):
+        calls.append(table.gens[dim][index])
+        return original(table, dim, index)
+
+    monkeypatch.setattr(parity_core, "_atom", counting)
+    return calls
+
+
 class TestAtomColumnsAreBuiltOnce:
     def test_one_column_build_per_generator(self, monkeypatch):
-        calls = []
-        original = parity_core._columns
+        calls = count_atom_builds(monkeypatch)
+        for struct in (oriental(5).to_additive(), oriental(5)):
+            calls.clear()
+            validate(struct)
+            assert len(calls) == len(set(calls)) == len(struct) == 63
 
-        def counting(table, dim, index):
-            calls.append(table.gens[dim][index])
-            return original(table, dim, index)
+    @pytest.mark.parametrize("name", ["oriental4", "cube3-additive", "parting_atom"])
+    def test_readers_build_no_further_atom(self, monkeypatch, name):
+        # the parity view and the additive view share one face table, so
+        # validating either builds the atoms that every reader of both reads
+        from paritykit.cells import atom
+        from paritykit.chain import check_complex
 
-        monkeypatch.setattr(parity_core, "_columns", counting)
-        struct = oriental(5).to_additive()
+        struct = {
+            "oriental4": oriental(4),
+            "cube3-additive": cube(3).to_additive(),
+            "parting_atom": load_fixture("parting_atom").value,
+        }[name]
         validate(struct)
-        assert len(calls) == len(set(calls)) == len(struct) == 63
+        calls = count_atom_builds(monkeypatch)
+        check_complex(from_structure(struct))
+        other = struct.to_additive() if isinstance(struct, ParityStructure) else struct.as_parity()
+        for view in (struct, other):
+            for gen in view.all_generators():
+                atom(view, gen)
+                atom_faces(view, gen)
+                iterated_boundaries(view, gen)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "build, digest",

@@ -318,8 +318,8 @@ def atom(struct: Structure, gen: GeneratorId) -> CellTable:
     t = struct._table
     rows = t.atom(gen.dim, t.index[gen])
     if isinstance(struct, ParityStructure):
-        return CellTable._of(t, tuple(tuple(mask for mask, _, _ in row) for row in rows))
-    return _table_on(t, [[counts for _, _, counts in row] for row in rows])
+        return CellTable._of(t, tuple(tuple(masks) for masks, _, _ in rows))
+    return _table_on(t, [counts for _, _, counts in rows])
 
 
 def cell_zero(struct: Structure, gen: GeneratorId) -> CellTable:

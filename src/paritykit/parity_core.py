@@ -9,13 +9,12 @@ classes share one implementation and differ only in their face values.
 The validator checks, with witnesses: disjointness of face pairs,
 globularity (in subset form for parity inputs, as dd = 0 for additive
 ones), unitality, normality, and weak / Steiner / strong loop-freeness,
-and classifies the structure accordingly; every problem is a report
-entry, and nothing raises.  It runs on each structure's integer face
-table, the structure's only face storage, which numbers every
-dimension's sorted generators densely and keeps faces as (index, count)
-rows and bitmasks, the free chain complex's data, and each generator's
-atom, built once in its subset and its multiset reading; ids and
-Multisets are built only for results.
+and classifies the structure accordingly; it never raises.  It runs on
+each structure's integer face table, the structure's only face storage,
+which numbers every dimension's sorted generators densely and keeps
+faces as (index, count) rows and bitmasks, the free chain complex's data
+and each generator's atom, built once in its subset and its multiset
+reading; ids and Multisets are built only for results.
 """
 
 from __future__ import annotations
@@ -207,7 +206,12 @@ def _index(gens: list[tuple[GeneratorId, ...]]) -> _ById:
 
 def _masks(levels: list[list[tuple]]) -> list[list[int]]:
     """The support bitmask of every row."""
-    return [[sum(1 << j for j, _ in row) for row in level] for level in levels]
+    out = [[0] * len(level) for level in levels]
+    for masks, level in zip(out, levels):
+        for i, row in enumerate(level):
+            for j, _ in row:
+                masks[i] |= 1 << j
+    return out
 
 
 class AdditiveParityStructure(_GradedStructure):
@@ -354,11 +358,10 @@ class _FaceTable:
     the boundary pos - neg as an index -> coefficient dict without zeros,
     ``normal`` says whether every 1-generator has singleton faces, and
     ``boundaries`` (SignedVectors by id), ``dd_defects()``, the cell
-    columns ``columns`` that cell tables read and each generator's
-    ``atom`` are filled in on first use.  An atom is built once, in both
-    readings, for parity unitality, ``_non_unital`` (so ``check_complex``),
-    the Steiner digraphs, ``atom_faces``, ``iterated_boundaries`` and
-    ``cells.atom``.
+    columns ``columns`` and each generator's ``atom`` are filled in on
+    first use.  An atom is built once, in both readings, for parity
+    unitality, ``_non_unital`` (so ``check_complex``), the Steiner
+    digraphs, ``atom_faces``, ``iterated_boundaries`` and ``cells.atom``.
     """
 
     def __init__(self, gens: list[tuple[GeneratorId, ...]], neg: list[list[tuple]], pos: list[list[tuple]]):
@@ -372,7 +375,7 @@ class _FaceTable:
         self.boundaries: dict[GeneratorId, SignedVector] = {}
         self.columns = _SubsetColumns(gens)
         self._dd: tuple | None = None
-        self._atoms: dict[tuple[int, int], tuple[list[tuple], list[tuple]]] = {}
+        self._atoms: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
     def dd_defects(self) -> tuple[tuple[int, int, dict[int, int]], ...]:
         """(d, i, dd) for each generator i of dimension d with dd != 0; empty
@@ -383,12 +386,9 @@ class _FaceTable:
                              if any((dd := _linear(s[d - 1], row.items())).values()))
         return self._dd
 
-    def atom(self, d: int, i: int) -> tuple[list[tuple], list[tuple]]:
+    def atom(self, d: int, i: int) -> tuple[tuple, tuple]:
         """The ``_atom`` of generator i of dimension d, built on first use."""
-        got = self._atoms.get((d, i))
-        if got is None:
-            got = self._atoms[d, i] = _atom(self, d, i)
-        return got
+        return self._atoms.get((d, i)) or self._atoms.setdefault((d, i), _atom(self, d, i))
 
     def same_faces(self, other: _FaceTable) -> bool:
         """Same generators and face rows."""
@@ -426,11 +426,10 @@ def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], di
 
 def _non_unital(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], dict[int, int]]]:
     """Each generator whose iterated boundaries miss augmentation 1, with its level-0 counts."""
-    for d, row in enumerate(t.gens):
-        for i, g in enumerate(row):
-            neg, pos = [levels[0][2] for levels in t.atom(d, i)]
-            if sum(neg.values()) != 1 or sum(pos.values()) != 1:
-                yield g, neg, pos
+    for g in (g for row in t.gens for g in row):
+        neg, pos = [counts[0] for _, _, counts in t.atom(g.dim, t.index[g])]
+        if sum(neg.values()) != 1 or sum(pos.values()) != 1:
+            yield g, neg, pos
 
 
 def _boundary(t: _FaceTable, d: int, chain: list[tuple[int, int]]) -> dict[int, int]:
@@ -459,33 +458,34 @@ def _moves(neg: int, pos: int, m: int, p: int, strict: bool) -> bool:
     return neg & ~pos == m & ~p and pos & ~neg == p & ~m and not (strict and (m & pos or p & neg))
 
 
-def _atom(t: _FaceTable, d: int, i: int) -> tuple[list[tuple], list[tuple]]:
-    """The atom of generator i of dimension d: its (negative, positive) rows
-    of (mask, well-formed, counts) levels 0..d, level d = {i}.  Below a level
-    lies its unmatched negative (positive) remainder, as a subset (the mask,
-    by face unions) and as a multiset (index -> count, by the signed rows).
-    On subset faces the two agree while every level above is well-formed, so
-    the counts are read off the mask until the first level that is not.  On
-    multiset faces they are summed from the top; mask and flag are None."""
-    def part(k: int, counts: dict[int, int], sign: int) -> dict[int, int]:  # of the boundary of a k-chain
-        return {j: sign * c for j, c in _linear(t.signed[k], counts.items()).items() if sign * c > 0}
-
+def _atom(t: _FaceTable, d: int, i: int) -> tuple[tuple, tuple]:
+    """The atom of generator i of dimension d: its (negative, positive) rows,
+    each the (masks, well-formed flags, counts) of levels 0..d, level d = {i}.
+    Below a level lies its unmatched negative (positive) remainder, as a subset
+    (the mask, by face unions) and as a multiset (index -> count, by the signed
+    rows).  On subset faces the two agree while every level above is
+    well-formed, so counts are read off the mask until the first level that is
+    not.  On multiset faces they are summed from the top; masks and flags are None."""
+    if not t.subset:
+        neg_row, pos_row = [{i: 1}], [{i: 1}]
+        for k in range(d, 0, -1):
+            for row, sign in ((neg_row, -1), (pos_row, 1)):
+                row.append({j: sign * c for j, c in _linear(t.signed[k], row[-1].items()).items() if sign * c > 0})
+        return (None, None, neg_row[::-1]), (None, None, pos_row[::-1])
     rows = []
     for sign in (-1, 1):
-        mask, agree, counts, row = 1 << i, True, {i: 1}, []
-        if t.subset:
-            for k in range(d, -1, -1):
-                neg, pos, well_formed = _spread(t, k, mask)
-                row.append((mask, well_formed, counts))
-                if k:
-                    agree = agree and well_formed
-                    mask = neg & ~pos if sign < 0 else pos & ~neg
-                    counts = dict.fromkeys(_bits(mask), 1) if agree else part(k, counts, sign)
-        else:
-            for k in range(d, -1, -1):
-                row.append((None, None, counts))
-                counts = part(k, counts, sign) if k else None
-        rows.append(row[::-1])
+        mask, agree, counts, masks, flags, column = 1 << i, True, {i: 1}, [], [], []
+        for k in range(d, -1, -1):
+            neg, pos, well_formed = _spread(t, k, mask)
+            masks.append(mask)
+            flags.append(well_formed)
+            column.append(counts)
+            if k:
+                agree = agree and well_formed
+                mask = neg & ~pos if sign < 0 else pos & ~neg
+                counts = dict.fromkeys(_bits(mask), 1) if agree else {
+                    j: sign * c for j, c in _linear(t.signed[k], counts.items()).items() if sign * c > 0}
+        rows.append((masks[::-1], flags[::-1], column[::-1]))
     return rows[0], rows[1]
 
 
@@ -563,7 +563,7 @@ def atom_faces(
     if not t.subset:
         raise StructureError("structure has multiset faces with counts >= 2")
     rows = t.atom(gen.dim, t.index[gen])  # a generator the structure lacks raises
-    return tuple(tuple(t.members(k, mask) for k, (mask, _, _) in enumerate(row)) for row in rows)
+    return tuple(tuple(t.members(k, mask) for k, mask in enumerate(masks)) for masks, _, _ in rows)
 
 
 def iterated_boundaries(
@@ -576,7 +576,7 @@ def iterated_boundaries(
     """
     t = struct._table
     rows = t.atom(gen.dim, t.index[gen])  # a generator the structure lacks raises
-    return tuple(tuple(t.multiset(k, counts) for k, (_, _, counts) in enumerate(row)) for row in rows)
+    return tuple(tuple(t.multiset(k, c) for k, c in enumerate(counts)) for _, _, counts in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +788,8 @@ def _validate(struct: Structure) -> ValidationReport:
     if is_parity_input:
         for d in range(2, len(gens)):
             for i in range(len(gens[d])):
-                (a, b, _), (m, p, _) = (_spread(t, d - 1, rows[d][i]) for rows in (t.neg_mask, t.pos_mask))
-                if (a & ~b, b & ~a) != (m & ~p, p & ~m):
+                (n1, p1, _), (n2, p2, _) = (_spread(t, d - 1, rows[d][i]) for rows in (t.neg_mask, t.pos_mask))
+                if (n1 & ~p1, p1 & ~n1) != (n2 & ~p2, p2 & ~n2):
                     unequal.append((d, i))
     else:
         unequal = [(d, i) for d, i, _ in t.dd_defects()]
@@ -808,14 +808,13 @@ def _validate(struct: Structure) -> ValidationReport:
     # every generator bottom out in singletons (augmentation 1).
     unital = True
     if is_parity_input:
-        for d, row in enumerate(gens):
-            for i, g in enumerate(row):
-                sides = tuple(zip(("negative", "positive"), t.atom(d, i)))
-                for k in range(d + 1):
-                    bad = [f"{side} level {k} = {[gens[k][j].name for j in _bits(levels[k][0])]}"
-                           for side, levels in sides if not levels[k][1]]
-                    if bad:
-                        unital = fail("unital", g, f"atom of {g.name}: {'; '.join(bad)} not well-formed")
+        for g in nodes:
+            sides = tuple(zip(("negative", "positive"), t.atom(g.dim, t.index[g])))
+            for k in range(g.dim + 1):
+                bad = [f"{side} level {k} = {[gens[k][j].name for j in _bits(masks[k])]}"
+                       for side, (masks, flags, _) in sides if not flags[k]]
+                if bad:
+                    unital = fail("unital", g, f"atom of {g.name}: {'; '.join(bad)} not well-formed")
     elif not normal:
         unital = fail("unital", None, "structure is not normal, so no augmentation is available")
     else:
@@ -835,10 +834,10 @@ def _validate(struct: Structure) -> ValidationReport:
     # generators, x -> y when the positive atom counts of x at level n
     # meet the negative atom counts of y at level n.  The generators of
     # dimension >= n are the nodes from offset[n] on.
-    atoms, steiner = [t.atom(d, i) for d, row in enumerate(gens) for i in range(len(row))], []
+    atoms, steiner = [t.atom(g.dim, t.index[g]) for g in nodes], []
     for n in range(len(gens)):
         high = range(t.offset[n], len(nodes))
-        succ = _meets({y: atoms[y][0][n][2] for y in high}, {x: atoms[x][1][n][2] for x in high})
+        succ = _meets({y: atoms[y][0][2][n] for y in high}, {x: atoms[x][1][2][n] for x in high})
         steiner.append((n, succ, nodes))
     steiner_loop_free = _order_or_cycle("steiner_loop_free", steiner, failures, witnesses)
 

@@ -311,15 +311,14 @@ def atom(struct: Structure, gen: GeneratorId) -> CellTable:
 
     For parity structures the rows are the subset face levels; for
     additive structures the iterated multiset boundaries, which are the
-    same subsets when the faces are and every level is well-formed.  The
-    result is a valid nu-cell exactly when the structure is unital at
+    same subsets on subset faces while every level above is well-formed.
+    The result is a valid nu-cell exactly when the structure is unital at
     the generator.
     """
     t = struct._table
-    rows = t.atom(gen.dim, t.index[gen])
     if isinstance(struct, ParityStructure):
-        return CellTable._of(t, tuple(tuple(masks) for masks, _, _ in rows))
-    return _table_on(t, [counts for _, _, counts in rows])
+        return CellTable._of(t, tuple(tuple(masks) for masks, _, _ in t.atom(gen)))
+    return _table_on(t, [counts for _, _, counts in t.atom(gen)])
 
 
 def cell_zero(struct: Structure, gen: GeneratorId) -> CellTable:

@@ -375,7 +375,7 @@ class _FaceTable:
         self.boundaries: dict[GeneratorId, SignedVector] = {}
         self.columns = _SubsetColumns(gens)
         self._dd: tuple | None = None
-        self._atoms: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+        self._atoms: dict[GeneratorId, tuple[tuple, tuple]] = {}
 
     def dd_defects(self) -> tuple[tuple[int, int, dict[int, int]], ...]:
         """(d, i, dd) for each generator i of dimension d with dd != 0; empty
@@ -386,9 +386,9 @@ class _FaceTable:
                              if any((dd := _linear(s[d - 1], row.items())).values()))
         return self._dd
 
-    def atom(self, d: int, i: int) -> tuple[tuple, tuple]:
-        """The ``_atom`` of generator i of dimension d, built on first use."""
-        return self._atoms.get((d, i)) or self._atoms.setdefault((d, i), _atom(self, d, i))
+    def atom(self, gen: GeneratorId) -> tuple[tuple, tuple]:
+        """The ``_atom`` of a generator, built on first use; one the table lacks raises."""
+        return self._atoms.get(gen) or self._atoms.setdefault(gen, _atom(self, gen.dim, self.index[gen]))
 
     def same_faces(self, other: _FaceTable) -> bool:
         """Same generators and face rows."""
@@ -427,7 +427,7 @@ def _non_normal(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], di
 def _non_unital(t: _FaceTable) -> Iterator[tuple[GeneratorId, dict[int, int], dict[int, int]]]:
     """Each generator whose iterated boundaries miss augmentation 1, with its level-0 counts."""
     for g in (g for row in t.gens for g in row):
-        neg, pos = [counts[0] for _, _, counts in t.atom(g.dim, t.index[g])]
+        neg, pos = [counts[0] for _, _, counts in t.atom(g)]
         if sum(neg.values()) != 1 or sum(pos.values()) != 1:
             yield g, neg, pos
 
@@ -562,21 +562,19 @@ def atom_faces(
     t = struct._table
     if not t.subset:
         raise StructureError("structure has multiset faces with counts >= 2")
-    rows = t.atom(gen.dim, t.index[gen])  # a generator the structure lacks raises
-    return tuple(tuple(t.members(k, mask) for k, mask in enumerate(masks)) for masks, _, _ in rows)
+    return tuple(tuple(t.members(k, mask) for k, mask in enumerate(masks)) for masks, _, _ in t.atom(gen))
 
 
 def iterated_boundaries(
     struct: AdditiveParityStructure, gen: GeneratorId
 ) -> tuple[tuple[Multiset, ...], tuple[Multiset, ...]]:
-    """Iterated multiset boundaries of a generator (atom columns, additively).
+    """Iterated multiset boundaries of a generator (its atom, additively).
 
     Level k of the negative row is the k-fold negative boundary of the
     singleton {gen}; dually for the positive row.
     """
     t = struct._table
-    rows = t.atom(gen.dim, t.index[gen])  # a generator the structure lacks raises
-    return tuple(tuple(t.multiset(k, c) for k, c in enumerate(counts)) for _, _, counts in rows)
+    return tuple(tuple(t.multiset(k, c) for k, c in enumerate(counts)) for _, _, counts in t.atom(gen))
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +807,7 @@ def _validate(struct: Structure) -> ValidationReport:
     unital = True
     if is_parity_input:
         for g in nodes:
-            sides = tuple(zip(("negative", "positive"), t.atom(g.dim, t.index[g])))
+            sides = tuple(zip(("negative", "positive"), t.atom(g)))
             for k in range(g.dim + 1):
                 bad = [f"{side} level {k} = {[gens[k][j].name for j in _bits(masks[k])]}"
                        for side, (masks, flags, _) in sides if not flags[k]]
@@ -826,15 +824,18 @@ def _validate(struct: Structure) -> ValidationReport:
 
     # Weak loop-freeness: one digraph per dimension n >= 1 on that
     # dimension's generators, x -> y when pos faces of x meet neg faces of y.
-    weak = [(n, _meets(dict(enumerate(map(dict, negs[n]))), dict(enumerate(map(dict, poss[n])))), gens[n])
-            for n in range(1, len(gens)) if gens[n]]
+    weak = []
+    for n in range(1, len(gens)):
+        if gens[n]:
+            succ = _meets(dict(enumerate(map(dict, negs[n]))), dict(enumerate(map(dict, poss[n]))))
+            weak.append((n, succ, gens[n]))
     weakly_loop_free = _order_or_cycle("weakly_loop_free", weak, failures, witnesses)
 
     # Steiner loop-freeness: one digraph per level n >= 0 on all
     # generators, x -> y when the positive atom counts of x at level n
     # meet the negative atom counts of y at level n.  The generators of
     # dimension >= n are the nodes from offset[n] on.
-    atoms, steiner = [t.atom(g.dim, t.index[g]) for g in nodes], []
+    atoms, steiner = [t.atom(g) for g in nodes], []
     for n in range(len(gens)):
         high = range(t.offset[n], len(nodes))
         succ = _meets({y: atoms[y][0][2][n] for y in high}, {x: atoms[x][1][2][n] for x in high})

@@ -228,9 +228,10 @@ def parting_levels(struct: ParityStructure) -> list[tuple[str, int, str, int]]:
 
 
 def search_parting_atom(max_generators: int, seed: int = 0, attempts: int = 200) -> ParityStructure | None:
-    """A smallest parity structure with an atom whose subset and multiset
-    readings part, by random_raw_parity draws of 1, 2, ... generators up to
-    max_generators; None when no draw within the bound parts."""
+    """The first parity structure with an atom whose subset and multiset
+    readings part, among random_raw_parity draws of 1, 2, ... generators up
+    to max_generators, so one of least size among the draws; None when no
+    draw within the bound parts."""
     rng = random.Random(seed)
     for n_gens in range(1, max_generators + 1):
         for _ in range(attempts):

@@ -36,10 +36,9 @@ G1, O2 = globe(1), oriental(2)
 POINT, EDGE = O2.gen("0"), O2.gen("01")
 #: a: {u, v} -> {w}, whose basis is not normal
 NOT_NORMAL = ParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("w", 0, [], []), ("a", 1, ["u", "v"], ["w"])])
-#: a, c: u -> v; x: 2a => c, whose faces are not subsets
-MULTISET = AdditiveParityStructure.build([
-    ("u", 0, [], []), ("v", 0, [], []), ("a", 1, ["u"], ["v"]), ("c", 1, ["u"], ["v"]), ("x", 2, ["a", "a"], ["c"]),
-])
+#: a: u -> v; x: 2a => {}, whose faces are not subsets
+MULTISET = AdditiveParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("a", 1, ["u"], ["v"]),
+                                          ("x", 2, ["a", "a"], [])])
 
 
 def point(struct, name):

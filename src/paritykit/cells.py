@@ -15,12 +15,13 @@ the same source, so each growth step passes through cells only.
 
 Cells are handled on bitmask columns: one int per column over that
 dimension's sorted generators, which is exact because every column is a
-subset.  Enumeration searches and sorts pairs of mask rows, and atom
-closure composes, faces and lifts them.  The subset tables they return,
-and those of atom, cell_zero, excision, apply_to_cell and the cell
-operations, keep the mask rows and a face table; a column's Multiset is
-built, once per face table, only when a caller reads it or hashes the
-table.
+subset.  Enumeration grows each level of pairs of mask rows from the
+level below and sorts it before the next one grows from it, with no
+final sort, and atom closure composes, faces and lifts them.  The
+subset tables they return, and those of atom, cell_zero, excision,
+apply_to_cell and the cell operations, keep the mask rows and a face
+table; a column's Multiset is built, once per face table, only when a
+caller reads it or hashes the table.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .parity_core import (
     _bits,
     _boundary,
     _FaceTable,
+    _mask,
     _signed,
     validate,
 )
@@ -71,8 +73,8 @@ class CellTable:
     atom closure, atom, cell_zero, excision, apply_to_cell and the cell
     operations -- keeps its columns as (neg, pos) rows of masks over the
     structure's face table, and reads a column's Multiset from that
-    table's column cache only when neg, pos, top, str or sort_key asks
-    for it.  Two tables over one face table compare their masks, any
+    table's column cache only when neg, pos, top or str asks for it;
+    sort_key reads the masks' set bits.  Two tables over one face table compare their masks, any
     other pair their columns.  The hash is computed on first use from
     the column hashes, so a table over masks and an equal one over
     Multisets stand for each other as dict keys; hashing builds each
@@ -138,11 +140,11 @@ class CellTable:
         return self._faces is not None or all(c.is_radical() for row in self._rows for c in row)
 
     def sort_key(self) -> tuple:
-        return (
-            self.dim,
-            tuple(m.sort_key() for m in self.neg),
-            tuple(p.sort_key() for p in self.pos),
-        )
+        if self._faces is None:
+            return (self.dim, *(tuple([c.sort_key() for c in row]) for row in self._rows))
+        gens = self._faces.gens  # a mask's (name, count) pairs, read off its set bits
+        return (self.dim, *(tuple([tuple([(gens[k][j].name, 1) for j in _bits(mask)])
+                                   for k, mask in enumerate(row)]) for row in self._rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CellTable):
@@ -182,7 +184,7 @@ def _table_on(t: _FaceTable, rows: Sequence[Sequence[dict[int, int]]]) -> CellTa
     """The table of (neg, pos) rows of index -> count columns over face
     table t: on mask rows over t when every count is 1, else on Multisets."""
     if all(c == 1 for row in rows for column in row for c in column.values()):
-        return CellTable._of(t, tuple(tuple(sum(1 << j for j in column) for column in row) for row in rows))
+        return CellTable._of(t, tuple(tuple(_mask(column.items()) for column in row) for row in rows))
     return CellTable._of(None, tuple(tuple(t.multiset(k, column) for k, column in enumerate(row)) for row in rows))
 
 
@@ -388,59 +390,55 @@ def enumerate_cells(struct: Structure, max_dim: int) -> list[CellTable]:
     prefix of an excision order of a top is such a growth step (see
     excision_decompose); each T is kept once per source.
 
-    The search and the sort run on mask cells, and after the sort each
-    cell's table is made on its mask rows.  Every search state is an
-    emitted cell, so the PARITYKIT_MAX_CELLS cap bounds the work as well
-    as the output.  Output is in canonical order.
+    The search runs on mask cells, and each level is sorted before the
+    next one grows from it, so the cells come out in canonical order with
+    no final sort; each cell's table is made on its mask rows.  Every
+    search state is an emitted cell, so the PARITYKIT_MAX_CELLS cap
+    bounds the work as well as the output.
     """
-    found = _mask_cells(struct, max_dim)
-    bits: dict[int, tuple[int, ...]] = {}
-
-    def column_key(mask: int) -> tuple[int, ...]:
-        got = bits.get(mask)
-        if got is None:
-            got = bits[mask] = tuple(_bits(mask))
-        return got
-
-    # bit i of a dimension-d mask is generators(d)[i], in name order, so
-    # this orders cells as CellTable.sort_key does
-    found.sort(key=lambda c: (len(c[0]), tuple(map(column_key, c[0])), tuple(map(column_key, c[1]))))
     t, table = struct._table, CellTable._of
-    return [table(t, cell) for cell in found]
+    return [table(t, cell) for cell in _mask_cells(struct, max_dim)]
 
 
 def _mask_cells(struct: Structure, max_dim: int) -> list[_MaskCell]:
-    """The cells of enumerate_cells as unsorted mask cells, capped and
-    gated as it is."""
+    """The cells of enumerate_cells as mask cells, capped and gated as it is.
+
+    A cell grown from a source S by a top T to the column C has the rows
+    (S.neg + (T,), S.pos[:-1] + (C, T)), where S.pos[-1] = S.neg[-1] and C
+    follows from S and T.  So once S's level is sorted, the cells sort on
+    (first, T's bits, S's position), with first the position of the first
+    source whose negative row is S's.
+    """
     _check_max_dim(max_dim)
     _require_weak(struct, "enumeration")
     cap = _max_cells()
+    message = f"enumeration exceeded {cap} cells (set {MAX_CELLS_ENV} to raise)"
+    level: list[_MaskCell] = [((1 << i,), (1 << i,)) for i in range(len(struct.generators(0)))]
+    if len(level) > cap:
+        raise EnumerationCapError(message)
     out: list[_MaskCell] = []
-
-    def emit(cell: _MaskCell) -> None:
-        out.append(cell)
-        if len(out) > cap:
-            raise EnumerationCapError(
-                f"enumeration exceeded {cap} cells (set {MAX_CELLS_ENV} to raise)"
-            )
-
-    for i in range(len(struct.generators(0))):
-        emit(((1 << i,), (1 << i,)))
-
+    bits: dict[int, tuple[int, ...]] = {}
     faces = struct._table
-    start = 0
     for d in range(1, max_dim + 1):
-        moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(struct.generators(d)))]
-        level, start = out[start:], len(out)
         if not level:  # no cell to grow: every higher level is empty too
             break
-        for head_neg, source_pos in level:
+        out += level
+        moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(struct.generators(d)))]
+        room, grown, first = cap - len(out), [], 0
+        for index, (head_neg, source_pos) in enumerate(level):
+            if head_neg != level[first][0]:
+                first = index
             head_pos = source_pos[:-1]
             seen = {0}
             stack = [(0, source_pos[-1])]
             while stack:
                 top, current = stack.pop()
-                emit((head_neg + (top,), head_pos + (current, top)))
+                key = bits.get(top)
+                if key is None:
+                    key = bits[top] = tuple(_bits(top))
+                grown.append((first, key, index, (head_neg + (top,), head_pos + (current, top))))
+                if len(grown) > room:
+                    raise EnumerationCapError(message)
                 outside = ~current
                 for bit, neg, pos in moves:
                     if neg & outside or pos & current or top & bit:
@@ -449,7 +447,10 @@ def _mask_cells(struct: Structure, max_dim: int) -> list[_MaskCell]:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append((nxt, current ^ neg ^ pos))
-    return out
+        grown.sort()  # no two cells share a key, so cells are never compared
+        level = [keyed[3] for keyed in grown]
+        del grown  # the keys, before the next level grows
+    return out + level
 
 
 # ---------------------------------------------------------------------------

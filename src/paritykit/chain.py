@@ -21,7 +21,6 @@ from .parity_core import (
     _non_normal,
     _non_unital,
     _spread,
-    iterated_boundaries,
 )
 
 
@@ -93,10 +92,6 @@ class FreeDirectedComplex:
             self.require(g)
             total += coeff
         return total
-
-    def iterated_parts(self, gen: GeneratorId) -> tuple[tuple[Multiset, ...], tuple[Multiset, ...]]:
-        """The atom of a generator in its multiset reading: its ``iterated_boundaries``."""
-        return iterated_boundaries(self._structure, gen)
 
 
 def from_structure(struct: Structure) -> FreeDirectedComplex:

@@ -24,6 +24,7 @@ from .parity_core import (
     _boundary,
     _FaceTable,
     _linear,
+    _mask,
     _moves,
     _spread,
     skeleton,
@@ -92,7 +93,7 @@ class GradedMorphism:
         for g in s:
             if g.dim != dim:
                 raise MorphismError(f"{g.name!r} has dimension {g.dim}, expected {dim}")
-            mask |= sum(1 << j for j in _row(self, g))
+            mask |= _mask(_row(self, g).items())
         return self._target._table.members(dim, mask)
 
     def is_normal(self) -> bool:
@@ -200,7 +201,7 @@ def _union_movement_failures(f: GradedMorphism, strict: bool) -> Iterator[str]:
     has no faces to move.
     """
     s, t = f.source._table, f.target._table
-    masks = [[sum(1 << j for j in row) for row in level] for level in f._rows]
+    masks = [[_mask(row.items()) for row in level] for level in f._rows]
     for g, d, i, row in _images(s, f._rows):
         if max(row.values(), default=1) > 1:
             yield f"image of {g.name} is not a subset: {t.text(d, row)}"

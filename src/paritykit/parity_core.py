@@ -204,14 +204,12 @@ def _index(gens: list[tuple[GeneratorId, ...]]) -> _ById:
     return index
 
 
-def _masks(levels: list[list[tuple]]) -> list[list[int]]:
-    """The support bitmask of every row."""
-    out = [[0] * len(level) for level in levels]
-    for masks, level in zip(out, levels):
-        for i, row in enumerate(level):
-            for j, _ in row:
-                masks[i] |= 1 << j
-    return out
+def _mask(row: Iterable[tuple[int, int]]) -> int:
+    """The support bitmask of an (index, count) row."""
+    mask = 0
+    for j, _ in row:
+        mask |= 1 << j
+    return mask
 
 
 class AdditiveParityStructure(_GradedStructure):
@@ -368,7 +366,7 @@ class _FaceTable:
         self.gens, self.neg, self.pos = gens, neg, pos
         self.offset = [0, *accumulate(map(len, gens))]
         self.index = _index(gens)
-        self.neg_mask, self.pos_mask = _masks(neg), _masks(pos)
+        self.neg_mask, self.pos_mask = ([[_mask(row) for row in level] for level in rows] for rows in (neg, pos))
         self.subset = all(c == 1 for level in neg + pos for r in level for _, c in r)
         self.signed = [[_signed(n, p) for n, p in zip(*level)] for level in zip(neg, pos)]
         self.normal = next(_non_normal(self), None) is None

@@ -201,6 +201,20 @@ class TestTextAndKeys:
         enumerated = cells.enumerate_cells(o2, 2)
         assert sorted(map(rebuilt, enumerated), key=CellTable.sort_key) == enumerated
 
+    @pytest.mark.parametrize("make, max_dim", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_sort_key_of_mask_rows_builds_no_column(self, make, max_dim):
+        # a table on mask rows keys its columns as the same table on
+        # Multisets does, straight from the set bits of its masks
+        struct = make()
+        made = cells.enumerate_cells(struct, max_dim) + [cells.atom(struct, g) for g in struct.all_generators()]
+        made += [cells.identity(t) for t in made[::7]] + [cells.face(t, 0, "target") for t in made if t.dim]
+        keys = [t.sort_key() for t in made]
+        assert struct._table.columns == {}
+        assert keys == [(t.dim, tuple(m.sort_key() for m in t.neg), tuple(p.sort_key() for p in t.pos)) for t in made]
+        assert keys == [rebuilt(t).sort_key() for t in made]
+        enumerated = cells.enumerate_cells(struct, max_dim)
+        assert sorted(reversed(enumerated), key=CellTable.sort_key) == enumerated
+
     def test_is_subset_columned(self, case):
         struct, max_dim, enumerated = case
         closure = cells.atom_closure(struct, max_dim)

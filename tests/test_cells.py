@@ -450,6 +450,87 @@ def weak_pool(seed=18, draws=30):
     return [s for s in drawn if validate(s).meets(CLASS_WEAK)]
 
 
+def sort_all_cells(struct, max_dim):
+    """The enumeration's mask cells as an unsorted search over all levels
+    and then one sort of every cell by its length and the set bits of
+    its columns, capped per state as enumerate_cells is."""
+    cap = cells._max_cells()
+    out = []
+
+    def emit(cell):
+        out.append(cell)
+        if len(out) > cap:
+            raise EnumerationCapError(f"enumeration exceeded {cap} cells (set {cells.MAX_CELLS_ENV} to raise)")
+
+    for i in range(len(struct.generators(0))):
+        emit(((1 << i,), (1 << i,)))
+    faces = struct._table
+    start = 0
+    for d in range(1, max_dim + 1):
+        moves = [(1 << i, faces.neg_mask[d][i], faces.pos_mask[d][i]) for i in range(len(struct.generators(d)))]
+        level, start = out[start:], len(out)
+        if not level:
+            break
+        for head_neg, source_pos in level:
+            head_pos = source_pos[:-1]
+            seen = {0}
+            stack = [(0, source_pos[-1])]
+            while stack:
+                top, current = stack.pop()
+                emit((head_neg + (top,), head_pos + (current, top)))
+                for bit, neg, pos in moves:
+                    if neg & ~current or pos & current or top & bit:
+                        continue
+                    if top | bit not in seen:
+                        seen.add(top | bit)
+                        stack.append((top | bit, current ^ neg ^ pos))
+    key = lambda mask: tuple(parity_core._bits(mask))
+    out.sort(key=lambda c: (len(c[0]), tuple(map(key, c[0])), tuple(map(key, c[1]))))
+    return out
+
+
+#: (id, structures, max_dim or None for each structure's own)
+ORDER_CASES = [
+    *((f"globe{n}", lambda n=n: [globe(n)], n) for n in range(1, 9)),
+    *((f"oriental{n}", lambda n=n: [oriental(n)], n) for n in range(1, 6)),
+    ("oriental6", lambda: [oriental(6)], 2),
+    *((f"cube{n}", lambda n=n: [cube(n)], n) for n in range(1, 5)),
+    ("weak_not_strong", lambda: [load_fixture("weak_not_strong").value], None),
+    ("weak_pool", weak_pool, None),
+]
+
+
+class TestEnumerationOrder:
+    """enumerate_cells against one sort of all its cells."""
+
+    @pytest.mark.parametrize("make, max_dim", [c[1:] for c in ORDER_CASES], ids=[c[0] for c in ORDER_CASES])
+    def test_same_cells_in_the_same_order(self, make, max_dim):
+        for struct in make():
+            d = struct.max_dim if max_dim is None else max_dim
+            want = sort_all_cells(struct, d)
+            enumerated = cells.enumerate_cells(struct, d)
+            assert [t._rows for t in enumerated] == want
+            assert [str(t) for t in enumerated] == [str(CellTable._of(struct._table, c)) for c in want]
+
+    @pytest.mark.parametrize("make, max_dim", [c[1:] for c in ORDER_CASES], ids=[c[0] for c in ORDER_CASES])
+    def test_same_cap_error(self, make, max_dim, monkeypatch):
+        # caps just below the number of cells up to each dimension
+        for struct in make():
+            d = struct.max_dim if max_dim is None else max_dim
+            dims = [len(neg) - 1 for neg, _ in sort_all_cells(struct, d)]
+            totals = {sum(k <= j for k in dims) for j in range(d + 1)}
+            for cap in sorted(total - 1 for total in totals if total > 1):
+                monkeypatch.setenv(cells.MAX_CELLS_ENV, str(cap))
+                with pytest.raises(EnumerationCapError) as want:
+                    sort_all_cells(struct, d)
+                with pytest.raises(EnumerationCapError) as got:
+                    cells.enumerate_cells(struct, d)
+                assert str(got.value) == str(want.value)
+            monkeypatch.setenv(cells.MAX_CELLS_ENV, str(len(dims)))
+            assert len(cells.enumerate_cells(struct, d)) == len(dims)
+            monkeypatch.delenv(cells.MAX_CELLS_ENV)
+
+
 @functools.cache
 def excision_inputs():
     """(structure, table) pairs: the enumerated cells of the A4 corpus,

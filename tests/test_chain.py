@@ -225,8 +225,17 @@ class TestExtraction:
             additive = struct.to_additive()
             assert extract_structure(from_structure(struct)) == additive
 
-    def test_iterated_parts_agree_with_face_iteration(self, oriental3):
+    def test_iterated_boundaries_agree_with_face_iteration(self, oriental3):
+        # level k of a row is the negative (positive) part of the boundary
+        # of level k + 1, walked down from the generator on the complex
         K = from_structure(oriental3)
         additive = oriental3.to_additive()
         for g in oriental3.all_generators():
-            assert K.iterated_parts(g) == iterated_boundaries(additive, g)
+            walked = []
+            for side in (0, 1):
+                levels = [Multiset.of(g)]
+                for _ in range(g.dim):
+                    levels.insert(0, K.boundary(levels[0].to_vector()).parts()[side])
+                walked.append(tuple(levels))
+            assert iterated_boundaries(additive, g) == tuple(walked)
+            assert iterated_boundaries(oriental3, g) == tuple(walked)

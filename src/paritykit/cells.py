@@ -35,6 +35,7 @@ from .multiset import GeneratorId, Multiset, _format_entries
 from .ordering import lex_topological_order
 from .parity_core import (
     CLASS_WEAK,
+    MAX_DIM,
     ParityStructure,
     Structure,
     StructureError,
@@ -188,12 +189,6 @@ def _table_on(t: _FaceTable, rows: Sequence[Sequence[dict[int, int]]]) -> CellTa
     return CellTable._of(None, tuple(tuple(t.multiset(k, column) for k, column in enumerate(row)) for row in rows))
 
 
-def _as_complex(source: Structure | FreeDirectedComplex) -> FreeDirectedComplex:
-    if isinstance(source, FreeDirectedComplex):
-        return source
-    return from_structure(source)
-
-
 def validate_cell(
     source: Structure | FreeDirectedComplex, table: CellTable, mode: str = "nu"
 ) -> tuple[bool, str | None]:
@@ -299,12 +294,15 @@ def compose(x: CellTable, y: CellTable, k: int) -> CellTable:
         m = x_neg[j] + y_neg[j]
         p = x_pos[j] + y_pos[j]
         if check_subsets and not (m.is_radical() and p.is_radical()):
-            raise InternalCheckError(
-                f"column {j} of a composite of subset-columned cells is not a subset"
-            )
+            raise _not_disjoint(j)
         neg.append(m)
         pos.append(p)
     return CellTable._of(None, (tuple(neg), tuple(pos)))
+
+
+def _not_disjoint(j: int) -> InternalCheckError:
+    """The error of a composite of subset-columned cells whose column j sums overlapping subsets."""
+    return InternalCheckError(f"column {j} of a composite of subset-columned cells is not a subset")
 
 
 def atom(struct: Structure, gen: GeneratorId) -> CellTable:
@@ -351,6 +349,8 @@ def _max_cells() -> int:
 def _check_max_dim(max_dim: int) -> None:
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
+    if max_dim > MAX_DIM:  # each level above a structure's top is identities a column wider
+        raise ValueError(f"max_dim must be at most {MAX_DIM}, got {max_dim}")
 
 
 def _require_weak(struct: Structure, task: str) -> None:
@@ -475,7 +475,7 @@ def excision_decompose(
     dimension >= 1; intermediate columns failing positivity mean the
     hypotheses were violated and raise InternalCheckError.
     """
-    complex_ = _as_complex(source)
+    complex_ = source if isinstance(source, FreeDirectedComplex) else from_structure(source)
     faces = complex_._table
     # additive globularity is dd = 0; weak loop-freeness reads only supports
     globular, weakly_loop_free = not faces.dd_defects(), validate(complex_.structure).weakly_loop_free
@@ -637,9 +637,7 @@ def _composite(x: _MaskCell, y: _MaskCell, k: int) -> _MaskCell:
     for j in range(k + 1, len(x_neg)):
         m, n, p, q = x_neg[j], y_neg[j], x_pos[j], y_pos[j]
         if m & n or p & q:
-            raise InternalCheckError(
-                f"column {j} of a composite of subset-columned cells is not a subset"
-            )
+            raise _not_disjoint(j)
         neg.append(m | n)
         pos.append(p | q)
     return tuple(neg), tuple(pos)

@@ -113,15 +113,7 @@ class ChainReport(NamedTuple):
     failures: tuple[tuple[str, str, str], ...]  # (check, generator, detail)
 
     def to_payload(self) -> dict:
-        return {
-            "dd_zero": self.dd_zero,
-            "normal": self.normal,
-            "unital": self.unital,
-            "augmented": self.augmented,
-            "failures": [
-                {"check": c, "generator": g, "detail": d} for c, g, d in self.failures
-            ],
-        }
+        return {**self._asdict(), "failures": [{"check": c, "generator": g, "detail": d} for c, g, d in self.failures]}
 
 
 def check_complex(complex_: FreeDirectedComplex) -> ChainReport:

@@ -83,8 +83,7 @@ def _print_report(name: str, report: ValidationReport) -> None:
     for failure in report.failures:
         gens = ", ".join(failure.generators)
         print(f"FAIL {failure.axiom}" + (f" at {gens}" if gens else "") + f": {failure.detail}")
-    for axiom in ("weakly_loop_free", "steiner_loop_free", "strongly_loop_free"):
-        witness = report.witnesses.get(axiom)
+    for axiom, witness in report.witnesses.items():
         if isinstance(witness, CycleWitness):
             where = "" if witness.level is None else f" (level {witness.level})"
             print(f"cycle witness for {axiom}{where}: {witness}")
@@ -92,17 +91,13 @@ def _print_report(name: str, report: ValidationReport) -> None:
         print(f"note: {note}")
 
 
-def _print_cell(table) -> None:
-    print(f"dim: {table.dim}")
-    print(f"neg: {', '.join(str(c) for c in table.neg)}")
-    print(f"pos: {', '.join(str(c) for c in table.pos)}")
-
-
 def _cell_out(args, table, name: str) -> None:
     if args.format == "structured":
         sys.stdout.write(fixtures.dumps(table, name=name))
     else:
-        _print_cell(table)
+        print(f"dim: {table.dim}")
+        print(f"neg: {', '.join(str(c) for c in table.neg)}")
+        print(f"pos: {', '.join(str(c) for c in table.pos)}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +153,8 @@ def _cmd_chain(args) -> int:
         for by_name in boundaries.values():
             for name, boundary in by_name.items():
                 print(f"d({name}) = {boundary}")
-        print(f"dd zero: {_flag(report.dd_zero)}")
-        print(f"normal: {_flag(report.normal)}")
-        print(f"unital: {_flag(report.unital)}")
-        print(f"augmented: {_flag(report.augmented)}")
+        for flag, value in zip(report._fields[:4], report):  # dd_zero, normal, unital, augmented
+            print(f"{flag.replace('_', ' ')}: {_flag(value)}")
         for check, gen, detail in report.failures:
             print(f"FAIL {check}" + (f" at {gen}" if gen else "") + f": {detail}")
     if args.check:

@@ -145,7 +145,7 @@ def _cell_from_payload(payload: dict, where: str) -> CellTable:
 
 
 def _morphism_from_payload(payload: dict, where: str) -> GradedMorphism:
-    from .morphisms import GradedMorphism
+    from .morphisms import GradedMorphism, _image_rows
     for key in ("source", "target", "assignment"):
         if key not in payload:
             raise FixtureError(f"{where}: morphism payload needs {key!r}")
@@ -165,7 +165,8 @@ def _morphism_from_payload(payload: dict, where: str) -> GradedMorphism:
     raw = payload["assignment"]
     if type(raw) is not dict:
         raise FixtureError(f"{where}: assignment must map dimensions to objects")
-    assignment: dict[GeneratorId, Multiset] = {}
+    # each image a row over the target's face table, whose index takes (dim, name) as an id
+    t, images = target._table, []
     for dim_key, per_dim in raw.items():
         try:
             dim = int(dim_key)
@@ -179,20 +180,25 @@ def _morphism_from_payload(payload: dict, where: str) -> GradedMorphism:
         for name, faces in per_dim.items():
             at = f"{where}/assignment/{dim_key}/{name}"
             _check_faces(faces, at)
-            counts: dict[GeneratorId, int] = {}
+            row: dict[int, int] = {}
             try:
-                gen = source.gen(name, dim)
+                g = source.gen(name, dim)
                 for entry in faces:
                     fname, count = (entry, 1) if type(entry) is str else entry
-                    h = target.gen(fname, dim)
-                    counts[h] = counts.get(h, 0) + count
-                assignment[gen] = Multiset(dim, counts)
+                    j = t.index.get((dim, fname))
+                    if j is None:
+                        target.gen(fname, dim)  # raises the unknown name's error
+                    row[j] = row.get(j, 0) + count
+                if max(row.values(), default=0) > MAX_COUNT:
+                    t.multiset(dim, row)  # raises the first overflowing count's error
             except (ValueError, OverflowError) as exc:
                 raise FixtureError(f"{at}: {exc}")
+            images.append((g, dim, source._table.index[g], row))
     try:
-        return GradedMorphism(source, target, assignment, mode)
+        rows = _image_rows(source, target, mode, {g for g, _, _, _ in images}, images)
     except ValueError as exc:
         raise FixtureError(f"{where}: {exc}")
+    return GradedMorphism._of(source, target, rows, mode)
 
 
 def _object(pairs: list[tuple[str, Any]]) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import attrgetter, or_
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .multiset import MAX_COUNT, GeneratorId, Multiset, SignedVector, _format_entries
 from .parity_core import (
@@ -53,20 +53,9 @@ class GradedMorphism:
 
     def __init__(self, source: Structure, target: Structure, assignment: Mapping[GeneratorId, Multiset],
                  mode: str = "weak_parity"):
-        if mode not in MODES:
-            raise MorphismError(f"unknown morphism mode {mode!r}")
-        for g in source.all_generators():
-            if g not in assignment:
-                raise MorphismError(f"assignment is missing generator {g.name!r} (dim {g.dim})")
-        index, into = source._table.index, target._table.index
-        rows = [[{}] * len(gens) for gens in source._table.gens]
-        for g, image in assignment.items():
-            i = index[g]  # a generator the source lacks raises
-            if image.dim != g.dim:
-                raise MorphismError(f"image of {g.name!r} has dimension {image.dim}, expected {g.dim}")
-            rows[g.dim][i] = {into[h]: c for h, c in image.items()}  # so does one the target lacks
-            if mode == "weak_parity" and not image.is_radical():
-                raise MorphismError(f"image of {g.name!r} is not a subset: {image}")
+        index, into = source._table.index, target._table.index  # each raises for a generator it lacks
+        images = ((g, g.dim, index[g], _image_row(g, image, into)) for g, image in assignment.items())
+        rows = _image_rows(source, target, mode, assignment, images)
         self._source, self._target, self._rows, self._mode = source, target, rows, mode
 
     @classmethod
@@ -121,6 +110,39 @@ def _apply(f: GradedMorphism | ChainMap, v: Multiset | SignedVector) -> dict[int
     return _linear(f._rows[v.dim], chain) if chain else {}
 
 
+#: The text for an image row with a count above 1: its generator's name, quoted when raised, then the row.
+_NOT_SUBSET = "image of {} is not a subset: {}"
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise MorphismError(f"unknown morphism mode {mode!r}")
+
+
+def _image_row(g: GeneratorId, image: Multiset | SignedVector, into: Mapping[GeneratorId, int]) -> dict[int, int]:
+    """The image of g as a row over the target index ``into``; it must have g's dimension."""
+    if image.dim != g.dim:
+        raise MorphismError(f"image of {g.name!r} has dimension {image.dim}, expected {g.dim}")
+    return {into[h]: c for h, c in image.items()}
+
+
+def _image_rows(source: Structure, target: Structure, mode: str, assigned: Container[GeneratorId],
+                images: Iterable[tuple[GeneratorId, int, int, dict[int, int]]]) -> list:
+    """The image rows of a graded morphism, after the mode, that every source generator is
+    ``assigned``, and in weak-parity mode that each image is a subset.  ``images`` yields
+    (generator, dimension, index, row) in assignment order, and may raise for one in turn."""
+    _check_mode(mode)
+    for g in source.all_generators():
+        if g not in assigned:
+            raise MorphismError(f"assignment is missing generator {g.name!r} (dim {g.dim})")
+    t, rows = target._table, [[{}] * len(gens) for gens in source._table.gens]
+    for g, d, i, row in images:
+        rows[d][i] = row
+        if mode == "weak_parity" and max(row.values(), default=1) > 1:
+            raise MorphismError(_NOT_SUBSET.format(repr(g.name), t.text(d, row)))
+    return rows
+
+
 def _images(t: _FaceTable, rows: list) -> Iterator[tuple[GeneratorId, int, int, dict[int, int]]]:
     """(generator, dimension, index, image row) of each generator of source table t, in id order."""
     for d, gens in enumerate(t.gens):
@@ -144,7 +166,9 @@ def _composed(rows: list, after: list) -> list:
 
 
 def identity_morphism(struct: Structure, mode: str = "weak_parity") -> GradedMorphism:
-    return GradedMorphism(struct, struct, {g: Multiset.of(g) for g in struct.all_generators()}, mode)
+    _check_mode(mode)
+    rows = [[{i: 1} for i in range(len(gens))] for gens in struct._table.gens]
+    return GradedMorphism._of(struct, struct, rows, mode)
 
 
 class MorphismReport(NamedTuple):
@@ -167,8 +191,7 @@ def validate_morphism(f: GradedMorphism, mode: str | None = None) -> MorphismRep
     A count beyond MAX_COUNT is reported like any other.
     """
     mode = mode or f.mode
-    if mode not in MODES:
-        raise MorphismError(f"unknown morphism mode {mode!r}")
+    _check_mode(mode)
     failures: list[str] = []
     level = CLASS_ADDITIVE if mode == "additive" else CLASS_WEAK
     for role, struct in (("source", f.source), ("target", f.target)):
@@ -204,7 +227,7 @@ def _union_movement_failures(f: GradedMorphism, strict: bool) -> Iterator[str]:
     masks = [[_mask(row.items()) for row in level] for level in f._rows]
     for g, d, i, row in _images(s, f._rows):
         if max(row.values(), default=1) > 1:
-            yield f"image of {g.name} is not a subset: {t.text(d, row)}"
+            yield _NOT_SUBSET.format(g.name, t.text(d, row))
             continue
         neg, pos, well_formed = _spread(t, d, masks[d][i])
         if not well_formed:
@@ -295,10 +318,7 @@ class ChainMap:
         for g, d, i, _ in _images(s, rows):  # in dimension order, so each face's image is in place
             if g not in images:
                 raise MorphismError(f"chain map is missing generator {g.name!r}")
-            image = images[g]
-            if image.dim != g.dim:
-                raise MorphismError(f"image of {g.name!r} has dimension {image.dim}, expected {g.dim}")
-            rows[d][i] = {t.index[h]: c for h, c in image.items()}  # a generator the target lacks raises
+            rows[d][i] = _image_row(g, images[g], t.index)  # a generator the target lacks raises
             lhs, rhs = _boundaries(s, t, rows, d, i)
             if lhs != rhs:
                 raise MorphismError(
@@ -358,13 +378,11 @@ def induced_chain_map(f: GradedMorphism) -> ChainMap:
 
 def morphism_from_chain_map(cm: ChainMap, mode: str = "additive") -> GradedMorphism:
     """Recover the graded morphism from a chain map's generator images."""
-    if mode not in MODES:
-        raise MorphismError(f"unknown morphism mode {mode!r}")
+    _check_mode(mode)
     s, t = cm.source._table, cm.target._table
     for g, d, _, row in _images(s, cm._rows):
         if min(row.values(), default=1) < 0:
             raise MorphismError(f"image of {g.name} is not positive: {t.text(d, row, _format_entries)}")
-    for g, d, _, row in _images(s, cm._rows) if mode == "weak_parity" else ():
-        if max(row.values(), default=1) > 1:
-            raise MorphismError(f"image of {g.name!r} is not a subset: {t.text(d, row)}")
-    return GradedMorphism._of(cm.source.structure, cm.target.structure, cm._rows, mode)
+    source, target = cm.source.structure, cm.target.structure
+    rows = _image_rows(source, target, mode, s.index, _images(s, cm._rows))  # every generator has an image
+    return GradedMorphism._of(source, target, rows, mode)

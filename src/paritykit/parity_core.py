@@ -263,7 +263,7 @@ class ParityStructure(_GradedStructure):
 
     @staticmethod
     def _face(g: GeneratorId, faces: Iterable[GeneratorId]) -> list[tuple[GeneratorId, int]]:
-        faces = frozenset(faces)
+        faces = sorted(frozenset(faces))  # in id order, so an error names the least bad face
         for f in faces:
             if f.dim != g.dim - 1:
                 raise StructureError(
@@ -664,16 +664,6 @@ CLASS_PARITY_COMPLEX = "parity complex"
 
 CLASS_ORDER = (CLASS_PARITY_STRUCTURE, CLASS_ADDITIVE, CLASS_WEAK, CLASS_PARITY_COMPLEX)
 
-_FLAG_NAMES = (
-    "disjoint",
-    "globular",
-    "unital",
-    "normal",
-    "weakly_loop_free",
-    "steiner_loop_free",
-    "strongly_loop_free",
-)
-
 
 class ValidationReport(NamedTuple):
     """Axiom flags, loop-freeness witnesses, failures, and classification."""
@@ -691,7 +681,8 @@ class ValidationReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def flags(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in _FLAG_NAMES}
+        """The seven axiom flags, the fields up to the classification, by name."""
+        return dict(zip(self._fields[:7], self))
 
     def meets(self, classification: str) -> bool:
         return CLASS_ORDER.index(self.classification) >= CLASS_ORDER.index(classification)

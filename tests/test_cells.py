@@ -26,6 +26,7 @@ from paritykit.generators import cube, family, globe, oriental
 from paritykit.multiset import GeneratorId, Multiset
 from paritykit.parity_core import (
     CLASS_WEAK,
+    MAX_DIM,
     ParityStructure,
     StructureError,
     UnknownGeneratorError,
@@ -287,7 +288,7 @@ class TestEnumerate:
         empty = ParityStructure.build([])
         assert cells.enumerate_cells(empty, 3) == []
         # the search stops at its first empty level
-        assert cells.enumerate_cells(empty, 10**6) == [] and cells.atom_closure(empty, 10**6) == {}
+        assert cells.enumerate_cells(empty, MAX_DIM) == [] and cells.atom_closure(empty, MAX_DIM) == {}
 
     def test_identities_above_the_top_dimension(self, globe1):
         # columns above dimension 1 are zero masks with no generators behind them
@@ -324,6 +325,18 @@ class TestEnumerate:
             cells.enumerate_cells(oriental2, -1)
         with pytest.raises(ValueError, match="max_dim"):
             cells.atom_closure(oriental2, -1)
+
+    def test_max_dim_is_at_most_the_largest_dimension(self):
+        # above a structure's top every level is identities one column
+        # wider, so max_dim is bounded by the largest dimension a structure has
+        point = globe(0)
+        assert len(cells.enumerate_cells(point, MAX_DIM)) == MAX_DIM + 1
+        assert len(cells._mask_cells(point, MAX_DIM)) == MAX_DIM + 1
+        assert len(cells.atom_closure(point, MAX_DIM)) == MAX_DIM + 1
+        for call in (cells.enumerate_cells, cells._mask_cells, cells.atom_closure):
+            with pytest.raises(ValueError) as info:
+                call(point, MAX_DIM + 1)
+            assert str(info.value) == f"max_dim must be at most {MAX_DIM}, got {MAX_DIM + 1}"
 
     def test_tables_on_rows_and_count_only_builds_none(self, tmp_path, monkeypatch):
         # enumeration builds one table per cell on its mask rows and no
@@ -395,7 +408,7 @@ def value_excision(source, table):
     """excision_decompose on values: the column is a SignedVector that
     each top member moves by adding its boundary vector, and every slice
     is built from Multisets.  The reference of TestExcision."""
-    complex_ = cells._as_complex(source)
+    complex_ = source if isinstance(source, FreeDirectedComplex) else from_structure(source)
     faces = complex_._table
     globular, weakly_loop_free = not faces.dd_defects(), validate(complex_.structure).weakly_loop_free
     if not (globular and weakly_loop_free):

@@ -11,7 +11,7 @@ import paritykit
 from conftest import FIXTURE_DIR
 from paritykit import fixtures
 from paritykit.cli import build_parser, main
-from paritykit.generators import oriental
+from paritykit.generators import globe, oriental
 from paritykit.multiset import Multiset
 from paritykit.parity_core import AdditiveParityStructure, ParityStructure
 
@@ -534,23 +534,33 @@ class TestColdProcess:
 
     def test_max_dim_on_a_structure_without_points(self, tmp_path):
         # no level of the search holds a cell, so the work must not grow
-        # with --max-dim; the count line alone would exceed the cell cap
+        # with --max-dim; the count line alone may exceed the cell cap
         path = tmp_path / "empty.json"
         path.write_text(fixtures.dumps(ParityStructure.build([]), name="empty"))
-        huge = "1000000000000"
-        proc = run_cold("-m", "paritykit.cli", "cells", str(path), "--max-dim", huge, "--count-only", timeout=20)
-        assert_one_line_error(proc)
-        assert proc.stderr == (
-            f"error: --max-dim {huge} asks for {int(huge) + 1} counts, more than the cap of "
-            "1000000 cells (set PARITYKIT_MAX_CELLS to raise)\n"
-        )
+        proc = run_cold("-m", "paritykit.cli", "cells", str(path), "--max-dim", "64", "--count-only", timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, " ".join(["0"] * 65) + "\n", "")
         proc = run_cold("-m", "paritykit.cli", "cells", str(path), "--max-dim", "4", timeout=20)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0 0 0\n", "")
         proc = run_cold("-m", "paritykit.cli", "cells", str(path), "--max-dim", "4", PARITYKIT_MAX_CELLS="4", timeout=20)
         assert_one_line_error(proc)
-        assert "asks for 5 counts, more than the cap of 4 cells" in proc.stderr
-        proc = run_cold("-m", "paritykit.cli", "freeness", str(path), "--max-dim", huge, timeout=20)
+        assert proc.stderr == (
+            "error: --max-dim 4 asks for 5 counts, more than the cap of 4 cells (set PARITYKIT_MAX_CELLS to raise)\n"
+        )
+        proc = run_cold("-m", "paritykit.cli", "freeness", str(path), "--max-dim", "64", timeout=20)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "cells: 0\nreached from atoms: 0\n", "")
+
+    @pytest.mark.parametrize("command", [["cells"], ["cells", "--count-only"], ["freeness"]])
+    def test_max_dim_above_the_largest_dimension_exits_2(self, tmp_path, command):
+        # a point has one cell in each dimension up to --max-dim, 65 at the bound
+        path = tmp_path / "point.json"
+        path.write_text(fixtures.dumps(globe(0), name="point"))
+        command = [command[0], str(path), *command[1:]]
+        proc = run_cold("-m", "paritykit.cli", *command, "--max-dim", "64", timeout=20)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[0] == ("cells: 65" if command[0] == "freeness" else " ".join(["1"] * 65))
+        proc = run_cold("-m", "paritykit.cli", *command, "--max-dim", "65", timeout=20)
+        assert_one_line_error(proc)
+        assert proc.stderr == "error: max_dim must be at most 64, got 65\n"
 
     def test_non_composable_morphisms_exit_1(self, tmp_path):
         out = tmp_path / "composed.json"

@@ -3,9 +3,11 @@
 The digests were recorded before the multiset arithmetic was reworked;
 any change in what the CLI prints on these inputs fails here.  The
 ``structured_boundaries`` digests were recorded when ``chain --format
-structured`` began to key its ``boundaries`` by dimension, then name.  CI runs
-this file again under two fixed ``PYTHONHASHSEED`` values, so output that
-depends on set or dict iteration order of string-keyed data shows up.
+structured`` began to key its ``boundaries`` by dimension, then name.  The
+morphism digests also cover stderr and any ``-o`` file, on valid, invalid
+and malformed morphism documents, so exit codes 0, 1 and 2 all occur.  CI
+runs this file again under two fixed ``PYTHONHASHSEED`` values, so output
+that depends on set or dict iteration order of string-keyed data shows up.
 """
 
 import hashlib
@@ -109,3 +111,158 @@ def test_structured_boundaries_of_a_shared_name(capsys, tmp_path):
     assert boundaries == {"1": {"x": "-u +v", "y": "-u +v"}, "2": {"x": "-x +y"}}
     digest = run_digest(capsys, FIXTURE_COMMANDS["structured_boundaries"], path)
     assert digest == GOLDEN[("shared_name", None, "structured_boundaries")]
+
+
+# ---------------------------------------------------------------------------
+# morphism commands: the exit code, stdout, stderr and the -o file
+
+
+def _morphism_docs():
+    """The morphism documents the commands read, by name: the two frozen
+    fixtures, the identity of globe(1), two well-formed morphisms that are
+    not valid, and the malformed morphism documents of the loader's table."""
+    from test_fixtures import FROZEN_DOCUMENT_ERRORS, _morphism_doc
+    from paritykit.morphisms import identity_morphism
+
+    docs = {name: (FIXTURE_DIR / f"{name}.json").read_text() for name in MORPHISM_FIXTURES}
+    docs["identity_globe1"] = fixtures.dumps(identity_morphism(family("globe", 1)), name="id-globe1")
+    docs["top_to_01"] = _morphism_doc(assignment={"0": {"e0-": ["0"], "e0+": ["2"]}, "1": {"top": ["01"]}})
+    docs["additive_top_twice"] = _morphism_doc(
+        mode="additive", assignment={"0": {"e0-": ["0"], "e0+": ["2"]}, "1": {"top": [["01", 2], "12"]}}
+    )
+    for key in MALFORMED_MORPHISM_DOCS:
+        docs[key] = FROZEN_DOCUMENT_ERRORS[key]
+    return docs
+
+
+MORPHISM_FIXTURES = ("morphism_globe1_to_oriental2", "morphism_collapse_globe1")
+MALFORMED_MORPHISM_DOCS = (
+    "morphism_without_source", "morphism_source_an_array", "morphism_source_kind", "morphism_source_bad_name",
+    "morphism_target_unknown_face", "assignment_an_array", "assignment_key_not_a_dimension",
+    "assignment_dimension_an_array", "assignment_unknown_source", "assignment_unknown_target",
+    "assignment_image_not_an_array", "assignment_image_count_zero", "assignment_image_sum_beyond_max_count",
+    "assignment_missing_generator", "unknown_mode",
+)
+#: Per command, its argv: {m} is the morphism, {identity} the identity of
+#: globe(1), {cell} a cell and {out} the -o file.
+MORPHISM_COMMANDS = {
+    "validate": ["morphism", "validate", "{m}"],
+    "validate_structured": ["morphism", "validate", "{m}", "--format", "structured"],
+    "validate_additive": ["morphism", "validate", "{m}", "--mode", "additive"],
+    "validate_additive_structured": ["morphism", "validate", "{m}", "--mode", "additive", "--format", "structured"],
+    "validate_weak": ["morphism", "validate", "{m}", "--mode", "weak_parity"],
+    "validate_weak_structured": ["morphism", "validate", "{m}", "--mode", "weak_parity", "--format", "structured"],
+    "compose_after_identity": ["morphism", "compose", "{identity}", "{m}", "-o", "{out}"],
+    "compose_before_identity": ["morphism", "compose", "{m}", "{identity}", "-o", "{out}"],
+    "apply": ["morphism", "apply", "{m}", "--cell", "{cell}"],
+    "apply_structured": ["morphism", "apply", "{m}", "--cell", "{cell}", "--format", "structured"],
+}
+
+#: Recorded before the loader read morphism images straight into target
+#: rows; the malformed documents' runs fold into one digest per command.
+GOLDEN_MORPHISM = {
+    ('additive_top_twice', 'apply'): '9a8906ff9291f2a56e27350d7795fe8fc15ad2573498019baf1735a7322c5f99',
+    ('additive_top_twice', 'apply_structured'): '3814573ee1244b0050d8062f1a1086f46e42986bc2101bc8c68ee045e42ba4e8',
+    ('additive_top_twice', 'compose_after_identity'): '775385cb8cf65260e40276fd2693e8e638206645ff2dcd3ae2fb2b5946df4417',
+    ('additive_top_twice', 'compose_before_identity'): '80fa763a140b929f04afc6f123ad499329aa73d75980bcd9a7da113e9013ff43',
+    ('additive_top_twice', 'validate'): 'a6e88ceaff2dc7cce4b4b02c357d811a90b0b81b735e9605fc3c860351d51ae8',
+    ('additive_top_twice', 'validate_additive'): 'a6e88ceaff2dc7cce4b4b02c357d811a90b0b81b735e9605fc3c860351d51ae8',
+    ('additive_top_twice', 'validate_additive_structured'): '0cfafd17edb7409ca4703cd3b44bbdbb493e670aee34d4f2033477b951a549ca',
+    ('additive_top_twice', 'validate_structured'): '0cfafd17edb7409ca4703cd3b44bbdbb493e670aee34d4f2033477b951a549ca',
+    ('additive_top_twice', 'validate_weak'): 'd6f2285eafd4cea5728f15feb3141066aa674f41543a4d1f780083bc67414281',
+    ('additive_top_twice', 'validate_weak_structured'): 'a401d9308e67f7a2740ba39825ba3d1f87e485aa1ff552d707f431a55bdffa6c',
+    ('morphism_collapse_globe1', 'apply'): '25d042c1ecb2a01a4a64bb5241f77491b118f17e94dd30086c7eb264e2cf6238',
+    ('morphism_collapse_globe1', 'apply_structured'): 'd73e222d303aa158f5bb9fa8db861194e6907879f7d257cda81df83b290b8ab6',
+    ('morphism_collapse_globe1', 'compose_after_identity'): 'a74b827659d969906fcd7351b89d74be5a28c981c1261f57571b1304964b9f20',
+    ('morphism_collapse_globe1', 'compose_before_identity'): 'ef98e05419fcb95dd54429b5a362d7bac307d4d269ac3f04e2b99e4152809d34',
+    ('morphism_collapse_globe1', 'validate'): 'ef9fddfb3f0b95d48b01f59c0e3f08091451ecec9067884759d77f724f65f4d6',
+    ('morphism_collapse_globe1', 'validate_additive'): '31cc267148b379528c4e94856a1a94c21e767611314319be2fc27a6ca9b3fd05',
+    ('morphism_collapse_globe1', 'validate_additive_structured'): 'e6fc7b169635f852685146ef1265de9823c33ec232927c160346b5a3b1ba92b1',
+    ('morphism_collapse_globe1', 'validate_structured'): 'c8f2ffda1262235779cc736677d2d76f5c3f95de9dc2f077b237a1b7dc2919f0',
+    ('morphism_collapse_globe1', 'validate_weak'): 'ef9fddfb3f0b95d48b01f59c0e3f08091451ecec9067884759d77f724f65f4d6',
+    ('morphism_collapse_globe1', 'validate_weak_structured'): 'c8f2ffda1262235779cc736677d2d76f5c3f95de9dc2f077b237a1b7dc2919f0',
+    ('morphism_globe1_to_oriental2', 'apply'): '3667921c4b8ad8d7c030ea0f7b064bbf277ae19aa1ddbe1595ad6d55fbb61518',
+    ('morphism_globe1_to_oriental2', 'apply_structured'): '60354c842312f98a478dfe7ef5e02c0eec99d6a323032bbb06cdc02267a88b62',
+    ('morphism_globe1_to_oriental2', 'compose_after_identity'): 'da6e0746c2d9710cb71795403dc42ce458d4c68df77f958ca9e5d2ec6039efc1',
+    ('morphism_globe1_to_oriental2', 'compose_before_identity'): 'ef98e05419fcb95dd54429b5a362d7bac307d4d269ac3f04e2b99e4152809d34',
+    ('morphism_globe1_to_oriental2', 'validate'): 'ef9fddfb3f0b95d48b01f59c0e3f08091451ecec9067884759d77f724f65f4d6',
+    ('morphism_globe1_to_oriental2', 'validate_additive'): '31cc267148b379528c4e94856a1a94c21e767611314319be2fc27a6ca9b3fd05',
+    ('morphism_globe1_to_oriental2', 'validate_additive_structured'): 'ce8237e7cdf4fadde392b38074034585c9ef565e26f07c6de1c7e0ea2552d609',
+    ('morphism_globe1_to_oriental2', 'validate_structured'): '4883b4445092865469ac259641f7297e6b0bb24214dbdaa5b300264bac0756be',
+    ('morphism_globe1_to_oriental2', 'validate_weak'): 'ef9fddfb3f0b95d48b01f59c0e3f08091451ecec9067884759d77f724f65f4d6',
+    ('morphism_globe1_to_oriental2', 'validate_weak_structured'): '4883b4445092865469ac259641f7297e6b0bb24214dbdaa5b300264bac0756be',
+    ('top_to_01', 'apply'): '86e105ed7e2aaf0c9cfbf01a6f9fbd11fd6ae1bcff747e046fde9a881319d221',
+    ('top_to_01', 'apply_structured'): 'f4809342739d5c3b26ea917e9d5de12d751cec4d2911aa8cee3ab9bef6143702',
+    ('top_to_01', 'compose_after_identity'): '39663080d9ac9ffbdb101ec6e387d1a1670c474b3c5d9a28a0bf2edd15a3542e',
+    ('top_to_01', 'compose_before_identity'): 'ef98e05419fcb95dd54429b5a362d7bac307d4d269ac3f04e2b99e4152809d34',
+    ('top_to_01', 'validate'): '43b3f7077ca7641f57363c74ebd78bdf1ce5d76f3e57ad347fdde9112c870665',
+    ('top_to_01', 'validate_additive'): 'ba7c590614528b6b218a1438c9a682d6cd6183bed7d29143e1a9b6ca647aac65',
+    ('top_to_01', 'validate_additive_structured'): 'e991dc676c5d4b229dbe2527b8bc4890a0212bb13e31ddee17d2875623fc6e02',
+    ('top_to_01', 'validate_structured'): 'a461b3a68ccde9a9cb5333b9e2f9bec22f35829ffb0622f2a1add9a0b08f2545',
+    ('top_to_01', 'validate_weak'): '43b3f7077ca7641f57363c74ebd78bdf1ce5d76f3e57ad347fdde9112c870665',
+    ('top_to_01', 'validate_weak_structured'): 'a461b3a68ccde9a9cb5333b9e2f9bec22f35829ffb0622f2a1add9a0b08f2545',
+    ('malformed', 'apply'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'apply_structured'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'compose_after_identity'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'compose_before_identity'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'validate'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'validate_additive'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'validate_additive_structured'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'validate_structured'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'validate_weak'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+    ('malformed', 'validate_weak_structured'): 'ec23afec4dae22f43b2e83135cd8c14b6b08229f07d7650cc822d25704afcccc',
+}
+
+
+def morphism_digest(capsys, tmp_path, template, files) -> str:
+    """SHA-256 of the exit code, stdout, stderr and -o file of the run, or
+    of each cell's run if the command reads a cell."""
+    parts = []
+    for cell in files["cells"] if "{cell}" in template else [None]:
+        out = tmp_path / "out.json"
+        out.unlink(missing_ok=True)
+        argv = [arg.format(cell=cell, out=out, **files) for arg in template]
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        parts.append(f"{code}\n{captured.out}\n{captured.err}\n{written}")
+    return hashlib.sha256("\x00".join(parts).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def morphism_files(tmp_path_factory):
+    """Each morphism document and the cell documents as files: every cell
+    of globe(1) and one 0-cell of oriental(2) that no globe(1) cell is."""
+    from paritykit.cells import enumerate_cells
+
+    root = tmp_path_factory.mktemp("morphisms")
+    files = {}
+    for name, text in _morphism_docs().items():
+        files[name] = root / f"{name}.json"
+        files[name].write_text(text)
+    tables = enumerate_cells(family("globe", 1), 1) + enumerate_cells(family("oriental", 2), 0)[1:2]
+    files["cells"] = []
+    for k, table in enumerate(tables):
+        files["cells"].append(root / f"cell{k}.json")
+        files["cells"][-1].write_text(fixtures.dumps(table, name=f"c{k}"))
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(MORPHISM_COMMANDS))
+@pytest.mark.parametrize("name", [*MORPHISM_FIXTURES, "top_to_01", "additive_top_twice"])
+def test_morphism_output(capsys, tmp_path, morphism_files, name, command):
+    files = {"m": morphism_files[name], "identity": morphism_files["identity_globe1"],
+             "cells": morphism_files["cells"]}
+    digest = morphism_digest(capsys, tmp_path, MORPHISM_COMMANDS[command], files)
+    assert digest == GOLDEN_MORPHISM[(name, command)]
+
+
+@pytest.mark.parametrize("command", sorted(MORPHISM_COMMANDS))
+def test_malformed_morphism_output(capsys, tmp_path, morphism_files, command):
+    files = {"identity": morphism_files["identity_globe1"], "cells": morphism_files["cells"][:1]}
+    digests = [
+        morphism_digest(capsys, tmp_path, MORPHISM_COMMANDS[command], {**files, "m": morphism_files[key]})
+        for key in MALFORMED_MORPHISM_DOCS
+    ]
+    digest = hashlib.sha256(" ".join(digests).encode()).hexdigest()
+    assert digest == GOLDEN_MORPHISM[("malformed", command)]

@@ -5,7 +5,7 @@ import pytest
 from conftest import FIXTURE_DIR
 from paritykit import cells, fixtures
 from paritykit.generators import cube, globe, oriental
-from paritykit.morphisms import GradedMorphism
+from paritykit.morphisms import GradedMorphism, MorphismError
 from paritykit.multiset import GeneratorId, Multiset
 from paritykit.parity_core import AdditiveParityStructure, ParityStructure
 
@@ -500,6 +500,46 @@ def _repeated(text, marker, extra):
     return text.replace(marker, extra + marker)
 
 
+class TestSharedRefusals:
+    """The loader refuses an unknown mode, a missing generator and an
+    image that is not a subset with the GradedMorphism constructor's text
+    for the same data, after the fixture's name."""
+
+    @staticmethod
+    def refusals(text):
+        """The loader's text for a morphism document, and the constructor's."""
+        with pytest.raises(fixtures.FixtureError) as loaded:
+            fixtures.loads(text)
+        doc = json.loads(text)
+        payload = doc["payload"]
+        source, target = (
+            fixtures.loads(json.dumps({"schema_version": 1, "kind": payload[key]["kind"], "payload": payload[key]})).value
+            for key in ("source", "target")
+        )
+        assignment = {}
+        for dim, per_dim in payload["assignment"].items():
+            for name, faces in per_dim.items():
+                pairs = [(face, 1) if type(face) is str else face for face in faces]
+                counts = {target.gen(face, int(dim)): count for face, count in pairs}
+                assignment[source.gen(name, int(dim))] = Multiset(int(dim), counts)
+        with pytest.raises(MorphismError) as built:
+            GradedMorphism(source, target, assignment, payload.get("mode", "weak_parity"))
+        return str(loaded.value), f"{doc['name']}: {built.value}"
+
+    def test_unknown_mode(self):
+        loaded, built = self.refusals(_morphism_doc(mode="bogus"))
+        assert loaded == built == "globe1-to-oriental2: unknown morphism mode 'bogus'"
+
+    def test_missing_generator(self):
+        loaded, built = self.refusals(_morphism_doc(assignment={"0": {"e0-": ["0"], "e0+": ["2"]}}))
+        assert loaded == built == "globe1-to-oriental2: assignment is missing generator 'top' (dim 1)"
+
+    def test_image_not_a_subset(self):
+        assignment = {"0": {"e0-": ["0"], "e0+": ["2"]}, "1": {"top": [["01", 2], "12"]}}
+        loaded, built = self.refusals(_morphism_doc(assignment=assignment))
+        assert loaded == built == "globe1-to-oriental2: image of 'top' is not a subset: {01:2, 12}"
+
+
 class TestRepeatedKeys:
     """A key written twice in one JSON object is refused; ``json.loads``
     alone keeps the last value and drops the first without a word."""
@@ -580,6 +620,38 @@ class TestMutationFuzz:
                 else:
                     outcomes["loaded"] += 1
         assert outcomes["loaded"] > 400 and outcomes["refused"] > 400, outcomes
+
+    #: SHA-256 of the outcomes below, recorded before the loader read
+    #: morphism images straight into target rows.
+    MORPHISM_OUTCOMES = "caca04c763002a691a2743cfbbad4d6649a36851311415b485ee0d121e85841f"
+
+    def test_morphism_outcomes_are_frozen(self):
+        """Each seeded mutation of a morphism fixture, of any field or of
+        the mode and assignment only, is refused with the same text or
+        loads to the same fixture text."""
+        import hashlib
+        import random
+
+        texts = [(FIXTURE_DIR / f"{name}.json").read_text() for name in self.NAMES[2:]]
+        outcomes = []
+        for seed in range(4):
+            rng = random.Random(seed)
+            for k in range(500):
+                doc = json.loads(rng.choice(texts))
+                if k % 2:
+                    part = {key: doc["payload"].pop(key) for key in ("mode", "assignment")}
+                    self.mutate(part, rng)
+                    doc["payload"].update(part)
+                else:
+                    self.mutate(doc, rng)
+                try:
+                    fixture = fixtures.loads(json.dumps(doc))
+                except fixtures.FixtureError as exc:
+                    outcomes.append(f"refused: {exc}")
+                else:
+                    outcomes.append(fixtures.dumps(fixture.value, name=fixture.name))
+        digest = hashlib.sha256("\x00".join(outcomes).encode()).hexdigest()
+        assert digest == self.MORPHISM_OUTCOMES
 
 
 class TestCanonicalText:

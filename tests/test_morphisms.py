@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import load_fixture, overflow_map
-from paritykit import cells
+from paritykit import cells, fixtures
 from paritykit.chain import from_structure
 from paritykit.generators import cube, globe, oriental
 from paritykit.morphisms import (
@@ -367,6 +367,18 @@ class TestChecksComputeOnRows:
             cm = second_call(lambda: induced_chain_map(f))
             assert built[Multiset] == 0 and built[SignedVector] <= len(f.source)
             assert all(cm.image(g) == f.image(g).to_vector() for g in f.source.all_generators())
+
+    def test_loading_and_the_identity_build_no_multiset(self, monkeypatch):
+        """The loader resolves image names straight into target rows, and
+        identity_morphism writes its rows itself."""
+        maps, struct = list(self.maps()), cube(5)
+        texts = [fixtures.dumps(f, name="m") for f in maps]
+        built = []
+        init = Multiset.__init__
+        monkeypatch.setattr(Multiset, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        assert [fixtures.loads(text).value for text in texts] == maps
+        assert identity_morphism(struct) == maps[0]
+        assert built == []
 
 
 class TestCellsComputeOnRows:

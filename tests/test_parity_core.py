@@ -152,6 +152,17 @@ class TestConstruction:
         assert type(info.value) is StructureError
         assert str(info.value) == message
 
+    def test_the_least_bad_face_is_named(self):
+        # faces are checked in id order, so the text does not depend on
+        # the iteration order of a set of ids, which the string hash sets
+        p, q, r, u, v = (GeneratorId(0, name) for name in "pqruv")
+        with pytest.raises(UnknownGeneratorError) as info:
+            ParityStructure({v: ((), ()), GeneratorId(1, "a"): ({r, q, p}, {v})})
+        assert str(info.value) == "face 'p' of 'a' is not a generator of the structure"
+        with pytest.raises(StructureError) as info:
+            ParityStructure({u: ((), ()), v: ((), ()), GeneratorId(2, "x"): (frozenset([v, u]), ())})
+        assert str(info.value) == "face 'u' of 'x' (dim 2) must have dimension 1"
+
     def test_parity_build_collapses_a_repeated_name(self):
         s = ParityStructure.build([("x", 0, [], []), ("y", 0, [], []), ("e", 1, ["x", "x"], ["y"])])
         assert s.neg(E) == frozenset([X])

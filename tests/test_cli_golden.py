@@ -8,12 +8,19 @@ morphism digests also cover stderr and any ``-o`` file, on valid, invalid
 and malformed morphism documents, so exit codes 0, 1 and 2 all occur.  CI
 runs this file again under two fixed ``PYTHONHASHSEED`` values, so output
 that depends on set or dict iteration order of string-keyed data shows up.
+The ``validate`` and ``classify`` digests of seeded random structures, in
+both formats, cover stderr too; they were recorded before the Steiner
+digraphs went through each level's own generators, and their structures
+fail Steiner loop-freeness at level 0 and at level 1, or pass it.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
+
+import randstruct
 
 from conftest import FIXTURE_DIR
 from paritykit import fixtures
@@ -266,3 +273,85 @@ def test_malformed_morphism_output(capsys, tmp_path, morphism_files, command):
     ]
     digest = hashlib.sha256(" ".join(digests).encode()).hexdigest()
     assert digest == GOLDEN_MORPHISM[("malformed", command)]
+
+
+# ---------------------------------------------------------------------------
+# validate and classify on seeded random structures, in both formats
+
+
+def _random_cases():
+    """Seeded draws by name, with where each fails Steiner loop-freeness."""
+    from test_report_digests import _raw_overlapping
+    from paritykit.parity_core import AdditiveParityStructure, ParityStructure
+
+    def draw(seed, make):
+        return make(random.Random(seed))
+
+    return {
+        "structured_parity_9": draw(9, randstruct.random_structured_parity),  # level 1
+        "structured_parity_0": draw(0, randstruct.random_structured_parity),  # passes
+        "additive_3": draw(3, randstruct.random_additive_structure),  # level 0
+        "additive_dim4_8": draw(  # level 1, weakly loop-free
+            8, lambda rng: randstruct.random_additive_structure(rng, max_gens=16, max_dim=4)),
+        "raw_parity_0": draw(0, lambda rng: _raw_overlapping(rng, ParityStructure)),  # level 0
+        "raw_parity_1": draw(1, lambda rng: _raw_overlapping(rng, ParityStructure)),  # passes, not strong
+        "raw_additive_10": draw(10, lambda rng: _raw_overlapping(rng, AdditiveParityStructure)),  # level 1
+    }
+
+
+VERDICT_COMMANDS = {
+    "validate": ["validate", "{file}"],
+    "validate_structured": ["validate", "{file}", "--format", "structured"],
+    "classify": ["classify", "{file}"],
+    "classify_structured": ["classify", "{file}", "--format", "structured"],
+}
+
+GOLDEN_VERDICTS = {
+    ('additive_3', 'classify'): '06435de643d776c710dec062d3c19c6ce24f95930a7e4b5e1f809013421ed1bb',
+    ('additive_3', 'classify_structured'): '1e4f6131f1d11476c71716d6e30334a5969a7a73b2b26f2766872d4aad5aacda',
+    ('additive_3', 'validate'): '04cf9c07d4db42f62745581c732f63cda1f6f0a37b1a755f87613c780cb6f55d',
+    ('additive_3', 'validate_structured'): '05b7ffb5976b3cd749a337f54cd1951ea72f7a98f48093d0bbfc4e4252e4b2e8',
+    ('additive_dim4_8', 'classify'): '06435de643d776c710dec062d3c19c6ce24f95930a7e4b5e1f809013421ed1bb',
+    ('additive_dim4_8', 'classify_structured'): 'da07d6edcff480e04898a9224c89c7c6bce4ea7f8c813fb48b4e677ff553c678',
+    ('additive_dim4_8', 'validate'): '5110ed575d1d7ebf20d1e3ae54fdbad9d56c708ac46d90e50f7c03eaa030f8d0',
+    ('additive_dim4_8', 'validate_structured'): '1661a590af63b996b3c4f4e116f66200739708c0c0a383164a61af996ce907c6',
+    ('raw_additive_10', 'classify'): '06435de643d776c710dec062d3c19c6ce24f95930a7e4b5e1f809013421ed1bb',
+    ('raw_additive_10', 'classify_structured'): '9485f9918bb8c212b60de864698550d1c6935f2e1835d30ab3e2379f84a34bf7',
+    ('raw_additive_10', 'validate'): '1f4f84a707383ebe9961e1e059b5367a46ef0cb480517e3821e2ba8698e3f66a',
+    ('raw_additive_10', 'validate_structured'): '0763d3cd8fd33f8fdc8c66ceb3aa6aa1b1df4d75356fe1d6f3013fa86c9e049a',
+    ('raw_parity_0', 'classify'): '06435de643d776c710dec062d3c19c6ce24f95930a7e4b5e1f809013421ed1bb',
+    ('raw_parity_0', 'classify_structured'): '0896039335183894b5729170a369f30bdcbf00887a20c39b153b8a3be1be489d',
+    ('raw_parity_0', 'validate'): 'd3ecd75247cc5995d211e86be44e4377aea546c12126706324c056800f95fa49',
+    ('raw_parity_0', 'validate_structured'): '7a3aaa8e5f01d3fc5782c77abc38beb460b48d5cd2da54ad101220992108f462',
+    ('raw_parity_1', 'classify'): '06435de643d776c710dec062d3c19c6ce24f95930a7e4b5e1f809013421ed1bb',
+    ('raw_parity_1', 'classify_structured'): '0a1ea3262c6ef0fc7daee3beacf1833b2531e2c19a57bd2548a6a32bf7bda699',
+    ('raw_parity_1', 'validate'): '2b517e7dc9ff3091dd6272b972d51bebc7dad5f612a36c3555cc2dbbea96bd53',
+    ('raw_parity_1', 'validate_structured'): '96f5958eecc1a3b2262f42b9bdef23d30e39f63e8705fb86a5b13b0fa75cb2f8',
+    ('structured_parity_0', 'classify'): '9e66cae0edb4a541d1e99209cbe7c741e8aa5644c9bcff06709d5cb00ac6805a',
+    ('structured_parity_0', 'classify_structured'): '7be37c0a9108e88ab7316b90f07196c1a6406380896d1aafee9c8a46c7ab6ad5',
+    ('structured_parity_0', 'validate'): 'dfba4485593f5709c9cda6b002eaa9399e58f7001c514378dc8b7f25efe5e1cc',
+    ('structured_parity_0', 'validate_structured'): 'b7099d3f19c85fd5c54ea42a63c03dab1d52be1f3346e0fd669592e656ed8cc9',
+    ('structured_parity_9', 'classify'): '792f7ca0a9f1893ec0f48a6e3e0ad9111632cb45aa0c856c167689f68465e41b',
+    ('structured_parity_9', 'classify_structured'): '5d39ee469e2b39104cb501341cfff008eb46e451be57cde9538546e28b4a7a88',
+    ('structured_parity_9', 'validate'): 'e1fd2f8957de0596b051c83770b2b89bf85748914a559321410f38cc521b0e68',
+    ('structured_parity_9', 'validate_structured'): '1850f6813c65604ba58ccc66c6e793ad94b10bdda6ee137b278f7c1fc63a5ccc',
+}
+
+
+@pytest.fixture(scope="module")
+def random_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("random")
+    files = {}
+    for name, struct in _random_cases().items():
+        files[name] = root / f"{name}.json"
+        files[name].write_text(fixtures.dumps(struct, name=name))
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(VERDICT_COMMANDS))
+@pytest.mark.parametrize("name", sorted(_random_cases()))
+def test_verdict_output(capsys, random_files, name, command):
+    code = main([arg.format(file=random_files[name]) for arg in VERDICT_COMMANDS[command]])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(f"{code}\n{captured.out}\n{captured.err}".encode()).hexdigest()
+    assert digest == GOLDEN_VERDICTS[(name, command)]

@@ -46,15 +46,16 @@ class GradedMorphism:
     """Dimension-preserving assignment of face data between structures.
 
     Equality is extensional: same source, target, and image of every
-    generator; the mode is not compared.  The assignment must be total;
-    weak-parity mode additionally requires every image to be a subset.
+    generator; the mode is not compared.  The assignment must be total
+    and every image a Multiset; weak-parity mode additionally requires
+    every image to be a subset.
     The images are kept as rows over the target's face table.
     """
 
     def __init__(self, source: Structure, target: Structure, assignment: Mapping[GeneratorId, Multiset],
                  mode: str = "weak_parity"):
         index, into = source._table.index, target._table.index  # each raises for a generator it lacks
-        images = ((g, g.dim, index[g], _image_row(g, image, into)) for g, image in assignment.items())
+        images = ((g, g.dim, index[g], _image_row(g, _multiset(g, image), into)) for g, image in assignment.items())
         rows = _image_rows(source, target, mode, assignment, images)
         self._source, self._target, self._rows, self._mode = source, target, rows, mode
 
@@ -117,6 +118,13 @@ _NOT_SUBSET = "image of {} is not a subset: {}"
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise MorphismError(f"unknown morphism mode {mode!r}")
+
+
+def _multiset(g: GeneratorId, image: object) -> Multiset:
+    """A graded morphism's image of g, which must be a Multiset."""
+    if not isinstance(image, Multiset):
+        raise MorphismError(f"image of {g.name!r} must be a Multiset, got {type(image).__name__}")
+    return image
 
 
 def _image_row(g: GeneratorId, image: Multiset | SignedVector, into: Mapping[GeneratorId, int]) -> dict[int, int]:

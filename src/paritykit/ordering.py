@@ -24,14 +24,24 @@ def lex_topological_order(
     returned cycle [v0, ..., vk] has edges v0 -> v1 -> ... -> vk -> v0
     with k >= 1.
     """
-    indegree = [0] * n
     out: list[list[int]] = [[] for _ in range(n)]
     for src, dsts in successors.items():
-        out[src] = row = [dst for dst in dsts if dst != src]
+        out[src] = [dst for dst in dsts if dst != src]
+    order = _lex_order(out)
+    if len(order) == n:
+        return order, None
+    return None, _find_cycle(order, out)
+
+
+def _lex_order(out: list[list[int]]) -> list[int]:
+    """The lexicographically least topological order of the digraph whose
+    node x has the distinct successors ``out[x]``, none of them x; where a
+    cycle stalls the sort, the nodes emitted so far."""
+    indegree = [0] * len(out)
+    for row in out:
         for dst in row:
             indegree[dst] += 1
-
-    heap = [x for x in range(n) if not indegree[x]]  # ascending, so a heap
+    heap = [x for x, k in enumerate(indegree) if not k]  # ascending, so a heap
     order: list[int] = []
     while heap:
         node = heapq.heappop(heap)
@@ -40,17 +50,17 @@ def lex_topological_order(
             indegree[dst] -= 1
             if not indegree[dst]:
                 heapq.heappush(heap, dst)
-    if len(order) == n:
-        return order, None
-    return None, _find_cycle([x for x in range(n) if indegree[x]], out)
+    return order
 
 
-def _find_cycle(remaining: list[int], out: list[list[int]]) -> list[int]:
-    # DFS with gray/black colouring over the stalled subgraph.
-    alive = set(remaining)
+def _find_cycle(order: list[int], out: list[list[int]]) -> list[int]:
+    """A directed cycle among the nodes a stalled ``_lex_order`` left out of
+    ``order``: a depth-first search over them, from the least and along
+    ``out`` in row order, with gray/black colouring."""
+    alive = set(range(len(out))).difference(order)
     GRAY, BLACK = 1, 2
     color: dict[int, int] = {}
-    for start in remaining:
+    for start in sorted(alive):
         if start in color:
             continue
         color[start] = GRAY

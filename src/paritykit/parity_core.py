@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .multiset import MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, SignedVector, _format_counts
-from .ordering import lex_topological_order
+from .ordering import _find_cycle, _lex_order
 
 #: Largest generator dimension of a structure, four times globe(16)'s: a
 #: face table is dense per dimension, so construction and validation
@@ -700,32 +700,51 @@ class ValidationReport(NamedTuple):
 def _order_or_cycle(axiom, levels, failures, witnesses):
     """Run the per-level acyclicity checks and record witness/failure.
 
-    Each level is (label, successors, gens): the digraph is on the int
-    nodes 0..len(gens)-1, and ``gens[node]`` names a node in orders and
-    cycles.
+    Each level is (label, rows, names): the digraph is on the int nodes
+    0..len(names)-1, ``rows[node]`` lists a node's distinct successors
+    other than itself, and ``names[node]`` names a node in orders and
+    cycles.  The order is the lexicographically least topological one,
+    which depends only on what reaches what.  A cycle is the first one a
+    depth-first search finds from the least node the sort leaves, along
+    the rows in ascending order.
+
+    A Steiner level's rows are only the edges through its dimension-n
+    generators, and this search names the cycle that the same search
+    along its defining relation names.  The relation adds edges x -> y
+    only from a node x above dimension n to another such y, which sorts
+    after x's dimension-n successors and is a successor of one of them,
+    f.  By the time the search reaches y in x's row it has explored f
+    without finding a cycle, so y is already finished (black) and the
+    extra edge is skipped: both searches take the same steps.
     """
     orders = []
-    for level, successors, gens in levels:
-        order, cycle = lex_topological_order(len(gens), successors)
-        if cycle is not None:
-            names = tuple(gens[x].name for x in cycle)
-            witnesses[axiom] = CycleWitness(level, names)
+    for level, rows, names in levels:
+        order = _lex_order(rows)
+        if len(order) < len(names):
+            cycle = tuple(map(names.__getitem__, _find_cycle(order, [sorted(row) for row in rows])))
+            witnesses[axiom] = CycleWitness(level, cycle)
             failures.append(
-                AxiomFailure(axiom, names, f"directed cycle at level {level}: {CycleWitness(level, names)}")
+                AxiomFailure(axiom, cycle, f"directed cycle at level {level}: {CycleWitness(level, cycle)}")
             )
             return False
-        orders.append((level, tuple(gens[x].name for x in order)))
+        orders.append((level, tuple(map(names.__getitem__, order))))
     witnesses[axiom] = OrderWitness(tuple(orders))
     return True
 
 
-def _meets(negs: dict, poss: dict) -> dict[int, list[int]]:
-    """Successors on int nodes: x -> y when the faces poss[x] meet the faces negs[y]."""
+def _meets(negs: list[tuple], poss: list[tuple]) -> list[list[int]]:
+    """Successor rows on the nodes 0..len(poss)-1, without self-loops:
+    x -> y when the face row poss[x] meets the face row negs[y]."""
     users: dict[int, list[int]] = {}
-    for y, faces in negs.items():
-        for f in faces:
+    for y, row in enumerate(negs):
+        for f, _ in row:
             users.setdefault(f, []).append(y)
-    return {x: sorted({y for f in faces for y in users.get(f, ())}) for x, faces in poss.items()}
+    rows = []
+    for x, row in enumerate(poss):
+        succ = {y for f, _ in row for y in users.get(f, ())}
+        succ.discard(x)
+        rows.append(list(succ))
+    return rows
 
 
 def validate(struct: Structure) -> ValidationReport:
@@ -813,37 +832,47 @@ def _validate(struct: Structure) -> ValidationReport:
 
     # Weak loop-freeness: one digraph per dimension n >= 1 on that
     # dimension's generators, x -> y when pos faces of x meet neg faces of y.
-    weak = []
-    for n in range(1, len(gens)):
-        if gens[n]:
-            succ = _meets(dict(enumerate(map(dict, negs[n]))), dict(enumerate(map(dict, poss[n]))))
-            weak.append((n, succ, gens[n]))
+    weak = [(n, _meets(negs[n], poss[n]), [g.name for g in gens[n]]) for n in range(1, len(gens)) if gens[n]]
     weakly_loop_free = _order_or_cycle("weakly_loop_free", weak, failures, witnesses)
 
     # Steiner loop-freeness: one digraph per level n >= 0 on all
-    # generators, x -> y when the positive atom counts of x at level n
-    # meet the negative atom counts of y at level n.  The generators of
-    # dimension >= n are the nodes from offset[n] on.
-    atoms, steiner = [t.atom(g) for g in nodes], []
-    for n in range(len(gens)):
-        high = range(t.offset[n], len(nodes))
-        succ = _meets({y: atoms[y][0][2][n] for y in high}, {x: atoms[x][1][2][n] for x in high})
-        steiner.append((n, succ, nodes))
-    steiner_loop_free = _order_or_cycle("steiner_loop_free", steiner, failures, witnesses)
+    # generators, whose defining relation has x -> y when the positive
+    # atom counts of x at level n meet the negative atom counts of y at
+    # level n.  A generator f of dimension n has the level-n counts {f} on
+    # both sides, so the relation holds from each x with f among its
+    # positive counts to f, and from f to each y with f among its negative
+    # counts; its other edges, x -> y between generators above dimension n
+    # that share such an f, are the paths x -> f -> y.  Level n's digraph
+    # keeps only the edges through its own dimension-n generators (the
+    # nodes from offset[n] on, higher ones from offset[n + 1]): one step
+    # per generator and face, not per edge.  It has the relation's
+    # reachability, so its acyclicity, its lex-least order and, as
+    # _order_or_cycle says, its cycle; the relation itself is never built.
+    atoms, names = [t.atom(g) for g in nodes], [g.name for g in nodes]
+
+    def steiner():
+        for n in range(len(gens)):
+            low, high = t.offset[n], t.offset[n + 1]
+            rows: list = [()] * low + [[] for _ in range(high - low)]
+            for x in range(high, len(nodes)):
+                (_, _, neg), (_, _, pos) = atoms[x]
+                rows.append([low + f for f in pos[n]])
+                for f in neg[n]:
+                    rows[low + f].append(x)
+            yield n, rows, names
+
+    steiner_loop_free = _order_or_cycle("steiner_loop_free", steiner(), failures, witnesses)
 
     # Strong loop-freeness: a single digraph on all generators,
     # x -> y when x is a negative face of y or y is a positive face of x.
-    strong: list[set[int]] = [set() for _ in nodes]
+    strong: list[list[int]] = [[] for _ in nodes]
     for d in range(1, len(gens)):
         for i in range(len(gens[d])):
             x, below = t.offset[d] + i, t.offset[d - 1]
             for f, _ in negs[d][i]:
-                strong[below + f].add(x)
-            for f, _ in poss[d][i]:
-                strong[x].add(below + f)
-    strongly_loop_free = _order_or_cycle(
-        "strongly_loop_free", [(None, dict(enumerate(map(sorted, strong))), nodes)], failures, witnesses
-    )
+                strong[below + f].append(x)
+            strong[x] += [below + f for f, _ in poss[d][i]]
+    strongly_loop_free = _order_or_cycle("strongly_loop_free", [(None, strong, names)], failures, witnesses)
 
     if disjoint and globular and unital and t.subset and strongly_loop_free:
         classification = CLASS_PARITY_COMPLEX

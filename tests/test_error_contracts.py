@@ -14,6 +14,7 @@ from paritykit.chain import AugmentationMissingError, from_structure
 from paritykit.generators import globe, oriental
 from paritykit.morphisms import (
     ChainMap,
+    GradedMorphism,
     MorphismError,
     apply_to_cell,
     identity_morphism,
@@ -33,7 +34,7 @@ from paritykit.parity_core import (
 )
 
 G1, O2 = globe(1), oriental(2)
-POINT, EDGE = O2.gen("0"), O2.gen("01")
+POINT, EDGE, TOP = O2.gen("0"), O2.gen("01"), G1.gen("top")
 #: a: {u, v} -> {w}, whose basis is not normal
 NOT_NORMAL = ParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("w", 0, [], []), ("a", 1, ["u", "v"], ["w"])])
 #: a: u -> v; x: 2a => {}, whose faces are not subsets
@@ -88,6 +89,9 @@ CASES = [
      ValueError, "not a valid cell over the source: top columns differ"),
     ("ChainMap.then", lambda: induced_chain_map(identity_morphism(G1)).then(induced_chain_map(identity_morphism(O2))),
      MorphismError, "chain maps are not composable"),
+    ("GradedMorphism image not a Multiset", lambda: GradedMorphism(
+        G1, G1, {**{g: Multiset.of(g) for g in G1.generators(0)}, TOP: SignedVector(1, {TOP: -1})}, "additive"),
+     MorphismError, "image of 'top' must be a Multiset, got SignedVector"),
     ("morphism_from_chain_map negative image", lambda: morphism_from_chain_map(chain_map(-1)),
      MorphismError, r"image of e0\+ is not positive: -e0\+"),
     ("morphism_from_chain_map mode", lambda: morphism_from_chain_map(chain_map(1), mode="bogus"),

@@ -11,7 +11,13 @@ that depends on set or dict iteration order of string-keyed data shows up.
 The ``validate`` and ``classify`` digests of seeded random structures, in
 both formats, cover stderr too; they were recorded before the Steiner
 digraphs went through each level's own generators, and their structures
-fail Steiner loop-freeness at level 0 and at level 1, or pass it.
+fail Steiner loop-freeness at level 0 and at level 1, or pass it.  The
+digests of ``decompose``, ``face``, ``compose``, ``atom``, ``freeness``,
+``generate``, ``cells --count-only`` and structured ``cells`` and
+``roundtrip``, on globe(3), oriental(3), cube(2) and four structure
+fixtures, cover stderr too; they were recorded before excision sorted
+its top through the validator's relation builder and sort, and exit
+codes 0, 1 and 2 all occur among them.
 """
 
 import hashlib
@@ -355,3 +361,239 @@ def test_verdict_output(capsys, random_files, name, command):
     captured = capsys.readouterr()
     digest = hashlib.sha256(f"{code}\n{captured.out}\n{captured.err}".encode()).hexdigest()
     assert digest == GOLDEN_VERDICTS[(name, command)]
+
+
+# ---------------------------------------------------------------------------
+# the cell commands, generate, and the structured cells and roundtrip, on
+# families and structure fixtures, in both formats: exit code, stdout, stderr
+
+
+#: Per structure, three points and two edges: the cells are the path
+#: (p0; e0, e1; p2), the 0-cell p0 and a 1-cell whose source point zz
+#: the structure lacks; composing edge (p0; e0; p1) with edge (p1; e1;
+#: p2) gives the path.  On globe(3), parting_atom and self_loop the
+#: edges do not form a path, so the cells are not valid there.
+CELL_STRUCTURES = {
+    "globe3": (("e0-", "e0+", "e0-"), ("e1-", "e1+")),
+    "oriental3": (("0", "1", "2"), ("01", "12")),
+    "cube2": (("00", "10", "11"), ("*0", "1*")),
+    "weak_not_strong": (("u", "v", "w"), ("a0", "b0")),
+    "circle": (("p", "q", "p"), ("a", "b")),
+    "self_loop": (("u", "u", "u"), ("a", "a")),
+    "parting_atom": (("d0x0", "d0x0", "d0x0"), ("d1x0", "d1x1")),
+}
+#: Per command, its argv and the runs it folds: {file} is the structure,
+#: {cell}/{first}/{second} cells, {gen} a generator name, {n} the
+#: structure's top dimension.
+CELL_COMMANDS = {
+    "decompose": (["decompose", "{file}", "--cell", "{cell}"], "cells"),
+    "face": (["face", "{file}", "--cell", "{cell}", "-k", "0", "--sign", "{sign}"], "faces"),
+    "compose": (["compose", "{file}", "--cells", "{first}", "{second}", "-k", "0"], "pairs"),
+    "atom": (["atom", "{file}", "{gen}"], "gens"),
+    "freeness": (["freeness", "{file}", "--max-dim", "{n}"], None),
+    "cells_count_only": (["cells", "{file}", "--max-dim", "{n}", "--count-only"], None),
+}
+#: Commands run in the structured format only.
+STRUCTURED_ONLY_COMMANDS = {
+    "cells": ["cells", "{file}", "--max-dim", "{n}"],
+    "roundtrip": ["roundtrip", "{file}"],
+}
+#: generate: three families and a size out of range.
+GENERATE_CASES = [("globe", 3), ("oriental", 3), ("cube", 2), ("globe", -1)]
+
+GOLDEN_CELL_COMMANDS = {
+    ('circle', 'atom', 'structured'): '15a0f935fcc87d7b1974d32137892e4e6354c0ba2e081b14b3b94ad243c0c6f4',
+    ('circle', 'atom', 'text'): '2a01400b1097ff5ce233a876d7430af29747d080e28212d1a1fd6828437970fc',
+    ('circle', 'cells', 'structured'): 'ac963d88ed2a4e1e438a5b8ce5cd26846f060f6844ac3888fdfba28ab2a3bb2a',
+    ('circle', 'cells_count_only', 'structured'): 'ac963d88ed2a4e1e438a5b8ce5cd26846f060f6844ac3888fdfba28ab2a3bb2a',
+    ('circle', 'cells_count_only', 'text'): 'ac963d88ed2a4e1e438a5b8ce5cd26846f060f6844ac3888fdfba28ab2a3bb2a',
+    ('circle', 'compose', 'structured'): 'b70b69a754c60a607f421a9b5b0d45ab9bfebfa31c9555de5d85646701677511',
+    ('circle', 'compose', 'text'): '05c675588301b169ea4ee5256584c7f24888f5ce5fcf8b4b4fbd725fb9964a87',
+    ('circle', 'decompose', 'structured'): 'eac2cb76a8bdfa54eb8d9c1f90c26bd00810be122c0dee855b08716a67040e68',
+    ('circle', 'decompose', 'text'): 'eac2cb76a8bdfa54eb8d9c1f90c26bd00810be122c0dee855b08716a67040e68',
+    ('circle', 'face', 'structured'): 'b0e514444d6e9c151c58e209e3b16668d24ccbb5a728dc8446f64c3b69efddfe',
+    ('circle', 'face', 'text'): 'fee269011321bfa3ebe195520847d20cf35b8768e37f9b9d42e557cffa4e54ee',
+    ('circle', 'freeness', 'structured'): '40716f9e85c27309030a00a1bdb666e31a87b79253b330e2b47beac717f8cf33',
+    ('circle', 'freeness', 'text'): '40716f9e85c27309030a00a1bdb666e31a87b79253b330e2b47beac717f8cf33',
+    ('circle', 'roundtrip', 'structured'): '873bb132616c2469e4c4cd770b5095caa64efe753f0d3df2f77e56e6db989bdc',
+    ('cube2', 'atom', 'structured'): 'ccd32c8297305b6c17c3adef670dbdc535f10c04854825d076bc9ff94157340c',
+    ('cube2', 'atom', 'text'): '14e9044bab86fb91bb889831572ade7e518a1c57e05fdbd642e4a425ac42fbd9',
+    ('cube2', 'cells', 'structured'): 'dd5147f874818ecc34e4e44c3f0c9f70590e51ca23be4e8839f27b0646985b93',
+    ('cube2', 'cells_count_only', 'structured'): '5007e334b5a647dd6b332ce95b009bafc3c8f4e2418f22a34e2577cce36f18cf',
+    ('cube2', 'cells_count_only', 'text'): '9efcea4e148d9711e439ab5418e4eed1489e8364a81daeb1c8c6c027e994b9af',
+    ('cube2', 'compose', 'structured'): 'a1e94e3747b66c10be1ee4c7a85b35b3fa6340c9dd2b3d99105971981ed5f8d5',
+    ('cube2', 'compose', 'text'): '2479bab9d7ef6eedbdf50fd1ac2b1d23829689b3162d35ee7d07e67a0e1d33f8',
+    ('cube2', 'decompose', 'structured'): '7354607a766a50bc1fb944ac8536a364afbf73cc4f9205720b311bd214550267',
+    ('cube2', 'decompose', 'text'): '4f940f10e6a2e9fd2d6ba716647f7c9bea8bbfe4171382a006b04b6b7147b505',
+    ('cube2', 'face', 'structured'): '5a997d6de77f24e14f2b3ae26751ec42d67c0f14afe699264654301f38d85409',
+    ('cube2', 'face', 'text'): '20c84d5ab0e4520a12b6b54d37bf7eac8fe7a3cf02113310f85acb32764d3584',
+    ('cube2', 'freeness', 'structured'): '6d5ac162da992372ac687990a77b058986b5278de993f4fa1a6be37cc2836d1c',
+    ('cube2', 'freeness', 'text'): '19e77bb64c37345738e185610c3cae8fb9f353d12e9914ba261380edb8a89e70',
+    ('cube2', 'generate', 'structured'): 'fbc15749315a48dda7bcd7c94b49bcfafc7e6d667fef34c8b8f2f3e47c7d4eaf',
+    ('cube2', 'generate', 'text'): 'fbc15749315a48dda7bcd7c94b49bcfafc7e6d667fef34c8b8f2f3e47c7d4eaf',
+    ('cube2', 'roundtrip', 'structured'): 'a698ad4f1c5a77b01dfda7b5215d7d3eb49e6f3bae439102e94c0eeaa98bacf1',
+    ('globe-1', 'generate', 'structured'): 'ad446861dd70c5e2ccc10efe011d0fdbb6ffc02808fa5832bd374a9e01a5f93b',
+    ('globe-1', 'generate', 'text'): 'ad446861dd70c5e2ccc10efe011d0fdbb6ffc02808fa5832bd374a9e01a5f93b',
+    ('globe3', 'atom', 'structured'): 'f94a8f611f0d78dcdea699838adc5fbc75aaef100c05ce8095c7769c4042196e',
+    ('globe3', 'atom', 'text'): '4e88e0c609a1d6cc06ee1ef9c64305893a1531f8f63e5913012360ca573d4de9',
+    ('globe3', 'cells', 'structured'): 'b9d577b41be8758c5a908c3d53761afdbbd9d87f4f0f0b58544d839a2f338b04',
+    ('globe3', 'cells_count_only', 'structured'): 'f044c8c546b99f64a644a15b8dd6b0163ac81548b6945072c06e6671b4a2cdc6',
+    ('globe3', 'cells_count_only', 'text'): '04a2c8d83c4d8f1ac0869304715151d962c06e44e604da608216e3aa59bcc15c',
+    ('globe3', 'compose', 'structured'): 'b7ce72e7eb450a4858c7fa5ad0dd959860824b9f934cbe253e80df5ee486ed49',
+    ('globe3', 'compose', 'text'): 'b7ce72e7eb450a4858c7fa5ad0dd959860824b9f934cbe253e80df5ee486ed49',
+    ('globe3', 'decompose', 'structured'): '047fd0409bea167e59217bd32f8c254fdbfaec115fdaaf8549bcd1cee1133ad5',
+    ('globe3', 'decompose', 'text'): '047fd0409bea167e59217bd32f8c254fdbfaec115fdaaf8549bcd1cee1133ad5',
+    ('globe3', 'face', 'structured'): 'edabacf2a7f4ad053c175f8e2d65f61d8af40750b3a7a319a3fd2cd4727efb7c',
+    ('globe3', 'face', 'text'): 'edabacf2a7f4ad053c175f8e2d65f61d8af40750b3a7a319a3fd2cd4727efb7c',
+    ('globe3', 'freeness', 'structured'): 'b12c45da84e5be581e11e7157a8266528a38e9a1e66d67db4ff121c98c5bf6dd',
+    ('globe3', 'freeness', 'text'): 'cb3b1fc69969ff3f3b2202fe6f1e7291806e77db2373c901bbe1fec8f1b4e908',
+    ('globe3', 'generate', 'structured'): '98d2c3d0a58b07c068d76861333e4d526b4c8c5c7536d690b2b9d2e4e044b578',
+    ('globe3', 'generate', 'text'): '98d2c3d0a58b07c068d76861333e4d526b4c8c5c7536d690b2b9d2e4e044b578',
+    ('globe3', 'roundtrip', 'structured'): '79121257dc4a071ec3ace3f181770cedf7cab9a8d7390c8b75f68ecfed7c3c66',
+    ('oriental3', 'atom', 'structured'): '19e35856c54b58aa2eeb2158ee9d200ae3e34f9ae8d57a0da950caac9b555c43',
+    ('oriental3', 'atom', 'text'): 'eee1119e2c8a82bec26bb609151dedf40973cfb6c5b0f96f7a1155d04a11d1c0',
+    ('oriental3', 'cells', 'structured'): 'a5df88e253131c0a51e1a8cd6427d0ee2dbfbd5f6d8db70aa4253657f6384115',
+    ('oriental3', 'cells_count_only', 'structured'): '5d7da8256e8a7ed237270f90b0ffda79807ecf7191da41b466e9ada384c1a061',
+    ('oriental3', 'cells_count_only', 'text'): '9e02b4fe0c2fd4f8d96e221c505df5528cf3f6f79b17e302dbfbd9cd92ce3ff3',
+    ('oriental3', 'compose', 'structured'): 'e56459c7046068bff4718213f357e361b4d31d2243ddb66baff05352970c4948',
+    ('oriental3', 'compose', 'text'): '04654e506be905c521d63dd161d379f73047364ca8d8d27f67a362d054e6d47a',
+    ('oriental3', 'decompose', 'structured'): '44d001a240a77e1f7c2d8dd3ff2a674ae898b04d529746091d7b0e910222d476',
+    ('oriental3', 'decompose', 'text'): 'd7fc304a52aa547e4e94eeb9cf36a05bfceec00ed6377d652249d8cf0f9faa64',
+    ('oriental3', 'face', 'structured'): 'cbd871d871b1ca6b0b396fa92feca3354aa8c93c4cd2a18f4974df6cde395777',
+    ('oriental3', 'face', 'text'): '38217f74d801a935d8c3559e70828ccc63e4356061a96762d377a24e2c941ed6',
+    ('oriental3', 'freeness', 'structured'): 'ce098f9a7a858eb854edf2e8426e1a7f51314e38de53d48d343b3256d1b34031',
+    ('oriental3', 'freeness', 'text'): '240e41059dd6e58f72a8eb94c7f2011609dd385d60884a087a87b3664681f155',
+    ('oriental3', 'generate', 'structured'): '07983b94f64cca82abdf339a88ae8f300809752583a29e544f462f8aaae0985d',
+    ('oriental3', 'generate', 'text'): '07983b94f64cca82abdf339a88ae8f300809752583a29e544f462f8aaae0985d',
+    ('oriental3', 'roundtrip', 'structured'): '7d4beef544e3ab0076b6f9fbb23695b4df4cfbf74716ff2dedb77986e4d97e32',
+    ('parting_atom', 'atom', 'structured'): '3842281f31db3f83f9f84a848d05c6ff0b4f334807515eafcedb6e07030c65d1',
+    ('parting_atom', 'atom', 'text'): '52452a3c6efd8c56a4c8ed00c7da3e3c8234052fa08f9518cf7c7030d6d7bf5a',
+    ('parting_atom', 'cells', 'structured'): '601e7a431d91e5909a3c5527594fd0e05b1fb207a1943ecfa26f9776fa51b1c7',
+    ('parting_atom', 'cells_count_only', 'structured'): '601e7a431d91e5909a3c5527594fd0e05b1fb207a1943ecfa26f9776fa51b1c7',
+    ('parting_atom', 'cells_count_only', 'text'): '601e7a431d91e5909a3c5527594fd0e05b1fb207a1943ecfa26f9776fa51b1c7',
+    ('parting_atom', 'compose', 'structured'): 'fe0d954b20908390b8ce2a8882776c3fff0e62d2fd4ce73c6eba7aadc21eba6a',
+    ('parting_atom', 'compose', 'text'): 'fe0d954b20908390b8ce2a8882776c3fff0e62d2fd4ce73c6eba7aadc21eba6a',
+    ('parting_atom', 'decompose', 'structured'): 'fb636c2b1d20d96949ed82e335f7817ea4a8918dbad7b9aa7562ea807cd61538',
+    ('parting_atom', 'decompose', 'text'): 'fb636c2b1d20d96949ed82e335f7817ea4a8918dbad7b9aa7562ea807cd61538',
+    ('parting_atom', 'face', 'structured'): 'b46ae89746ea38f0ec4a0c6342ba5245a2f183279fd18406ed63c9eb71835d81',
+    ('parting_atom', 'face', 'text'): 'b46ae89746ea38f0ec4a0c6342ba5245a2f183279fd18406ed63c9eb71835d81',
+    ('parting_atom', 'freeness', 'structured'): 'c126af510bd4e6266ca20923c3185f84059068a73b274b368d628ee179f86a35',
+    ('parting_atom', 'freeness', 'text'): 'c126af510bd4e6266ca20923c3185f84059068a73b274b368d628ee179f86a35',
+    ('parting_atom', 'roundtrip', 'structured'): '01217117aca5f64b1140dad9c685c78dddd420487f30bf93b2b46e09bacd755a',
+    ('self_loop', 'atom', 'structured'): '1d02082b4573a621bdb33fa5ac29234647c4a2cf894db2e2eb75b900c9d9414a',
+    ('self_loop', 'atom', 'text'): 'b46b53b8220a0ca985518d5e8c6e5f7a2d6772ae7e1132723b4542e0e40f31c3',
+    ('self_loop', 'cells', 'structured'): '601e7a431d91e5909a3c5527594fd0e05b1fb207a1943ecfa26f9776fa51b1c7',
+    ('self_loop', 'cells_count_only', 'structured'): '601e7a431d91e5909a3c5527594fd0e05b1fb207a1943ecfa26f9776fa51b1c7',
+    ('self_loop', 'cells_count_only', 'text'): '601e7a431d91e5909a3c5527594fd0e05b1fb207a1943ecfa26f9776fa51b1c7',
+    ('self_loop', 'compose', 'structured'): '4216b7e3a93f397770c1659d2bb42563c41ea6a710af6c25afdec4ed3e96f7b6',
+    ('self_loop', 'compose', 'text'): '4216b7e3a93f397770c1659d2bb42563c41ea6a710af6c25afdec4ed3e96f7b6',
+    ('self_loop', 'decompose', 'structured'): '9711639edd827a7990330ea3036ab3341d91c2b27a43cb096e6b7989ce54a449',
+    ('self_loop', 'decompose', 'text'): 'be3b4e927e997ace20f26f2b9d7874b34084de4b3d1b89c2201cb5c91361b6ea',
+    ('self_loop', 'face', 'structured'): '48984d7baa0883b4dc13f4ed6dc19f910d200d7d8c8290bdca82d59f4f6e5175',
+    ('self_loop', 'face', 'text'): 'dd0807e0d0bc579491452d1d79a87ab72a75802af2ac9b286dfa2c0d838a84ef',
+    ('self_loop', 'freeness', 'structured'): 'c126af510bd4e6266ca20923c3185f84059068a73b274b368d628ee179f86a35',
+    ('self_loop', 'freeness', 'text'): 'c126af510bd4e6266ca20923c3185f84059068a73b274b368d628ee179f86a35',
+    ('self_loop', 'roundtrip', 'structured'): 'e12958f110642d6f4580432faddfd50621d86ee36634988a37c6654b88b0487d',
+    ('weak_not_strong', 'atom', 'structured'): 'bd9ce59451d5b5bf18c34338a66bd53a59d9000d7c46e4bfe6c3264649d0866f',
+    ('weak_not_strong', 'atom', 'text'): '09ce7caa8b0b49e54bb00a10490188f9e8bc04ed1e3846f95f2c4ab68ad1e751',
+    ('weak_not_strong', 'cells', 'structured'): '5c79d739c6c283366f9a893181ae070d25a26bed2e9be520b8d13a6ce64b15bd',
+    ('weak_not_strong', 'cells_count_only', 'structured'): 'c84c9424889535cc7a5a626397c7b016903e256b6108bcf8d22114bd258242e0',
+    ('weak_not_strong', 'cells_count_only', 'text'): 'ec4f4eaa4006cc908c6a3394acaa127d50204cacfb766d474f6bf114537a8c2c',
+    ('weak_not_strong', 'compose', 'structured'): '9521d51c8933a6db243960c66a51f8cb41879a355afcc4026d9bd8b10cafe5f3',
+    ('weak_not_strong', 'compose', 'text'): 'ff110b5671105aa5566eaa71914d4b217dfc973cd1c0782f31b9ea3108e7930a',
+    ('weak_not_strong', 'decompose', 'structured'): '8ac8c93e41fc41d8ee7873c4ef8340308a59d20be35a01e563e82c783d341f97',
+    ('weak_not_strong', 'decompose', 'text'): '66ce1a2723a84f76dcfaf883acd3db2aae382a13e726cacfa68f6d83268cfb69',
+    ('weak_not_strong', 'face', 'structured'): 'ce83c3ca47aaca217a6bcaea0b5505d9aa09dbd9a2c46f93146168c8d819d346',
+    ('weak_not_strong', 'face', 'text'): '0c37b9052fcc73581e46471f3fa5263344d7e46ce241cac8bf4db14940fbeb4b',
+    ('weak_not_strong', 'freeness', 'structured'): 'a84def5cdeb578075698118e99d434d919103c51b336b3f38f0c07b03752bea5',
+    ('weak_not_strong', 'freeness', 'text'): '21c453c4ba2d20294e8caecd395b2ac03f6cc5e325051f587718799808910f5d',
+    ('weak_not_strong', 'roundtrip', 'structured'): 'af28eef452215ae948df000bbd52d49558046110c9c4deea919bf356015b866e',
+}
+
+
+def _structure_files(root):
+    """Per structure, its fixture file, its cell files, its generator
+    names to take atoms of and its top dimension."""
+    from paritykit.cells import CellTable
+    from paritykit.multiset import GeneratorId, Multiset
+
+    def column(dim, *names):
+        counts: dict = {}
+        for name in names:
+            counts[GeneratorId(dim, name)] = counts.get(GeneratorId(dim, name), 0) + 1
+        return Multiset(dim, counts)
+
+    def cell(name, neg, pos):
+        path = root / f"{name}.json"
+        table = CellTable([column(k, *row) for k, row in enumerate(neg)], [column(k, *row) for k, row in enumerate(pos)])
+        path.write_text(fixtures.dumps(table, name=name))
+        return path
+
+    structures = {"globe3": family("globe", 3), "oriental3": family("oriental", 3), "cube2": family("cube", 2)}
+    out = {}
+    for name, ((p0, p1, p2), (e0, e1)) in CELL_STRUCTURES.items():
+        if name in structures:
+            struct, file = structures[name], root / f"{name}.json"
+            file.write_text(fixtures.dumps(struct, name=name))
+        else:
+            file = FIXTURE_DIR / f"{name}.json"
+            struct = fixtures.load_path(file).value
+        path = cell(f"{name}-path", [[p0], [e0, e1]], [[p2], [e0, e1]])
+        zero = cell(f"{name}-zero", [[p0]], [[p0]])
+        foreign = cell(f"{name}-foreign", [["zz"], [e0]], [[p1], [e0]])
+        first = cell(f"{name}-first", [[p0], [e0]], [[p1], [e0]])
+        second = cell(f"{name}-second", [[p1], [e1]], [[p2], [e1]])
+        out[name] = {
+            "file": file,
+            "n": struct.max_dim,
+            "cells": [{"cell": c} for c in (path, zero, foreign)],
+            "faces": [{"cell": c, "sign": s} for c in (path, zero, foreign) for s in ("source", "target")],
+            "pairs": [{"first": a, "second": b} for a, b in ((first, second), (second, first), (zero, foreign))],
+            "gens": [{"gen": g} for g in (struct.generators(struct.max_dim)[-1].name, p0, "zz")],
+        }
+    return out
+
+
+@pytest.fixture(scope="module")
+def structure_files(tmp_path_factory):
+    return _structure_files(tmp_path_factory.mktemp("cell-commands"))
+
+
+def cell_command_digest(capsys, template, runs, **fields) -> str:
+    """SHA-256 of the exit code, stdout and stderr of each run."""
+    parts = []
+    for run in runs:
+        code = main([arg.format(**fields, **run) for arg in template])
+        captured = capsys.readouterr()
+        parts.append(f"{code}\n{captured.out}\n{captured.err}")
+    return hashlib.sha256("\x00".join(parts).encode()).hexdigest()
+
+
+def _cell_command_cases():
+    for name in CELL_STRUCTURES:
+        for command in CELL_COMMANDS:
+            yield name, command, "text"
+            yield name, command, "structured"
+        for command in STRUCTURED_ONLY_COMMANDS:
+            yield name, command, "structured"
+
+
+@pytest.mark.parametrize("name, command, style", list(_cell_command_cases()))
+def test_cell_command_output(capsys, structure_files, name, command, style):
+    files = structure_files[name]
+    if command in CELL_COMMANDS:
+        template, runs = CELL_COMMANDS[command]
+    else:
+        template, runs = STRUCTURED_ONLY_COMMANDS[command], None
+    template = template + (["--format", "structured"] if style == "structured" else [])
+    digest = cell_command_digest(capsys, template, files[runs] if runs else [{}], file=files["file"], n=files["n"])
+    assert digest == GOLDEN_CELL_COMMANDS[(name, command, style)]
+
+
+@pytest.mark.parametrize("style", ["text", "structured"])
+@pytest.mark.parametrize("family_name, n", GENERATE_CASES)
+def test_generate_output(capsys, family_name, n, style):
+    template = ["generate", "--family", family_name, "--n", str(n)]
+    template += ["--format", "structured"] if style == "structured" else []
+    digest = cell_command_digest(capsys, template, [{}])
+    assert digest == GOLDEN_CELL_COMMANDS[(f"{family_name}{n}", "generate", style)]

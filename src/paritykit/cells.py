@@ -32,7 +32,6 @@ from typing import Sequence
 
 from .chain import AugmentationMissingError, FreeDirectedComplex, from_structure
 from .multiset import GeneratorId, Multiset, _format_entries
-from .ordering import lex_topological_order
 from .parity_core import (
     CLASS_WEAK,
     MAX_DIM,
@@ -42,7 +41,9 @@ from .parity_core import (
     _bits,
     _boundary,
     _FaceTable,
+    _lex_sort,
     _mask,
+    _meets,
     _signed,
     validate,
 )
@@ -466,7 +467,10 @@ def excision_decompose(
     earlier (or equal) member never meet the negative faces of a later
     one reversed -- i.e. pos(b_i) meet neg(b_j) is empty whenever
     i >= j -- and the slices' (n-1)-composite, left to right, equals the
-    input.  Identity cells decompose into the empty list.
+    input.  The order is the lexicographically least one of the weak
+    relation on the members, built and sorted as validate builds and
+    sorts it on a whole dimension.  Identity cells decompose into the
+    empty list.
 
     The column below the top moves by each member's signed row, its
     boundary p - m, as index -> count dicts over the complex's face table.
@@ -499,13 +503,8 @@ def excision_decompose(
         return [table]
 
     members = [i for i, _ in top]
-    neg = [faces.neg_mask[n][i] for i in members]
-    successors = {
-        i: [j for j, m in enumerate(neg) if j != i and faces.pos_mask[n][r] & m]
-        for i, r in enumerate(members)
-    }
-    order, cycle = lex_topological_order(len(members), successors)
-    if order is None:
+    order, cycle = _lex_sort(_meets([faces.neg[n][i] for i in members], [faces.pos[n][i] for i in members]))
+    if cycle is not None:
         names = [faces.gens[n][members[i]] for i in cycle]
         raise InternalCheckError(f"cycle among top members of a weakly loop-free structure: {names}")
 

@@ -22,6 +22,7 @@ from .parity_core import (
     CLASS_WEAK,
     CycleWitness,
     ParityStructure,
+    UnknownGeneratorError,
     ValidationReport,
     validate,
 )
@@ -239,6 +240,8 @@ def _cmd_decompose(args) -> int:
     cell_fixture = _load(args.cell, fixtures.KIND_CELL)
     try:
         slices = excision_decompose(fixture.value, cell_fixture.value)
+    except UnknownGeneratorError:
+        raise  # malformed input: exit 2, as face, compose and atom do
     except ValueError as exc:
         print(f"cannot decompose: {exc}")
         return 1
@@ -339,6 +342,8 @@ def _cmd_morphism_apply(args) -> int:
     cell_fixture = _load(args.cell, fixtures.KIND_CELL)
     try:
         result = apply_to_cell(fixture.value, cell_fixture.value)
+    except UnknownGeneratorError:
+        raise  # malformed input: exit 2, as face, compose and atom do
     except (ValueError, OverflowError) as exc:
         print(f"cannot apply: {exc}")
         return 1

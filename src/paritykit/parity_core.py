@@ -19,13 +19,13 @@ reading; ids and Multisets are built only for results.
 
 from __future__ import annotations
 
+import heapq
 from itertools import accumulate, groupby
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .multiset import MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, SignedVector, _format_counts
-from .ordering import _find_cycle, _lex_order
 
 #: Largest generator dimension of a structure, four times globe(16)'s: a
 #: face table is dense per dimension, so construction and validation
@@ -700,13 +700,8 @@ class ValidationReport(NamedTuple):
 def _order_or_cycle(axiom, levels, failures, witnesses):
     """Run the per-level acyclicity checks and record witness/failure.
 
-    Each level is (label, rows, names): the digraph is on the int nodes
-    0..len(names)-1, ``rows[node]`` lists a node's distinct successors
-    other than itself, and ``names[node]`` names a node in orders and
-    cycles.  The order is the lexicographically least topological one,
-    which depends only on what reaches what.  A cycle is the first one a
-    depth-first search finds from the least node the sort leaves, along
-    the rows in ascending order.
+    Each level is (label, rows, names): ``_lex_sort`` sorts the rows, and
+    ``names[node]`` names a node in orders and cycles.
 
     A Steiner level's rows are only the edges through its dimension-n
     generators, and this search names the cycle that the same search
@@ -719,9 +714,9 @@ def _order_or_cycle(axiom, levels, failures, witnesses):
     """
     orders = []
     for level, rows, names in levels:
-        order = _lex_order(rows)
-        if len(order) < len(names):
-            cycle = tuple(map(names.__getitem__, _find_cycle(order, [sorted(row) for row in rows])))
+        order, cycle = _lex_sort(rows)
+        if cycle is not None:
+            cycle = tuple(map(names.__getitem__, cycle))
             witnesses[axiom] = CycleWitness(level, cycle)
             failures.append(
                 AxiomFailure(axiom, cycle, f"directed cycle at level {level}: {CycleWitness(level, cycle)}")
@@ -730,6 +725,60 @@ def _order_or_cycle(axiom, levels, failures, witnesses):
         orders.append((level, tuple(map(names.__getitem__, order))))
     witnesses[axiom] = OrderWitness(tuple(orders))
     return True
+
+
+def _lex_sort(rows: list) -> tuple[list[int], None] | tuple[None, list[int]]:
+    """(order, None) or (None, cycle) for the digraph on the int nodes
+    0..len(rows)-1 where ``rows[node]`` lists a node's distinct successors
+    other than itself.  The order is the lexicographically least
+    topological one, which depends only on what reaches what.  A cycle is
+    the first one a depth-first search finds from the least node the sort
+    leaves, along the rows in ascending order."""
+    indegree = [0] * len(rows)
+    for row in rows:
+        for dst in row:
+            indegree[dst] += 1
+    heap = [x for x, k in enumerate(indegree) if not k]  # ascending, so a heap
+    order: list[int] = []
+    while heap:
+        node = heapq.heappop(heap)
+        order.append(node)
+        for dst in rows[node]:
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                heapq.heappush(heap, dst)
+    if len(order) == len(rows):
+        return order, None
+    return None, _find_cycle(order, [sorted(row) for row in rows])
+
+
+def _find_cycle(order: list[int], out: list[list[int]]) -> list[int]:
+    """A directed cycle [v0, ..., vk], k >= 1, among the nodes that a
+    stalled sort left out of ``order``: a depth-first search over them,
+    from the least and along ``out`` in row order, with gray/black
+    colouring."""
+    alive = set(range(len(out))).difference(order)
+    GRAY, BLACK = 1, 2
+    color: dict[int, int] = {}
+    for start in sorted(alive):
+        if start in color:
+            continue
+        color[start] = GRAY
+        path = [start]
+        stack = [iter([d for d in out[start] if d in alive])]
+        while stack:
+            for dst in stack[-1]:
+                if color.get(dst) == GRAY:
+                    return path[path.index(dst):]
+                if dst not in color:
+                    color[dst] = GRAY
+                    path.append(dst)
+                    stack.append(iter([d for d in out[dst] if d in alive]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                stack.pop()
+    raise AssertionError("stalled topological sort without a cycle")
 
 
 def _meets(negs: list[tuple], poss: list[tuple]) -> list[list[int]]:

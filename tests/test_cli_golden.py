@@ -173,9 +173,11 @@ MORPHISM_COMMANDS = {
 
 #: Recorded before the loader read morphism images straight into target
 #: rows; the malformed documents' runs fold into one digest per command.
+#: The ``apply`` digests were recorded again when a cell naming a
+#: generator the source lacks (the oriental(2) 0-cell) began to exit 2.
 GOLDEN_MORPHISM = {
-    ('additive_top_twice', 'apply'): '9a8906ff9291f2a56e27350d7795fe8fc15ad2573498019baf1735a7322c5f99',
-    ('additive_top_twice', 'apply_structured'): '3814573ee1244b0050d8062f1a1086f46e42986bc2101bc8c68ee045e42ba4e8',
+    ('additive_top_twice', 'apply'): 'debae1df01e30a81ca4c5b5e9b31360dc461f8ff2fccb89a38ab1f800006b2db',
+    ('additive_top_twice', 'apply_structured'): 'a30f5918b7b927b0bd2404fe164d9e2734c5ef1d5b3ac443f0319dca55b344f3',
     ('additive_top_twice', 'compose_after_identity'): '775385cb8cf65260e40276fd2693e8e638206645ff2dcd3ae2fb2b5946df4417',
     ('additive_top_twice', 'compose_before_identity'): '80fa763a140b929f04afc6f123ad499329aa73d75980bcd9a7da113e9013ff43',
     ('additive_top_twice', 'validate'): 'a6e88ceaff2dc7cce4b4b02c357d811a90b0b81b735e9605fc3c860351d51ae8',
@@ -184,8 +186,8 @@ GOLDEN_MORPHISM = {
     ('additive_top_twice', 'validate_structured'): '0cfafd17edb7409ca4703cd3b44bbdbb493e670aee34d4f2033477b951a549ca',
     ('additive_top_twice', 'validate_weak'): 'd6f2285eafd4cea5728f15feb3141066aa674f41543a4d1f780083bc67414281',
     ('additive_top_twice', 'validate_weak_structured'): 'a401d9308e67f7a2740ba39825ba3d1f87e485aa1ff552d707f431a55bdffa6c',
-    ('morphism_collapse_globe1', 'apply'): '25d042c1ecb2a01a4a64bb5241f77491b118f17e94dd30086c7eb264e2cf6238',
-    ('morphism_collapse_globe1', 'apply_structured'): 'd73e222d303aa158f5bb9fa8db861194e6907879f7d257cda81df83b290b8ab6',
+    ('morphism_collapse_globe1', 'apply'): 'cb92e3118dbff4772c55fb7196737635c4e8ee3d28cf57ce37c5c627491c526c',
+    ('morphism_collapse_globe1', 'apply_structured'): 'fa8ca3b979c93c9c8fa4c5a38d17c5a5bb6a46f6300f5be0b3aa8c98ed41a00c',
     ('morphism_collapse_globe1', 'compose_after_identity'): 'a74b827659d969906fcd7351b89d74be5a28c981c1261f57571b1304964b9f20',
     ('morphism_collapse_globe1', 'compose_before_identity'): 'ef98e05419fcb95dd54429b5a362d7bac307d4d269ac3f04e2b99e4152809d34',
     ('morphism_collapse_globe1', 'validate'): 'ef9fddfb3f0b95d48b01f59c0e3f08091451ecec9067884759d77f724f65f4d6',
@@ -194,8 +196,8 @@ GOLDEN_MORPHISM = {
     ('morphism_collapse_globe1', 'validate_structured'): 'c8f2ffda1262235779cc736677d2d76f5c3f95de9dc2f077b237a1b7dc2919f0',
     ('morphism_collapse_globe1', 'validate_weak'): 'ef9fddfb3f0b95d48b01f59c0e3f08091451ecec9067884759d77f724f65f4d6',
     ('morphism_collapse_globe1', 'validate_weak_structured'): 'c8f2ffda1262235779cc736677d2d76f5c3f95de9dc2f077b237a1b7dc2919f0',
-    ('morphism_globe1_to_oriental2', 'apply'): '3667921c4b8ad8d7c030ea0f7b064bbf277ae19aa1ddbe1595ad6d55fbb61518',
-    ('morphism_globe1_to_oriental2', 'apply_structured'): '60354c842312f98a478dfe7ef5e02c0eec99d6a323032bbb06cdc02267a88b62',
+    ('morphism_globe1_to_oriental2', 'apply'): '3f687489bec3d7414b63cef733b121454131756d6c905a4face4ebcc7d77e7b7',
+    ('morphism_globe1_to_oriental2', 'apply_structured'): '6ad91a25093a35f03ec4b06ce4cb66be9e3203f990252e9b3be4cc3d3d1e4c33',
     ('morphism_globe1_to_oriental2', 'compose_after_identity'): 'da6e0746c2d9710cb71795403dc42ce458d4c68df77f958ca9e5d2ec6039efc1',
     ('morphism_globe1_to_oriental2', 'compose_before_identity'): 'ef98e05419fcb95dd54429b5a362d7bac307d4d269ac3f04e2b99e4152809d34',
     ('morphism_globe1_to_oriental2', 'validate'): 'ef9fddfb3f0b95d48b01f59c0e3f08091451ecec9067884759d77f724f65f4d6',
@@ -204,8 +206,8 @@ GOLDEN_MORPHISM = {
     ('morphism_globe1_to_oriental2', 'validate_structured'): '4883b4445092865469ac259641f7297e6b0bb24214dbdaa5b300264bac0756be',
     ('morphism_globe1_to_oriental2', 'validate_weak'): 'ef9fddfb3f0b95d48b01f59c0e3f08091451ecec9067884759d77f724f65f4d6',
     ('morphism_globe1_to_oriental2', 'validate_weak_structured'): '4883b4445092865469ac259641f7297e6b0bb24214dbdaa5b300264bac0756be',
-    ('top_to_01', 'apply'): '86e105ed7e2aaf0c9cfbf01a6f9fbd11fd6ae1bcff747e046fde9a881319d221',
-    ('top_to_01', 'apply_structured'): 'f4809342739d5c3b26ea917e9d5de12d751cec4d2911aa8cee3ab9bef6143702',
+    ('top_to_01', 'apply'): 'a6b90ec4a4112bf7f9577588b26cdb048863eceea807fed40801d9f0816deeda',
+    ('top_to_01', 'apply_structured'): '90cffde16a26b29e3b782438e1c607f8422ac91678c836b6d5a1df077f58c689',
     ('top_to_01', 'compose_after_identity'): '39663080d9ac9ffbdb101ec6e387d1a1670c474b3c5d9a28a0bf2edd15a3542e',
     ('top_to_01', 'compose_before_identity'): 'ef98e05419fcb95dd54429b5a362d7bac307d4d269ac3f04e2b99e4152809d34',
     ('top_to_01', 'validate'): '43b3f7077ca7641f57363c74ebd78bdf1ce5d76f3e57ad347fdde9112c870665',
@@ -401,6 +403,9 @@ STRUCTURED_ONLY_COMMANDS = {
 #: generate: three families and a size out of range.
 GENERATE_CASES = [("globe", 3), ("oriental", 3), ("cube", 2), ("globe", -1)]
 
+#: The ``decompose`` digests were recorded again when a cell naming a
+#: generator the structure lacks began to exit 2, as it does in ``face``,
+#: ``compose`` and ``atom``.
 GOLDEN_CELL_COMMANDS = {
     ('circle', 'atom', 'structured'): '15a0f935fcc87d7b1974d32137892e4e6354c0ba2e081b14b3b94ad243c0c6f4',
     ('circle', 'atom', 'text'): '2a01400b1097ff5ce233a876d7430af29747d080e28212d1a1fd6828437970fc',
@@ -423,8 +428,8 @@ GOLDEN_CELL_COMMANDS = {
     ('cube2', 'cells_count_only', 'text'): '9efcea4e148d9711e439ab5418e4eed1489e8364a81daeb1c8c6c027e994b9af',
     ('cube2', 'compose', 'structured'): 'a1e94e3747b66c10be1ee4c7a85b35b3fa6340c9dd2b3d99105971981ed5f8d5',
     ('cube2', 'compose', 'text'): '2479bab9d7ef6eedbdf50fd1ac2b1d23829689b3162d35ee7d07e67a0e1d33f8',
-    ('cube2', 'decompose', 'structured'): '7354607a766a50bc1fb944ac8536a364afbf73cc4f9205720b311bd214550267',
-    ('cube2', 'decompose', 'text'): '4f940f10e6a2e9fd2d6ba716647f7c9bea8bbfe4171382a006b04b6b7147b505',
+    ('cube2', 'decompose', 'structured'): '741921c5d16909c0a355835c74f84c98a58dee455cfae4b9754fffe7af0eec36',
+    ('cube2', 'decompose', 'text'): '678f5eac641cb8f7ff09e559c7f316a7237b6977cf9752c659234b60315c7bc9',
     ('cube2', 'face', 'structured'): '5a997d6de77f24e14f2b3ae26751ec42d67c0f14afe699264654301f38d85409',
     ('cube2', 'face', 'text'): '20c84d5ab0e4520a12b6b54d37bf7eac8fe7a3cf02113310f85acb32764d3584',
     ('cube2', 'freeness', 'structured'): '6d5ac162da992372ac687990a77b058986b5278de993f4fa1a6be37cc2836d1c',
@@ -441,8 +446,8 @@ GOLDEN_CELL_COMMANDS = {
     ('globe3', 'cells_count_only', 'text'): '04a2c8d83c4d8f1ac0869304715151d962c06e44e604da608216e3aa59bcc15c',
     ('globe3', 'compose', 'structured'): 'b7ce72e7eb450a4858c7fa5ad0dd959860824b9f934cbe253e80df5ee486ed49',
     ('globe3', 'compose', 'text'): 'b7ce72e7eb450a4858c7fa5ad0dd959860824b9f934cbe253e80df5ee486ed49',
-    ('globe3', 'decompose', 'structured'): '047fd0409bea167e59217bd32f8c254fdbfaec115fdaaf8549bcd1cee1133ad5',
-    ('globe3', 'decompose', 'text'): '047fd0409bea167e59217bd32f8c254fdbfaec115fdaaf8549bcd1cee1133ad5',
+    ('globe3', 'decompose', 'structured'): 'b990556c5a8d5cefad449dd314af2c8f69dd1e1dc0663b6496c8169080362bdd',
+    ('globe3', 'decompose', 'text'): 'b990556c5a8d5cefad449dd314af2c8f69dd1e1dc0663b6496c8169080362bdd',
     ('globe3', 'face', 'structured'): 'edabacf2a7f4ad053c175f8e2d65f61d8af40750b3a7a319a3fd2cd4727efb7c',
     ('globe3', 'face', 'text'): 'edabacf2a7f4ad053c175f8e2d65f61d8af40750b3a7a319a3fd2cd4727efb7c',
     ('globe3', 'freeness', 'structured'): 'b12c45da84e5be581e11e7157a8266528a38e9a1e66d67db4ff121c98c5bf6dd',
@@ -457,8 +462,8 @@ GOLDEN_CELL_COMMANDS = {
     ('oriental3', 'cells_count_only', 'text'): '9e02b4fe0c2fd4f8d96e221c505df5528cf3f6f79b17e302dbfbd9cd92ce3ff3',
     ('oriental3', 'compose', 'structured'): 'e56459c7046068bff4718213f357e361b4d31d2243ddb66baff05352970c4948',
     ('oriental3', 'compose', 'text'): '04654e506be905c521d63dd161d379f73047364ca8d8d27f67a362d054e6d47a',
-    ('oriental3', 'decompose', 'structured'): '44d001a240a77e1f7c2d8dd3ff2a674ae898b04d529746091d7b0e910222d476',
-    ('oriental3', 'decompose', 'text'): 'd7fc304a52aa547e4e94eeb9cf36a05bfceec00ed6377d652249d8cf0f9faa64',
+    ('oriental3', 'decompose', 'structured'): '09f77fe75effc902cf53a7212314be13cadd42a90835fdba83d885724532d68a',
+    ('oriental3', 'decompose', 'text'): '0447bae86a2bd7391371f055fe3072bef3c1f5c5d23f523e19f1bdf1016fbc62',
     ('oriental3', 'face', 'structured'): 'cbd871d871b1ca6b0b396fa92feca3354aa8c93c4cd2a18f4974df6cde395777',
     ('oriental3', 'face', 'text'): '38217f74d801a935d8c3559e70828ccc63e4356061a96762d377a24e2c941ed6',
     ('oriental3', 'freeness', 'structured'): 'ce098f9a7a858eb854edf2e8426e1a7f51314e38de53d48d343b3256d1b34031',
@@ -487,8 +492,8 @@ GOLDEN_CELL_COMMANDS = {
     ('self_loop', 'cells_count_only', 'text'): '601e7a431d91e5909a3c5527594fd0e05b1fb207a1943ecfa26f9776fa51b1c7',
     ('self_loop', 'compose', 'structured'): '4216b7e3a93f397770c1659d2bb42563c41ea6a710af6c25afdec4ed3e96f7b6',
     ('self_loop', 'compose', 'text'): '4216b7e3a93f397770c1659d2bb42563c41ea6a710af6c25afdec4ed3e96f7b6',
-    ('self_loop', 'decompose', 'structured'): '9711639edd827a7990330ea3036ab3341d91c2b27a43cb096e6b7989ce54a449',
-    ('self_loop', 'decompose', 'text'): 'be3b4e927e997ace20f26f2b9d7874b34084de4b3d1b89c2201cb5c91361b6ea',
+    ('self_loop', 'decompose', 'structured'): '04054342f76c3289da4a2940ab204592167dc2e866e0349a2aa6e741474296d6',
+    ('self_loop', 'decompose', 'text'): '4af320247ce6029ea9eab2c3391112067031806ffdc6ba1a5f1e62aca1403389',
     ('self_loop', 'face', 'structured'): '48984d7baa0883b4dc13f4ed6dc19f910d200d7d8c8290bdca82d59f4f6e5175',
     ('self_loop', 'face', 'text'): 'dd0807e0d0bc579491452d1d79a87ab72a75802af2ac9b286dfa2c0d838a84ef',
     ('self_loop', 'freeness', 'structured'): 'c126af510bd4e6266ca20923c3185f84059068a73b274b368d628ee179f86a35',
@@ -501,8 +506,8 @@ GOLDEN_CELL_COMMANDS = {
     ('weak_not_strong', 'cells_count_only', 'text'): 'ec4f4eaa4006cc908c6a3394acaa127d50204cacfb766d474f6bf114537a8c2c',
     ('weak_not_strong', 'compose', 'structured'): '9521d51c8933a6db243960c66a51f8cb41879a355afcc4026d9bd8b10cafe5f3',
     ('weak_not_strong', 'compose', 'text'): 'ff110b5671105aa5566eaa71914d4b217dfc973cd1c0782f31b9ea3108e7930a',
-    ('weak_not_strong', 'decompose', 'structured'): '8ac8c93e41fc41d8ee7873c4ef8340308a59d20be35a01e563e82c783d341f97',
-    ('weak_not_strong', 'decompose', 'text'): '66ce1a2723a84f76dcfaf883acd3db2aae382a13e726cacfa68f6d83268cfb69',
+    ('weak_not_strong', 'decompose', 'structured'): 'c748844bbe3d3eeedd8ba2c935fb567f2af0ca0dbc866075a84b8dca6f42d9ad',
+    ('weak_not_strong', 'decompose', 'text'): 'ed26749b9fc47136e06ef0eebe2dd606f45aad04ebfd7427a1c2e346b2c43851',
     ('weak_not_strong', 'face', 'structured'): 'ce83c3ca47aaca217a6bcaea0b5505d9aa09dbd9a2c46f93146168c8d819d346',
     ('weak_not_strong', 'face', 'text'): '0c37b9052fcc73581e46471f3fa5263344d7e46ce241cac8bf4db14940fbeb4b',
     ('weak_not_strong', 'freeness', 'structured'): 'a84def5cdeb578075698118e99d434d919103c51b336b3f38f0c07b03752bea5',

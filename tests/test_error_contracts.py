@@ -1,9 +1,13 @@
 """The public error contracts: each documented refusal raises its error
 type with its message, checked in one table.  Also the order of the
-checks in morphism_from_chain_map (the mode is checked before the images)
-and the CLI's exit code for a fixture of the wrong kind."""
+checks in morphism_from_chain_map (the mode is checked before the images),
+the CLI's exit code for a fixture of the wrong kind or a bad cell cap, and
+the complex's max_dim and membership."""
 
 from __future__ import annotations
+
+import os
+from unittest import mock
 
 import pytest
 
@@ -21,12 +25,13 @@ from paritykit.morphisms import (
     induced_chain_map,
     morphism_from_chain_map,
 )
-from paritykit.multiset import Multiset, SignedVector
+from paritykit.multiset import GeneratorId, Multiset, SignedVector
 from paritykit.parity_core import (
     AdditiveParityStructure,
     DimensionMismatchError,
     ParityStructure,
     StructureError,
+    UnknownGeneratorError,
     atom_faces,
     is_well_formed,
     moves,
@@ -62,6 +67,13 @@ def chain_map(scale):
 #: The points 0 and 1 of oriental(2), as a 0-cell whose top columns differ.
 MISMATCHED = lambda: CellTable([point(O2, "0")], [point(O2, "1")])
 
+
+def capped(raw):
+    """enumerate_cells of oriental(2) with the cell cap set to raw."""
+    with mock.patch.dict(os.environ, {cells.MAX_CELLS_ENV: raw}):
+        return cells.enumerate_cells(O2, 1)
+
+
 CASES = [
     # cells
     ("CellTable empty rows", lambda: CellTable([], []), ValueError, "cell table needs equal, nonempty rows"),
@@ -77,6 +89,9 @@ CASES = [
     ("cell_zero dimension", lambda: cells.cell_zero(O2, EDGE), ValueError, "'01' has dimension 1, expected 0"),
     ("generated_by_atoms invalid cell", lambda: cells.generated_by_atoms(O2, MISMATCHED()),
      ValueError, "not a valid cell: top columns differ"),
+    ("cell cap not an integer", lambda: capped("abc"),
+     cells.EnumerationCapError, "PARITYKIT_MAX_CELLS must be an integer, got 'abc'"),
+    ("cell cap zero", lambda: capped("0"), cells.EnumerationCapError, "PARITYKIT_MAX_CELLS must be positive, got 0"),
     # chain
     ("boundary_of a point", lambda: from_structure(O2).boundary_of(POINT),
      StructureError, "dimension-0 generator '0' has no boundary"),
@@ -101,6 +116,9 @@ CASES = [
     # parity_core
     ("subset_faces in dimension 0", lambda: subset_faces(O2, 0, [POINT]),
      DimensionMismatchError, "subset faces need a subset of dimension >= 1"),
+    ("subset_faces dimension", lambda: subset_faces(O2, 1, [POINT]),
+     DimensionMismatchError, "'0' has dimension 0, expected 1"),
+    ("gen without a dimension", lambda: O2.gen("zz"), UnknownGeneratorError, "no generator named 'zz'"),
     ("is_well_formed dimension", lambda: is_well_formed(O2, 1, [POINT]),
      DimensionMismatchError, "'0' has dimension 0, expected 1"),
     ("is_well_formed repeat", lambda: is_well_formed(O2, 1, [EDGE, EDGE]), ValueError, "subset with repeated members"),
@@ -113,6 +131,8 @@ CASES = [
      ValueError, r"Multiset.of needs at least one generator; use empty\(dim\)"),
     ("SignedVector.to_multiset negative", lambda: SignedVector(0, {POINT: -1}).to_multiset(),
      ValueError, "vector -0 has negative entries"),
+    # generators
+    ("globe size", lambda: globe(-1), ValueError, "globe size must be >= 0, got -1"),
     # fixtures and cli
     ("dumps of a non-value", lambda: fixtures.dumps(3), TypeError, "no fixture form for int"),
     ("cli fixture kind", lambda: cli._load(str(FIXTURE_DIR / "morphism_collapse_globe1.json"), fixtures.KIND_CELL),
@@ -142,3 +162,19 @@ def test_cli_refuses_a_fixture_of_the_wrong_kind(capsys):
     assert code == 2
     expected = "parity_structure or additive_parity_structure"
     assert err.endswith(f"fixture kind 'morphism' not usable here (expected {expected})\n")
+
+
+@pytest.mark.parametrize("raw, message", [("abc", "must be an integer, got 'abc'"), ("0", "must be positive, got 0")])
+def test_cli_refuses_a_bad_cell_cap(capsys, monkeypatch, raw, message):
+    monkeypatch.setenv(cells.MAX_CELLS_ENV, raw)
+    code = cli.main(["cells", str(FIXTURE_DIR / "weak_not_strong.json"), "--max-dim", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {cells.MAX_CELLS_ENV} {message}\n"
+
+
+def test_complex_max_dim_and_membership():
+    complex_ = from_structure(O2)
+    assert complex_.max_dim == 2
+    assert POINT in complex_ and EDGE in complex_
+    assert GeneratorId(0, "zz") not in complex_ and GeneratorId(1, "0") not in complex_

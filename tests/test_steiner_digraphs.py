@@ -199,11 +199,11 @@ def sorted_rows(monkeypatch):
     weak levels, then the Steiner levels, then the strong digraph."""
     calls = []
 
-    def recording(rows, _sort=parity_core._lex_order):
+    def recording(rows, _sort=parity_core._lex_sort):
         calls.append(rows)
         return _sort(rows)
 
-    monkeypatch.setattr(parity_core, "_lex_order", recording)
+    monkeypatch.setattr(parity_core, "_lex_sort", recording)
     return calls
 
 

@@ -384,21 +384,19 @@ CELL_STRUCTURES = {
     "self_loop": (("u", "u", "u"), ("a", "a")),
     "parting_atom": (("d0x0", "d0x0", "d0x0"), ("d1x0", "d1x1")),
 }
-#: Per command, its argv and the runs it folds: {file} is the structure,
-#: {cell}/{first}/{second} cells, {gen} a generator name, {n} the
-#: structure's top dimension.
+#: Per command, its argv, the runs it folds (None for one run) and its
+#: formats: {file} is the structure, {cell}/{first}/{second} cells, {gen}
+#: a generator name, {n} the structure's top dimension.
+BOTH = ("text", "structured")
 CELL_COMMANDS = {
-    "decompose": (["decompose", "{file}", "--cell", "{cell}"], "cells"),
-    "face": (["face", "{file}", "--cell", "{cell}", "-k", "0", "--sign", "{sign}"], "faces"),
-    "compose": (["compose", "{file}", "--cells", "{first}", "{second}", "-k", "0"], "pairs"),
-    "atom": (["atom", "{file}", "{gen}"], "gens"),
-    "freeness": (["freeness", "{file}", "--max-dim", "{n}"], None),
-    "cells_count_only": (["cells", "{file}", "--max-dim", "{n}", "--count-only"], None),
-}
-#: Commands run in the structured format only.
-STRUCTURED_ONLY_COMMANDS = {
-    "cells": ["cells", "{file}", "--max-dim", "{n}"],
-    "roundtrip": ["roundtrip", "{file}"],
+    "decompose": (["decompose", "{file}", "--cell", "{cell}"], "cells", BOTH),
+    "face": (["face", "{file}", "--cell", "{cell}", "-k", "0", "--sign", "{sign}"], "faces", BOTH),
+    "compose": (["compose", "{file}", "--cells", "{first}", "{second}", "-k", "0"], "pairs", BOTH),
+    "atom": (["atom", "{file}", "{gen}"], "gens", BOTH),
+    "freeness": (["freeness", "{file}", "--max-dim", "{n}"], None, BOTH),
+    "cells_count_only": (["cells", "{file}", "--max-dim", "{n}", "--count-only"], None, BOTH),
+    "cells": (["cells", "{file}", "--max-dim", "{n}"], None, ("structured",)),
+    "roundtrip": (["roundtrip", "{file}"], None, ("structured",)),
 }
 #: generate: three families and a size out of range.
 GENERATE_CASES = [("globe", 3), ("oriental", 3), ("cube", 2), ("globe", -1)]
@@ -575,21 +573,14 @@ def cell_command_digest(capsys, template, runs, **fields) -> str:
 
 
 def _cell_command_cases():
-    for name in CELL_STRUCTURES:
-        for command in CELL_COMMANDS:
-            yield name, command, "text"
-            yield name, command, "structured"
-        for command in STRUCTURED_ONLY_COMMANDS:
-            yield name, command, "structured"
+    return [(name, command, style) for name in CELL_STRUCTURES
+            for command, (_, _, styles) in CELL_COMMANDS.items() for style in styles]
 
 
-@pytest.mark.parametrize("name, command, style", list(_cell_command_cases()))
+@pytest.mark.parametrize("name, command, style", _cell_command_cases())
 def test_cell_command_output(capsys, structure_files, name, command, style):
     files = structure_files[name]
-    if command in CELL_COMMANDS:
-        template, runs = CELL_COMMANDS[command]
-    else:
-        template, runs = STRUCTURED_ONLY_COMMANDS[command], None
+    template, runs, _ = CELL_COMMANDS[command]
     template = template + (["--format", "structured"] if style == "structured" else [])
     digest = cell_command_digest(capsys, template, files[runs] if runs else [{}], file=files["file"], n=files["n"])
     assert digest == GOLDEN_CELL_COMMANDS[(name, command, style)]

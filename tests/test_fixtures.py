@@ -653,6 +653,46 @@ class TestMutationFuzz:
         digest = hashlib.sha256("\x00".join(outcomes).encode()).hexdigest()
         assert digest == self.MORPHISM_OUTCOMES
 
+    def outcomes_digest(self, texts, runs):
+        """SHA-256 of the refusal text or the fixture text of each of
+        ``runs`` seeded mutations of a document from ``texts``."""
+        import hashlib
+        import random
+
+        outcomes = []
+        for seed in range(4):
+            rng = random.Random(seed)
+            for _ in range(runs):
+                doc = json.loads(rng.choice(texts))
+                self.mutate(doc, rng)
+                try:
+                    fixture = fixtures.loads(json.dumps(doc))
+                except fixtures.FixtureError as exc:
+                    outcomes.append(f"refused: {exc}")
+                else:
+                    outcomes.append(fixtures.dumps(fixture.value, name=fixture.name))
+        return hashlib.sha256("\x00".join(outcomes).encode()).hexdigest()
+
+    #: SHA-256 of the outcomes of the structure and cell mutations below,
+    #: recorded before structure elements were written from face rows.
+    STRUCTURE_OUTCOMES = "0186844664d179895561ff5245a97acf935818d5d0d0eadf049996aabd37377c"
+    CELL_OUTCOMES = "27453c07c05718755ffa851e6fbbeb7d3faebdbc0c3154bf4a1006a8900c304b"
+
+    def test_structure_outcomes_are_frozen(self):
+        """Each seeded mutation of a frozen structure fixture or of an
+        additive oriental is refused with the same text or loads to the
+        same fixture text."""
+        names = ("circle", "weak_not_strong", "parting_atom", "self_loop")
+        texts = [(FIXTURE_DIR / f"{name}.json").read_text() for name in names]
+        texts.append(fixtures.dumps(oriental(3).to_additive(), name="oriental-3"))
+        assert self.outcomes_digest(texts, 500) == self.STRUCTURE_OUTCOMES
+
+    def test_cell_outcomes_are_frozen(self):
+        """The same for an atom cell of oriental(3)."""
+        o3 = oriental(3)
+        texts = [fixtures.dumps(cells.atom(o3, o3.gen("0123")), name="atom-0123")]
+        assert self.outcomes_digest(texts, 250) == self.CELL_OUTCOMES
+
 
 class TestCanonicalText:
     """``dumps`` writes the bytes of ``json.dumps(doc, indent=2,

@@ -475,12 +475,15 @@ def excision_decompose(
     The column below the top moves by each member's signed row, its
     boundary p - m, as index -> count dicts over the complex's face table.
 
-    Requires a globular, weakly loop-free structure and a valid cell of
+    A cell naming a generator the structure lacks raises
+    UnknownGeneratorError before the structure is checked.  Requires a
+    globular, weakly loop-free structure and a valid cell of
     dimension >= 1; intermediate columns failing positivity mean the
     hypotheses were violated and raise InternalCheckError.
     """
     complex_ = source if isinstance(source, FreeDirectedComplex) else from_structure(source)
     faces = complex_._table
+    neg_row, pos_row = _chains(faces, table)  # a generator the structure lacks is refused first
     # additive globularity is dd = 0; weak loop-freeness reads only supports
     globular, weakly_loop_free = not faces.dd_defects(), validate(complex_.structure).weakly_loop_free
     if not (globular and weakly_loop_free):
@@ -495,7 +498,6 @@ def excision_decompose(
         raise ValueError(f"not a valid cell: {reason}")
 
     n = table.dim
-    neg_row, pos_row = _chains(faces, table)
     top = sorted(neg_row[-1])
     if not top:
         return []

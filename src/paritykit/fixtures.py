@@ -5,7 +5,9 @@ and as sorted [name, count] pairs otherwise; parsers accept either form
 (and mixtures).  A key written twice in one JSON object is refused.
 Emission is canonical, so parse(print(x)) == x and output bytes are
 deterministic: they are those of ``json.dumps(doc, indent=2,
-sort_keys=True)`` plus a newline.
+sort_keys=True)`` plus a newline.  Structure elements, of a structure
+document or a morphism's source and target, are written straight from
+the face table's rows; ``_text`` writes cells, assignments and reports.
 """
 
 from __future__ import annotations
@@ -264,16 +266,6 @@ def _multiset_payload(faces: Multiset) -> list:
     return _faces_payload({g: g.name for g in faces}, faces.items())
 
 
-def structure_payload(struct: Structure) -> dict:
-    t, elements, names = struct._table, [], []
-    for d, gens in enumerate(t.gens):
-        for g, neg, pos in zip(gens, t.neg[d], t.pos[d]):
-            neg, pos = _faces_payload(names, neg), _faces_payload(names, pos)
-            elements.append({"id": g.name, "dim": d, "neg": neg, "pos": pos})
-        names = [g.name for g in gens]
-    return {"elements": elements}
-
-
 def cell_payload(table: CellTable) -> dict:
     return {
         "dim": table.dim,
@@ -282,36 +274,59 @@ def cell_payload(table: CellTable) -> dict:
     }
 
 
-def morphism_payload(f: GradedMorphism) -> dict:
+def _assignment(f: GradedMorphism) -> dict[str, dict[str, list]]:
+    """A morphism's images by dimension, then source name."""
     assignment: dict[str, dict[str, list]] = {}
     for d, (gens, rows) in enumerate(zip(f.source._table.gens, f._rows)):
         names = [h.name for h in f.target.generators(d)]
         if gens:
             assignment[str(d)] = {g.name: _faces_payload(names, sorted(row.items())) for g, row in zip(gens, rows)}
-    def side(struct: Structure) -> dict:
-        kind = KIND_PARITY if isinstance(struct, ParityStructure) else KIND_ADDITIVE
-        return {"kind": kind, **structure_payload(struct)}
-    return {
-        "mode": f.mode,
-        "source": side(f.source),
-        "target": side(f.target),
-        "assignment": assignment,
-    }
+    return assignment
 
 
-def payload_for(value: Any) -> tuple[str, dict]:
+def _structure_text(struct: Structure, indent: str, with_kind: bool = False) -> str:
+    """``_text`` of a structure's payload, with its ``kind`` if asked,
+    written straight from its face table's rows with each dimension's
+    names encoded once; ``indent`` as in ``_text``."""
+    t, (i1, i2, i3, i4, i5) = struct._table, (indent + "  " * k for k in range(1, 6))
+    sep, elements, names = "," + i4, [], []
+
+    def faces(row: tuple) -> str:
+        if not row:
+            return "[]"
+        if t.subset or all(c == 1 for _, c in row):
+            return f"[{i4}{sep.join([names[j] for j, _ in row])}{i3}]"
+        return f"[{i4}{sep.join([f'[{i5}{names[j]},{i5}{c}{i4}]' for j, c in row])}{i3}]"
+
+    for d, gens in enumerate(t.gens):
+        head, neg, pos, end = f'{{{i3}"dim": {d},{i3}"id": ', f',{i3}"neg": ', f',{i3}"pos": ', f"{i2}}}"
+        encoded = [_encode(g.name) for g in gens]
+        for name, n, p in zip(encoded, t.neg[d], t.pos[d]):
+            elements.append(f"{head}{name}{neg}{faces(n)}{pos}{faces(p)}{end}")
+        names = encoded
+    text = f'{{{i1}"elements": [{i2}{("," + i2).join(elements)}{i1}]' if elements else f'{{{i1}"elements": []'
+    kind = KIND_PARITY if isinstance(struct, ParityStructure) else KIND_ADDITIVE
+    return f'{text},{i1}"kind": {_encode(kind)}{indent}}}' if with_kind else f"{text}{indent}}}"
+
+
+def _payload_text(value: Any) -> tuple[str, str]:
+    """A value's fixture kind and the ``_text`` of its payload in a document."""
     if isinstance(value, ParityStructure):
-        return KIND_PARITY, structure_payload(value)
+        return KIND_PARITY, _structure_text(value, "\n  ")
     if isinstance(value, AdditiveParityStructure):
-        return KIND_ADDITIVE, structure_payload(value)
+        return KIND_ADDITIVE, _structure_text(value, "\n  ")
     # A cell or a morphism exists only once its module is loaded, so
     # writing one never imports the other's module.
     cells = sys.modules.get(f"{__package__}.cells")
     if cells is not None and isinstance(value, cells.CellTable):
-        return KIND_CELL, cell_payload(value)
+        return KIND_CELL, _text(cell_payload(value), "\n  ")
     morphisms = sys.modules.get(f"{__package__}.morphisms")
     if morphisms is not None and isinstance(value, morphisms.GradedMorphism):
-        return KIND_MORPHISM, morphism_payload(value)
+        i = "\n    "
+        source, target = (_structure_text(s, i, True) for s in (value.source, value.target))
+        assignment, mode = _text(_assignment(value), i), _encode(value.mode)
+        return KIND_MORPHISM, (f'{{{i}"assignment": {assignment},{i}"mode": {mode},'
+                               f'{i}"source": {source},{i}"target": {target}\n  }}')
     raise TypeError(f"no fixture form for {type(value).__name__}")
 
 
@@ -340,5 +355,6 @@ def _text(value: Any, indent: str = "\n") -> str:
 
 def dumps(value: Any, name: str = "") -> str:
     """Serialize to the canonical fixture text (stable bytes)."""
-    kind, payload = payload_for(value)
-    return _text({"schema_version": SCHEMA_VERSION, "name": name, "kind": kind, "payload": payload}) + "\n"
+    kind, payload = _payload_text(value)
+    return (f'{{\n  "kind": {_encode(kind)},\n  "name": {_encode(name)},\n  "payload": {payload},'
+            f'\n  "schema_version": {SCHEMA_VERSION}\n}}\n')

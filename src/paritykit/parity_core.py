@@ -353,7 +353,8 @@ class _FaceTable:
     its index.  A parity structure and its additive view share one table.
 
     The free chain complex's data lives here too: ``signed[d][i]`` is
-    the boundary pos - neg as an index -> coefficient dict without zeros,
+    the boundary pos - neg as an index -> coefficient dict without zeros;
+    it, the masks and ``subset`` come from one loop over the row pairs.
     ``normal`` says whether every 1-generator has singleton faces, and
     ``boundaries`` (SignedVectors by id), ``dd_defects()``, the cell
     columns ``columns`` and each generator's ``atom`` are filled in on
@@ -366,9 +367,28 @@ class _FaceTable:
         self.gens, self.neg, self.pos = gens, neg, pos
         self.offset = [0, *accumulate(map(len, gens))]
         self.index = _index(gens)
-        self.neg_mask, self.pos_mask = ([[_mask(row) for row in level] for level in rows] for rows in (neg, pos))
-        self.subset = all(c == 1 for level in neg + pos for r in level for _, c in r)
-        self.signed = [[_signed(n, p) for n, p in zip(*level)] for level in zip(neg, pos)]
+        self.neg_mask, self.pos_mask, self.signed = ([[] for _ in gens] for _ in range(3))
+        counts = 0  # every count ORed together, so 1 or 0 on subset faces
+        for nm, pm, sg, negs, poss in zip(self.neg_mask, self.pos_mask, self.signed, neg, pos):
+            for n, p in zip(negs, poss):
+                row, m = {}, 0
+                for j, c in p:
+                    m |= 1 << j
+                    counts |= c
+                    row[j] = c
+                pm.append(m)
+                m = 0
+                for j, c in n:
+                    m |= 1 << j
+                    counts |= c
+                    c = row.get(j, 0) - c
+                    if c:
+                        row[j] = c
+                    else:
+                        del row[j]
+                nm.append(m)
+                sg.append(row)
+        self.subset = counts < 2
         self.normal = next(_non_normal(self), None) is None
         self.boundaries: dict[GeneratorId, SignedVector] = {}
         self.columns = _SubsetColumns(gens)

@@ -403,7 +403,10 @@ GENERATE_CASES = [("globe", 3), ("oriental", 3), ("cube", 2), ("globe", -1)]
 
 #: The ``decompose`` digests were recorded again when a cell naming a
 #: generator the structure lacks began to exit 2, as it does in ``face``,
-#: ``compose`` and ``atom``.
+#: ``compose`` and ``atom``.  Those of ``circle`` and ``parting_atom``,
+#: which are not weakly loop-free and not globular, were recorded again
+#: when excision began to resolve the cell's generators before it checks
+#: the structure, so that such a cell exits 2 on every structure.
 GOLDEN_CELL_COMMANDS = {
     ('circle', 'atom', 'structured'): '15a0f935fcc87d7b1974d32137892e4e6354c0ba2e081b14b3b94ad243c0c6f4',
     ('circle', 'atom', 'text'): '2a01400b1097ff5ce233a876d7430af29747d080e28212d1a1fd6828437970fc',
@@ -412,8 +415,8 @@ GOLDEN_CELL_COMMANDS = {
     ('circle', 'cells_count_only', 'text'): 'ac963d88ed2a4e1e438a5b8ce5cd26846f060f6844ac3888fdfba28ab2a3bb2a',
     ('circle', 'compose', 'structured'): 'b70b69a754c60a607f421a9b5b0d45ab9bfebfa31c9555de5d85646701677511',
     ('circle', 'compose', 'text'): '05c675588301b169ea4ee5256584c7f24888f5ce5fcf8b4b4fbd725fb9964a87',
-    ('circle', 'decompose', 'structured'): 'eac2cb76a8bdfa54eb8d9c1f90c26bd00810be122c0dee855b08716a67040e68',
-    ('circle', 'decompose', 'text'): 'eac2cb76a8bdfa54eb8d9c1f90c26bd00810be122c0dee855b08716a67040e68',
+    ('circle', 'decompose', 'structured'): 'b4ae8e5e5458e4232ce095877aab60ef12829b0fefe2c6f7a70d7512dade2084',
+    ('circle', 'decompose', 'text'): 'b4ae8e5e5458e4232ce095877aab60ef12829b0fefe2c6f7a70d7512dade2084',
     ('circle', 'face', 'structured'): 'b0e514444d6e9c151c58e209e3b16668d24ccbb5a728dc8446f64c3b69efddfe',
     ('circle', 'face', 'text'): 'fee269011321bfa3ebe195520847d20cf35b8768e37f9b9d42e557cffa4e54ee',
     ('circle', 'freeness', 'structured'): '40716f9e85c27309030a00a1bdb666e31a87b79253b330e2b47beac717f8cf33',
@@ -476,8 +479,8 @@ GOLDEN_CELL_COMMANDS = {
     ('parting_atom', 'cells_count_only', 'text'): '601e7a431d91e5909a3c5527594fd0e05b1fb207a1943ecfa26f9776fa51b1c7',
     ('parting_atom', 'compose', 'structured'): 'fe0d954b20908390b8ce2a8882776c3fff0e62d2fd4ce73c6eba7aadc21eba6a',
     ('parting_atom', 'compose', 'text'): 'fe0d954b20908390b8ce2a8882776c3fff0e62d2fd4ce73c6eba7aadc21eba6a',
-    ('parting_atom', 'decompose', 'structured'): 'fb636c2b1d20d96949ed82e335f7817ea4a8918dbad7b9aa7562ea807cd61538',
-    ('parting_atom', 'decompose', 'text'): 'fb636c2b1d20d96949ed82e335f7817ea4a8918dbad7b9aa7562ea807cd61538',
+    ('parting_atom', 'decompose', 'structured'): '46ac9aa94933956a77768040c49a668bba1ecb91a11b775459c48d89bb974ea9',
+    ('parting_atom', 'decompose', 'text'): '46ac9aa94933956a77768040c49a668bba1ecb91a11b775459c48d89bb974ea9',
     ('parting_atom', 'face', 'structured'): 'b46ae89746ea38f0ec4a0c6342ba5245a2f183279fd18406ed63c9eb71835d81',
     ('parting_atom', 'face', 'text'): 'b46ae89746ea38f0ec4a0c6342ba5245a2f183279fd18406ed63c9eb71835d81',
     ('parting_atom', 'freeness', 'structured'): 'c126af510bd4e6266ca20923c3185f84059068a73b274b368d628ee179f86a35',

@@ -132,7 +132,7 @@ class TestMixedFaceEncodings:
         assert fixture.value.pos(x).count(fixture.value.gen("w")) == 2
 
     def test_subset_emission_uses_plain_names(self, oriental2):
-        payload = fixtures.structure_payload(oriental2)
+        payload = structure_payload(oriental2)
         triangle = [el for el in payload["elements"] if el["id"] == "012"][0]
         assert triangle["pos"] == ["01", "12"]
 
@@ -694,14 +694,40 @@ class TestMutationFuzz:
         assert self.outcomes_digest(texts, 250) == self.CELL_OUTCOMES
 
 
+def structure_payload(struct):
+    """A structure's payload as a dict, read off its face table's rows."""
+    t, elements, names = struct._table, [], []
+    for d, gens in enumerate(t.gens):
+        for g, neg, pos in zip(gens, t.neg[d], t.pos[d]):
+            neg, pos = fixtures._faces_payload(names, neg), fixtures._faces_payload(names, pos)
+            elements.append({"id": g.name, "dim": d, "neg": neg, "pos": pos})
+        names = [g.name for g in gens]
+    return {"elements": elements}
+
+
+def reference_payload(value):
+    """A value's fixture kind and its payload as a dict."""
+    def kind(struct):
+        return fixtures.KIND_PARITY if isinstance(struct, ParityStructure) else fixtures.KIND_ADDITIVE
+
+    if isinstance(value, (ParityStructure, AdditiveParityStructure)):
+        return kind(value), structure_payload(value)
+    if isinstance(value, cells.CellTable):
+        return fixtures.KIND_CELL, fixtures.cell_payload(value)
+    sides = {key: {"kind": kind(s), **structure_payload(s)}
+             for key, s in (("source", value.source), ("target", value.target))}
+    return fixtures.KIND_MORPHISM, {"mode": value.mode, **sides, "assignment": fixtures._assignment(value)}
+
+
 class TestCanonicalText:
     """``dumps`` writes the bytes of ``json.dumps(doc, indent=2,
     sort_keys=True) + "\\n"`` for every fixture kind, including names
-    that JSON escapes and counts of 2 or more."""
+    that JSON escapes and counts of 2 or more; the reference builds
+    each payload as a dict first."""
 
     @staticmethod
     def reference(value, name):
-        kind, payload = fixtures.payload_for(value)
+        kind, payload = reference_payload(value)
         doc = {"schema_version": fixtures.SCHEMA_VERSION, "name": name, "kind": kind, "payload": payload}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -723,7 +749,7 @@ class TestCanonicalText:
         out = [weighted, subset, empty, empty.to_additive(), globe(2), oriental(3).to_additive()]
         out += [cells.cell_zero(subset, subset.gen("é")), cells.atom(subset, subset.gen("f\\1"))]
         out += list(cells.enumerate_cells(oriental(2), 2))
-        out += [identity_morphism(subset), identity_morphism(weighted, "additive"), double]
+        out += [identity_morphism(subset), identity_morphism(weighted, "additive"), double, identity_morphism(empty)]
         return out
 
     def test_byte_identical_to_json_dumps(self):
@@ -750,3 +776,36 @@ class TestCanonicalText:
         assert text.isascii()
         assert '"\\u00e9"' in text and '"\\ud835\\udd38"' in text and '"a\\"b"' in text and '"c\\\\d"' in text
         assert '[\n' in text and '"\\u00f1"' in text
+
+
+class TestRowsStraightToText:
+    """Loading a structure resolves names straight into one face table,
+    and writing one reads its rows; ``_text`` writes only the cells, the
+    reports and a morphism's assignment."""
+
+    def test_loading_builds_one_table_and_no_multiset(self, monkeypatch):
+        from paritykit import parity_core
+
+        struct = cube(5)
+        text = fixtures.dumps(struct, name="cube-5")
+        built = {Multiset: 0, parity_core._FaceTable: 0}
+        for cls in built:
+            def counting(self, *args, _init=cls.__init__, _cls=cls):
+                built[_cls] += 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        assert fixtures.loads(text).value == struct
+        assert built == {Multiset: 0, parity_core._FaceTable: 1}
+
+    def test_no_structure_element_goes_through_text(self, monkeypatch):
+        from paritykit.morphisms import identity_morphism
+
+        struct = cube(5)
+        f = identity_morphism(struct)
+        written, text = [], fixtures._text
+        monkeypatch.setattr(fixtures, "_text", lambda value, *args: written.append(value) or text(value, *args))
+        assert fixtures.dumps(struct, "c") == TestCanonicalText.reference(struct, "c")
+        assert written == []
+        assert fixtures.dumps(f, "f") == TestCanonicalText.reference(f, "f")
+        assert written[0] == fixtures._assignment(f)
+        assert not any(type(v) is dict and ("elements" in v or "id" in v) for v in written)

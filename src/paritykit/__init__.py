@@ -18,20 +18,20 @@ _SUBMODULE = {
             "parity_core",
             "AdditiveParityStructure AxiomFailure CycleWitness OrderWitness"
             " ParityStructure StructureError UnknownGeneratorError ValidationReport"
-            " atom_faces face_images is_well_formed iterated_boundaries moves"
+            " atom_faces is_well_formed iterated_boundaries moves"
             " skeleton subset_faces validate",
         ),
         (
             "chain",
             "AugmentationMissingError ChainReport FreeDirectedComplex check_complex"
-            " extract_structure from_structure is_well_formed_element",
+            " extract_structure from_structure",
         ),
         (
             "cells",
             "AtomExpression AtomLeaf CellTable Composite EnumerationCapError"
             " IdentityLift InternalCheckError NotComposableError atom atom_closure"
-            " cell_zero compose enumerate_cells excision_decompose face"
-            " generated_by_atoms identity lift validate_cell",
+            " compose enumerate_cells excision_decompose face"
+            " generated_by_atoms identity validate_cell",
         ),
         (
             "morphisms",

@@ -18,10 +18,10 @@ dimension's sorted generators, which is exact because every column is a
 subset.  Enumeration grows each level of pairs of mask rows from the
 level below and sorts it before the next one grows from it, with no
 final sort, and atom closure composes, faces and lifts them.  The
-subset tables they return, and those of atom, cell_zero, excision,
-apply_to_cell and the cell operations, keep the mask rows and a face
-table; a column's Multiset is built, once per face table, only when a
-caller reads it or hashes the table.
+subset tables they return, and those of atom, excision, apply_to_cell
+and the cell operations, keep the mask rows and a face table; a
+column's Multiset is built, once per face table, only when a caller
+reads it or hashes the table.
 """
 
 from __future__ import annotations
@@ -72,12 +72,13 @@ class CellTable:
     graded by dimension k); the cell conditions are validate_cell's job.
 
     A subset table that comes from a structure -- from enumeration,
-    atom closure, atom, cell_zero, excision, apply_to_cell and the cell
-    operations -- keeps its columns as (neg, pos) rows of masks over the
-    structure's face table, and reads a column's Multiset from that
-    table's column cache only when neg, pos, top or str asks for it;
-    sort_key reads the masks' set bits.  Two tables over one face table compare their masks, any
-    other pair their columns.  The hash is computed on first use from
+    atom closure, atom (a point's atom is its 0-cell), excision,
+    apply_to_cell and the cell operations -- keeps its columns as (neg,
+    pos) rows of masks over the structure's face table, and reads a
+    column's Multiset from that table's column cache only when neg, pos,
+    top or str asks for it; sort_key reads the masks' set bits.  Two
+    tables over one face table compare their masks, any other pair
+    their columns.  The hash is computed on first use from
     the column hashes, so a table over masks and an equal one over
     Multisets stand for each other as dict keys; hashing builds each
     distinct column's Multiset once per face table.  Tables pickle and
@@ -260,16 +261,6 @@ def identity(table: CellTable) -> CellTable:
     return CellTable._of(table._faces, (neg + (zero,), pos + (zero,)))
 
 
-def lift(table: CellTable, dim: int) -> CellTable:
-    """Iterated identity up to the given dimension."""
-    if dim < table.dim:
-        raise ValueError(f"cannot lift a {table.dim}-cell down to dimension {dim}")
-    out = table
-    while out.dim < dim:
-        out = identity(out)
-    return out
-
-
 def compose(x: CellTable, y: CellTable, k: int) -> CellTable:
     """The k-composite: shared columns up to k, sums above.
 
@@ -320,14 +311,6 @@ def atom(struct: Structure, gen: GeneratorId) -> CellTable:
     if isinstance(struct, ParityStructure):
         return CellTable._of(t, tuple(tuple(masks) for masks, _, _ in t.atom(gen)))
     return _table_on(t, [counts for _, _, counts in t.atom(gen)])
-
-
-def cell_zero(struct: Structure, gen: GeneratorId) -> CellTable:
-    """The 0-cell at a dimension-0 generator, which is its atom."""
-    struct.require(gen)
-    if gen.dim != 0:
-        raise ValueError(f"{gen.name!r} has dimension {gen.dim}, expected 0")
-    return atom(struct, gen)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .parity_core import (
     _FaceTable,
     _non_normal,
     _non_unital,
-    _spread,
 )
 
 
@@ -142,21 +141,6 @@ def check_complex(complex_: FreeDirectedComplex) -> ChainReport:
             failures.append(("unital", g.name, text))
 
     return ChainReport(dd_zero, normal, unital, normal, tuple(failures))
-
-
-def is_well_formed_element(complex_: FreeDirectedComplex, v: Multiset) -> bool:
-    """Well-formedness of a positive chain.
-
-    Dimension 0: augmentation 1 (an error if no augmentation is
-    attached).  Higher dimensions: radical, and distinct members have
-    disjoint negative boundary parts and disjoint positive parts.
-    """
-    for g in v:
-        complex_.require(g)
-    if v.dim == 0:
-        return complex_.augmentation(v) == 1
-    t = complex_._table
-    return v.is_radical() and _spread(t, v.dim, t.mask(v.dim, v))[2]
 
 
 def extract_structure(complex_: FreeDirectedComplex) -> AdditiveParityStructure:

@@ -210,7 +210,11 @@ def _cmd_face(args) -> int:
     if not ok:
         print(f"invalid cell: {reason}")
         return 1
-    result = face(table, args.k, args.sign)
+    try:
+        result = face(table, args.k, args.sign)
+    except ValueError as exc:  # k out of range; argparse checks the sign
+        print(f"cannot take face: {exc}")
+        return 1
     _cell_out(args, result, name=f"{cell_fixture.name}-{args.sign}-{args.k}")
     return 0
 

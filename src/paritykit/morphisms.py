@@ -77,15 +77,6 @@ class GradedMorphism:
         """Homomorphic extension to multisets."""
         return self._target._table.multiset(s.dim, _apply(self, s))
 
-    def apply_union(self, dim: int, s: Iterable[GeneratorId]) -> frozenset[GeneratorId]:
-        """Union extension to subsets."""
-        mask = 0
-        for g in s:
-            if g.dim != dim:
-                raise MorphismError(f"{g.name!r} has dimension {g.dim}, expected {dim}")
-            mask |= _mask(_row(self, g).items())
-        return self._target._table.members(dim, mask)
-
     def is_normal(self) -> bool:
         """True iff every dimension-0 image is a singleton."""
         return all(sum(row.values()) == 1 for level in self._rows[:1] for row in level)

@@ -155,28 +155,20 @@ class Multiset(_Chain):
         return cls(dim, [(g, 1) for g in gens])
 
     @classmethod
-    def tally(cls, dim: int, gens: Iterable[GeneratorId]) -> Multiset:
-        """Multiset counting occurrences in the given iterable."""
-        counts: dict[GeneratorId, int] = {}
-        for g in gens:
-            counts[g] = counts.get(g, 0) + 1
-        return cls(dim, counts)
-
-    @classmethod
     def of(cls, *gens: GeneratorId) -> Multiset:
         """Tally of one or more generators; the dimension is taken from the first."""
         if not gens:
             raise ValueError("Multiset.of needs at least one generator; use empty(dim)")
-        return cls.tally(gens[0].dim, gens)
+        counts: dict[GeneratorId, int] = {}
+        for g in gens:
+            counts[g] = counts.get(g, 0) + 1
+        return cls(gens[0].dim, counts)
 
     def count(self, gen: GeneratorId) -> int:
         return self._counts.get(gen, 0)
 
     def support(self) -> tuple[GeneratorId, ...]:
         return tuple(g for g, _ in self._items)
-
-    def support_set(self) -> frozenset[GeneratorId]:
-        return frozenset(self._counts)
 
     def total(self) -> int:
         """Sum of all counts (the augmentation of a dimension-0 chain)."""
@@ -291,15 +283,6 @@ class SignedVector(_Chain):
     def zero(cls, dim: int) -> SignedVector:
         return cls(dim)
 
-    @classmethod
-    def from_parts(cls, neg: Multiset, pos: Multiset) -> SignedVector:
-        """The vector pos - neg."""
-        _same_dim(neg, pos)
-        entries = {g: c for g, c in pos.items()}
-        for g, c in neg.items():
-            entries[g] = entries.get(g, 0) - c
-        return cls(pos.dim, entries)
-
     def entry(self, gen: GeneratorId) -> int:
         return self._counts.get(gen, 0)
 
@@ -330,11 +313,6 @@ class SignedVector(_Chain):
     def is_positive(self) -> bool:
         """True iff every entry is >= 0, i.e. the vector is a multiset."""
         return all(v > 0 for v in self._counts.values())
-
-    def to_multiset(self) -> Multiset:
-        if not self.is_positive():
-            raise ValueError(f"vector {self} has negative entries")
-        return Multiset(self._dim, self._counts)
 
     def __str__(self) -> str:
         return _format_entries((g.name, v) for g, v in self._items)

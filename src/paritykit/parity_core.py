@@ -511,28 +511,6 @@ def _atom(t: _FaceTable, d: int, i: int) -> tuple[tuple, tuple]:
 # face operations
 
 
-class FaceImages(NamedTuple):
-    """Homomorphic face images of a multiset and their mutual differences."""
-
-    neg_image: Multiset      # count-weighted sum of negative faces
-    pos_image: Multiset      # count-weighted sum of positive faces
-    neg_boundary: Multiset   # neg_image \ pos_image
-    pos_boundary: Multiset   # pos_image \ neg_image
-
-
-def face_images(struct: AdditiveParityStructure, s: Multiset) -> FaceImages:
-    """Face images of a multiset over dimension >= 1 generators; the two
-    boundary fields are the parts of its boundary, summed from the signed rows."""
-    if s.dim < 1:
-        raise DimensionMismatchError("face images need a multiset of dimension >= 1")
-    t, d = struct._table, s.dim
-    chain = [(t.index[g], c) for g, c in s.items()]
-    images = [_linear({i: dict(rows[d][i]) for i, _ in chain}, chain) for rows in (t.neg, t.pos)]
-    boundary = _boundary(t, d, chain).items()
-    parts = {j: -c for j, c in boundary if c < 0}, {j: c for j, c in boundary if c > 0}
-    return FaceImages(*(t.multiset(d - 1, x) for x in (*images, *parts)))
-
-
 class SubsetFaces(NamedTuple):
     """Unions of faces of a subset and the unmatched remainders."""
 

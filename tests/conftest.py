@@ -26,6 +26,15 @@ def load_fixture(name: str) -> fixtures.Fixture:
     return fixtures.load_path(FIXTURE_DIR / f"{name}.json")
 
 
+def lift(table, dim: int):
+    """A cell table lifted by identities up to the given dimension."""
+    from paritykit.cells import identity
+
+    while table.dim < dim:
+        table = identity(table)
+    return table
+
+
 def overflow_map():
     """u, v; a, c: u -> v; b: v -> u; x: a a b => c, mapped to itself by
     the identity except a -> MAX_COUNT a: the image of the faces of x

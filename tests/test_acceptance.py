@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import load_fixture
+from conftest import lift, load_fixture
 from randstruct import (
     random_additive_structure,
     random_structured_parity,
@@ -20,7 +20,7 @@ from randstruct import (
 
 from paritykit import cells
 from paritykit.cells import CellTable
-from paritykit.chain import check_complex, extract_structure, from_structure, is_well_formed_element
+from paritykit.chain import check_complex, extract_structure, from_structure
 from paritykit.generators import cube, globe, oriental
 from paritykit.morphisms import (
     GradedMorphism,
@@ -142,8 +142,8 @@ def test_a4_cell_table_properties(a4_corpus):
         for t in enumerated:
             for column in (*t.neg, *t.pos):
                 assert column.is_radical()
-                assert is_well_formed(struct, column.dim, column.support_set())
-                assert is_well_formed_element(complex_, column)
+                assert is_well_formed(struct, column.dim, frozenset(column))
+                assert column.dim or complex_.augmentation(column) == 1
 
         # column/boundary disjointness for every column pair
         for t in enumerated:
@@ -208,8 +208,8 @@ def _check_omega_laws(struct, enumerated):
             z = cells.compose(x, y, k)
             composites[(x, y)] = z
             # units
-            assert cells.compose(cells.lift(faces[(x, k, "source")], x.dim), x, k) == x
-            assert cells.compose(x, cells.lift(faces[(x, k, "target")], x.dim), k) == x
+            assert cells.compose(lift(faces[(x, k, "source")], x.dim), x, k) == x
+            assert cells.compose(x, lift(faces[(x, k, "target")], x.dim), k) == x
             # sources and targets of composites
             assert cells.face(z, k, "source") == faces[(x, k, "source")]
             assert cells.face(z, k, "target") == faces[(y, k, "target")]
@@ -372,7 +372,7 @@ def test_a9_morphism_theorems():
         composite = compose_morphisms(left, right)
         for g in left.source.all_generators():
             union_size = len(
-                set().union(*(right.image(y).support_set() for y in left.image(g)))
+                set().union(*(frozenset(right.image(y)) for y in left.image(g)))
                 if len(left.image(g))
                 else set()
             )

@@ -86,7 +86,7 @@ def test_same_movement_verdicts_and_errors():
                     # the target that s would move m to, if it moves m at all
                     neg = {f for g in s for f in parity.neg(g)}
                     pos = {f for g in s for f in parity.pos(g)}
-                    p = Multiset.subset(d - 1, (m.support_set() - neg) | pos)
+                    p = Multiset.subset(d - 1, (frozenset(m) - neg) | pos)
                 for mode in ("additive", "subset", "strict"):
                     got = outcome(moves, parity, s, m, p, mode=mode)
                     assert outcome(moves, additive, s, m, p, mode=mode) == got

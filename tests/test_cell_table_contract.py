@@ -1,7 +1,7 @@
 """The public contract of CellTable, whichever way a table was made.
 
-A table comes from enumeration, atom closure, atom or cell_zero, the
-cell operations, a fixture, the public constructor, pickling or copying.
+A table comes from enumeration, atom closure, atom (a point's atom is
+its 0-cell), the cell operations, a fixture, the public constructor, pickling or copying.
 Tables with the same columns are equal, hash equal and stand for each
 other as dict keys, over a parity structure and over its additive view
 alike, and they have the same text, sort key and subset flag.
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import load_fixture
+from conftest import lift, load_fixture
 from paritykit import cells, fixtures
 from paritykit.cells import CellTable
 from paritykit.generators import cube, globe, oriental
@@ -105,8 +105,7 @@ class TestEqualityAndHash:
         closure = cells.atom_closure(additive, max_dim)
         assert all(t in closure for t in enumerated)
         for g in struct.all_generators():
-            make = cells.cell_zero if g.dim == 0 else cells.atom
-            same_table(make(additive, g), make(struct, g))
+            same_table(cells.atom(additive, g), cells.atom(struct, g))
 
     def test_over_an_equal_structure_built_again(self):
         first, second = oriental(3), oriental(3)
@@ -125,7 +124,7 @@ class TestEqualityAndHash:
             assert s != t and s != rebuilt(t) and rebuilt(s) != t
 
     def test_cells_of_structures_with_other_names(self):
-        point = cells.cell_zero(globe(0), globe(0).gen("top"))
+        point = cells.atom(globe(0), globe(0).gen("top"))
         other = Multiset.of(GeneratorId(0, "elsewhere"))
         assert point != CellTable([other], [other])
         assert point == CellTable([Multiset.of(GeneratorId(0, "top"))], [Multiset.of(GeneratorId(0, "top"))])
@@ -144,8 +143,8 @@ class TestEqualityAndHash:
             for k in range(t.dim):
                 for sign in ("source", "target"):
                     same_table(cells.face(u, k, sign), cells.face(t, k, sign))
-                for x, y in ((t, cells.lift(cells.face(t, k, "target"), t.dim)),
-                             (cells.lift(cells.face(t, k, "source"), t.dim), t)):
+                for x, y in ((t, lift(cells.face(t, k, "target"), t.dim)),
+                             (lift(cells.face(t, k, "source"), t.dim), t)):
                     whole = cells.compose(x, y, k)
                     assert whole == t
                     for left, right in ((loaded(x), y), (x, loaded(y)), (loaded(x), loaded(y))):
@@ -156,8 +155,7 @@ class TestPickleAndCopy:
     def test_tables_of_every_origin(self, case):
         struct, max_dim, enumerated = case
         closure = list(cells.atom_closure(struct, max_dim))
-        made = [cells.cell_zero(struct, g) for g in struct.generators(0)]
-        made += [cells.atom(struct, g) for g in struct.all_generators() if g.dim >= 1]
+        made = [cells.atom(struct, g) for g in struct.all_generators()]
         for t in sample(enumerated):
             made.append(cells.identity(t))
             made += [cells.face(t, k, "target") for k in range(t.dim)]
@@ -184,7 +182,7 @@ class TestTextAndKeys:
         text = "({0}, {02}, {012}; {2}, {01, 12}, {012})"
         for u in (t, *every_way(t)):
             assert str(u) == text and repr(u) == f"CellTable({text})"
-        lifted = cells.identity(cells.cell_zero(o2, o2.gen("1")))
+        lifted = cells.identity(cells.atom(o2, o2.gen("1")))
         assert str(lifted) == "({1}, {}; {1}, {})"
 
     def test_str_of_a_multiset_column(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import randstruct
-from conftest import load_fixture
+from conftest import lift, load_fixture
 from test_steiner_digraphs import _lex_topological_order
 from paritykit import cells
 from paritykit.cells import (
@@ -24,13 +24,12 @@ from paritykit.cells import (
 from paritykit import fixtures, parity_core
 from paritykit.chain import FreeDirectedComplex, from_structure
 from paritykit.generators import cube, family, globe, oriental
-from paritykit.multiset import GeneratorId, Multiset
+from paritykit.multiset import Multiset
 from paritykit.parity_core import (
     CLASS_WEAK,
     MAX_DIM,
     ParityStructure,
     StructureError,
-    UnknownGeneratorError,
     is_well_formed,
     skeleton,
     validate,
@@ -122,14 +121,14 @@ class TestCompose:
     def test_unit_laws_via_lifted_identities(self, oriental2):
         t = cells.atom(oriental2, oriental2.gen("012"))
         for k in range(t.dim):
-            left = cells.lift(cells.face(t, k, "source"), t.dim)
-            right = cells.lift(cells.face(t, k, "target"), t.dim)
+            left = lift(cells.face(t, k, "source"), t.dim)
+            right = lift(cells.face(t, k, "target"), t.dim)
             assert cells.compose(left, t, k) == t
             assert cells.compose(t, right, k) == t
 
     def test_globe_unit(self, globe2):
         f = cells.atom(globe2, globe2.gen("top"))
-        unit = cells.lift(cells.face(f, 0, "target"), 2)
+        unit = lift(cells.face(f, 0, "target"), 2)
         assert cells.compose(f, unit, 0) == f
 
     def test_not_composable(self, oriental2):
@@ -183,7 +182,7 @@ class TestCompose:
 
 class TestIdentity:
     def test_identity_of_point(self, oriental2):
-        t = cells.cell_zero(oriental2, oriental2.gen("0"))
+        t = cells.atom(oriental2, oriental2.gen("0"))
         assert cells.identity(t) == table(oriental2, [["0"], []], [["0"], []])
 
     def test_identity_preserves_columns(self, oriental2):
@@ -212,7 +211,7 @@ class TestAtom:
         )
 
     def test_point_atom(self, oriental2):
-        assert cells.cell_zero(oriental2, oriental2.gen("1")) == CellTable(
+        assert cells.atom(oriental2, oriental2.gen("1")) == CellTable(
             [Multiset.of(oriental2.gen("1"))], [Multiset.of(oriental2.gen("1"))]
         )
 
@@ -222,16 +221,10 @@ class TestAtom:
         for struct in structs:
             for s in (struct, struct.to_additive()):
                 for g in s.generators(0):
-                    made, zero = cells.atom(s, g), cells.cell_zero(s, g)
-                    assert made == zero and made._rows == zero._rows and made._faces is zero._faces is s._table
+                    made, zero = cells.atom(s, g), CellTable([Multiset.of(g)], [Multiset.of(g)])
+                    assert made == zero and made.dim == 0 and made._faces is s._table
                     points += 1
         assert points == 40
-
-    def test_cell_zero_checks_the_generator_before_its_dimension(self, oriental2):
-        with pytest.raises(UnknownGeneratorError):
-            cells.cell_zero(oriental2, GeneratorId(1, "nowhere"))
-        with pytest.raises(ValueError, match="'01' has dimension 1, expected 0"):
-            cells.cell_zero(oriental2, oriental2.gen("01"))
 
     def test_additive_atom_matches_parity_atom(self, oriental3):
         additive = oriental3.to_additive()
@@ -450,10 +443,10 @@ def value_excision(source, table):
             raise InternalCheckError(f"intermediate column {nxt} is not positive; excision order failed")
         column = Multiset.of(b)
         slices.append(
-            CellTable(neg_row[:-2] + (current.to_multiset(), column), pos_row[:-2] + (nxt.to_multiset(), column))
+            CellTable(neg_row[:-2] + (current.parts()[1], column), pos_row[:-2] + (nxt.parts()[1], column))
         )
         current = nxt
-    if current.to_multiset() != pos_row[-2]:
+    if current.parts()[1] != pos_row[-2]:
         raise InternalCheckError("excision slices do not close up to the target column")
     return slices
 
@@ -611,7 +604,7 @@ class TestExcision:
         assert cells.excision_decompose(oriental2, t) == [t]
 
     def test_identity_decomposes_to_nothing(self, oriental2):
-        t = cells.identity(cells.cell_zero(oriental2, oriental2.gen("0")))
+        t = cells.identity(cells.atom(oriental2, oriental2.gen("0")))
         assert cells.excision_decompose(oriental2, t) == []
 
     def test_oriental3_two_source_recomposes(self, oriental3):
@@ -721,7 +714,7 @@ class TestGeneratedByAtoms:
         assert expr.evaluate(oriental2) == t
 
     def test_identity_witness(self, oriental2):
-        t = cells.identity(cells.cell_zero(oriental2, oriental2.gen("0")))
+        t = cells.identity(cells.atom(oriental2, oriental2.gen("0")))
         expr = cells.generated_by_atoms(oriental2, t)
         assert expr is not None and expr.evaluate(oriental2) == t
 

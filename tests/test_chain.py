@@ -11,12 +11,11 @@ from paritykit.chain import (
     check_complex,
     extract_structure,
     from_structure,
-    is_well_formed_element,
 )
 from paritykit.generators import oriental
 from paritykit.morphisms import ChainMap
 from paritykit.multiset import MAX_COUNT, Multiset, SignedVector
-from paritykit.parity_core import AdditiveParityStructure, ParityStructure, iterated_boundaries
+from paritykit.parity_core import AdditiveParityStructure, ParityStructure, is_well_formed, iterated_boundaries
 
 
 def vec(struct, dim, **entries):
@@ -181,21 +180,21 @@ class TestCheckComplex:
 
 
 class TestWellFormedElement:
+    """A positive chain is well-formed when it is radical and, in dimension
+    0, has augmentation 1; above, when distinct members have disjoint
+    negative faces and disjoint positive faces (`is_well_formed`)."""
+
     def test_oriental2_pair(self, oriental2):
-        K = from_structure(oriental2)
         s = Multiset.subset(1, [oriental2.gen("01"), oriental2.gen("12")])
-        assert is_well_formed_element(K, s)
+        assert s.is_radical() and is_well_formed(oriental2, 1, s)
 
     def test_non_radical(self, oriental2):
-        K = from_structure(oriental2)
-        assert not is_well_formed_element(K, Multiset(1, {oriental2.gen("01"): 2}))
+        assert not Multiset(1, {oriental2.gen("01"): 2}).is_radical()
 
     def test_dimension_zero(self, oriental2):
         K = from_structure(oriental2)
-        assert is_well_formed_element(K, Multiset.of(oriental2.gen("0")))
-        assert not is_well_formed_element(
-            K, Multiset.subset(0, [oriental2.gen("0"), oriental2.gen("1")])
-        )
+        assert K.augmentation(Multiset.of(oriental2.gen("0"))) == 1
+        assert K.augmentation(Multiset.subset(0, [oriental2.gen("0"), oriental2.gen("1")])) == 2
 
     def test_dimension_zero_needs_augmentation(self):
         s = AdditiveParityStructure.build(
@@ -203,20 +202,26 @@ class TestWellFormedElement:
         )
         K = from_structure(s)
         with pytest.raises(AugmentationMissingError):
-            is_well_formed_element(K, Multiset.of(s.gen("v")))
+            K.augmentation(Multiset.of(s.gen("v")))
 
     def test_agrees_with_subset_well_formedness(self, oriental2):
+        # on disjoint faces a generator's boundary parts are its faces, so
+        # the chain reading decides well-formedness from boundary_of alone
         from itertools import combinations
 
-        from paritykit.parity_core import is_well_formed
-
-        K = from_structure(oriental2)
-        gens1 = list(oriental2.generators(1))
-        for r in range(len(gens1) + 1):
-            for combo in combinations(gens1, r):
-                subset_verdict = is_well_formed(oriental2, 1, frozenset(combo))
-                element_verdict = is_well_formed_element(K, Multiset.subset(1, combo))
-                assert subset_verdict == element_verdict
+        verdicts = []
+        for struct, dim in ((oriental2, 1), (oriental(3), 1), (oriental(3), 2)):
+            K = from_structure(struct)
+            gens = list(struct.generators(dim))
+            for r in range(len(gens) + 1):
+                for combo in combinations(gens, r):
+                    parts = [K.boundary_of(g).parts() for g in combo]
+                    chain_verdict = all(
+                        not (frozenset(a) & frozenset(b)) for x, y in combinations(parts, 2) for a, b in zip(x, y)
+                    )
+                    assert is_well_formed(struct, dim, combo) == chain_verdict
+                    verdicts.append(chain_verdict)
+        assert True in verdicts and False in verdicts
 
 
 class TestExtraction:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import paritykit
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, lift
 from paritykit import fixtures
 from paritykit.cli import build_parser, main
 from paritykit.generators import globe, oriental
@@ -190,6 +190,30 @@ class TestCellCommands:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["payload"]["neg"] == [["0"], ["01", "12"]]
+
+    def test_requests_outside_the_domain_exit_1(self, capsys, tmp_path, oriental2_file, atom012_file):
+        # a well-formed cell with an index or dimension the operation does
+        # not take: the reason on stdout, exit 1, as for a failed check
+        from paritykit import cells as cells_mod
+
+        o2 = oriental(2)
+        point = tmp_path / "point.json"
+        point.write_text(fixtures.dumps(cells_mod.atom(o2, o2.gen("0")), name="point"))
+        runs = [
+            (["face", oriental2_file, "--cell", atom012_file, "-k", "2", "--sign", "source"],
+             "cannot take face: face index 2 out of range for a 2-cell\n"),
+            (["face", oriental2_file, "--cell", str(point), "-k", "0", "--sign", "target"],
+             "cannot take face: face index 0 out of range for a 0-cell\n"),
+            (["compose", oriental2_file, "--cells", atom012_file, atom012_file, "-k", "2"],
+             "not composable: composition index 2 out of range for 2-cells\n"),
+        ]
+        for argv, out in runs:
+            for style in ([], ["--format", "structured"]):
+                assert main(argv + style) == 1
+                assert capsys.readouterr() == (out, "")
+        assert main(["decompose", oriental2_file, "--cell", str(point)]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("cannot decompose: ") and err == ""
 
     def test_compose_and_non_composable(self, capsys, tmp_path, oriental2_file):
         from paritykit import cells as cells_mod
@@ -686,7 +710,7 @@ class TestCellContractFuzz:
             for x, y in product(list(pool), repeat=2):
                 for k in range(min(x.dim, y.dim)):
                     try:
-                        pool.append(cells.compose(cells.lift(x, y.dim), cells.lift(y, x.dim), k))
+                        pool.append(cells.compose(lift(x, y.dim), lift(y, x.dim), k))
                     except (ValueError, RuntimeError):
                         pass
             docs = [json.loads(fixtures.dumps(c, name="c")) for c in pool]
@@ -778,9 +802,7 @@ class TestMorphismContractFuzz:
             maps.append(identity_morphism(fixtures.loads(Path(CIRCLE).read_text()).value, mode))
         out = []
         for f in maps:
-            atoms = [
-                cells.atom(f.source, g) if g.dim else cells.cell_zero(f.source, g) for g in f.source.all_generators()
-            ]
+            atoms = [cells.atom(f.source, g) for g in f.source.all_generators()]
             out.append((json.loads(fixtures.dumps(f, name="f")), [fixtures.dumps(c, name="c") for c in atoms]))
         return out
 

@@ -86,7 +86,6 @@ CASES = [
      AugmentationMissingError, r"complex has no augmentation \(basis is not normal\)"),
     ("face sign", lambda: cells.face(cells.atom(O2, EDGE), 0, "up"),
      ValueError, "sign must be 'source' or 'target', got 'up'"),
-    ("cell_zero dimension", lambda: cells.cell_zero(O2, EDGE), ValueError, "'01' has dimension 1, expected 0"),
     ("generated_by_atoms invalid cell", lambda: cells.generated_by_atoms(O2, MISMATCHED()),
      ValueError, "not a valid cell: top columns differ"),
     ("cell cap not an integer", lambda: capped("abc"),
@@ -129,8 +128,6 @@ CASES = [
     # multiset
     ("Multiset.of nothing", lambda: Multiset.of(),
      ValueError, r"Multiset.of needs at least one generator; use empty\(dim\)"),
-    ("SignedVector.to_multiset negative", lambda: SignedVector(0, {POINT: -1}).to_multiset(),
-     ValueError, "vector -0 has negative entries"),
     # generators
     ("globe size", lambda: globe(-1), ValueError, "globe size must be >= 0, got -1"),
     # fixtures and cli

@@ -747,7 +747,7 @@ class TestCanonicalText:
         point = globe(0)
         double = GradedMorphism(point, weighted, {point.gen("top"): Multiset(0, {weighted.gen("é", 0): 2})}, "additive")
         out = [weighted, subset, empty, empty.to_additive(), globe(2), oriental(3).to_additive()]
-        out += [cells.cell_zero(subset, subset.gen("é")), cells.atom(subset, subset.gen("f\\1"))]
+        out += [cells.atom(subset, subset.gen("é")), cells.atom(subset, subset.gen("f\\1"))]
         out += list(cells.enumerate_cells(oriental(2), 2))
         out += [identity_morphism(subset), identity_morphism(weighted, "additive"), double, identity_morphism(empty)]
         return out

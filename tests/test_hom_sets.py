@@ -105,7 +105,7 @@ def _normal_maps(source, target):
         out = list(by_boundary.get(p - m, ()))  # additive: d(image) = f(pos) - f(neg)
         if all(assignment[f].is_radical() for side in faces for f in side):
             m, p = (
-                Multiset.subset(g.dim - 1, set().union(*(assignment[f].support_set() for f in side)))
+                Multiset.subset(g.dim - 1, set().union(*(frozenset(assignment[f]) for f in side)))
                 for side in faces
             )
             out += [x for x in well_formed if x not in out and moves(target, x, m, p, "subset")]

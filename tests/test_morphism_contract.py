@@ -1,8 +1,8 @@
 """The public contract of GradedMorphism and ChainMap, whatever they store.
 
 Pinned here: the exception types and texts of both constructors and the
-order in which they check, the errors of ``image``, ``apply_multiset``
-and ``apply_union``, the failure texts of both validation modes, the
+order in which they check, the errors of ``image`` and ``apply_multiset``,
+the failure texts of both validation modes, the
 errors of ``compose_morphisms``, restriction below dimension 0, and
 equality across a parity structure and its additive view.
 """
@@ -207,14 +207,6 @@ class TestApplication:
         out = self.f.apply_multiset(Multiset(0, {gen(G1, "e0-"): 2, gen(G1, "e0+"): 1}))
         assert out == Multiset(0, {gen(O2, "0"): 2, gen(O2, "1"): 1})
         assert self.f.apply_multiset(Multiset.empty(1)) == Multiset.empty(1)
-
-    def test_apply_union(self):
-        with raises(MorphismError, "'top' has dimension 1, expected 0"):
-            self.f.apply_union(0, [gen(G1, "e0-"), gen(G1, "top")])
-        with raises(UnknownGeneratorError, "generator 'x' (dim 0) not in structure"):
-            self.f.apply_union(0, [GeneratorId(0, "x"), gen(G1, "top")])
-        assert self.f.apply_union(0, [gen(G1, "e0-"), gen(G1, "e0+")]) == {gen(O2, "0"), gen(O2, "1")}
-        assert self.f.apply_union(1, []) == frozenset()
 
     def test_repr_and_normality(self):
         assert repr(self.f) == "<GradedMorphism weak_parity on 3 generators>"

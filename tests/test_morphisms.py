@@ -111,7 +111,7 @@ class TestValidate:
             additive_report = validate_morphism(f, "additive")
             images_wf = all(
                 f.image(g).is_radical()
-                and is_well_formed(oriental2, g.dim, f.image(g).support_set())
+                and is_well_formed(oriental2, g.dim, frozenset(f.image(g)))
                 for g in globe1.all_generators()
             )
             weak_verdict = (

@@ -170,7 +170,7 @@ class TestParts:
     @given(multisets, multisets)
     def test_parts_inverts_from_parts_on_disjoint_pairs(self, m, p):
         m, p = m - p, p - m  # force disjoint supports
-        neg, pos = SignedVector.from_parts(m, p).parts()
+        neg, pos = (p.to_vector() - m.to_vector()).parts()
         assert (neg, pos) == (m, p)
 
 
@@ -228,7 +228,7 @@ class TestConstruction:
         assert v.items() == ((B, 2),)
 
     def test_tally_counts(self):
-        assert Multiset.tally(1, [A, B, A]) == ms(a=2, b=1)
+        assert Multiset.of(A, B, A) == ms(a=2, b=1)
 
     def test_subset_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -311,7 +311,7 @@ class TestValueClasses:
         m, v = Multiset(1, {A: 1}), SignedVector(1, {A: 1})
         assert m != v and v != m
         assert not (m == v) and not (v == m)
-        assert m.to_vector() == v and v.to_multiset() == m
+        assert m.to_vector() == v and v.parts()[1] == m
 
     def test_equality_needs_the_same_dimension(self):
         assert Multiset.empty(1) != Multiset.empty(2)
@@ -352,12 +352,12 @@ class TestValueClasses:
 
     def test_signed_vector_from_parts_and_parts(self):
         # overlapping parts cancel
-        v = SignedVector.from_parts(ms(a=2, b=1), ms(a=1, c=1))
+        v = ms(a=1, c=1).to_vector() - ms(a=2, b=1).to_vector()
         assert v == SignedVector(1, {A: -1, B: -1, C: 1})
         assert v.parts() == (ms(a=1, b=1), ms(c=1))
-        assert SignedVector.from_parts(ms(a=1), ms(a=1)).is_zero()
+        assert (ms(a=1).to_vector() - ms(a=1).to_vector()).is_zero()
         with pytest.raises(DimensionMismatchError):
-            SignedVector.from_parts(ms(a=1), Multiset.empty(2))
+            Multiset.empty(2).to_vector() - ms(a=1).to_vector()
 
 
 def _pickle_and_copy_clones(value):

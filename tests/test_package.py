@@ -1,6 +1,8 @@
 """The package namespace and the report value types."""
 
+import ast
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -18,18 +20,18 @@ EXPORTS = {
     "parity_core": [
         "AdditiveParityStructure", "AxiomFailure", "CycleWitness", "OrderWitness",
         "ParityStructure", "StructureError", "UnknownGeneratorError", "ValidationReport",
-        "atom_faces", "face_images", "is_well_formed", "iterated_boundaries", "moves",
-        "skeleton", "subset_faces", "validate",
+        "atom_faces", "is_well_formed", "iterated_boundaries", "moves", "skeleton",
+        "subset_faces", "validate",
     ],
     "chain": [
         "AugmentationMissingError", "ChainReport", "FreeDirectedComplex", "check_complex",
-        "extract_structure", "from_structure", "is_well_formed_element",
+        "extract_structure", "from_structure",
     ],
     "cells": [
         "AtomExpression", "AtomLeaf", "CellTable", "Composite", "EnumerationCapError",
         "IdentityLift", "InternalCheckError", "NotComposableError", "atom", "atom_closure",
-        "cell_zero", "compose", "enumerate_cells", "excision_decompose", "face",
-        "generated_by_atoms", "identity", "lift", "validate_cell",
+        "compose", "enumerate_cells", "excision_decompose", "face", "generated_by_atoms",
+        "identity", "validate_cell",
     ],
     "morphisms": [
         "ChainMap", "GradedMorphism", "MorphismError", "MorphismReport", "apply_to_cell",
@@ -41,10 +43,50 @@ EXPORTS = {
 }
 ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
+#: Exported names kept because each is a notion of Street 1991 or Steiner
+#: 2004 that a user calls, whether or not other `src/` code reads it: skeleta and
+#: restriction for the inductive arguments, Street's face unions, atoms,
+#: well-formedness and movement, Steiner's iterated boundaries, the
+#: chain-map functor and its inverse on hom-sets, identities, and
+#: generation by atoms.
+PAPER_NOTIONS = {
+    "atom_faces", "generated_by_atoms", "identity_morphism", "induced_chain_map",
+    "is_well_formed", "iterated_boundaries", "morphism_from_chain_map", "moves",
+    "restrict_morphism", "skeleton", "subset_faces",
+}
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "paritykit"
+
+
+def _reached_in_src(name: str) -> bool:
+    """True iff a module of the package other than `__init__` reads the
+    exported name outside its own definition: the defining module, or one
+    that imports the name from it."""
+    home = paritykit._SUBMODULE[name]
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = (
+            node.level == 1 and node.module == home and any(a.name == name and a.asname is None for a in node.names)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        )
+        if path.stem != home and not any(imports):
+            continue
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+                continue
+            if isinstance(node, ast.Name) and node.id == name:
+                return True
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
 
 class TestPackageSurface:
     def test_all_lists_the_exported_names(self):
-        assert len(ALL_NAMES) == 62
+        assert len(ALL_NAMES) == 58
         assert sorted(paritykit.__all__) == ALL_NAMES
         assert len(paritykit.__all__) == len(set(paritykit.__all__))
         assert set(ALL_NAMES) <= set(dir(paritykit))
@@ -68,6 +110,15 @@ class TestPackageSurface:
         assert not hasattr(paritykit, "no_such_name")
         with pytest.raises(ImportError):
             exec("from paritykit import no_such_name", {})
+
+    def test_every_name_is_reached_or_a_paper_notion(self):
+        unreached = {name for name in paritykit.__all__ if not _reached_in_src(name)}
+        assert unreached <= PAPER_NOTIONS, sorted(unreached - PAPER_NOTIONS)
+        assert PAPER_NOTIONS <= set(paritykit.__all__)
+
+    def test_paper_notions_are_in_the_readme(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        assert [name for name in sorted(PAPER_NOTIONS) if f"`{name}`" not in readme] == []
 
     def test_version(self):
         assert paritykit.__version__ == "0.1.0"

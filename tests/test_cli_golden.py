@@ -17,7 +17,11 @@ digests of ``decompose``, ``face``, ``compose``, ``atom``, ``freeness``,
 ``roundtrip``, on globe(3), oriental(3), cube(2) and four structure
 fixtures, cover stderr too; they were recorded before excision sorted
 its top through the validator's relation builder and sort, and exit
-codes 0, 1 and 2 all occur among them.
+codes 0, 1 and 2 all occur among them.  The ``validate --require``
+digests, in both formats, on one structure of each classification, and
+the ``generate -o`` digests of the exit code, stdout, stderr and the
+written file were recorded before the structure classes lost their
+mapping constructor and the family builders their ``bound`` keyword.
 """
 
 import hashlib
@@ -599,3 +603,71 @@ def test_generate_output(capsys, family_name, n, style):
     template += ["--format", "structured"] if style == "structured" else []
     digest = cell_command_digest(capsys, template, [{}])
     assert digest == GOLDEN_CELL_COMMANDS[(f"{family_name}{n}", "generate", style)]
+
+
+# ---------------------------------------------------------------------------
+# validate --require, in both formats, and generate -o: exit code, stdout,
+# stderr and the written file
+
+
+#: One structure per classification: oriental(3) is a parity complex,
+#: weak_not_strong a weak parity complex only, circle an additive parity
+#: complex only and self_loop a parity structure only, so each level is
+#: met by some and failed by the others.
+REQUIRE_STRUCTURES = ("oriental3", "weak_not_strong", "circle", "self_loop")
+REQUIRE_LEVELS = ("apc", "wpc", "pc")
+GOLDEN_REQUIRE = {
+    ('circle', 'apc', 'structured'): '30f8015d1bdce7e603d6ad40d9d9b0f572bc935426f5ac09a481abbc057a711c',
+    ('circle', 'apc', 'text'): '4747d2163ec3ec2236041517fea5385a4165c5e0d483968ab4ed7d5355c2b15c',
+    ('circle', 'pc', 'structured'): 'e594d4225d4bfaa8c5925341237eccad9b52f6e10cad431017e64a746ed770ef',
+    ('circle', 'pc', 'text'): 'a594f755273d7752d0b8aafc6876a3458fa2efa0427e420941327b74db93aa13',
+    ('circle', 'wpc', 'structured'): 'e594d4225d4bfaa8c5925341237eccad9b52f6e10cad431017e64a746ed770ef',
+    ('circle', 'wpc', 'text'): 'a594f755273d7752d0b8aafc6876a3458fa2efa0427e420941327b74db93aa13',
+    ('oriental3', 'apc', 'structured'): 'ef7b79bbc2810a23eaad26ab46623589981c085770958066a7a5d7f0a018c3f5',
+    ('oriental3', 'apc', 'text'): '346867d572449c5ecdaa3466d4362e3c4e61d50efb5e286b0cc89bf798841bd5',
+    ('oriental3', 'pc', 'structured'): 'ef7b79bbc2810a23eaad26ab46623589981c085770958066a7a5d7f0a018c3f5',
+    ('oriental3', 'pc', 'text'): '346867d572449c5ecdaa3466d4362e3c4e61d50efb5e286b0cc89bf798841bd5',
+    ('oriental3', 'wpc', 'structured'): 'ef7b79bbc2810a23eaad26ab46623589981c085770958066a7a5d7f0a018c3f5',
+    ('oriental3', 'wpc', 'text'): '346867d572449c5ecdaa3466d4362e3c4e61d50efb5e286b0cc89bf798841bd5',
+    ('self_loop', 'apc', 'structured'): '8e4fc4750d57d664fcf55c9b654f9264f1476ed883759d355d4b0ef3787c57ca',
+    ('self_loop', 'apc', 'text'): 'cd14563414407c9ae25e8ae9dc217166f6ea6fed6758b4337f6edd9442403018',
+    ('self_loop', 'pc', 'structured'): '8e4fc4750d57d664fcf55c9b654f9264f1476ed883759d355d4b0ef3787c57ca',
+    ('self_loop', 'pc', 'text'): 'cd14563414407c9ae25e8ae9dc217166f6ea6fed6758b4337f6edd9442403018',
+    ('self_loop', 'wpc', 'structured'): '8e4fc4750d57d664fcf55c9b654f9264f1476ed883759d355d4b0ef3787c57ca',
+    ('self_loop', 'wpc', 'text'): 'cd14563414407c9ae25e8ae9dc217166f6ea6fed6758b4337f6edd9442403018',
+    ('weak_not_strong', 'apc', 'structured'): 'c7c03ea5d9e080eda8885051b90ef5b283caa25d6b7a27154a2459f6a2a24879',
+    ('weak_not_strong', 'apc', 'text'): '7c5219c955526cb7bf04f1353f9434144a2366ff250c04324ae2698d0d76d320',
+    ('weak_not_strong', 'pc', 'structured'): '5e4278e7d6ffa323344fd37f9923e84c495f80ca2e6be94e62b5731b553756c6',
+    ('weak_not_strong', 'pc', 'text'): '53dd1714ce23ee478c683308f9ba1cc195461060d7126369c075af36b02facd2',
+    ('weak_not_strong', 'wpc', 'structured'): 'c7c03ea5d9e080eda8885051b90ef5b283caa25d6b7a27154a2459f6a2a24879',
+    ('weak_not_strong', 'wpc', 'text'): '7c5219c955526cb7bf04f1353f9434144a2366ff250c04324ae2698d0d76d320',
+}
+#: generate -o: the families of GENERATE_CASES and a size past oriental's bound.
+GENERATE_OUT_CASES = [*GENERATE_CASES, ("oriental", 9)]
+GOLDEN_GENERATE_OUT = {
+    ('globe', 3): '373b13c5359bb8ceebb9617bfc78585aba6af2cc79659404e00d6e16774e0433',
+    ('oriental', 3): 'be9a5b9fa5569514e961fd646f271b3fca0e2850dc4fad06b979bd731972d563',
+    ('cube', 2): 'b3f447fbd686bfc23afe42252449dfe1f5d4f303fbfde3da5fa0ea951de87273',
+    ('globe', -1): '9181efd3e83bafb896b714aad2e6d04698152b226f5adac6b0e5547c8e9ea248',
+    ('oriental', 9): '612ceac0af6720af01ee377c99459cabe0664c79434ae1680d884b680d6af0fb',
+}
+
+
+@pytest.mark.parametrize("style", BOTH)
+@pytest.mark.parametrize("level", REQUIRE_LEVELS)
+@pytest.mark.parametrize("name", REQUIRE_STRUCTURES)
+def test_validate_require_output(capsys, structure_files, name, level, style):
+    template = ["validate", "{file}", "--require", level]
+    template += ["--format", "structured"] if style == "structured" else []
+    digest = cell_command_digest(capsys, template, [{}], file=structure_files[name]["file"])
+    assert digest == GOLDEN_REQUIRE[(name, level, style)]
+
+
+@pytest.mark.parametrize("family_name, n", GENERATE_OUT_CASES)
+def test_generate_to_a_file(capsys, tmp_path, family_name, n):
+    out = tmp_path / "out.json"
+    code = main(["generate", "--family", family_name, "--n", str(n), "-o", str(out)])
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else b"(no file)"
+    digest = hashlib.sha256(f"{code}\n{captured.out}\n{captured.err}\n".encode() + written).hexdigest()
+    assert digest == GOLDEN_GENERATE_OUT[(family_name, n)]

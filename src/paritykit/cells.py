@@ -68,8 +68,9 @@ class EnumerationCapError(RuntimeError):
 class CellTable:
     """Immutable double row of chains; dimension = number of columns - 1.
 
-    Construction checks only the shape (equal row lengths, column k
-    graded by dimension k); the cell conditions are validate_cell's job.
+    Construction checks only the shape (equal row lengths, column k a
+    pair of Multisets graded by dimension k); the cell conditions are
+    validate_cell's job.
 
     A subset table that comes from a structure -- from enumeration,
     atom closure, atom (a point's atom is its 0-cell), excision,
@@ -93,6 +94,9 @@ class CellTable:
         if not neg or len(neg) != len(pos):
             raise ValueError("cell table needs equal, nonempty rows")
         for k, (m, p) in enumerate(zip(neg, pos)):
+            if not (isinstance(m, Multiset) and isinstance(p, Multiset)):
+                bad = p if isinstance(m, Multiset) else m
+                raise ValueError(f"column {k} must hold Multisets, got {type(bad).__name__}")
             if m.dim != k or p.dim != k:
                 raise ValueError(f"column {k} must be graded by dimension {k}")
         _fill(self, (neg, pos), None)

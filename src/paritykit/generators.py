@@ -22,7 +22,7 @@ from functools import reduce
 
 from .parity_core import ParityStructure
 
-#: Default family size bounds; the corpora grow quickly past these.
+#: Family size bounds; the corpora grow quickly past these.
 GLOBE_MAX = 16
 ORIENTAL_MAX = 7
 CUBE_MAX = 6
@@ -30,23 +30,20 @@ CUBE_MAX = 6
 FAMILIES = ("globe", "oriental", "cube")
 
 
-def _check_bound(family: str, n: int, bound: int, override: int | None) -> None:
-    limit = bound if override is None else override
+def _check_bound(family: str, n: int, limit: int) -> None:
     if n < 0:
         raise ValueError(f"{family} size must be >= 0, got {n}")
     if n > limit:
         raise ValueError(f"{family}({n}) exceeds the bound {limit}")
 
 
-def globe(n: int, *, bound: int | None = None) -> ParityStructure:
+def globe(n: int) -> ParityStructure:
     """The n-globe: two generators per dimension below n and a single top.
 
     Generators are named "e<k>-", "e<k>+" for k < n and "top"; every
     face set is a singleton, so all validator flags hold trivially.
-    A structure's dimension is at most ``parity_core.MAX_DIM``, so
-    ``globe(n, bound=n)`` for n > 64 raises StructureError.
     """
-    _check_bound("globe", n, GLOBE_MAX, bound)
+    _check_bound("globe", n, GLOBE_MAX)
     rows: list[tuple[str, int, list[str], list[str]]] = []
     for k in range(n):
         neg = [f"e{k - 1}-"] if k > 0 else []
@@ -87,35 +84,32 @@ def _join(a: _Rows, b: _Rows) -> _Rows:
     return [*a, *b, *_tensor(augmented(a), augmented(b), 1)]
 
 
-def oriental(n: int, *, bound: int | None = None) -> ParityStructure:
+def oriental(n: int) -> ParityStructure:
     """The parity n-simplex underlying the n-th oriental.
 
-    Vertices are named by single digits, so n is at most 9 whatever the
-    bound; a larger n raises ValueError.
+    Vertices are named by the digits "0", ..., "n", single digits since
+    n is at most ORIENTAL_MAX.
     """
-    _check_bound("oriental", n, ORIENTAL_MAX, bound)
-    digits = "0123456789"
-    if n >= len(digits):
-        raise ValueError(f"oriental({n}) needs {n + 1} vertices, but vertex names are single digits")
-    return ParityStructure.build(reduce(_join, ([(v, 0, [], [])] for v in digits[: n + 1])))
+    _check_bound("oriental", n, ORIENTAL_MAX)
+    return ParityStructure.build(reduce(_join, ([(str(v), 0, [], [])] for v in range(n + 1))))
 
 
-def cube(n: int, *, bound: int | None = None) -> ParityStructure:
+def cube(n: int) -> ParityStructure:
     """The parity n-cube.
 
     The empty word of cube(0) is named "e" (names must be non-empty).
     """
-    _check_bound("cube", n, CUBE_MAX, bound)
+    _check_bound("cube", n, CUBE_MAX)
     interval = [("0", 0, [], []), ("1", 0, [], []), ("*", 1, ["0"], ["1"])]
     return ParityStructure.build(reduce(_tensor, [interval] * n) if n else [("e", 0, [], [])])
 
 
-def family(name: str, n: int, *, bound: int | None = None) -> ParityStructure:
+def family(name: str, n: int) -> ParityStructure:
     """Dispatch on a family name ("globe", "oriental", or "cube")."""
     if name == "globe":
-        return globe(n, bound=bound)
+        return globe(n)
     if name == "oriental":
-        return oriental(n, bound=bound)
+        return oriental(n)
     if name == "cube":
-        return cube(n, bound=bound)
+        return cube(n)
     raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}")

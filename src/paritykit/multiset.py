@@ -167,22 +167,13 @@ class Multiset(_Chain):
     def count(self, gen: GeneratorId) -> int:
         return self._counts.get(gen, 0)
 
-    def support(self) -> tuple[GeneratorId, ...]:
-        return tuple(g for g, _ in self._items)
-
     def total(self) -> int:
         """Sum of all counts (the augmentation of a dimension-0 chain)."""
         return sum(self._counts.values())
 
-    def is_empty(self) -> bool:
-        return not self._counts
-
     def is_radical(self) -> bool:
         """True iff every count is 1, i.e. the multiset is a subset."""
         return all(c == 1 for c in self._counts.values())
-
-    def disjoint_union(self, other: Multiset) -> Multiset:
-        return self + other
 
     def difference(self, other: Multiset) -> Multiset:
         """Truncated difference: pointwise max(count - other, 0)."""
@@ -279,13 +270,6 @@ class SignedVector(_Chain):
         object.__setattr__(self, "_items", tuple(sorted(clean.items())))
         object.__setattr__(self, "_hash", hash((dim, self._items)))
 
-    @classmethod
-    def zero(cls, dim: int) -> SignedVector:
-        return cls(dim)
-
-    def entry(self, gen: GeneratorId) -> int:
-        return self._counts.get(gen, 0)
-
     def is_zero(self) -> bool:
         return not self._counts
 
@@ -304,15 +288,6 @@ class SignedVector(_Chain):
 
     def __neg__(self) -> SignedVector:
         return SignedVector(self._dim, {g: -v for g, v in self._counts.items()})
-
-    def scale(self, k: int) -> SignedVector:
-        if k == 0:
-            return SignedVector.zero(self._dim)
-        return SignedVector(self._dim, {g: k * v for g, v in self._counts.items()})
-
-    def is_positive(self) -> bool:
-        """True iff every entry is >= 0, i.e. the vector is a multiset."""
-        return all(v > 0 for v in self._counts.values())
 
     def __str__(self) -> str:
         return _format_entries((g.name, v) for g, v in self._items)

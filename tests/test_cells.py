@@ -419,9 +419,9 @@ def value_excision(source, table):
         raise ValueError(f"not a valid cell: {reason}")
     neg_row, pos_row = table.neg, table.pos
     top = neg_row[-1]
-    if top.is_empty():
+    if not top:
         return []
-    members = sorted(top.support())
+    members = sorted(top)
     if len(members) == 1 and top.is_radical():
         return [table]
     rows = [faces.index[b] for b in members]
@@ -439,7 +439,7 @@ def value_excision(source, table):
     current = neg_row[-2].to_vector()
     for b in [members[i] for i in order for _ in range(top.count(members[i]))]:
         nxt = current + complex_.boundary_of(b)
-        if not nxt.is_positive():
+        if nxt.parts()[0]:
             raise InternalCheckError(f"intermediate column {nxt} is not positive; excision order failed")
         column = Multiset.of(b)
         slices.append(

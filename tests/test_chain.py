@@ -74,11 +74,11 @@ class TestBoundary:
         K = from_structure(oriental2)
         v = vec(oriental2, 2, **{"012": 1})
         assert K.boundary(v) == vec(oriental2, 1, **{"01": 1, "02": -1, "12": 1})
-        assert K.boundary(v.scale(3)) == K.boundary(v).scale(3)
+        assert K.boundary(v + v + v) == K.boundary(v) + K.boundary(v) + K.boundary(v)
 
     def test_zero_chain(self, oriental2):
         K = from_structure(oriental2)
-        assert K.boundary(SignedVector.zero(2)).is_zero()
+        assert K.boundary(SignedVector(2)).is_zero()
 
     def test_globe2_top(self, globe2):
         K = from_structure(globe2)
@@ -117,6 +117,11 @@ def random_chain(rng, gens, dim):
     return SignedVector(dim, {g: rng.randint(-3, 3) for g in gens if rng.random() < 0.7})
 
 
+def scaled(v, c):
+    """The vector c * v."""
+    return SignedVector(v.dim, {g: c * x for g, x in v.items()})
+
+
 class TestLinearExtension:
     """boundary and ChainMap.apply equal the termwise sums of scaled images."""
 
@@ -130,14 +135,14 @@ class TestLinearExtension:
         for n in struct.dims():
             v = random_chain(rng, K.generators(n), n)
             if n >= 1:
-                expected = SignedVector.zero(n - 1)
+                expected = SignedVector(n - 1)
                 for g, c in v.items():
-                    expected = expected + K.boundary_of(g).scale(c)
+                    expected = expected + scaled(K.boundary_of(g), c)
                 assert K.boundary(v) == expected
             w = random_chain(rng, cm.source.generators(n), n)
-            expected = SignedVector.zero(n)
+            expected = SignedVector(n)
             for h, c in w.items():
-                expected = expected + cm.image(h).scale(c)
+                expected = expected + scaled(cm.image(h), c)
             assert cm.apply(w) == expected
 
     def test_boundary_entry_past_max_count(self):

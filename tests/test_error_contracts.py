@@ -79,6 +79,11 @@ CASES = [
     ("CellTable empty rows", lambda: CellTable([], []), ValueError, "cell table needs equal, nonempty rows"),
     ("CellTable ungraded column", lambda: CellTable([Multiset.empty(1)], [Multiset.empty(1)]),
      ValueError, "column 0 must be graded by dimension 0"),
+    ("CellTable column not a Multiset", lambda: CellTable([SignedVector(0, {POINT: -1})], [SignedVector(0, {POINT: -1})]),
+     ValueError, "column 0 must hold Multisets, got SignedVector"),
+    ("CellTable upper column not a Multiset",
+     lambda: CellTable([point(O2, "0"), Multiset.of(EDGE)], [point(O2, "1"), SignedVector(1, {EDGE: 1})]),
+     ValueError, "column 1 must hold Multisets, got SignedVector"),
     ("validate_cell mode", lambda: cells.validate_cell(O2, cells.atom(O2, POINT), mode="bogus"),
      ValueError, "unknown cell mode 'bogus'"),
     ("validate_cell nu without augmentation",
@@ -94,7 +99,7 @@ CASES = [
     # chain
     ("boundary_of a point", lambda: from_structure(O2).boundary_of(POINT),
      StructureError, "dimension-0 generator '0' has no boundary"),
-    ("boundary in dimension 0", lambda: from_structure(O2).boundary(SignedVector.zero(0)),
+    ("boundary in dimension 0", lambda: from_structure(O2).boundary(SignedVector(0)),
      StructureError, "boundary needs a chain of dimension >= 1"),
     ("augmentation above dimension 0", lambda: from_structure(O2).augmentation(Multiset.of(EDGE)),
      StructureError, "augmentation applies in dimension 0, got 1"),

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from math import comb
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import randstruct
 from paritykit.cells import atom_closure, enumerate_cells
 from paritykit.chain import check_complex, from_structure
-from paritykit.generators import _join, _tensor, cube, family, globe, oriental
+from paritykit.generators import GLOBE_MAX, ORIENTAL_MAX, _join, _tensor, cube, family, globe, oriental
 from paritykit.multiset import GeneratorId, Multiset, SignedVector
 from paritykit.parity_core import CLASS_PARITY_COMPLEX, ParityStructure, StructureError, validate
 
@@ -34,9 +35,12 @@ class TestGlobe:
         assert names(s.pos(e2m)) == ["e1+"]
 
     def test_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^globe\(17\) exceeds the bound 16$"):
             globe(17)
-        globe(17, bound=20)
+        assert globe(GLOBE_MAX).max_dim == 16
+        for build in (globe, oriental, cube, partial(family, "globe")):
+            with pytest.raises(TypeError):
+                build(1, bound=20)  # the bounds are fixed
 
 
 class TestOriental:
@@ -78,9 +82,10 @@ class TestOriental:
             oriental(8)
 
     def test_vertex_names_are_single_digits(self):
-        assert len(oriental(9, bound=9)) == 2**10 - 1
-        with pytest.raises(ValueError, match="single digits"):
-            oriental(10, bound=12)
+        assert names(oriental(ORIENTAL_MAX).generators(0)) == list("01234567")
+        for n in (9, 10):
+            with pytest.raises(ValueError, match=rf"^oriental\({n}\) exceeds the bound 7$"):
+                oriental(n)
 
 
 class TestCube:

@@ -100,7 +100,7 @@ def _normal_maps(source, target):
             return points
         by_boundary, well_formed = candidates[g.dim]
         faces = source.neg(g), source.pos(g)  # subsets: the pool holds parity structures
-        zero = SignedVector.zero(g.dim - 1)
+        zero = SignedVector(g.dim - 1)
         m, p = (sum((assignment[f].to_vector() for f in side), zero) for side in faces)
         out = list(by_boundary.get(p - m, ()))  # additive: d(image) = f(pos) - f(neg)
         if all(assignment[f].is_radical() for side in faces for f in side):

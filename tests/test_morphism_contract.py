@@ -133,7 +133,7 @@ class TestChainMapConstructor:
 
     def test_key_outside_the_source(self):
         with raises(UnknownGeneratorError, "generator 'junk' (dim 3) not in structure"):
-            ChainMap(self.K, self.L, {**vectors(edge()), JUNK: SignedVector.zero(3)})
+            ChainMap(self.K, self.L, {**vectors(edge()), JUNK: SignedVector(3)})
 
     def test_wrong_dimension(self):
         images = {**vectors(edge()), gen(G1, "top"): SignedVector(0, {gen(O2, "0"): 1})}
@@ -157,14 +157,14 @@ class TestChainMapConstructor:
         assert str(cm.apply(SignedVector(1, {gen(G1, "top"): -2}))) == "-202 +212"
 
     def test_keys_are_checked_before_any_image(self):
-        images = {gen(G1, "e0-"): SignedVector(1, {NOPE: 1}), JUNK: SignedVector.zero(3)}
+        images = {gen(G1, "e0-"): SignedVector(1, {NOPE: 1}), JUNK: SignedVector(3)}
         with raises(UnknownGeneratorError, "generator 'junk' (dim 3) not in structure"):
             ChainMap(self.K, self.L, images)
 
     def test_generators_are_checked_in_dimension_order(self):
         # a failing 0-image is reported before a missing 1-image, and a
         # failing 1-image before a 2-image outside the target
-        images = {gen(G1, "e0-"): SignedVector(1, {gen(O2, "01"): 1}), gen(G1, "e0+"): SignedVector.zero(0)}
+        images = {gen(G1, "e0-"): SignedVector(1, {gen(O2, "01"): 1}), gen(G1, "e0+"): SignedVector(0)}
         with raises(MorphismError, "image of 'e0-' has dimension 1, expected 0"):
             ChainMap(self.K, self.L, images)
         K2, L2 = from_structure(globe(2)), from_structure(oriental(3))
@@ -173,7 +173,7 @@ class TestChainMapConstructor:
             GeneratorId(0, "e0-"): vertex,
             GeneratorId(0, "e0+"): vertex,
             GeneratorId(1, "e1-"): SignedVector(1, {L2.structure.gen("01"): 1}),
-            GeneratorId(1, "e1+"): SignedVector.zero(1),
+            GeneratorId(1, "e1+"): SignedVector(1),
             GeneratorId(2, "top"): SignedVector(2, {GeneratorId(2, "nope"): 1}),
         }
         with raises(MorphismError, "chain map does not commute with the boundary at e1-: -0 +1 vs 0"):
@@ -342,5 +342,5 @@ class TestImagesAboveTheTarget:
         assert fixtures.loads(fixtures.dumps(f, name="f")).value == f
         assert '"2": {\n        "top": []\n      }' in fixtures.dumps(f, name="f")
         cm = induced_chain_map(f)
-        assert cm.image(f.source.gen("top")) == SignedVector.zero(2)
+        assert cm.image(f.source.gen("top")) == SignedVector(2)
         assert restrict_morphism(f, 1).source.max_dim == 1

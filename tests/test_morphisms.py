@@ -264,7 +264,7 @@ class TestChainMapChecksItsImages:
     def test_points_sent_outside_the_target(self):
         source, target = globe(1), oriental(2)
         nope = SignedVector(0, {GeneratorId(0, "nope"): 1})
-        images = {g: nope if g.dim == 0 else SignedVector.zero(1) for g in source.all_generators()}
+        images = {g: nope if g.dim == 0 else SignedVector(1) for g in source.all_generators()}
         with pytest.raises(UnknownGeneratorError, match=r"^generator 'nope' \(dim 0\) not in structure$"):
             ChainMap(from_structure(source), from_structure(target), images)
 
@@ -283,9 +283,9 @@ class TestChainMapChecksItsImages:
         images = {g: SignedVector(g.dim, {g: 1}) for g in oriental(2).all_generators()}
         junk = GeneratorId(5, "junk")
         with pytest.raises(UnknownGeneratorError, match=r"^generator 'junk' \(dim 5\) not in structure$"):
-            ChainMap(complex_, complex_, {**images, junk: SignedVector.zero(5)})
+            ChainMap(complex_, complex_, {**images, junk: SignedVector(5)})
         with pytest.raises(UnknownGeneratorError, match="'junk'"):
-            ChainMap(complex_, complex_, {**images, GeneratorId(0, "junk"): SignedVector.zero(0)})
+            ChainMap(complex_, complex_, {**images, GeneratorId(0, "junk"): SignedVector(0)})
         assert ChainMap(complex_, complex_, images) == induced_chain_map(identity_morphism(oriental(2)))
 
 

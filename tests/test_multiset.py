@@ -109,7 +109,7 @@ class TestDisjointUnion:
         assert Multiset.empty(1) + s == s
 
     def test_disjoint_supports(self):
-        assert ms(a=1).disjoint_union(ms(b=1)) == ms(a=1, b=1)
+        assert ms(a=1) + ms(b=1) == ms(a=1, b=1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -127,7 +127,7 @@ class TestDifference:
 
     def test_self_difference_is_empty(self):
         s = ms(a=3, b=1)
-        assert (s - s).is_empty()
+        assert not s - s
 
     def test_partial_overlap(self):
         assert ms(a=1, b=1).difference(ms(b=1, c=1)) == ms(a=1)
@@ -142,7 +142,7 @@ class TestMeetJoin:
     def test_with_empty(self):
         s = ms(a=1, b=2)
         meet, join = s.meet(Multiset.empty(1)), s.join(Multiset.empty(1))
-        assert meet.is_empty() and join == s
+        assert not meet and join == s
 
     def test_disjointness_via_meet(self):
         assert ms(a=1).disjoint(ms(c=1))
@@ -159,8 +159,8 @@ class TestParts:
         assert pos == Multiset(1, {g01: 1, g12: 1})
 
     def test_zero_vector(self):
-        neg, pos = SignedVector.zero(3).parts()
-        assert neg.is_empty() and pos.is_empty()
+        neg, pos = SignedVector(3).parts()
+        assert not neg and not pos
 
     def test_coefficients(self):
         v = SignedVector(1, {B: -2, A: 1})
@@ -207,7 +207,7 @@ class TestMonoidLaws:
 
     @given(multisets, multisets)
     def test_le_agrees_with_difference(self, s, t):
-        assert (s <= t) == (s - t).is_empty()
+        assert (s <= t) == (not s - t)
 
 
 class TestConstruction:
@@ -266,11 +266,11 @@ class TestConstructorContract:
         assert Multiset(1, {A: MAX_COUNT}).count(A) == MAX_COUNT
 
     def test_signed_vector_faults(self):
-        assert SignedVector(1, {A: 0}) == SignedVector.zero(1)
-        assert SignedVector(1, {A: -1}).entry(A) == -1
+        assert SignedVector(1, {A: 0}) == SignedVector(1)
+        assert SignedVector(1, {A: -1}).items() == ((A, -1),)
         for value in (TOO_BIG, -TOO_BIG):
             assert raised(SignedVector, 1, {A: value}) == (OverflowError, f"entry for 'a' exceeds {MAX_COUNT}")
-        assert SignedVector(1, {A: -MAX_COUNT}).entry(A) == -MAX_COUNT
+        assert SignedVector(1, {A: -MAX_COUNT}).items() == ((A, -MAX_COUNT),)
         assert raised(SignedVector, 1, [(A, 1), (A, -1)]) == (ValueError, "duplicate generator 'a'")
         assert raised(SignedVector, 1, {X2: 1}) == (
             DimensionMismatchError, "generator 'x' has dimension 2, expected 1"
@@ -315,7 +315,7 @@ class TestValueClasses:
 
     def test_equality_needs_the_same_dimension(self):
         assert Multiset.empty(1) != Multiset.empty(2)
-        assert SignedVector.zero(1) != SignedVector.zero(2)
+        assert SignedVector(1) != SignedVector(2)
 
     def test_immutable(self):
         for value, text in ((ms(a=1), "Multiset is immutable"), (SignedVector(1, {A: 1}), "SignedVector is immutable")):
@@ -340,13 +340,11 @@ class TestValueClasses:
     def test_signed_vector_arithmetic(self):
         v, w = SignedVector(1, {A: 2, B: -1}), SignedVector(1, {A: 2, C: 3})
         assert v - w == SignedVector(1, {B: -1, C: -3})
-        assert (v - v).is_zero() and v - SignedVector.zero(1) == v
+        assert (v - v).is_zero() and v - SignedVector(1) == v
         assert -v == SignedVector(1, {A: -2, B: 1}) and -(-v) == v
         assert v + w == SignedVector(1, {A: 4, B: -1, C: 3})
-        assert v.scale(0) == SignedVector.zero(1) and v.scale(0).dim == 1
-        assert v.scale(-3) == SignedVector(1, {A: -6, B: 3})
         with pytest.raises(DimensionMismatchError):
-            v - SignedVector.zero(2)
+            v - SignedVector(2)
         with pytest.raises(OverflowError):
             SignedVector(1, {A: -MAX_COUNT}) - SignedVector(1, {A: 1})
 
@@ -376,7 +374,7 @@ class TestValuesPickleAndCopy:
             ms(a=2, b=1),
             Multiset.empty(3),
             SignedVector(1, {A: -2, C: 1}),
-            SignedVector.zero(0),
+            SignedVector(0),
             CellTable([column, Multiset(1, {A: 1})], [Multiset(0, {q: 1}), Multiset(1, {A: 1})]),
         ]
         for value in values:

@@ -1,8 +1,11 @@
 """The package namespace and the report value types."""
 
 import ast
+import inspect
+from functools import cache
 from importlib import import_module
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -54,8 +57,27 @@ PAPER_NOTIONS = {
     "is_well_formed", "iterated_boundaries", "morphism_from_chain_map", "moves",
     "restrict_morphism", "skeleton", "subset_faces",
 }
+#: Public methods of exported classes kept for the same reason, by
+#: `Class.method`: the chain complex's boundary and augmentation
+#: (Steiner's augmented directed complexes), the parts of a chain, a
+#: chain map's action and composite, a graded morphism's action on a
+#: multiset, the parity view of an additive structure, Street's meet and
+#: disjointness of face sets, and the zero test of dd = 0.
+PAPER_METHODS = {
+    "AdditiveParityStructure.as_parity", "ChainMap.apply", "ChainMap.then",
+    "FreeDirectedComplex.augmentation", "FreeDirectedComplex.boundary",
+    "GradedMorphism.apply_multiset", "Multiset.disjoint", "Multiset.meet",
+    "SignedVector.is_zero", "SignedVector.parts",
+}
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "paritykit"
+
+
+@cache
+def _trees() -> dict[Path, ast.Module]:
+    """The syntax tree of each module of the package and of `perfbench/`."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in [*SRC.glob("*.py"), *(REPO / "perfbench").rglob("*.py")]}
 
 
 def _reached_in_src(name: str) -> bool:
@@ -63,10 +85,9 @@ def _reached_in_src(name: str) -> bool:
     exported name outside its own definition: the defining module, or one
     that imports the name from it."""
     home = paritykit._SUBMODULE[name]
-    for path in SRC.glob("*.py"):
-        if path.stem == "__init__":
+    for path, tree in _trees().items():
+        if path.parent != SRC or path.stem == "__init__":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         imports = (
             node.level == 1 and node.module == home and any(a.name == name and a.asname is None for a in node.names)
             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -82,6 +103,51 @@ def _reached_in_src(name: str) -> bool:
                 return True
             stack.extend(ast.iter_child_nodes(node))
     return False
+
+
+def public_methods() -> dict[str, type]:
+    """Each public method, property and classmethod of an exported class,
+    inherited ones included, as `Class.method`, with the package class
+    that defines it."""
+    out = {}
+    for name in paritykit.__all__:
+        cls = getattr(paritykit, name)
+        if not inspect.isclass(cls):
+            continue
+        for home in cls.__mro__:
+            if not home.__module__.startswith("paritykit."):
+                continue
+            for attr, value in vars(home).items():
+                if attr.startswith("_") or attr in getattr(cls, "_fields", ()):
+                    continue
+                if isinstance(value, (FunctionType, property, classmethod, staticmethod)):
+                    out.setdefault(f"{name}.{attr}", home)
+    return out
+
+
+@cache
+def _attribute_reads() -> dict[str, set[str]]:
+    """Each attribute read in the package or `perfbench/`, with where it
+    is read: `module.Class.method` inside a method of a package class,
+    the empty string elsewhere."""
+    reads: dict[str, set[str]] = {}
+    for path, tree in _trees().items():
+        module = f"paritykit.{path.stem}" if path.parent == SRC else ""
+        stack = [(tree, "")]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add(where)
+            for child in ast.iter_child_nodes(node):
+                method = module and isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
+                stack.append((child, f"{module}.{node.name}.{child.name}" if method else where))
+    return reads
+
+
+def _read_as_attribute(attr: str, home: type) -> bool:
+    """True iff a module of the package or of `perfbench/` reads the
+    attribute, on any value, outside the definition of it in `home`."""
+    return bool(_attribute_reads().get(attr, set()) - {f"{home.__module__}.{home.__name__}.{attr}"})
 
 
 class TestPackageSurface:
@@ -118,7 +184,18 @@ class TestPackageSurface:
 
     def test_paper_notions_are_in_the_readme(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
-        assert [name for name in sorted(PAPER_NOTIONS) if f"`{name}`" not in readme] == []
+        assert [name for name in sorted(PAPER_NOTIONS | PAPER_METHODS) if f"`{name}`" not in readme] == []
+
+    def test_every_public_method_is_read_or_a_paper_notion(self):
+        methods = public_methods()
+        unread = {name for name, home in methods.items() if not _read_as_attribute(name.split(".")[1], home)}
+        assert unread <= PAPER_METHODS, sorted(unread - PAPER_METHODS)
+        assert PAPER_METHODS <= set(methods)
+
+    def test_renaming_methods_are_gone(self):
+        gone = {"Multiset.disjoint_union", "Multiset.support", "Multiset.is_empty", "SignedVector.scale",
+                "SignedVector.entry", "SignedVector.is_positive", "SignedVector.zero"}
+        assert gone.isdisjoint(public_methods())
 
     def test_version(self):
         assert paritykit.__version__ == "0.1.0"

@@ -671,3 +671,33 @@ def test_generate_to_a_file(capsys, tmp_path, family_name, n):
     written = out.read_bytes() if out.exists() else b"(no file)"
     digest = hashlib.sha256(f"{code}\n{captured.out}\n{captured.err}\n".encode() + written).hexdigest()
     assert digest == GOLDEN_GENERATE_OUT[(family_name, n)]
+
+
+# ---------------------------------------------------------------------------
+# usage errors: exit 2, nothing on stdout, and on stderr argparse's usage
+# line and error prefix; the rest of its wording differs across Python
+# versions and is not pinned
+
+
+#: Per case, its argv ({file} a structure, {cell} a cell) and the program
+#: name that the usage line and the error prefix give.
+USAGE_ERRORS = {
+    "no subcommand": ([], "paritykit"),
+    "unknown subcommand": (["frobnicate", "{file}"], "paritykit"),
+    "missing argument": (["face", "{file}", "-k", "0", "--sign", "source"], "paritykit face"),
+    "bad sign": (["face", "{file}", "--cell", "{cell}", "-k", "0", "--sign", "up"], "paritykit face"),
+    "bad family": (["generate", "--family", "torus", "--n", "2"], "paritykit generate"),
+    "max-dim not an integer": (["cells", "{file}", "--max-dim", "two"], "paritykit cells"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error(capsys, structure_files, case):
+    argv, prog = USAGE_ERRORS[case]
+    files = structure_files["globe3"]
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(file=files["file"], cell=files["cells"][0]["cell"]) for arg in argv])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert lines[0].startswith(f"usage: {prog} ") and lines[-1].startswith(f"{prog}: error: ")

@@ -32,6 +32,8 @@ from paritykit.parity_core import (
     validate,
 )
 
+pytestmark = pytest.mark.frozen
+
 
 def names(level):
     return sorted(g.name for g in level)

@@ -19,6 +19,8 @@ from paritykit.cells import CellTable
 from paritykit.generators import cube, globe, oriental
 from paritykit.multiset import GeneratorId, Multiset
 
+pytestmark = pytest.mark.frozen
+
 
 def rebuilt(t):
     return CellTable(t.neg, t.pos)

@@ -373,6 +373,7 @@ class TestEnumerate:
         ("cube", 4, 4, 1679, "6aef60bb4cfee0488d6d707478a221226f812eae2bf82632975bfd8d9699c73f"),
     ]
 
+    @pytest.mark.frozen
     @pytest.mark.parametrize("name, n, max_dim, count, digest", GOLDEN)
     def test_golden_enumeration(self, name, n, max_dim, count, digest):
         enumerated = cells.enumerate_cells(family(name, n), max_dim)
@@ -509,6 +510,7 @@ ORDER_CASES = [
 ]
 
 
+@pytest.mark.frozen
 class TestEnumerationOrder:
     """enumerate_cells against one sort of all its cells."""
 
@@ -568,6 +570,7 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
+@pytest.mark.frozen
 class TestExcision:
     def test_matches_the_value_algorithm(self):
         checked = set()
@@ -770,6 +773,7 @@ class TestAtomClosure:
         ("weak_not_strong", None, 2, 26, "59e8216a21c4fb6582e866017a3976fbf68e4c34fdf0f0008a9d808e22d498c0"),
     ]
 
+    @pytest.mark.frozen
     @pytest.mark.parametrize("name, n, max_dim, count, digest", GOLDEN)
     def test_golden_witnesses(self, name, n, max_dim, count, digest):
         struct = load_fixture(name).value if n is None else family(name, n)
@@ -781,6 +785,7 @@ class TestAtomClosure:
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.frozen
     def test_matches_the_unpruned_search(self, monkeypatch):
         # an identity is a unit for every k-composite, so skipping identity
         # operands leaves the cells, their order and their witnesses alone
@@ -798,6 +803,7 @@ class TestAtomClosure:
         capped = outcome(cells._closure, o4, 4)
         assert capped == outcome(unpruned_closure, o4, 4) and capped[0] is EnumerationCapError
 
+    @pytest.mark.frozen
     def test_composites_tried(self, monkeypatch):
         calls = []
         composite = cells._composite

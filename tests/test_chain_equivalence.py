@@ -17,6 +17,8 @@ from paritykit.multiset import Multiset
 from paritykit.parity_core import ParityStructure
 from test_report_digests import POPULATIONS
 
+pytestmark = pytest.mark.frozen
+
 #: The report-digest populations that hold parity structures.
 PARITY_POPULATIONS = ("families", "random_structure-parity", "random_structured_parity", "raw-parity")
 

@@ -37,6 +37,8 @@ from paritykit import fixtures
 from paritykit.cli import main
 from paritykit.generators import family
 
+pytestmark = pytest.mark.frozen
+
 FAMILY_CASES = [("globe", 3), ("oriental", 4), ("cube", 3)]
 FAMILY_COMMANDS = {
     "validate": ["validate", "{file}", "--format", "structured"],

@@ -38,6 +38,8 @@ from paritykit.parity_core import (
     subset_faces,
 )
 
+pytestmark = pytest.mark.frozen
+
 G1, O2 = globe(1), oriental(2)
 POINT, EDGE, TOP = O2.gen("0"), O2.gen("01"), G1.gen("top")
 #: a: {u, v} -> {w}, whose basis is not normal

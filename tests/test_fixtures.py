@@ -9,6 +9,8 @@ from paritykit.morphisms import GradedMorphism, MorphismError
 from paritykit.multiset import GeneratorId, Multiset
 from paritykit.parity_core import AdditiveParityStructure, ParityStructure
 
+pytestmark = pytest.mark.frozen
+
 
 class TestRoundTrip:
     def test_structures(self):

@@ -49,6 +49,8 @@ from paritykit.morphisms import (
 from paritykit.multiset import Multiset, SignedVector
 from paritykit.parity_core import CLASS_WEAK, is_well_formed, moves, validate
 
+pytestmark = pytest.mark.frozen
+
 DRAWS = 8
 #: One valid map in this many has its cell images checked.
 CELL_SAMPLE = 8

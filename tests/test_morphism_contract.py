@@ -27,6 +27,8 @@ from paritykit.morphisms import (
 from paritykit.multiset import MAX_COUNT, GeneratorId, Multiset, SignedVector
 from paritykit.parity_core import AdditiveParityStructure, UnknownGeneratorError
 
+pytestmark = pytest.mark.frozen
+
 
 def raises(exc, text):
     return pytest.raises(exc, match=f"^{re.escape(text)}$")

@@ -23,6 +23,8 @@ from paritykit.morphisms import (
 from paritykit.multiset import MAX_COUNT, GeneratorId, Multiset, SignedVector
 from paritykit.parity_core import ParityStructure, UnknownGeneratorError, is_well_formed, validate
 
+pytestmark = pytest.mark.frozen
+
 
 @pytest.fixture(scope="module")
 def globe_to_triangle():

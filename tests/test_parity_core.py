@@ -123,6 +123,7 @@ class TestConstruction:
         assert type(info.value) is error
         assert str(info.value) == message
 
+    @pytest.mark.frozen
     def test_the_least_bad_face_is_named(self):
         # a row's faces are resolved in row order, negative before
         # positive, so the unknown face named is the first one in the row,

@@ -23,6 +23,8 @@ from paritykit.chain import check_complex, from_structure
 from paritykit.generators import CUBE_MAX, GLOBE_MAX, ORIENTAL_MAX, cube, family, globe, oriental
 from paritykit.parity_core import AdditiveParityStructure, ParityStructure, validate
 
+pytestmark = pytest.mark.frozen
+
 COUNT = 40
 
 

@@ -30,6 +30,8 @@ from paritykit.parity_core import (
     validate,
 )
 
+pytestmark = pytest.mark.frozen
+
 
 # ---------------------------------------------------------------------------
 # the defining relation and the sort, as they ran on every edge

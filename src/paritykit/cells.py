@@ -261,7 +261,7 @@ def face(table: CellTable, k: int, sign: str) -> CellTable:
 def identity(table: CellTable) -> CellTable:
     """The identity one dimension up: same columns plus a pair of zeros."""
     neg, pos = table._rows
-    zero = Multiset.empty(table.dim + 1) if table._faces is None else 0
+    zero = Multiset(table.dim + 1) if table._faces is None else 0
     return CellTable._of(table._faces, (neg + (zero,), pos + (zero,)))
 
 

@@ -64,14 +64,12 @@ class FreeDirectedComplex:
         self._structure.require(gen)
 
     def boundary_of(self, gen: GeneratorId) -> SignedVector:
-        """Boundary of a generator of dimension >= 1, built on first use and kept on the face table."""
+        """Boundary of a generator of dimension >= 1, built from its signed row."""
         t = self._table
         i = t.index[gen]  # a generator the structure lacks raises
         if gen.dim == 0:
             raise StructureError(f"dimension-0 generator {gen.name!r} has no boundary")
-        if gen not in t.boundaries:
-            t.boundaries[gen] = t.vector(gen.dim - 1, t.signed[gen.dim][i])
-        return t.boundaries[gen]
+        return t.vector(gen.dim - 1, t.signed[gen.dim][i])
 
     def boundary(self, v: SignedVector) -> SignedVector:
         """Linear extension of the generator boundaries, summed from the signed rows."""

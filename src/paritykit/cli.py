@@ -203,6 +203,8 @@ def _cmd_cells(args) -> int:
 
 def _cmd_face(args) -> int:
     from .cells import _check_cell, face
+    if args.k < 0:
+        raise _UsageError(f"k must be >= 0, got {args.k}")
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     cell_fixture = _load(args.cell, fixtures.KIND_CELL)
     table = cell_fixture.value
@@ -212,7 +214,7 @@ def _cmd_face(args) -> int:
         return 1
     try:
         result = face(table, args.k, args.sign)
-    except ValueError as exc:  # k out of range; argparse checks the sign
+    except ValueError as exc:  # k at or above the cell's dimension; argparse checks the sign
         print(f"cannot take face: {exc}")
         return 1
     _cell_out(args, result, name=f"{cell_fixture.name}-{args.sign}-{args.k}")
@@ -221,6 +223,8 @@ def _cmd_face(args) -> int:
 
 def _cmd_compose(args) -> int:
     from .cells import NotComposableError, _check_cell, compose
+    if args.k < 0:
+        raise _UsageError(f"k must be >= 0, got {args.k}")
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     first = _load(args.cells[0], fixtures.KIND_CELL)
     second = _load(args.cells[1], fixtures.KIND_CELL)

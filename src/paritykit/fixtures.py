@@ -7,7 +7,8 @@ Emission is canonical, so parse(print(x)) == x and output bytes are
 deterministic: they are those of ``json.dumps(doc, indent=2,
 sort_keys=True)`` plus a newline.  Structure elements, of a structure
 document or a morphism's source and target, are written straight from
-the face table's rows; ``_text`` writes cells, assignments and reports.
+the face table's rows; ``_text``, which indents ``json.dumps`` output,
+writes cells, assignments and reports.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def loads(text: str) -> Fixture:
     if type(doc) is not dict:
         raise FixtureError("fixture must be a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise FixtureError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     kind = doc.get("kind")
     if kind not in KINDS:
@@ -243,11 +244,6 @@ def loads(text: str) -> Fixture:
     else:
         value = _morphism_from_payload(payload, where)
     return Fixture(kind=kind, name=name, value=value)
-
-
-def load_path(path) -> Fixture:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +327,9 @@ def _payload_text(value: Any) -> tuple[str, str]:
 
 
 def _text(value: Any, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a
-    fixture or report holds (dicts with string keys, lists, strings,
-    ints, booleans and None), with every line break followed by
-    ``indent``'s spaces."""
-    if type(value) is str:
-        return _encode(value)
-    if value is None:
-        return "null"
-    if type(value) is bool:
-        return "true" if value else "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    inner = indent + "  "
-    if type(value) is dict:
-        items, brackets = [f"{_encode(k)}: {_text(value[k], inner)}" for k in sorted(value)], "{}"
-    else:
-        items, brackets = [_text(v, inner) for v in value], "[]"
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    """``json.dumps(value, indent=2, sort_keys=True)`` with every line
+    break followed by ``indent``'s spaces."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
 
 def dumps(value: Any, name: str = "") -> str:

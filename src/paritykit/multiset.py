@@ -88,9 +88,6 @@ class _Chain:
     def items(self) -> tuple[tuple[GeneratorId, int], ...]:
         return self._items
 
-    def sort_key(self) -> tuple:
-        return tuple((g.name, c) for g, c in self._items)
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -135,6 +132,8 @@ class Multiset(_Chain):
                 )
             if gen in clean:
                 raise ValueError(f"duplicate generator {gen.name!r}")
+            if type(count) is not int:
+                raise ValueError(f"count for {gen.name!r} must be an integer, got {count!r}")
             if count <= 0:
                 raise ValueError(f"count for {gen.name!r} must be positive, got {count}")
             if count > MAX_COUNT:
@@ -146,26 +145,17 @@ class Multiset(_Chain):
         object.__setattr__(self, "_hash", hash((dim, self._items)))
 
     @classmethod
-    def empty(cls, dim: int) -> Multiset:
-        return cls(dim)
-
-    @classmethod
-    def subset(cls, dim: int, gens: Iterable[GeneratorId]) -> Multiset:
-        """Multiset with count 1 for each given generator (duplicates are an error)."""
-        return cls(dim, [(g, 1) for g in gens])
-
-    @classmethod
     def of(cls, *gens: GeneratorId) -> Multiset:
         """Tally of one or more generators; the dimension is taken from the first."""
         if not gens:
-            raise ValueError("Multiset.of needs at least one generator; use empty(dim)")
+            raise ValueError("Multiset.of needs at least one generator; use Multiset(dim)")
         counts: dict[GeneratorId, int] = {}
         for g in gens:
             counts[g] = counts.get(g, 0) + 1
         return cls(gens[0].dim, counts)
 
-    def count(self, gen: GeneratorId) -> int:
-        return self._counts.get(gen, 0)
+    def sort_key(self) -> tuple:
+        return tuple((g.name, c) for g, c in self._items)
 
     def total(self) -> int:
         """Sum of all counts (the augmentation of a dimension-0 chain)."""
@@ -259,6 +249,8 @@ class SignedVector(_Chain):
                 )
             if gen in clean or (zeros and gen in zeros):
                 raise ValueError(f"duplicate generator {gen.name!r}")
+            if type(value) is not int:
+                raise ValueError(f"entry for {gen.name!r} must be an integer, got {value!r}")
             if value == 0:
                 zeros.add(gen)
                 continue

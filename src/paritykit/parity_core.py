@@ -211,7 +211,9 @@ class AdditiveParityStructure(_GradedStructure):
             for entry in data.items() if isinstance(data, Mapping) else data:  # type: ignore[attr-defined]
                 name, count = (entry, 1) if isinstance(entry, str) else entry
                 j = units[name][0]  # an unknown name raises KeyError
-                counts[j] = counts.get(j, 0) + int(count)
+                if type(count) is not int:
+                    raise StructureError(f"count for {name!r} must be an integer, got {count!r}")
+                counts[j] = counts.get(j, 0) + count
             if counts and not 0 < min(counts.values()) <= max(counts.values()) <= MAX_COUNT:
                 Multiset(dim, {gens[j]: c for j, c in counts.items()})  # raises the first bad count's error
             rows.append(tuple(sorted(counts.items())))
@@ -324,11 +326,11 @@ class _FaceTable:
     the boundary pos - neg as an index -> coefficient dict without zeros;
     it, the masks and ``subset`` come from one loop over the row pairs.
     ``normal`` says whether every 1-generator has singleton faces, and
-    ``boundaries`` (SignedVectors by id), ``dd_defects()``, the cell
-    columns ``columns`` and each generator's ``atom`` are filled in on
-    first use.  An atom is built once, in both readings, for parity
-    unitality, ``_non_unital`` (so ``check_complex``), the Steiner
-    digraphs, ``atom_faces``, ``iterated_boundaries`` and ``cells.atom``.
+    ``dd_defects()``, the cell columns ``columns`` and each generator's
+    ``atom`` are filled in on first use.  An atom is built once, in both
+    readings, for parity unitality, ``_non_unital`` (so
+    ``check_complex``), the Steiner digraphs, ``atom_faces``,
+    ``iterated_boundaries`` and ``cells.atom``.
     """
 
     def __init__(self, gens: list[tuple[GeneratorId, ...]], neg: list[list[tuple]], pos: list[list[tuple]]):
@@ -358,7 +360,6 @@ class _FaceTable:
                 sg.append(row)
         self.subset = counts < 2
         self.normal = next(_non_normal(self), None) is None
-        self.boundaries: dict[GeneratorId, SignedVector] = {}
         self.columns = _SubsetColumns(gens)
         self._dd: tuple | None = None
         self._atoms: dict[GeneratorId, tuple[tuple, tuple]] = {}

@@ -23,7 +23,7 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 def load_fixture(name: str) -> fixtures.Fixture:
-    return fixtures.load_path(FIXTURE_DIR / f"{name}.json")
+    return fixtures.loads((FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def lift(table, dim: int):

@@ -266,7 +266,7 @@ def test_a5_excision(a4_corpus):
                 tops.append(next(iter(s.top)))
                 recomposed = s if recomposed is None else cells.compose(recomposed, s, t.dim - 1)
             assert recomposed == t
-            total = Multiset.empty(t.dim)
+            total = Multiset(t.dim)
             for b in tops:
                 total = total + Multiset.of(b)
             assert total == t.top

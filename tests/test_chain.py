@@ -190,7 +190,7 @@ class TestWellFormedElement:
     negative faces and disjoint positive faces (`is_well_formed`)."""
 
     def test_oriental2_pair(self, oriental2):
-        s = Multiset.subset(1, [oriental2.gen("01"), oriental2.gen("12")])
+        s = Multiset(1, [(oriental2.gen("01"), 1), (oriental2.gen("12"), 1)])
         assert s.is_radical() and is_well_formed(oriental2, 1, s)
 
     def test_non_radical(self, oriental2):
@@ -199,7 +199,7 @@ class TestWellFormedElement:
     def test_dimension_zero(self, oriental2):
         K = from_structure(oriental2)
         assert K.augmentation(Multiset.of(oriental2.gen("0"))) == 1
-        assert K.augmentation(Multiset.subset(0, [oriental2.gen("0"), oriental2.gen("1")])) == 2
+        assert K.augmentation(Multiset(0, [(oriental2.gen("0"), 1), (oriental2.gen("1"), 1)])) == 2
 
     def test_dimension_zero_needs_augmentation(self):
         s = AdditiveParityStructure.build(

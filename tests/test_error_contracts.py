@@ -70,6 +70,16 @@ def chain_map(scale):
 MISMATCHED = lambda: CellTable([point(O2, "0")], [point(O2, "1")])
 
 
+def additive_count(count):
+    """u, v; f: count * u -> v, built from a face pair with this count."""
+    return AdditiveParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("f", 1, [("u", count)], ["v"])])
+
+
+def with_version(version: str) -> str:
+    """The fixture text of a 0-cell with this schema_version."""
+    return fixtures.dumps(cells.atom(O2, POINT)).replace('"schema_version": 1', f'"schema_version": {version}')
+
+
 def capped(raw):
     """enumerate_cells of oriental(2) with the cell cap set to raw."""
     with mock.patch.dict(os.environ, {cells.MAX_CELLS_ENV: raw}):
@@ -79,7 +89,7 @@ def capped(raw):
 CASES = [
     # cells
     ("CellTable empty rows", lambda: CellTable([], []), ValueError, "cell table needs equal, nonempty rows"),
-    ("CellTable ungraded column", lambda: CellTable([Multiset.empty(1)], [Multiset.empty(1)]),
+    ("CellTable ungraded column", lambda: CellTable([Multiset(1)], [Multiset(1)]),
      ValueError, "column 0 must be graded by dimension 0"),
     ("CellTable column not a Multiset", lambda: CellTable([SignedVector(0, {POINT: -1})], [SignedVector(0, {POINT: -1})]),
      ValueError, "column 0 must hold Multisets, got SignedVector"),
@@ -130,14 +140,27 @@ CASES = [
     ("is_well_formed repeat", lambda: is_well_formed(O2, 1, [EDGE, EDGE]), ValueError, "subset with repeated members"),
     ("moves mode", lambda: moves(O2, Multiset.of(EDGE), point(O2, "0"), point(O2, "1"), mode="bogus"),
      ValueError, "unknown movement mode 'bogus'"),
+    ("build float count", lambda: additive_count(1.5), StructureError, r"count for 'u' must be an integer, got 1\.5"),
+    ("build string count", lambda: additive_count("2"), StructureError, "count for 'u' must be an integer, got '2'"),
+    ("build boolean count", lambda: additive_count(True), StructureError, "count for 'u' must be an integer, got True"),
     ("atom_faces on multiset faces", lambda: atom_faces(MULTISET, MULTISET.gen("x")),
      StructureError, "structure has multiset faces with counts >= 2"),
     # multiset
     ("Multiset.of nothing", lambda: Multiset.of(),
-     ValueError, r"Multiset.of needs at least one generator; use empty\(dim\)"),
+     ValueError, r"Multiset.of needs at least one generator; use Multiset\(dim\)"),
+    ("Multiset float count", lambda: Multiset(0, {POINT: 2.0}), ValueError, r"count for '0' must be an integer, got 2\.0"),
+    ("Multiset boolean count", lambda: Multiset(0, {POINT: True}), ValueError, "count for '0' must be an integer, got True"),
+    ("SignedVector float entry", lambda: SignedVector(0, {POINT: 1.5}),
+     ValueError, r"entry for '0' must be an integer, got 1\.5"),
+    ("SignedVector string entry", lambda: SignedVector(0, {POINT: "2"}),
+     ValueError, "entry for '0' must be an integer, got '2'"),
     # generators
     ("globe size", lambda: globe(-1), ValueError, "globe size must be >= 0, got -1"),
     # fixtures and cli
+    ("loads float schema_version", lambda: fixtures.loads(with_version("1.0")),
+     fixtures.FixtureError, r"unsupported schema_version 1\.0, expected 1"),
+    ("loads boolean schema_version", lambda: fixtures.loads(with_version("true")),
+     fixtures.FixtureError, "unsupported schema_version True, expected 1"),
     ("dumps of a non-value", lambda: fixtures.dumps(3), TypeError, "no fixture form for int"),
     ("cli fixture kind", lambda: cli._load(str(FIXTURE_DIR / "morphism_collapse_globe1.json"), fixtures.KIND_CELL),
      cli._UsageError, "fixture kind 'morphism' not usable here \\(expected cell\\)"),

@@ -74,8 +74,8 @@ class TestOriental:
                     face = GeneratorId(g.dim - 1, g.name[:i] + g.name[i + 1:])
                     entries[face] = entries.get(face, 0) + (1 if i % 2 == 0 else -1)
                 neg, pos = SignedVector(g.dim - 1, entries).parts()
-                assert neg == Multiset.subset(g.dim - 1, s.neg(g))
-                assert pos == Multiset.subset(g.dim - 1, s.pos(g))
+                assert neg == Multiset(g.dim - 1, [(h, 1) for h in s.neg(g)])
+                assert pos == Multiset(g.dim - 1, [(h, 1) for h in s.pos(g)])
 
     def test_bound(self):
         with pytest.raises(ValueError):
@@ -127,8 +127,8 @@ class TestCube:
                         coeff = sign * bit_sign
                         entries[face] = entries.get(face, 0) + coeff
                 neg, pos = SignedVector(g.dim - 1, entries).parts()
-                assert neg == Multiset.subset(g.dim - 1, s.neg(g))
-                assert pos == Multiset.subset(g.dim - 1, s.pos(g))
+                assert neg == Multiset(g.dim - 1, [(h, 1) for h in s.neg(g)])
+                assert pos == Multiset(g.dim - 1, [(h, 1) for h in s.pos(g)])
 
     def test_cube0_named_e(self):
         assert names(cube(0).generators(0)) == ["e"]

@@ -107,7 +107,7 @@ def _normal_maps(source, target):
         out = list(by_boundary.get(p - m, ()))  # additive: d(image) = f(pos) - f(neg)
         if all(assignment[f].is_radical() for side in faces for f in side):
             m, p = (
-                Multiset.subset(g.dim - 1, set().union(*(frozenset(assignment[f]) for f in side)))
+                Multiset(g.dim - 1, [(h, 1) for h in set().union(*(frozenset(assignment[f]) for f in side))])
                 for side in faces
             )
             out += [x for x in well_formed if x not in out and moves(target, x, m, p, "subset")]

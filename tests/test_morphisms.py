@@ -66,9 +66,7 @@ class TestValidate:
             {
                 globe1.gen("e0-"): Multiset.of(oriental2.gen("0")),
                 globe1.gen("e0+"): Multiset.of(oriental2.gen("1")),
-                globe1.gen("top"): Multiset.subset(
-                    1, [oriental2.gen("01"), oriental2.gen("12")]
-                ),
+                globe1.gen("top"): Multiset(1, [(oriental2.gen("01"), 1), (oriental2.gen("12"), 1)]),
             },
         )
         report = validate_morphism(f)
@@ -94,7 +92,7 @@ class TestValidate:
         # well-formed subset images
         vertices = list(oriental2.generators(0))
         one_subsets = [
-            Multiset.subset(1, combo)
+            Multiset(1, [(h, 1) for h in combo])
             for r in range(3)
             for combo in __import__("itertools").combinations(oriental2.generators(1), r)
         ]
@@ -220,11 +218,11 @@ class CellHelper:
         return cells.CellTable(
             [
                 Multiset.of(oriental2.gen("0")),
-                Multiset.subset(1, [oriental2.gen("01"), oriental2.gen("12")]),
+                Multiset(1, [(oriental2.gen("01"), 1), (oriental2.gen("12"), 1)]),
             ],
             [
                 Multiset.of(oriental2.gen("2")),
-                Multiset.subset(1, [oriental2.gen("01"), oriental2.gen("12")]),
+                Multiset(1, [(oriental2.gen("01"), 1), (oriental2.gen("12"), 1)]),
             ],
         )
 
@@ -321,7 +319,7 @@ class TestNoAdditiveViewIsBuilt:
         for view, s in ((cm.source, source), (cm.target, target)):
             assert view._table is s._table and view.structure is s
             g = s.generators(s.max_dim)[0]
-            assert view.boundary_of(g) is from_structure(s).boundary_of(g)
+            assert view.boundary_of(g) == from_structure(s).boundary_of(g)
         assert cm.then(induced_chain_map(identity_morphism(target))) == cm
         assert built == []
 

@@ -106,14 +106,14 @@ class TestDisjointUnion:
 
     def test_empty_is_unit(self):
         s = ms(a=2, c=1)
-        assert Multiset.empty(1) + s == s
+        assert Multiset(1) + s == s
 
     def test_disjoint_supports(self):
         assert ms(a=1) + ms(b=1) == ms(a=1, b=1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            ms(a=1) + Multiset.empty(2)
+            ms(a=1) + Multiset(2)
 
     def test_overflow_detected(self):
         big = Multiset(1, {A: MAX_COUNT})
@@ -141,7 +141,7 @@ class TestMeetJoin:
 
     def test_with_empty(self):
         s = ms(a=1, b=2)
-        meet, join = s.meet(Multiset.empty(1)), s.join(Multiset.empty(1))
+        meet, join = s.meet(Multiset(1)), s.join(Multiset(1))
         assert not meet and join == s
 
     def test_disjointness_via_meet(self):
@@ -178,11 +178,11 @@ class TestRadical:
     def test_examples(self):
         assert ms(a=1, b=1).is_radical()
         assert not ms(a=2).is_radical()
-        assert Multiset.empty(1).is_radical()
+        assert Multiset(1).is_radical()
 
     def test_radical_union_iff_pairwise_disjoint(self):
         family = [ms(a=1), ms(b=1, c=1), ms(a=1, c=1)]
-        total = Multiset.empty(1)
+        total = Multiset(1)
         for s in family:
             total = total + s
         pairwise_disjoint = all(
@@ -230,12 +230,8 @@ class TestConstruction:
     def test_tally_counts(self):
         assert Multiset.of(A, B, A) == ms(a=2, b=1)
 
-    def test_subset_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Multiset.subset(1, [A, A])
-
     def test_str_forms(self):
-        assert str(Multiset.empty(0)) == "{}"
+        assert str(Multiset(0)) == "{}"
         assert str(ms(a=1, b=2)) == "{a, b:2}"
         assert str(SignedVector(1, {A: 1, B: -1})) == "+a -b"
 
@@ -263,7 +259,7 @@ class TestConstructorContract:
             DimensionMismatchError, "generator 'x' has dimension 2, expected 1"
         )
         assert raised(Multiset, -1, {}) == (ValueError, "dimension must be >= 0, got -1")
-        assert Multiset(1, {A: MAX_COUNT}).count(A) == MAX_COUNT
+        assert Multiset(1, {A: MAX_COUNT}).items() == ((A, MAX_COUNT),)
 
     def test_signed_vector_faults(self):
         assert SignedVector(1, {A: 0}) == SignedVector(1)
@@ -314,7 +310,7 @@ class TestValueClasses:
         assert m.to_vector() == v and v.parts()[1] == m
 
     def test_equality_needs_the_same_dimension(self):
-        assert Multiset.empty(1) != Multiset.empty(2)
+        assert Multiset(1) != Multiset(2)
         assert SignedVector(1) != SignedVector(2)
 
     def test_immutable(self):
@@ -334,7 +330,7 @@ class TestValueClasses:
         assert repr(ms(b=2, a=1)) == "Multiset(1, {'a': 1, 'b': 2})"
         assert repr(SignedVector(1, {B: -2, A: 1})) == "SignedVector(1, {'a': 1, 'b': -2})"
         assert ms(b=2, a=1).sort_key() == (("a", 1), ("b", 2))
-        assert SignedVector(1, {B: -2, A: 1}).sort_key() == (("a", 1), ("b", -2))
+        assert SignedVector(1, {B: -2, A: 1}).items() == ((A, 1), (B, -2))
         assert ms(a=1).items() == ((A, 1),) and ms(a=1).dim == 1
 
     def test_signed_vector_arithmetic(self):
@@ -355,7 +351,7 @@ class TestValueClasses:
         assert v.parts() == (ms(a=1, b=1), ms(c=1))
         assert (ms(a=1).to_vector() - ms(a=1).to_vector()).is_zero()
         with pytest.raises(DimensionMismatchError):
-            Multiset.empty(2).to_vector() - ms(a=1).to_vector()
+            Multiset(2).to_vector() - ms(a=1).to_vector()
 
 
 def _pickle_and_copy_clones(value):
@@ -372,7 +368,7 @@ class TestValuesPickleAndCopy:
         column = Multiset(0, {p: 1})
         values = [
             ms(a=2, b=1),
-            Multiset.empty(3),
+            Multiset(3),
             SignedVector(1, {A: -2, C: 1}),
             SignedVector(0),
             CellTable([column, Multiset(1, {A: 1})], [Multiset(0, {q: 1}), Multiset(1, {A: 1})]),

@@ -38,7 +38,7 @@ def sub(struct, dim, *names_):
 
 
 def mset(struct, dim, *names_):
-    return Multiset.subset(dim, [struct.gen(n, dim) for n in names_])
+    return Multiset(dim, [(struct.gen(n, dim), 1) for n in names_])
 
 
 X, Y, E = GeneratorId(0, "x"), GeneratorId(0, "y"), GeneratorId(1, "e")
@@ -201,7 +201,7 @@ class TestFaceImages:
         assert boundary_parts(oriental2.to_additive(), s) == (mset(oriental2, 0, "0"), mset(oriental2, 0, "2"))
 
     def test_empty_multiset(self, oriental2):
-        assert not any(boundary_parts(oriental2.to_additive(), Multiset.empty(1)))
+        assert not any(boundary_parts(oriental2.to_additive(), Multiset(1)))
 
     def test_singleton_gives_faces(self, oriental2):
         additive = oriental2.to_additive()
@@ -217,7 +217,7 @@ class TestFaceImages:
 
     def test_dimension_zero_rejected(self, oriental2):
         with pytest.raises(StructureError, match="boundary needs a chain of dimension >= 1"):
-            boundary_parts(oriental2.to_additive(), Multiset.empty(0))
+            boundary_parts(oriental2.to_additive(), Multiset(0))
 
 
 class TestSubsetFaces:
@@ -292,8 +292,8 @@ class TestMoves:
 
     def test_empty_moves_anything_to_itself(self, oriental2):
         m = mset(oriental2, 0, "0", "1")
-        assert moves(oriental2, Multiset.empty(1), m, m, mode="additive")
-        assert moves(oriental2, Multiset.empty(1), m, m, mode="subset")
+        assert moves(oriental2, Multiset(1), m, m, mode="additive")
+        assert moves(oriental2, Multiset(1), m, m, mode="subset")
 
     def test_wrong_target(self, oriental2):
         s = mset(oriental2, 1, "01")
@@ -326,7 +326,7 @@ class TestMoves:
 
     def test_dimension_mismatch(self, oriental2):
         with pytest.raises(DimensionMismatchError):
-            moves(oriental2, Multiset.empty(2), Multiset.empty(0), Multiset.empty(1))
+            moves(oriental2, Multiset(2), Multiset(0), Multiset(1))
 
     def test_strict_implies_subset_implies_additive(self, oriental2, globe2):
         # every well-formed subset moving between each fixture's columns
@@ -337,7 +337,7 @@ class TestMoves:
 
             for r in range(len(gens1) + 1):
                 for combo in itertools.combinations(gens1, r):
-                    s = Multiset.subset(1, combo)
+                    s = Multiset(1, [(h, 1) for h in combo])
                     if not is_well_formed(struct, 1, frozenset(combo)):
                         continue
                     for m_gen in struct.generators(0):
@@ -483,14 +483,14 @@ class TestWellFormedFaceAgreement:
                         subset = frozenset(combo)
                         if not is_well_formed(struct, dim, subset):
                             continue
-                        s = Multiset.subset(dim, subset)
+                        s = Multiset(dim, [(h, 1) for h in subset])
                         neg_image, pos_image, _, _ = oracle_face_images(additive, s)
                         neg_boundary, pos_boundary = boundary_parts(additive, s)
                         sf = subset_faces(struct, dim, subset)
-                        assert neg_image == Multiset.subset(dim - 1, sf.neg)
-                        assert pos_image == Multiset.subset(dim - 1, sf.pos)
-                        assert neg_boundary == Multiset.subset(dim - 1, sf.neg_only)
-                        assert pos_boundary == Multiset.subset(dim - 1, sf.pos_only)
+                        assert neg_image == Multiset(dim - 1, [(h, 1) for h in sf.neg])
+                        assert pos_image == Multiset(dim - 1, [(h, 1) for h in sf.pos])
+                        assert neg_boundary == Multiset(dim - 1, [(h, 1) for h in sf.neg_only])
+                        assert pos_boundary == Multiset(dim - 1, [(h, 1) for h in sf.pos_only])
 
     def test_non_well_formed_faces_can_separate_the_two_globularity_forms(self):
         # two parallel negative faces: the subset reading collapses the
@@ -637,7 +637,7 @@ class TestAtomColumnsAreBuiltOnce:
 
 
 def oracle_face_images(struct, s):
-    neg, pos = Multiset.empty(s.dim - 1), Multiset.empty(s.dim - 1)
+    neg, pos = Multiset(s.dim - 1), Multiset(s.dim - 1)
     for g, count in s.items():
         for _ in range(count):
             neg, pos = neg + struct.neg(g), pos + struct.pos(g)
@@ -799,8 +799,8 @@ class TestFaceValuesFromTheTable:
                 view = s.to_additive()
                 for g in s.all_generators():
                     if g.dim:
-                        assert view.neg(g) == Multiset.subset(g.dim - 1, s.neg(g))
-                        assert view.pos(g) == Multiset.subset(g.dim - 1, s.pos(g))
+                        assert view.neg(g) == Multiset(g.dim - 1, [(h, 1) for h in s.neg(g)])
+                        assert view.pos(g) == Multiset(g.dim - 1, [(h, 1) for h in s.pos(g)])
 
     def test_equality_is_unchanged(self, oriental2):
         additive = oriental2.to_additive()
@@ -883,18 +883,18 @@ class TestAdditiveMovesMatchTheMultisetEquations:
 
     def test_an_empty_s_above_the_top(self, oriental2):
         for struct in (oriental2.to_additive(), oriental2):
-            m, p = mset(struct, 2, "012"), Multiset.empty(2)
-            assert moves(struct, Multiset.empty(3), m, m) and moves(struct, Multiset.empty(3), p, p)
-            assert not moves(struct, Multiset.empty(3), m, p) and not moves(struct, Multiset.empty(3), p, m)
-            assert moves(struct, Multiset.empty(5), Multiset.empty(4), Multiset.empty(4))
+            m, p = mset(struct, 2, "012"), Multiset(2)
+            assert moves(struct, Multiset(3), m, m) and moves(struct, Multiset(3), p, p)
+            assert not moves(struct, Multiset(3), m, p) and not moves(struct, Multiset(3), p, m)
+            assert moves(struct, Multiset(5), Multiset(4), Multiset(4))
             zz = Multiset.of(GeneratorId(4, "zz"))
             with pytest.raises(UnknownGeneratorError, match=r"^generator 'zz' \(dim 4\) not in structure$"):
-                moves(struct, Multiset.empty(5), zz, zz)
+                moves(struct, Multiset(5), zz, zz)
             with pytest.raises(UnknownGeneratorError, match=r"^generator 'zz' \(dim 5\) not in structure$"):
-                moves(struct, Multiset.of(GeneratorId(5, "zz")), Multiset.empty(4), Multiset.empty(4))
+                moves(struct, Multiset.of(GeneratorId(5, "zz")), Multiset(4), Multiset(4))
 
     def test_face_images_above_the_top(self, oriental2):
-        assert boundary_parts(oriental2.to_additive(), Multiset.empty(4)) == (Multiset.empty(3),) * 2
+        assert boundary_parts(oriental2.to_additive(), Multiset(4)) == (Multiset(3),) * 2
 
 
 class TestSelfLoop:

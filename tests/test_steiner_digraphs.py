@@ -124,7 +124,7 @@ def _families():
 def _fixture_structures():
     out = []
     for path in sorted(FIXTURE_DIR.glob("*.json")):
-        value = fixtures.load_path(path).value
+        value = fixtures.loads(path.read_text(encoding="utf-8")).value
         if isinstance(value, (ParityStructure, AdditiveParityStructure)):
             out.append(value)
     return out

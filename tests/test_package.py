@@ -182,7 +182,7 @@ def _attribute_reads() -> dict[str, set[tuple[str, ...]]]:
     `paritykit.cells.CellTable.top`)."""
     reads: dict[str, set[tuple[str, ...]]] = {}
     for path, tree in _trees().items():
-        module = f"paritykit.{path.stem}" if path.parent == SRC else ".".join(path.relative_to(REPO).with_suffix("").parts)
+        module = ".".join(path.relative_to(SRC.parent if path.parent == SRC else REPO).with_suffix("").parts)
         stack = [(tree, module, ())]
         while stack:
             node, name, where = stack.pop()
@@ -230,7 +230,7 @@ def _class_attributes() -> dict[type, set[str]]:
     return out
 
 
-def namesakes(attr: str, home: type) -> list[str]:
+def _namesakes(attr: str, home: type) -> list[str]:
     """The classes outside `home`'s own line, of the package or among
     `BUILTINS`, that have an attribute of this name."""
     package = [cls.__name__ for cls, names in _class_attributes().items()
@@ -277,13 +277,13 @@ class TestPackageSurface:
     def test_every_public_method_is_read_or_a_paper_notion(self):
         methods = public_methods()
         unread = {name for name, home in methods.items() if name not in READERS
-                  and (namesakes(name.split(".")[1], home) or not _read_as_attribute(name.split(".")[1], home))}
+                  and (_namesakes(name.split(".")[1], home) or not _read_as_attribute(name.split(".")[1], home))}
         assert unread <= PAPER_METHODS, sorted(unread - PAPER_METHODS)
         assert PAPER_METHODS <= set(methods)
 
     def test_each_reader_reads_its_method(self):
         methods = public_methods()
-        shared = {name for name, home in methods.items() if namesakes(name.split(".")[1], home)}
+        shared = {name for name, home in methods.items() if _namesakes(name.split(".")[1], home)}
         assert sorted(set(READERS) - (shared - PAPER_METHODS)) == []
         assert [(m, f) for m, f in READERS.items() if not _read_in(f, m.split(".")[1])] == []
 

@@ -25,7 +25,12 @@ mapping constructor and the family builders their ``bound`` keyword.
 The argparse usage errors were pinned before a negative ``-k`` became a
 usage error in ``face`` and ``compose``; they pin the exit code, stdout
 and stderr's usage line and error prefix, not argparse's wording, which
-differs between Python versions.
+differs between Python versions.  The ``face``, ``compose``,
+``decompose``, ``atom`` and ``morphism apply`` digests of cells of seeded
+random weak structures, of mutated cells and of edge cells, in both
+formats, cover stderr too; they were recorded before ``morphism apply``
+checked a cell as the other cell commands do and before a cell's
+boundary text could hold a count past a machine word.
 """
 
 import hashlib
@@ -609,6 +614,192 @@ def test_generate_output(capsys, family_name, n, style):
     template += ["--format", "structured"] if style == "structured" else []
     digest = cell_command_digest(capsys, template, [{}])
     assert digest == GOLDEN_CELL_COMMANDS[(f"{family_name}{n}", "generate", style)]
+
+
+# ---------------------------------------------------------------------------
+# every command that reads a cell or a generator, on cells of seeded random
+# weak structures, on mutated cells of the cell-contract fuzz bases and on
+# edge cells, in both formats: exit code, stdout and stderr
+
+
+#: Per command, its argv: {file} is the structure, {cell}/{first}/{second}
+#: cells, {sign} a face sign, {gen} a generator name and {morphism} the
+#: structure's identity morphism.
+ENTRY_COMMANDS = {
+    "face": ["face", "{file}", "--cell", "{cell}", "-k", "0", "--sign", "{sign}"],
+    "compose": ["compose", "{file}", "--cells", "{first}", "{second}", "-k", "0"],
+    "decompose": ["decompose", "{file}", "--cell", "{cell}"],
+    "atom": ["atom", "{file}", "{gen}"],
+    "apply": ["morphism", "apply", "{morphism}", "--cell", "{cell}"],
+}
+#: random_structured_parity draws by seed, each a 2-dimensional parity
+#: complex, the last read in its additive view.
+RANDOM_WEAK = {"random_parity_0": (0, False), "random_parity_8": (8, False), "random_additive_5": (5, True)}
+#: Mutated cells: the seed and how many the runs fold.
+MUTATION_SEED, MUTATIONS = 30, 24
+
+
+def _entry_inputs():
+    """Per case, (structure, cell tables or None, [(structure, mutated cell
+    document, mutated second document)] or None).  The edge cases are the
+    0-cells ({0, 1}; {0, 1}) and ({}; {}) of oriental(1), which have
+    augmentation 2 and 0, and, over the additive structure a: u -> 2v,
+    the cell (u:MAX, a:MAX; v, a:MAX), whose boundary text counts v
+    twice MAX_COUNT times."""
+    from paritykit import cells
+    from paritykit.generators import oriental
+    from paritykit.multiset import MAX_COUNT, Multiset
+    from paritykit.parity_core import AdditiveParityStructure
+    from test_cli import TestCellContractFuzz
+
+    out = {}
+    for name, (seed, additive) in RANDOM_WEAK.items():
+        struct = randstruct.random_structured_parity(random.Random(seed))
+        struct = struct.to_additive() if additive else struct
+        enumerated = cells.enumerate_cells(struct, struct.max_dim)
+        out[name] = (struct, random.Random(seed).sample(enumerated, 5), None)
+    o1 = oriental(1)
+    p0, p1 = (o1.gen(n) for n in "01")
+    two, empty = Multiset(0, {p0: 1, p1: 1}), Multiset(0)
+    out["oriental1_edges"] = (o1, [cells.CellTable([two], [two]), cells.CellTable([empty], [empty])], None)
+    big = AdditiveParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("a", 1, ["u"], [("v", 2)])])
+    u, v, a = (big.gen(n) for n in "uva")
+    top = Multiset(1, {a: MAX_COUNT})
+    out["overflow"] = (big, [cells.CellTable([Multiset(0, {u: MAX_COUNT}), top], [Multiset.of(v), top])], None)
+    rng, bases, mutated = random.Random(MUTATION_SEED), TestCellContractFuzz.documents(), []
+    for _ in range(MUTATIONS):
+        text, docs = rng.choice(bases)
+        first, second = (json.loads(json.dumps(rng.choice(docs))) for _ in range(2))
+        TestCellContractFuzz.mutate(first, rng)
+        TestCellContractFuzz.mutate(second, rng)
+        mutated.append((fixtures.loads(text).value, first, second))
+    out["mutated"] = (None, None, mutated)
+    return out
+
+
+def _entry_files(root):
+    """Per case, per command, the argv fields of each run that it folds."""
+    from paritykit.morphisms import identity_morphism
+
+    written: dict = {}
+
+    def write(name, text):
+        path = root / f"{name}.json"
+        path.write_text(text)
+        return path
+
+    def structure(struct):
+        """The structure's file and its identity morphism's file, each written once."""
+        key = fixtures.dumps(struct, name="s")
+        if key not in written:
+            k = len(written)
+            morphism = fixtures.dumps(identity_morphism(struct, "additive"), name="id")
+            written[key] = {"file": write(f"s{k}", key), "morphism": write(f"id{k}", morphism)}
+        return written[key]
+
+    out = {}
+    for name, (struct, tables, mutated) in _entry_inputs().items():
+        runs = {command: [] for command in ENTRY_COMMANDS}
+        if mutated is None:
+            base = structure(struct)
+            paths = [write(f"{name}-c{k}", fixtures.dumps(t, name=f"c{k}")) for k, t in enumerate(tables)]
+            for path, nxt in zip(paths, paths[1:] + paths[:1]):
+                runs["face"] += [{**base, "cell": path, "sign": s} for s in ("source", "target")]
+                runs["compose"].append({**base, "first": path, "second": nxt})
+                runs["decompose"].append({**base, "cell": path})
+                runs["apply"].append({**base, "cell": path})
+            names = [g.name for g in struct.all_generators()]
+            runs["atom"] = [{**base, "gen": g} for g in [*names[:: max(1, len(names) // 3)], "zz"]]
+        else:
+            for k, (struct, first, second) in enumerate(mutated):
+                base = structure(struct)
+                one, two = (write(f"{name}-{k}-{i}", json.dumps(doc)) for i, doc in enumerate((first, second)))
+                sign = ("source", "target")[k % 2]
+                runs["face"].append({**base, "cell": one, "sign": sign})
+                runs["compose"].append({**base, "first": one, "second": two})
+                runs["decompose"].append({**base, "cell": one})
+                runs["apply"].append({**base, "cell": one})
+                runs["atom"].append({**base, "gen": next(iter(struct.all_generators())).name})
+        out[name] = runs
+    return out
+
+
+@pytest.fixture(scope="module")
+def entry_files(tmp_path_factory):
+    return _entry_files(tmp_path_factory.mktemp("cell-entry-points"))
+
+
+GOLDEN_ENTRY = {
+    ('random_parity_0', 'apply', 'text'): 'afdd115fe456f8eda3b3be79a19117955abf16479cb7f20ca75dae5c90505fea',
+    ('random_parity_0', 'apply', 'structured'): 'fd10ead8b12351f36c3f6b58d874b0ee4aa0d915e9849d7b0d0cc4d1dad828e1',
+    ('random_parity_0', 'atom', 'text'): '6006e609fa498733547256175f8699b4ee50e12e33d803aa8721e862eb7fb26c',
+    ('random_parity_0', 'atom', 'structured'): '0cf42daf4b359242eaa0d88f006949bc06d620d999d18b904acab6f021e33bef',
+    ('random_parity_0', 'compose', 'text'): 'a506fda4a93f417b95a4a76bb6d984fcd8bdea018ba70f426663e057c09c2118',
+    ('random_parity_0', 'compose', 'structured'): 'f576b0a5c16071804e9d76c847289fac86aaa109fefc994019f94cc92313d84c',
+    ('random_parity_0', 'decompose', 'text'): '7496b52e517b242de6b4285b06929e56ecea8ed478044271c836939c93dcc820',
+    ('random_parity_0', 'decompose', 'structured'): '2d9017b5670fc73a2c1ac591cbda2a2122e98e141c809f580a63ecb51f126acb',
+    ('random_parity_0', 'face', 'text'): 'ba17be417d876288b2682bae8eb80947f98ff45a4e0e3ed261ddce528d02277b',
+    ('random_parity_0', 'face', 'structured'): 'f31ae42b4a36b856f8a1255f93e4ddf6b06c20846c0440acecea40cd4f61fc7c',
+    ('random_parity_8', 'apply', 'text'): '0dfc9c38418ed1627a5b4d4cfe381f688557b534ad5726cf8f850eaefbf9093d',
+    ('random_parity_8', 'apply', 'structured'): 'f233dc794870b28cbcc798000d77b12c295b171e780300120e4cd96d59af3e14',
+    ('random_parity_8', 'atom', 'text'): '9666fe8045156f5a23adefee27582592dcb24a9c4dc5d67bab75b9496a182634',
+    ('random_parity_8', 'atom', 'structured'): '5b4ed1ac4f3fbaf903451bd874e908f82550d829f5c7c65f29be618a9e833dc0',
+    ('random_parity_8', 'compose', 'text'): 'bcf2db37ad41d061319dc88d1ad79df31231190faccb0e45f18cf75cc5735a91',
+    ('random_parity_8', 'compose', 'structured'): 'bcf2db37ad41d061319dc88d1ad79df31231190faccb0e45f18cf75cc5735a91',
+    ('random_parity_8', 'decompose', 'text'): 'eb4c054af88f578f7346f254925ba46a31a1eccb36abf81ee13d3e334196c487',
+    ('random_parity_8', 'decompose', 'structured'): '2912687276aeacb89f8be5ea71e5848f6ee48182b09a6af68c1a806f945cf0b8',
+    ('random_parity_8', 'face', 'text'): '265a3b46e81eac173946364f2b25053579d973cd742e352e6c035f67b69d719c',
+    ('random_parity_8', 'face', 'structured'): '2ef0dd5a2759ef334eedad3d09395c2fc7b6c948244a6dbd33d7ebf781519636',
+    ('random_additive_5', 'apply', 'text'): '5cdef288ad603f385c2c3e279556815a99a2d65e710734ed46e77ea6869f111d',
+    ('random_additive_5', 'apply', 'structured'): 'dce3dad6fece75e949b10256a17d7650fa2641dc4bce77c996bf29a4a1c9133c',
+    ('random_additive_5', 'atom', 'text'): '4d2880fe0b32c7610ef4fb6de12f076f829c2e509f2c424d833e8819a2e44dd5',
+    ('random_additive_5', 'atom', 'structured'): 'e311e8c0026e1f5fe1f9c3ed1a3f396d10569232504d86e8ab18e8b6e915ee32',
+    ('random_additive_5', 'compose', 'text'): 'acfdbf4e27ef469059ecfa1cf82ccabdf9603356133ca3532ef6bd907ecd6cfc',
+    ('random_additive_5', 'compose', 'structured'): 'acfdbf4e27ef469059ecfa1cf82ccabdf9603356133ca3532ef6bd907ecd6cfc',
+    ('random_additive_5', 'decompose', 'text'): '6baa603217c705c59d3858bb37406dbcd8e862ce1f99c81894004acf825eb231',
+    ('random_additive_5', 'decompose', 'structured'): '47254fde0991b106c1a727ba932b99668c5f101328905cd2a42b5a0440d4daa7',
+    ('random_additive_5', 'face', 'text'): 'f2b09c5c859b6735ef9255ca3584fd9663fbc5f933ed70f6c7fec6926fdea211',
+    ('random_additive_5', 'face', 'structured'): '1a3c7a8268387edbfca5b986456255f78b72c4e65dd7c576a3d88fdf4685a3f5',
+    ('oriental1_edges', 'apply', 'text'): '2cd3263f0b5209d83d73c8331a2f8a841891568603d2cdaad8d2aeeb2a6ce26e',
+    ('oriental1_edges', 'apply', 'structured'): '8d2eaf2dbb0726d3723e3b9f8af1a358c58d242d27610aff1b1c33fa6c05b51a',
+    ('oriental1_edges', 'atom', 'text'): '6482458b2f12b9ffb375fbd8f76c3cd9365850080cd99d7740531fdcdba0805d',
+    ('oriental1_edges', 'atom', 'structured'): '5669aeca5d13f64ea7a89501012243792e4ea7cded5c63fd1cfe215c6a4cdf68',
+    ('oriental1_edges', 'compose', 'text'): '1f121f683a8bd2e11e98f97bf65c8a7c81d9cb9994e0c7b33740f8bd559eaae0',
+    ('oriental1_edges', 'compose', 'structured'): '1f121f683a8bd2e11e98f97bf65c8a7c81d9cb9994e0c7b33740f8bd559eaae0',
+    ('oriental1_edges', 'decompose', 'text'): '535591c4ba72ac1b2389cfb92dc6611e0b08c9782e9d56eba464c4c68a4287f1',
+    ('oriental1_edges', 'decompose', 'structured'): '535591c4ba72ac1b2389cfb92dc6611e0b08c9782e9d56eba464c4c68a4287f1',
+    ('oriental1_edges', 'face', 'text'): '65a684acc0c09e0684e13cce1ad23dc4ddf8512af6b8f29e520e96322bf01697',
+    ('oriental1_edges', 'face', 'structured'): '65a684acc0c09e0684e13cce1ad23dc4ddf8512af6b8f29e520e96322bf01697',
+    ('overflow', 'apply', 'text'): '88f85c3041f3d29ef4807b50f1604d4901287b8695c2dc91b709dd29338a7f2b',
+    ('overflow', 'apply', 'structured'): '88f85c3041f3d29ef4807b50f1604d4901287b8695c2dc91b709dd29338a7f2b',
+    ('overflow', 'atom', 'text'): 'ec4a586c1d5b6c5f6ba087c865d37dd8cf331e1082099357156d08eb9a96ebfe',
+    ('overflow', 'atom', 'structured'): '9d83c342005e4aff09ca545a4c247b8c652e9577df54b090df5dfa2da86ff252',
+    ('overflow', 'compose', 'text'): '1797cee43f7e8ab9aa3045300ffaee81b2b0db52401d7a57a83b7b4893824aae',
+    ('overflow', 'compose', 'structured'): '1797cee43f7e8ab9aa3045300ffaee81b2b0db52401d7a57a83b7b4893824aae',
+    ('overflow', 'decompose', 'text'): '1797cee43f7e8ab9aa3045300ffaee81b2b0db52401d7a57a83b7b4893824aae',
+    ('overflow', 'decompose', 'structured'): '1797cee43f7e8ab9aa3045300ffaee81b2b0db52401d7a57a83b7b4893824aae',
+    ('overflow', 'face', 'text'): 'a82d38fa68115e9d08d0b6acff67e5e31501b3777314c8dc8cf7dc10c9c9b0db',
+    ('overflow', 'face', 'structured'): 'a82d38fa68115e9d08d0b6acff67e5e31501b3777314c8dc8cf7dc10c9c9b0db',
+    ('mutated', 'apply', 'text'): '8a3aec1dec5b37023988644d273aae649a337ca1a01729da28a2991286060a74',
+    ('mutated', 'apply', 'structured'): '9a088bc8348d1a0162c1c03916d5345bdc11dce6fec48a1898489a9f5be51b6e',
+    ('mutated', 'atom', 'text'): 'a89101d26f9a760ef815049dc9fdf9e668a61233041757dfd99e1f2c8036ce6f',
+    ('mutated', 'atom', 'structured'): '74746b8cbcc26092f60eebf8f708c0e3d0a1190bc958a018e3aafa7ce198ca17',
+    ('mutated', 'compose', 'text'): '65477c8f912655342d2452b5beabd1188c57c84d8a5b912b508b9fa9893cefc0',
+    ('mutated', 'compose', 'structured'): '65477c8f912655342d2452b5beabd1188c57c84d8a5b912b508b9fa9893cefc0',
+    ('mutated', 'decompose', 'text'): '399571f321ba344f66d74ca56ee00c88d81dc279b2508ef3822f1ba83c5c6d1d',
+    ('mutated', 'decompose', 'structured'): '939b1a236b89cf27764e5632de4e0bf7b8e14611d944ec167f3be62816ddddff',
+    ('mutated', 'face', 'text'): 'a4b3665ed3fa50f397c8bdbe51887dba4375c3b0fde64653454096fd809aced2',
+    ('mutated', 'face', 'structured'): 'b70d31de94e114e5338e09c21d21654738e0b55d8fbb0782c1a7da8ef29a5d2f',
+}
+
+
+@pytest.mark.parametrize("style", BOTH)
+@pytest.mark.parametrize("command", sorted(ENTRY_COMMANDS))
+@pytest.mark.parametrize("name", [*RANDOM_WEAK, "oriental1_edges", "overflow", "mutated"])
+def test_cell_entry_output(capsys, entry_files, name, command, style):
+    template = ENTRY_COMMANDS[command] + (["--format", "structured"] if style == "structured" else [])
+    digest = cell_command_digest(capsys, template, entry_files[name][command])
+    assert digest == GOLDEN_ENTRY[(name, command, style)]
 
 
 # ---------------------------------------------------------------------------

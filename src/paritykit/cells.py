@@ -31,7 +31,7 @@ from collections import deque
 from typing import Sequence
 
 from .chain import AugmentationMissingError, FreeDirectedComplex, from_structure
-from .multiset import GeneratorId, Multiset, _format_entries
+from .multiset import GeneratorId, Multiset, _check_int, _format_entries
 from .parity_core import (
     CLASS_WEAK,
     MAX_DIM,
@@ -204,8 +204,8 @@ def validate_cell(
     "nu" additionally requires augmentation 1 in dimension 0 (an error
     if the complex has no augmentation).  The checks run on the columns
     as (index, count) chains over the face table, which a structure and
-    its complex share, each boundary summed from its signed rows; values
-    are built only for a reason.
+    its complex share, each boundary summed from its signed rows and
+    written from its row, so a reason never outgrows a machine word.
     """
     if mode not in ("rho", "nu"):
         raise ValueError(f"unknown cell mode {mode!r}")
@@ -218,10 +218,8 @@ def validate_cell(
         for label, column in (("negative", neg[k + 1]), ("positive", pos[k + 1])):
             got = _boundary(t, k + 1, column)
             if got != want:
-                return (
-                    False,
-                    f"{label} column {k + 1} has boundary {t.vector(k, got)}, expected {t.vector(k, want)}",
-                )
+                return False, (f"{label} column {k + 1} has boundary {t.text(k, got, _format_entries)}, "
+                               f"expected {t.text(k, want, _format_entries)}")
     if mode == "nu":
         if not t.normal:
             raise AugmentationMissingError("complex has no augmentation (basis is not normal)")
@@ -249,6 +247,7 @@ def _chains(t: _FaceTable, table: CellTable) -> tuple[list[list[tuple[int, int]]
 
 def face(table: CellTable, k: int, sign: str) -> CellTable:
     """The k-source or k-target: first k columns kept, then the chosen row."""
+    _check_int(k, "face index")
     if not 0 <= k < table.dim:
         raise ValueError(f"face index {k} out of range for a {table.dim}-cell")
     if sign not in ("source", "target"):
@@ -272,6 +271,7 @@ def compose(x: CellTable, y: CellTable, k: int) -> CellTable:
     disjoint unions; a violation means the inputs were not cells of a
     weak parity complex and raises InternalCheckError.
     """
+    _check_int(k, "composition index")
     if x.dim != y.dim:
         raise NotComposableError(f"dimensions differ: {x.dim} vs {y.dim}")
     if not 0 <= k < x.dim:
@@ -334,16 +334,13 @@ def _max_cells() -> int:
     return value
 
 
-def _check_max_dim(max_dim: int) -> None:
-    if max_dim < 0:
-        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
+def _check_search(struct: Structure, max_dim: int, task: str) -> None:
+    """The gate of every search: a max_dim that is not an int in
+    0..MAX_DIM raises ValueError, then a structure that is not a weak
+    parity complex StructureError naming its classification."""
+    _check_int(max_dim, "max_dim", 0)
     if max_dim > MAX_DIM:  # each level above a structure's top is identities a column wider
         raise ValueError(f"max_dim must be at most {MAX_DIM}, got {max_dim}")
-
-
-def _require_weak(struct: Structure, task: str) -> None:
-    """Raise StructureError naming the classification unless the
-    structure is a weak parity complex."""
     report = validate(struct)
     if not report.meets(CLASS_WEAK):
         raise StructureError(f"{task} needs a weak parity complex, got {report.classification}")
@@ -397,8 +394,7 @@ def _mask_cells(struct: Structure, max_dim: int) -> list[_MaskCell]:
     (first, T's bits, S's position), with first the position of the first
     source whose negative row is S's.
     """
-    _check_max_dim(max_dim)
-    _require_weak(struct, "enumeration")
+    _check_search(struct, max_dim, "enumeration")
     cap = _max_cells()
     message = f"enumeration exceeded {cap} cells (set {MAX_CELLS_ENV} to raise)"
     level: list[_MaskCell] = [((1 << i,), (1 << i,)) for i in range(len(struct.generators(0)))]
@@ -609,8 +605,7 @@ def atom_closure(struct: Structure, max_dim: int) -> dict[CellTable, AtomExpress
     on its k-face) is never composed at level k: the composite would be
     the other operand, which was reached before.
     """
-    _check_max_dim(max_dim)
-    _require_weak(struct, "atom closure")
+    _check_search(struct, max_dim, "atom closure")
     t, table = struct._table, CellTable._of
     return {table(t, cell): expr for cell, expr in _closure(struct, max_dim).items()}
 
@@ -705,11 +700,11 @@ def generated_by_atoms(struct: Structure, table: CellTable) -> AtomExpression | 
 
     The witness evaluates back to the cell exactly, and is the one
     atom_closure(struct, table.dim) gives; absence means that closure
-    does not contain the cell.  Requires a weak parity complex; the
-    closure stops once it reaches the cell, and is capped as in
-    atom_closure.
+    does not contain the cell.  Requires what atom_closure(struct,
+    table.dim) requires, checked by the same gate; the closure stops
+    once it reaches the cell, and is capped as in atom_closure.
     """
-    _require_weak(struct, "atom closure")
+    _check_search(struct, table.dim, "atom closure")
     ok, reason = _check_cell(struct, table)
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")

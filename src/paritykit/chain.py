@@ -120,7 +120,7 @@ def check_complex(complex_: FreeDirectedComplex) -> ChainReport:
 
     for d, i, dd in t.dd_defects():
         name = t.gens[d][i].name
-        text = _format_entries((t.gens[d - 2][j].name, dd[j]) for j in sorted(dd) if dd[j])
+        text = t.text(d - 2, {j: c for j, c in dd.items() if c}, _format_entries)
         failures.append(("dd_zero", name, f"dd({name}) = {text}"))
     dd_zero = not failures
 

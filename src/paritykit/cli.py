@@ -62,9 +62,12 @@ def _load(path: str, *kinds: str) -> fixtures.Fixture:
 def _write_out(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(str(exc))
 
 
 def _emit_structured(payload: dict) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import reduce
 
+from .multiset import _check_int
 from .parity_core import ParityStructure
 
 #: Family size bounds; the corpora grow quickly past these.
@@ -31,8 +32,7 @@ FAMILIES = ("globe", "oriental", "cube")
 
 
 def _check_bound(family: str, n: int, limit: int) -> None:
-    if n < 0:
-        raise ValueError(f"{family} size must be >= 0, got {n}")
+    _check_int(n, f"{family} size", 0)
     if n > limit:
         raise ValueError(f"{family}({n}) exceeds the bound {limit}")
 

@@ -284,11 +284,11 @@ def restrict_morphism(f: GradedMorphism, n: int) -> GradedMorphism:
 
 
 def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
-    """Columnwise image of a cell table under the homomorphic extension:
-    each column's chain mapped through the image rows, as in _apply, into
-    a table over the target's face table; a count beyond MAX_COUNT raises."""
-    from .cells import _chains, _table_on, validate_cell
-    ok, reason = validate_cell(f.source, table, mode="rho")
+    """Columnwise image of a cell, checked against the source as every cell
+    operation checks it: each column's chain mapped through the image rows,
+    as in _apply, into a table over the target's face table; a count beyond MAX_COUNT raises."""
+    from .cells import _chains, _check_cell, _table_on
+    ok, reason = _check_cell(f.source, table)
     if not ok:
         raise ValueError(f"not a valid cell over the source: {reason}")
     chains, rows = _chains(f.source._table, table), f._rows

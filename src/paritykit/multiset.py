@@ -34,8 +34,7 @@ class GeneratorId(tuple):
     __slots__ = ()
 
     def __new__(cls, dim: int, name: str) -> GeneratorId:
-        if dim < 0:
-            raise ValueError(f"generator dimension must be >= 0, got {dim}")
+        _check_int(dim, "generator dimension", 0)
         # A printable character is whitespace only if it is the space itself.
         if not name or not name.isprintable() or " " in name:
             raise ValueError(
@@ -54,6 +53,15 @@ class GeneratorId(tuple):
 
     def __str__(self) -> str:
         return self.name
+
+
+def _check_int(value: object, what: str, least: int | None = None) -> None:
+    """Refuse a dimension, size or index whose type is not int, booleans
+    included, or that is below ``least``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 def _same_dim(a: _Chain, b: _Chain) -> None:
@@ -121,8 +129,7 @@ class Multiset(_Chain):
     __slots__ = ()
 
     def __init__(self, dim: int, counts: Mapping[GeneratorId, int] | Iterable[tuple[GeneratorId, int]] = ()):
-        if dim < 0:
-            raise ValueError(f"dimension must be >= 0, got {dim}")
+        _check_int(dim, "dimension", 0)
         pairs = counts.items() if isinstance(counts, Mapping) else list(counts)
         clean: dict[GeneratorId, int] = {}
         for gen, count in pairs:
@@ -237,8 +244,7 @@ class SignedVector(_Chain):
     __slots__ = ()
 
     def __init__(self, dim: int, entries: Mapping[GeneratorId, int] | Iterable[tuple[GeneratorId, int]] = ()):
-        if dim < 0:
-            raise ValueError(f"dimension must be >= 0, got {dim}")
+        _check_int(dim, "dimension", 0)
         pairs = entries.items() if isinstance(entries, Mapping) else list(entries)
         clean: dict[GeneratorId, int] = {}
         zeros: set[GeneratorId] = set()  # dropped, but a repeat of one is still a repeat

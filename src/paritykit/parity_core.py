@@ -25,7 +25,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .multiset import MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, SignedVector, _format_counts
+from .multiset import MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, SignedVector, _check_int, _format_counts
 
 #: Largest generator dimension of a structure, four times globe(16)'s: a
 #: face table is dense per dimension, so construction and validation
@@ -918,6 +918,7 @@ def _validate(struct: Structure) -> ValidationReport:
 
 def skeleton(struct: Structure, n: int):
     """Discard all generators of dimension > n, restricting face data."""
+    _check_int(n, "skeleton dimension")
     t = struct._table
     keep = max((d + 1 for d, gs in enumerate(t.gens[: max(n + 1, 0)]) if gs), default=0)
     return type(struct)._of(_FaceTable(t.gens[:keep], t.neg[:keep], t.pos[:keep]))

@@ -53,6 +53,22 @@ def overflow_map():
     return GradedMorphism(s, s, images, "additive")
 
 
+def overflow_path():
+    """A map of overflow_map's structure to itself sending the composable
+    edges a: u -> v and b: v -> u each to MAX_COUNT a, and the nu-cell
+    (u; a + b; u) through both, whose image counts a twice MAX_COUNT times."""
+    from paritykit.cells import CellTable
+    from paritykit.morphisms import GradedMorphism
+    from paritykit.multiset import MAX_COUNT, Multiset
+
+    s = overflow_map().source
+    u, a, b = (s.gen(n) for n in "uab")
+    images = {g: Multiset.of(g) for g in s.all_generators()}
+    images[a] = images[b] = Multiset(1, {a: MAX_COUNT})
+    path = CellTable([Multiset.of(u), Multiset.of(a, b)], [Multiset.of(u), Multiset.of(a, b)])
+    return GradedMorphism(s, s, images, "additive"), path
+
+
 @pytest.fixture(scope="session")
 def oriental2():
     return oriental(2)

@@ -75,6 +75,18 @@ class TestValidateCell:
         assert not ok and "augmentation" in reason
         assert cells.validate_cell(oriental2, t, "rho") == (True, None)
 
+    def test_a_boundary_past_max_count_is_reported(self):
+        # a: u -> 2v, so the boundary of MAX a counts v twice MAX_COUNT times
+        from paritykit.multiset import MAX_COUNT
+        from paritykit.parity_core import AdditiveParityStructure
+
+        s = AdditiveParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("a", 1, ["u"], [("v", 2)])])
+        u, v, a = (s.gen(n) for n in "uva")
+        top = Multiset(1, {a: MAX_COUNT})
+        t = CellTable([Multiset(0, {u: MAX_COUNT}), top], [Multiset.of(v), top])
+        assert cells.validate_cell(s, t, "rho") == (False, (
+            f"negative column 1 has boundary -{MAX_COUNT}u +{2 * MAX_COUNT}v, expected -{MAX_COUNT}u +v"))
+
 
 class TestFace:
     def test_source_of_the_triangle_atom(self, oriental2):

@@ -419,16 +419,13 @@ class TestMorphismCommands:
         assert not out_path.exists()
 
     def test_image_beyond_max_count_cannot_be_applied(self, capsys, tmp_path):
-        from conftest import overflow_map
-        from paritykit.cells import CellTable
+        from conftest import overflow_path
         from paritykit.multiset import MAX_COUNT
 
-        f = overflow_map()
-        u, v, a = (f.source.gen(n) for n in "uva")
-        doubled = CellTable([Multiset.of(u, u), Multiset.of(a, a)], [Multiset.of(v, v), Multiset.of(a, a)])
-        path, cell = tmp_path / "big.json", tmp_path / "doubled.json"
+        f, through = overflow_path()
+        path, cell = tmp_path / "big.json", tmp_path / "through.json"
         path.write_text(fixtures.dumps(f, name="big"))
-        cell.write_text(fixtures.dumps(doubled, name="doubled"))
+        cell.write_text(fixtures.dumps(through, name="through"))
         assert main(["morphism", "apply", str(path), "--cell", str(cell)]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == (f"cannot apply: count for 'a' exceeds {MAX_COUNT}\n", "")

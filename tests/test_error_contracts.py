@@ -11,11 +11,11 @@ from unittest import mock
 
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, lift
 from paritykit import cells, cli, fixtures
 from paritykit.cells import CellTable
 from paritykit.chain import AugmentationMissingError, from_structure
-from paritykit.generators import globe, oriental
+from paritykit.generators import cube, globe, oriental
 from paritykit.morphisms import (
     ChainMap,
     GradedMorphism,
@@ -35,6 +35,7 @@ from paritykit.parity_core import (
     atom_faces,
     is_well_formed,
     moves,
+    skeleton,
     subset_faces,
 )
 
@@ -105,6 +106,18 @@ CASES = [
      ValueError, "sign must be 'source' or 'target', got 'up'"),
     ("generated_by_atoms invalid cell", lambda: cells.generated_by_atoms(O2, MISMATCHED()),
      ValueError, "not a valid cell: top columns differ"),
+    ("face index not an integer", lambda: cells.face(cells.atom(O2, EDGE), 0.5, "source"),
+     ValueError, r"face index must be an integer, got 0\.5"),
+    ("composition index a boolean", lambda: cells.compose(cells.atom(O2, EDGE), cells.atom(O2, EDGE), False),
+     ValueError, "composition index must be an integer, got False"),
+    ("enumerate_cells max_dim a float", lambda: cells.enumerate_cells(G1, 1.0),
+     ValueError, r"max_dim must be an integer, got 1\.0"),
+    ("atom_closure max_dim a float", lambda: cells.atom_closure(G1, 1.5),
+     ValueError, r"max_dim must be an integer, got 1\.5"),
+    ("atom_closure max_dim a boolean", lambda: cells.atom_closure(G1, True),
+     ValueError, "max_dim must be an integer, got True"),
+    ("generated_by_atoms past MAX_DIM", lambda: cells.generated_by_atoms(G1, lift(cells.atom(G1, TOP), 70)),
+     ValueError, "max_dim must be at most 64, got 70"),
     ("cell cap not an integer", lambda: capped("abc"),
      cells.EnumerationCapError, "PARITYKIT_MAX_CELLS must be an integer, got 'abc'"),
     ("cell cap zero", lambda: capped("0"), cells.EnumerationCapError, "PARITYKIT_MAX_CELLS must be positive, got 0"),
@@ -143,11 +156,22 @@ CASES = [
     ("build float count", lambda: additive_count(1.5), StructureError, r"count for 'u' must be an integer, got 1\.5"),
     ("build string count", lambda: additive_count("2"), StructureError, "count for 'u' must be an integer, got '2'"),
     ("build boolean count", lambda: additive_count(True), StructureError, "count for 'u' must be an integer, got True"),
+    ("build boolean dimension", lambda: ParityStructure.build([("a", True, [], [])]),
+     ValueError, "generator dimension must be an integer, got True"),
+    ("skeleton dimension a float", lambda: skeleton(O2, 1.5), ValueError, r"skeleton dimension must be an integer, got 1\.5"),
     ("atom_faces on multiset faces", lambda: atom_faces(MULTISET, MULTISET.gen("x")),
      StructureError, "structure has multiset faces with counts >= 2"),
     # multiset
     ("Multiset.of nothing", lambda: Multiset.of(),
      ValueError, r"Multiset.of needs at least one generator; use Multiset\(dim\)"),
+    ("GeneratorId boolean dimension", lambda: GeneratorId(True, "a"),
+     ValueError, "generator dimension must be an integer, got True"),
+    ("GeneratorId float dimension", lambda: GeneratorId(1.5, "a"),
+     ValueError, r"generator dimension must be an integer, got 1\.5"),
+    ("GeneratorId string dimension", lambda: GeneratorId("1", "a"),
+     ValueError, "generator dimension must be an integer, got '1'"),
+    ("Multiset float dimension", lambda: Multiset(1.0), ValueError, r"dimension must be an integer, got 1\.0"),
+    ("SignedVector boolean dimension", lambda: SignedVector(False), ValueError, "dimension must be an integer, got False"),
     ("Multiset float count", lambda: Multiset(0, {POINT: 2.0}), ValueError, r"count for '0' must be an integer, got 2\.0"),
     ("Multiset boolean count", lambda: Multiset(0, {POINT: True}), ValueError, "count for '0' must be an integer, got True"),
     ("SignedVector float entry", lambda: SignedVector(0, {POINT: 1.5}),
@@ -156,6 +180,9 @@ CASES = [
      ValueError, "entry for '0' must be an integer, got '2'"),
     # generators
     ("globe size", lambda: globe(-1), ValueError, "globe size must be >= 0, got -1"),
+    ("globe size a boolean", lambda: globe(True), ValueError, "globe size must be an integer, got True"),
+    ("cube size a float", lambda: cube(2.0), ValueError, r"cube size must be an integer, got 2\.0"),
+    ("oriental size a string", lambda: oriental("3"), ValueError, "oriental size must be an integer, got '3'"),
     # fixtures and cli
     ("loads float schema_version", lambda: fixtures.loads(with_version("1.0")),
      fixtures.FixtureError, r"unsupported schema_version 1\.0, expected 1"),

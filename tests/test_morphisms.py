@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import load_fixture, overflow_map
+from conftest import load_fixture, overflow_map, overflow_path
 from paritykit import cells, fixtures
 from paritykit.chain import from_structure
 from paritykit.generators import cube, globe, oriental
@@ -440,7 +440,7 @@ class TestOverflowingCounts:
         assert image == cells.CellTable([Multiset.of(u), big], [Multiset.of(v), big])
         assert str(image) == f"({{u}}, {{a:{MAX_COUNT}}}; {{v}}, {{a:{MAX_COUNT}}})"
         assert not image.is_subset_columned()
-        doubled = cells.CellTable([Multiset.of(u, u), Multiset.of(a, a)], [Multiset.of(v, v), Multiset.of(a, a)])
-        assert cells.validate_cell(s, doubled, "rho") == (True, None)
+        f, through = overflow_path()
+        assert cells.validate_cell(f.source, through, "nu") == (True, None)
         with pytest.raises(OverflowError, match=f"^count for 'a' exceeds {MAX_COUNT}$"):
-            apply_to_cell(f, doubled)
+            apply_to_cell(f, through)

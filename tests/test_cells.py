@@ -783,6 +783,10 @@ class TestAtomClosure:
         ("oriental", 4, 4, 291, "ae757215e8cf26b68fc7b521f75d484765d19388b33f540a60b25e0ba16671ac"),
         ("cube", 3, 3, 159, "230031140b2f71141a3450acdaee10846b65b1e6651f2e2ab665d016d1f151f2"),
         ("weak_not_strong", None, 2, 26, "59e8216a21c4fb6582e866017a3976fbf68e4c34fdf0f0008a9d808e22d498c0"),
+        # the two largest closures of the benchmark corpus, recorded from
+        # the search that keyed its partner lists by sliced row prefixes
+        ("oriental", 5, 5, 1721, "a15af24c697feabfe2b8f8752dc6d773e72a25e88851594bb0ea6a193b8edc92"),
+        ("oriental", 6, 2, 1127, "400e52df4622dbc01777c526a7db8b525005ff5c0e72fbfb4ee5e8f30604106d"),
     ]
 
     @pytest.mark.frozen

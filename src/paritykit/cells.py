@@ -76,14 +76,15 @@ class CellTable:
     atom closure, atom (a point's atom is its 0-cell), excision,
     apply_to_cell and the cell operations -- keeps its columns as (neg,
     pos) rows of masks over the structure's face table, and reads a
-    column's Multiset from that table's column cache only when neg, pos,
-    top or str asks for it; sort_key reads the masks' set bits.  Two
-    tables over one face table compare their masks, any other pair
-    their columns.  The hash is computed on first use from
-    the column hashes, so a table over masks and an equal one over
-    Multisets stand for each other as dict keys; hashing builds each
-    distinct column's Multiset once per face table.  Tables pickle and
-    copy through the constructor.
+    column's Multiset from that table's cache of its dimension's columns
+    only when neg, pos, top or str asks for it; sort_key reads the masks'
+    set bits.  Two tables over one face table compare their masks, any
+    other pair their columns.  The hash, computed on first use, reads the
+    negative row's column hashes alone, as a cell's negative row fixes its
+    positive one (P_k = M_k + dM_{k+1}, P_n = M_n); so a table over masks
+    and an equal one over Multisets stand for each other as dict keys, and
+    two tables that are not both cells may hash equal yet differ.  Tables
+    pickle and copy through the constructor.
     """
 
     __slots__ = ("_rows", "_faces", "_hash")
@@ -131,12 +132,12 @@ class CellTable:
         if self._faces is None:
             return row
         columns = self._faces.columns
-        return tuple([columns[k, mask][0] for k, mask in enumerate(row)])
+        return tuple([columns[k][mask][0] for k, mask in enumerate(row)])
 
     @property
     def top(self) -> Multiset:
         top = self._rows[0][-1]
-        return top if self._faces is None else self._faces.columns[self.dim, top][0]
+        return top if self._faces is None else self._faces.columns[self.dim][top][0]
 
     def is_identity(self) -> bool:
         """True iff the top column is empty (the lift of a lower cell)."""
@@ -164,11 +165,11 @@ class CellTable:
         h = self._hash
         if h is None:
             if self._faces is None:
-                h = hash(tuple([hash(c) for row in self._rows for c in row]))
+                h = hash(tuple([hash(c) for c in self._rows[0]]))
             else:
                 columns = self._faces.columns
-                h = hash(tuple([columns[k, mask][1] for row in self._rows for k, mask in enumerate(row)]))
-            object.__setattr__(self, "_hash", h)
+                h = hash(tuple([columns[k][mask][1] for k, mask in enumerate(self._rows[0])]))
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -179,12 +180,14 @@ class CellTable:
         return f"({row(self.neg)}; {row(self.pos)})"
 
 
+_set_rows, _set_faces, _set_hash = (getattr(CellTable, slot).__set__ for slot in CellTable.__slots__)
+
+
 def _fill(table: CellTable, rows: tuple[tuple, tuple], faces: _FaceTable | None) -> None:
-    """Write a new table's slots."""
-    fill = object.__setattr__
-    fill(table, "_rows", rows)
-    fill(table, "_faces", faces)
-    fill(table, "_hash", None)
+    """Write a new table's slots through their member descriptors."""
+    _set_rows(table, rows)
+    _set_faces(table, faces)
+    _set_hash(table, None)
 
 
 def _table_on(t: _FaceTable, rows: Sequence[Sequence[dict[int, int]]]) -> CellTable:
@@ -632,16 +635,17 @@ def _closure(
     """The closure on mask cells, in the order reached; stops as soon as
     goal, if given, is reached.
 
-    An identity appends a pair of zero columns, a k-face is a slice of
-    the rows, and a k-composite ORs the columns above k.
+    An identity appends a pair of zero columns, a k-face is an id of the
+    rows below k and column k, and a k-composite ORs the columns above k.
     """
     cap = _max_cells()
     known: dict[_MaskCell, AtomExpression] = {}
     queue: deque[_MaskCell] = deque()
-    # (dim, k, neg[:k], pos[:k], column k) -> cells of that dimension with
-    # that k-source / k-target, in the order they left the queue
-    by_source: dict[tuple, list[_MaskCell]] = {}
-    by_target: dict[tuple, list[_MaskCell]] = {}
+    # (prefix, column k) -> cells with that k-source / k-target, in the order they left the queue,
+    # where prefix is the id of (dim, neg[:k], pos[:k]), interned a column at a time from the root ~dim
+    prefixes: dict[tuple[int, int, int], int] = {}
+    by_source: dict[tuple[int, int], list[_MaskCell]] = {}
+    by_target: dict[tuple[int, int], list[_MaskCell]] = {}
 
     def add(cell: _MaskCell, expr: AtomExpression) -> bool:
         """Record a cell not yet known; True iff it is the goal."""
@@ -675,9 +679,9 @@ def _closure(
             top = dim
             while top and not (neg[top] or pos[top]):
                 top -= 1
+            prefix = ~dim
             for k in range(top):
-                src = (dim, k, neg[:k], pos[:k], neg[k])
-                tgt = src[:4] + (pos[k],)
+                src, tgt = (prefix, neg[k]), (prefix, pos[k])
                 by_source.setdefault(src, []).append(cell)
                 by_target.setdefault(tgt, []).append(cell)
                 # when src == tgt both lists now end with the cell itself
@@ -690,6 +694,7 @@ def _closure(
                         composite = _composite(x, cell, k)
                         if composite not in known and add(composite, Composite(k, known[x], expr)):
                             return
+                prefix = prefixes.setdefault((prefix, neg[k], pos[k]), len(prefixes))
 
     search()
     return known

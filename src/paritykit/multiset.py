@@ -36,7 +36,7 @@ class GeneratorId(tuple):
     def __new__(cls, dim: int, name: str) -> GeneratorId:
         _check_int(dim, "generator dimension", 0)
         # A printable character is whitespace only if it is the space itself.
-        if not name or not name.isprintable() or " " in name:
+        if not isinstance(name, str) or not name or not name.isprintable() or " " in name:
             raise ValueError(
                 f"generator name must be a non-empty printable token, got {name!r}"
             )
@@ -62,6 +62,12 @@ def _check_int(value: object, what: str, least: int | None = None) -> None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
+
+
+def _check_gen(gen: object) -> None:
+    """Refuse a key of a Multiset or SignedVector that is not a GeneratorId."""
+    if not isinstance(gen, GeneratorId):
+        raise ValueError(f"generator must be a GeneratorId, got {gen!r}")
 
 
 def _same_dim(a: _Chain, b: _Chain) -> None:
@@ -133,6 +139,7 @@ class Multiset(_Chain):
         pairs = counts.items() if isinstance(counts, Mapping) else list(counts)
         clean: dict[GeneratorId, int] = {}
         for gen, count in pairs:
+            _check_gen(gen)
             if gen.dim != dim:
                 raise DimensionMismatchError(
                     f"generator {gen.name!r} has dimension {gen.dim}, expected {dim}"
@@ -249,6 +256,7 @@ class SignedVector(_Chain):
         clean: dict[GeneratorId, int] = {}
         zeros: set[GeneratorId] = set()  # dropped, but a repeat of one is still a repeat
         for gen, value in pairs:
+            _check_gen(gen)
             if gen.dim != dim:
                 raise DimensionMismatchError(
                     f"generator {gen.name!r} has dimension {gen.dim}, expected {dim}"

@@ -20,6 +20,7 @@ reading; ids and Multisets are built only for results.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from itertools import accumulate, groupby
 from operator import itemgetter
 from types import MappingProxyType
@@ -112,6 +113,7 @@ class _GradedStructure:
         return tuple(d for d, gs in enumerate(self._table.gens) if gs)
 
     def generators(self, n: int) -> tuple[GeneratorId, ...]:
+        _check_int(n, "dimension")
         return self._table.gens[n] if 0 <= n <= self.max_dim else ()
 
     def all_generators(self) -> Iterator[GeneratorId]:
@@ -128,6 +130,7 @@ class _GradedStructure:
         """Look a generator up by name (and dimension, if ambiguous)."""
         t = self._table
         if dim is not None:
+            _check_int(dim, "dimension")
             i = t.index.get((dim, name))
             if i is None:
                 raise UnknownGeneratorError(f"no generator {name!r} in dimension {dim}")
@@ -295,19 +298,21 @@ def _linear(boundaries, chain: Iterable[tuple]) -> dict:
     return out
 
 
-class _SubsetColumns(dict):
-    """Subset columns by (dim, mask), each a (Multiset, hash) pair built
-    on first use: bit j of a dimension-d mask stands for ``gens[d][j]``."""
+class _Lazy(dict):
+    """A dict that makes a missing key's value as ``make(key)`` and keeps it."""
 
-    def __init__(self, gens: list[tuple[GeneratorId, ...]]):
-        self._gens = gens
+    def __init__(self, make):
+        self._make = make
 
-    def __missing__(self, key: tuple[int, int]) -> tuple[Multiset, int]:
-        d, mask = key
-        # an identity's zero column may lie above the structure's top dimension
-        column = Multiset(d, [(self._gens[d][j], 1) for j in _bits(mask)])
-        got = self[key] = column, hash(column)
+    def __missing__(self, key):
+        got = self[key] = self._make(key)
         return got
+
+
+def _subset_column(d: int, gens: tuple[GeneratorId, ...], mask: int) -> tuple[Multiset, int]:
+    """Dimension d's subset column of a mask, where bit j stands for ``gens[j]``, and its hash."""
+    column = Multiset(d, [(gens[j], 1) for j in _bits(mask)])
+    return column, hash(column)
 
 
 class _FaceTable:
@@ -360,7 +365,8 @@ class _FaceTable:
                 sg.append(row)
         self.subset = counts < 2
         self.normal = next(_non_normal(self), None) is None
-        self.columns = _SubsetColumns(gens)
+        # columns[d][mask], made on first use; an identity's zero column may lie above the top dimension
+        self.columns = _Lazy(lambda d: _Lazy(partial(_subset_column, d, gens[d] if d < len(gens) else ())))
         self._dd: tuple | None = None
         self._atoms: dict[GeneratorId, tuple[tuple, tuple]] = {}
 

@@ -98,6 +98,18 @@ class TestEqualityAndHash:
         mixed = set(enumerated) | {rebuilt(t) for t in enumerated} | {loaded(t) for t in enumerated}
         assert len(mixed) == len(enumerated)
 
+    def test_the_hash_reads_the_negative_row_only(self):
+        # a cell's negative row fixes its positive row, so only tables that
+        # are not both cells share a negative row, and == tells them apart
+        o1 = oriental(1)
+        zero, one, edge = (Multiset.of(o1.gen(n)) for n in ("0", "1", "01"))
+        cell, other = CellTable([zero, edge], [one, edge]), CellTable([zero, edge], [zero, edge])
+        assert cells.validate_cell(o1, cell)[0] and not cells.validate_cell(o1, other)[0]
+        assert cell != other and hash(cell) == hash(other) == hash(cells.atom(o1, o1.gen("01")))
+        keyed = {cell: "cell", other: "other"}
+        assert len(keyed) == 2 and (keyed[cell], keyed[other], keyed[rebuilt(other)]) == ("cell", "other", "other")
+        assert len({cell, other, rebuilt(cell), rebuilt(other)}) == 2
+
     def test_over_the_additive_view(self, case):
         struct, max_dim, enumerated = case
         additive = struct.to_additive()
@@ -209,7 +221,7 @@ class TestTextAndKeys:
         made = cells.enumerate_cells(struct, max_dim) + [cells.atom(struct, g) for g in struct.all_generators()]
         made += [cells.identity(t) for t in made[::7]] + [cells.face(t, 0, "target") for t in made if t.dim]
         keys = [t.sort_key() for t in made]
-        assert struct._table.columns == {}
+        assert not any(struct._table.columns.values())  # no dimension's cache holds a column
         assert keys == [(t.dim, tuple(m.sort_key() for m in t.neg), tuple(p.sort_key() for p in t.pos)) for t in made]
         assert keys == [rebuilt(t).sort_key() for t in made]
         enumerated = cells.enumerate_cells(struct, max_dim)

@@ -148,6 +148,8 @@ CASES = [
     ("subset_faces dimension", lambda: subset_faces(O2, 1, [POINT]),
      DimensionMismatchError, "'0' has dimension 0, expected 1"),
     ("gen without a dimension", lambda: O2.gen("zz"), UnknownGeneratorError, "no generator named 'zz'"),
+    ("gen boolean dimension", lambda: G1.gen("top", True), ValueError, "dimension must be an integer, got True"),
+    ("generators float dimension", lambda: G1.generators(1.5), ValueError, r"dimension must be an integer, got 1\.5"),
     ("is_well_formed dimension", lambda: is_well_formed(O2, 1, [POINT]),
      DimensionMismatchError, "'0' has dimension 0, expected 1"),
     ("is_well_formed repeat", lambda: is_well_formed(O2, 1, [EDGE, EDGE]), ValueError, "subset with repeated members"),
@@ -170,7 +172,14 @@ CASES = [
      ValueError, r"generator dimension must be an integer, got 1\.5"),
     ("GeneratorId string dimension", lambda: GeneratorId("1", "a"),
      ValueError, "generator dimension must be an integer, got '1'"),
+    ("GeneratorId integer name", lambda: GeneratorId(0, 5),
+     ValueError, "generator name must be a non-empty printable token, got 5"),
     ("Multiset float dimension", lambda: Multiset(1.0), ValueError, r"dimension must be an integer, got 1\.0"),
+    ("Multiset name key", lambda: Multiset(0, [("a", 1)]), ValueError, "generator must be a GeneratorId, got 'a'"),
+    ("Multiset tuple key", lambda: Multiset(0, {(0, "a"): 1}),
+     ValueError, r"generator must be a GeneratorId, got \(0, 'a'\)"),
+    ("SignedVector tuple key", lambda: SignedVector(0, [((0, "a"), -1)]),
+     ValueError, r"generator must be a GeneratorId, got \(0, 'a'\)"),
     ("SignedVector boolean dimension", lambda: SignedVector(False), ValueError, "dimension must be an integer, got False"),
     ("Multiset float count", lambda: Multiset(0, {POINT: 2.0}), ValueError, r"count for '0' must be an integer, got 2\.0"),
     ("Multiset boolean count", lambda: Multiset(0, {POINT: True}), ValueError, "count for '0' must be an integer, got True"),

@@ -290,6 +290,15 @@ class TestMoves:
             for mode in ("additive", "subset", "strict"):
                 assert moves(struct, s, m, p, mode=mode)
 
+    def test_strict_movement_is_stricter_than_subset_movement(self):
+        # a: u -> u moves {u} to {u} by its boundary and by face unions,
+        # but its source meets the target, which strict movement refuses
+        for struct in (load_fixture("self_loop").value, load_fixture("self_loop").value.to_additive()):
+            s, u = mset(struct, 1, "a"), mset(struct, 0, "u")
+            assert moves(struct, s, u, u, mode="additive")
+            assert moves(struct, s, u, u, mode="subset")
+            assert not moves(struct, s, u, u, mode="strict")
+
     def test_empty_moves_anything_to_itself(self, oriental2):
         m = mset(oriental2, 0, "0", "1")
         assert moves(oriental2, Multiset(1), m, m, mode="additive")

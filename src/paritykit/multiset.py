@@ -3,8 +3,9 @@
 Multisets are the elements of the free commutative monoid on one
 dimension's generators; signed vectors are the elements of the free
 abelian group.  A multiset is a positive chain, so both classes share
-one base, ``_Chain``, for storage, equality, hashing and addition, and
-differ only in the entries they accept and in their own operations.
+one base, ``_Chain``, for storage, entry checks, equality, hashing and
+pointwise operations, and differ only in the least entry they accept
+and in their own operations.
 Everything here is immutable and pure, so values can be shared freely
 between threads, reused as dictionary keys, pickled and copied.
 """
@@ -12,7 +13,7 @@ between threads, reused as dictionary keys, pickled and copied.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 #: Counts at or beyond one machine word are rejected instead of accepted.
 MAX_COUNT = 2**63 - 1
@@ -70,6 +71,26 @@ def _check_gen(gen: object) -> None:
         raise ValueError(f"generator must be a GeneratorId, got {gen!r}")
 
 
+def _entries(dim: int, counts: Mapping | Iterable, word: str) -> Iterator[tuple[GeneratorId, int]]:
+    """Check the dimension, then yield each entry in the given order once
+    its grading, its repeat (a dropped zero entry included), its type and
+    its upper bound are checked; the lower bound is the caller's."""
+    _check_int(dim, "dimension", 0)
+    seen: set[GeneratorId] = set()
+    for gen, count in counts.items() if isinstance(counts, Mapping) else list(counts):
+        _check_gen(gen)
+        if gen[0] != dim:
+            raise DimensionMismatchError(f"generator {gen.name!r} has dimension {gen.dim}, expected {dim}")
+        if gen in seen:
+            raise ValueError(f"duplicate generator {gen.name!r}")
+        seen.add(gen)
+        if type(count) is not int:
+            raise ValueError(f"{word} for {gen.name!r} must be an integer, got {count!r}")
+        if count > MAX_COUNT:
+            raise OverflowError(f"{word} for {gen.name!r} exceeds {MAX_COUNT}")
+        yield gen, count
+
+
 def _same_dim(a: _Chain, b: _Chain) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(
@@ -81,13 +102,29 @@ class _Chain:
     """What the two value classes share: a dimension and a sparse,
     nonzero generator -> count mapping, fixed at construction.
 
-    Each class checks its entries in its own constructor, which writes
-    the four slots; everything built from them lives here.  Values are
-    immutable, pickle and copy through their constructor, and equal only
-    values of their own class.
+    ``_entries`` checks every entry but its lower bound, which each
+    class's constructor adds before ``_fill`` writes the four slots;
+    ``_combine`` builds every pointwise operation of two values.  Values
+    are immutable, pickle and copy through their constructor, and equal
+    only values of their own class.
     """
 
     __slots__ = ("_dim", "_counts", "_items", "_hash")
+
+    def _fill(self, dim: int, counts: dict[GeneratorId, int]) -> None:
+        items = tuple(sorted(counts.items()))
+        _set_dim(self, dim)
+        _set_counts(self, counts)
+        _set_items(self, items)
+        _set_hash(self, hash((dim, items)))
+
+    def _combine(self, other, op):
+        """The value of ``op`` on each pair of counts, 0 standing for a
+        missing key, over self's keys and then other's new ones; zero
+        results are dropped."""
+        _same_dim(self, other)
+        a, b = self._counts, other._counts
+        return type(self)(self._dim, {g: c for g in a | b if (c := op(a.get(g, 0), b.get(g, 0)))})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -105,11 +142,7 @@ class _Chain:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        _same_dim(self, other)
-        counts = dict(self._counts)
-        for g, c in other._counts.items():
-            counts[g] = counts.get(g, 0) + c
-        return type(self)(self._dim, counts)
+        return self._combine(other, add)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -121,6 +154,9 @@ class _Chain:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._dim}, {dict((g.name, c) for g, c in self._items)!r})"
+
+
+_set_dim, _set_counts, _set_items, _set_hash = (getattr(_Chain, slot).__set__ for slot in _Chain.__slots__)
 
 
 class Multiset(_Chain):
@@ -135,28 +171,12 @@ class Multiset(_Chain):
     __slots__ = ()
 
     def __init__(self, dim: int, counts: Mapping[GeneratorId, int] | Iterable[tuple[GeneratorId, int]] = ()):
-        _check_int(dim, "dimension", 0)
-        pairs = counts.items() if isinstance(counts, Mapping) else list(counts)
         clean: dict[GeneratorId, int] = {}
-        for gen, count in pairs:
-            _check_gen(gen)
-            if gen.dim != dim:
-                raise DimensionMismatchError(
-                    f"generator {gen.name!r} has dimension {gen.dim}, expected {dim}"
-                )
-            if gen in clean:
-                raise ValueError(f"duplicate generator {gen.name!r}")
-            if type(count) is not int:
-                raise ValueError(f"count for {gen.name!r} must be an integer, got {count!r}")
+        for gen, count in _entries(dim, counts, "count"):
             if count <= 0:
                 raise ValueError(f"count for {gen.name!r} must be positive, got {count}")
-            if count > MAX_COUNT:
-                raise OverflowError(f"count for {gen.name!r} exceeds {MAX_COUNT}")
             clean[gen] = count
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_counts", clean)
-        object.__setattr__(self, "_items", tuple(sorted(clean.items())))
-        object.__setattr__(self, "_hash", hash((dim, self._items)))
+        self._fill(dim, clean)
 
     @classmethod
     def of(cls, *gens: GeneratorId) -> Multiset:
@@ -181,36 +201,19 @@ class Multiset(_Chain):
 
     def difference(self, other: Multiset) -> Multiset:
         """Truncated difference: pointwise max(count - other, 0)."""
-        _same_dim(self, other)
-        counts = {}
-        for g, c in self._counts.items():
-            d = c - other._counts.get(g, 0)
-            if d > 0:
-                counts[g] = d
-        return Multiset(self._dim, counts)
+        return self._combine(other, lambda c, d: max(c - d, 0))
 
     __sub__ = difference
 
     def meet(self, other: Multiset) -> Multiset:
         """Pointwise min."""
-        _same_dim(self, other)
-        counts = {}
-        for g, c in self._counts.items():
-            d = min(c, other._counts.get(g, 0))
-            if d > 0:
-                counts[g] = d
-        return Multiset(self._dim, counts)
+        return self._combine(other, min)
 
     __and__ = meet
 
     def join(self, other: Multiset) -> Multiset:
         """Pointwise max."""
-        _same_dim(self, other)
-        counts = dict(self._counts)
-        for g, c in other._counts.items():
-            if c > counts.get(g, 0):
-                counts[g] = c
-        return Multiset(self._dim, counts)
+        return self._combine(other, max)
 
     __or__ = join
 
@@ -226,9 +229,6 @@ class Multiset(_Chain):
 
     def to_vector(self) -> SignedVector:
         return SignedVector(self._dim, self._counts)
-
-    def __contains__(self, gen: GeneratorId) -> bool:
-        return gen in self._counts
 
     def __iter__(self) -> Iterator[GeneratorId]:
         return iter(g for g, _ in self._items)
@@ -251,30 +251,13 @@ class SignedVector(_Chain):
     __slots__ = ()
 
     def __init__(self, dim: int, entries: Mapping[GeneratorId, int] | Iterable[tuple[GeneratorId, int]] = ()):
-        _check_int(dim, "dimension", 0)
-        pairs = entries.items() if isinstance(entries, Mapping) else list(entries)
         clean: dict[GeneratorId, int] = {}
-        zeros: set[GeneratorId] = set()  # dropped, but a repeat of one is still a repeat
-        for gen, value in pairs:
-            _check_gen(gen)
-            if gen.dim != dim:
-                raise DimensionMismatchError(
-                    f"generator {gen.name!r} has dimension {gen.dim}, expected {dim}"
-                )
-            if gen in clean or (zeros and gen in zeros):
-                raise ValueError(f"duplicate generator {gen.name!r}")
-            if type(value) is not int:
-                raise ValueError(f"entry for {gen.name!r} must be an integer, got {value!r}")
-            if value == 0:
-                zeros.add(gen)
-                continue
-            if abs(value) > MAX_COUNT:
+        for gen, value in _entries(dim, entries, "entry"):
+            if value < -MAX_COUNT:
                 raise OverflowError(f"entry for {gen.name!r} exceeds {MAX_COUNT}")
-            clean[gen] = value
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_counts", clean)
-        object.__setattr__(self, "_items", tuple(sorted(clean.items())))
-        object.__setattr__(self, "_hash", hash((dim, self._items)))
+            if value:
+                clean[gen] = value
+        self._fill(dim, clean)
 
     def is_zero(self) -> bool:
         return not self._counts
@@ -286,11 +269,7 @@ class SignedVector(_Chain):
         return Multiset(self._dim, neg), Multiset(self._dim, pos)
 
     def __sub__(self, other: SignedVector) -> SignedVector:
-        _same_dim(self, other)
-        entries = dict(self._counts)
-        for g, v in other._counts.items():
-            entries[g] = entries.get(g, 0) - v
-        return SignedVector(self._dim, entries)
+        return self._combine(other, sub)
 
     def __neg__(self) -> SignedVector:
         return SignedVector(self._dim, {g: -v for g, v in self._counts.items()})

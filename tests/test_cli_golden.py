@@ -97,11 +97,12 @@ GOLDEN = {
 }
 
 
-def run_digest(capsys, template, file, n=None) -> str:
+def run_digest(capsys, template, file, n=None) -> tuple[str, str]:
+    """The digest of one command's exit code, stdout and stderr, and its stderr."""
     argv = [arg.format(file=file, n=n) for arg in template]
     code = main(argv)
     captured = capsys.readouterr()
-    return hashlib.sha256(f"{code}\n{captured.out}\n{captured.err}".encode()).hexdigest()
+    return hashlib.sha256(f"{code}\n{captured.out}\n{captured.err}".encode()).hexdigest(), captured.err
 
 
 @pytest.mark.parametrize("command", sorted(FAMILY_COMMANDS))
@@ -109,16 +110,18 @@ def run_digest(capsys, template, file, n=None) -> str:
 def test_family_output(capsys, tmp_path, name, n, command):
     path = tmp_path / f"{name}{n}.json"
     path.write_text(fixtures.dumps(family(name, n), name=f"{name}-{n}"))
-    digest = run_digest(capsys, FAMILY_COMMANDS[command], path, n)
+    digest, err = run_digest(capsys, FAMILY_COMMANDS[command], path, n)
     assert digest == GOLDEN[(name, n, command)]
+    assert err == ""
 
 
 @pytest.mark.parametrize("command", sorted(FIXTURE_COMMANDS))
 @pytest.mark.parametrize("name", ["circle", "weak_not_strong"])
 def test_fixture_output(capsys, name, command):
     path = FIXTURE_DIR / f"{name}.json"
-    digest = run_digest(capsys, FIXTURE_COMMANDS[command], path)
+    digest, err = run_digest(capsys, FIXTURE_COMMANDS[command], path)
     assert digest == GOLDEN[(name, None, command)]
+    assert err == ""
 
 
 def shared_name():
@@ -139,8 +142,9 @@ def test_structured_boundaries_of_a_shared_name(capsys, tmp_path):
     assert main(["chain", str(path), "--format", "structured"]) == 0
     boundaries = json.loads(capsys.readouterr().out)["boundaries"]
     assert boundaries == {"1": {"x": "-u +v", "y": "-u +v"}, "2": {"x": "-x +y"}}
-    digest = run_digest(capsys, FIXTURE_COMMANDS["structured_boundaries"], path)
+    digest, err = run_digest(capsys, FIXTURE_COMMANDS["structured_boundaries"], path)
     assert digest == GOLDEN[("shared_name", None, "structured_boundaries")]
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------

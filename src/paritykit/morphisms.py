@@ -71,7 +71,8 @@ class GradedMorphism:
     mode = property(attrgetter("_mode"))
 
     def image(self, gen: GeneratorId) -> Multiset:
-        return self._target._table.multiset(gen.dim, _row(self, gen))
+        row = _row(self, gen)  # refuses a key that is not a generator of the source before its dim is read
+        return self._target._table.multiset(gen.dim, row)
 
     def apply_multiset(self, s: Multiset) -> Multiset:
         """Homomorphic extension to multisets."""
@@ -337,7 +338,8 @@ class ChainMap:
     target = property(attrgetter("_target"))
 
     def image(self, gen: GeneratorId) -> SignedVector:
-        return self._target._table.vector(gen.dim, _row(self, gen))
+        row = _row(self, gen)  # as in GradedMorphism.image
+        return self._target._table.vector(gen.dim, row)
 
     def apply(self, v: SignedVector) -> SignedVector:
         return self._target._table.vector(v.dim, _apply(self, v))

@@ -66,18 +66,22 @@ def _check_int(value: object, what: str, least: int | None = None) -> None:
 
 
 def _check_gen(gen: object) -> None:
-    """Refuse a key of a Multiset or SignedVector that is not a GeneratorId."""
+    """Refuse a key of a value, or a generator argument, that is not a GeneratorId."""
     if not isinstance(gen, GeneratorId):
         raise ValueError(f"generator must be a GeneratorId, got {gen!r}")
 
 
 def _entries(dim: int, counts: Mapping | Iterable, word: str) -> Iterator[tuple[GeneratorId, int]]:
     """Check the dimension, then yield each entry in the given order once
-    its grading, its repeat (a dropped zero entry included), its type and
-    its upper bound are checked; the lower bound is the caller's."""
+    its shape (a 2-item tuple or list), its id, its grading, its repeat (a
+    dropped zero entry included), its type and its upper bound are
+    checked; the lower bound is the caller's."""
     _check_int(dim, "dimension", 0)
     seen: set[GeneratorId] = set()
-    for gen, count in counts.items() if isinstance(counts, Mapping) else list(counts):
+    for entry in counts.items() if isinstance(counts, Mapping) else list(counts):
+        if not isinstance(entry, (tuple, list)) or isinstance(entry, GeneratorId) or len(entry) != 2:
+            raise ValueError(f"entries must be (generator, count) pairs, got {entry!r}")
+        gen, count = entry
         _check_gen(gen)
         if gen[0] != dim:
             raise DimensionMismatchError(f"generator {gen.name!r} has dimension {gen.dim}, expected {dim}")

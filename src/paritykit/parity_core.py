@@ -26,7 +26,9 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .multiset import MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, SignedVector, _check_int, _format_counts
+from .multiset import (
+    MAX_COUNT, DimensionMismatchError, GeneratorId, Multiset, SignedVector, _check_gen, _check_int, _format_counts,
+)
 
 #: Largest generator dimension of a structure, four times globe(16)'s: a
 #: face table is dense per dimension, so construction and validation
@@ -269,6 +271,7 @@ class _ById(dict):
     """A dict keyed by generator ids; a missing key is an unknown generator."""
 
     def __missing__(self, gen: GeneratorId):
+        _check_gen(gen)
         raise UnknownGeneratorError(f"generator {gen.name!r} (dim {gen.dim}) not in structure")
 
 
@@ -381,7 +384,11 @@ class _FaceTable:
 
     def atom(self, gen: GeneratorId) -> tuple[tuple, tuple]:
         """The ``_atom`` of a generator, built on first use; one the table lacks raises."""
-        return self._atoms.get(gen) or self._atoms.setdefault(gen, _atom(self, gen.dim, self.index[gen]))
+        atom = self._atoms.get(gen)
+        if atom is None:
+            i = self.index[gen]  # refuses a key that is not a generator id before its dim is read
+            atom = self._atoms[gen] = _atom(self, gen.dim, i)
+        return atom
 
     def same_faces(self, other: _FaceTable) -> bool:
         """Same generators and face rows."""
@@ -497,6 +504,7 @@ class SubsetFaces(NamedTuple):
 
 def subset_faces(struct: ParityStructure, dim: int, s: Iterable[GeneratorId]) -> SubsetFaces:
     """Face unions of a subset of dimension >= 1 generators."""
+    _check_int(dim, "dimension")
     if dim < 1:
         raise DimensionMismatchError("subset faces need a subset of dimension >= 1")
     t = struct._table
@@ -508,6 +516,7 @@ def is_well_formed(struct: Structure, dim: int, s: Iterable[GeneratorId]) -> boo
     """Well-formedness of a subset: a singleton in dimension 0; in higher
     dimensions, distinct members have disjoint negative faces and disjoint
     positive faces."""
+    _check_int(dim, "dimension")
     members = list(s)
     for g in members:
         struct.require(g)

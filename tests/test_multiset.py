@@ -296,6 +296,21 @@ class TestConstructorContract:
             assert raised(SignedVector, 1, entries) == (ValueError, "duplicate generator 'a'")
         assert SignedVector(1, [(A, 0), (B, 1)]) == SignedVector(1, {B: 1})
 
+    def test_an_entry_that_is_not_a_pair_is_refused(self):
+        # a bare id, a name, an int or a triple, after the dimension and
+        # before the id of the entry; a pair may be a tuple or a list
+        p = GeneratorId(0, "p")
+        for cls in (Multiset, SignedVector):
+            for entry in (p, "a", "ab", 5, (p, 1, 2), [p]):
+                assert raised(cls, 0, [entry]) == (
+                    ValueError, f"entries must be (generator, count) pairs, got {entry!r}"
+                )
+            assert raised(cls, 0, [(p, 1), p]) == (
+                ValueError, "entries must be (generator, count) pairs, got GeneratorId(dim=0, name='p')"
+            )
+            assert raised(cls, -1, [p])[1] == "dimension must be >= 0, got -1"
+            assert cls(0, [[p, 1]]) == cls(0, [(p, 1)])
+
     def test_iterables_and_mappings_agree(self):
         for cls in (Multiset, SignedVector):
             assert cls(1, [(B, 2), (A, 1)]) == cls(1, {A: 1, B: 2})

@@ -298,6 +298,70 @@ class TestPackageSurface:
         assert paritykit.__version__ == "0.1.0"
 
 
+#: The parameters that take a dimension, size, index, name or generator
+#: id, each with the words one of which a refusal of it must contain.
+SCALARS = {"dim": ("dimension",), "n": ("size", "dimension"), "k": ("index",), "max_dim": ("max_dim",),
+           "name": ("name", "family", "generator"), "gen": ("generator",)}
+#: The values of the wrong type passed to each of them.
+BAD_SCALARS = (True, 1.5, "1", None)
+
+
+def _scalar_calls():
+    """Each public function, and each public method of an exported class
+    on a sample receiver, with a sample value for each of its parameters:
+    (qualified name, callable, {parameter: value})."""
+    o2 = paritykit.oriental(2)
+    ident = paritykit.identity_morphism(o2)
+    edge = paritykit.atom(o2, o2.gen("01"))
+    receivers = {
+        "ParityStructure": o2, "AdditiveParityStructure": o2.to_additive(),
+        "FreeDirectedComplex": from_structure(o2), "GradedMorphism": ident,
+        "ChainMap": paritykit.induced_chain_map(ident),
+    }
+    samples = {"struct": o2, "gen": o2.gen("01"), "dim": 1, "n": 1, "k": 0, "max_dim": 1, "name": "01",
+               "s": [o2.gen("01")], "x": edge, "y": edge, "table": edge, "sign": "source", "f": ident}
+    calls = [(name, getattr(paritykit, name)) for name in sorted(paritykit.__all__)
+             if not inspect.isclass(getattr(paritykit, name))]
+    for qual in sorted(public_methods()):
+        cls, attr = qual.split(".")
+        value = inspect.getattr_static(getattr(paritykit, cls), attr)
+        if isinstance(value, property):
+            continue
+        if SCALARS.keys() & inspect.signature(getattr(value, "__func__", value)).parameters.keys():
+            calls.append((qual, getattr(receivers[cls], attr)))
+    for qual, call in calls:
+        params = inspect.signature(call).parameters
+        if SCALARS.keys() & params.keys():
+            args = {p: samples[p] for p in params}
+            yield qual, call, {**args, "name": "globe"} if qual == "family" else args
+
+
+class TestScalarArguments:
+    def test_every_scalar_parameter_refuses_a_wrong_type_by_name(self):
+        walked, faults = [], []
+        for qual, call, args in _scalar_calls():
+            for param in SCALARS.keys() & args.keys():
+                default = inspect.signature(call).parameters[param].default
+                for bad in BAD_SCALARS:
+                    if bad is None and default is None:
+                        continue
+                    walked.append((qual, param, bad))
+                    try:
+                        answer = call(**{**args, param: bad})
+                    except (ValueError, TypeError) as exc:
+                        if not any(word in str(exc) for word in SCALARS[param]):
+                            faults.append(f"{qual}({param}={bad!r}): {type(exc).__name__}: {exc}")
+                    except Exception as exc:  # AttributeError, KeyError and the like
+                        faults.append(f"{qual}({param}={bad!r}): {type(exc).__name__}: {exc}")
+                    else:
+                        faults.append(f"{qual}({param}={bad!r}) answered {answer!r}")
+        assert faults == []
+        # 15 functions and 15 methods, with 33 such parameters, 2 of them defaulting to None
+        assert len({qual for qual, _, _ in walked}) == 30
+        assert len({(qual, param) for qual, param, _ in walked}) == 33
+        assert len(walked) == 33 * 4 - 2
+
+
 class TestReportTypes:
     def test_validation_report_repr_unchanged(self, circle):
         assert repr(validate(circle)) == (

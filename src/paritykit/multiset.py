@@ -187,6 +187,7 @@ class Multiset(_Chain):
         """Tally of one or more generators; the dimension is taken from the first."""
         if not gens:
             raise ValueError("Multiset.of needs at least one generator; use Multiset(dim)")
+        _check_gen(gens[0])  # the constructor checks the rest
         counts: dict[GeneratorId, int] = {}
         for g in gens:
             counts[g] = counts.get(g, 0) + 1

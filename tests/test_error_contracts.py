@@ -166,6 +166,7 @@ CASES = [
     # multiset
     ("Multiset.of nothing", lambda: Multiset.of(),
      ValueError, r"Multiset.of needs at least one generator; use Multiset\(dim\)"),
+    ("Multiset.of a tuple", lambda: Multiset.of((0, "a")), ValueError, r"generator must be a GeneratorId, got \(0, 'a'\)"),
     ("GeneratorId boolean dimension", lambda: GeneratorId(True, "a"),
      ValueError, "generator dimension must be an integer, got True"),
     ("GeneratorId float dimension", lambda: GeneratorId(1.5, "a"),

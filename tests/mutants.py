@@ -81,14 +81,14 @@ def run(command: list[str], cwd: Path, timeout: float) -> tuple[bool, float]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[argv.index("--") + 1:] if "--" in argv else []
+    cut = argv.index("--") if "--" in argv else len(argv)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("target", help="source file to mutate, relative to the checkout")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, help="number of sites to draw (default: all)")
     parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    args = parser.parse_args(argv[:argv.index("--")] if "--" in argv else argv)
-    command = command or [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    args = parser.parse_args(argv[:cut])
+    command = argv[cut + 1:] or [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 
     text = (REPO / args.target).read_text(encoding="utf-8")
     chosen = sites(text)
@@ -114,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
                 target.write_text(text, encoding="utf-8")
             survivors += passed
             line = text.count("\n", 0, start) + 1
-            print(f"{'SURVIVED' if passed else 'killed  '} {args.target}:{line} {op!r} -> {SWAP[op]!r} ({seconds:.1f} s)",
-                  flush=True)
+            outcome = "SURVIVED" if passed else "killed  "
+            print(f"{outcome} {args.target}:{line} {op!r} -> {SWAP[op]!r} ({seconds:.1f} s)", flush=True)
         print(f"{len(chosen) - survivors} killed, {survivors} survived")
         return 0
     finally:

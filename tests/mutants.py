@@ -1,19 +1,19 @@
 """Seeded comparison mutants: flip one comparison operator at a time in a
 scratch copy of the checkout and run a test command on each mutant.
 
-    python tests/mutants.py src/paritykit/multiset.py [--seed 1] [--count 24] \
+    python tests/mutants.py src/paritykit/multiset.py [--count 24] \
         [-- python -m pytest -x -q tests/test_multiset.py]
 
 A site is one operator of one comparison in the target file.  Each mutant
 swaps one site: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
 ``in`` and ``not in``, ``is`` and ``is not``.  ``--count`` draws that many
-sites with ``random.Random(seed)``; without it every site is run.  The
+sites with ``random.Random(SEED)``; without it every site is run.  The
 checkout is copied (without ``.git`` and bytecode caches) into a temporary
 directory, the command runs there with ``src`` on ``PYTHONPATH`` and no
 bytecode written, so an equal-length swap is never hidden by a stale
 ``.pyc``, and the target is restored after each mutant.  The checkout
 itself is never written.  The default command is tier-1 with ``-x``.
-A mutant is killed when the command fails or runs past ``--timeout``.
+A mutant is killed when the command fails or runs past ``TIMEOUT`` seconds.
 Stdlib only; pytest does not collect this file.
 """
 
@@ -33,6 +33,8 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+SEED = 1
+TIMEOUT = 600.0
 SWAP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
         "in": "not in", "not in": "in", "is": "is not", "is not": "is"}
 OPERATOR = re.compile(r"<=|>=|==|!=|<|>|\bnot\s+in\b|\bis\s+not\b|\bin\b|\bis\b")
@@ -62,16 +64,16 @@ def sites(text: str) -> list[tuple[int, int, str]]:
     return sorted(out)
 
 
-def run(command: list[str], cwd: Path, timeout: float) -> tuple[bool, float]:
+def run(command: list[str], cwd: Path) -> tuple[bool, float]:
     """(passed, seconds) of the command in ``cwd``; a run past the
-    timeout is stopped with its whole process group and counts as failed."""
+    ``TIMEOUT`` is stopped with its whole process group and counts as failed."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(cwd / "src"), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     child = subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        passed = child.wait(timeout=timeout) == 0
+        passed = child.wait(timeout=TIMEOUT) == 0
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         child.wait()
@@ -84,32 +86,30 @@ def main(argv: list[str] | None = None) -> int:
     cut = argv.index("--") if "--" in argv else len(argv)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("target", help="source file to mutate, relative to the checkout")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, help="number of sites to draw (default: all)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     args = parser.parse_args(argv[:cut])
     command = argv[cut + 1:] or [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 
     text = (REPO / args.target).read_text(encoding="utf-8")
     chosen = sites(text)
     if args.count is not None and args.count < len(chosen):
-        chosen = sorted(random.Random(args.seed).sample(chosen, args.count))
+        chosen = sorted(random.Random(SEED).sample(chosen, args.count))
     work = Path(tempfile.mkdtemp(prefix="mutants-"))
     try:
         copy = work / "checkout"
         shutil.copytree(REPO, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
         target = copy / args.target
-        passed, seconds = run(command, copy, args.timeout)
+        passed, seconds = run(command, copy)
         if not passed:
             print(f"the unmutated command fails; no mutant run ({seconds:.1f} s)")
             return 1
-        print(f"{len(chosen)} of {len(sites(text))} sites of {args.target}, seed {args.seed}; "
+        print(f"{len(chosen)} of {len(sites(text))} sites of {args.target}, seed {SEED}; "
               f"unmutated run {seconds:.1f} s")
         survivors = 0
         for start, end, op in chosen:
             target.write_text(text[:start] + SWAP[op] + text[end:], encoding="utf-8")
             try:
-                passed, seconds = run(command, copy, args.timeout)
+                passed, seconds = run(command, copy)
             finally:
                 target.write_text(text, encoding="utf-8")
             survivors += passed

@@ -71,17 +71,22 @@ def _check_gen(gen: object) -> None:
         raise ValueError(f"generator must be a GeneratorId, got {gen!r}")
 
 
+def _pair(entry: object) -> tuple | list:
+    """Refuse an entry of an iterable that is not a 2-item tuple or list."""
+    if not isinstance(entry, (tuple, list)) or isinstance(entry, GeneratorId) or len(entry) != 2:
+        raise ValueError(f"entries must be (generator, count) pairs, got {entry!r}")
+    return entry
+
+
 def _entries(dim: int, counts: Mapping | Iterable, word: str) -> Iterator[tuple[GeneratorId, int]]:
-    """Check the dimension, then yield each entry in the given order once
-    its shape (a 2-item tuple or list), its id, its grading, its repeat (a
-    dropped zero entry included), its type and its upper bound are
-    checked; the lower bound is the caller's."""
+    """Check the dimension and the shape of every entry of an iterable (a
+    mapping's items are pairs), then yield each entry in the given order
+    once its id, its grading, its repeat (a dropped zero entry included),
+    its type and its upper bound are checked; the lower bound is the
+    caller's."""
     _check_int(dim, "dimension", 0)
     seen: set[GeneratorId] = set()
-    for entry in counts.items() if isinstance(counts, Mapping) else list(counts):
-        if not isinstance(entry, (tuple, list)) or isinstance(entry, GeneratorId) or len(entry) != 2:
-            raise ValueError(f"entries must be (generator, count) pairs, got {entry!r}")
-        gen, count = entry
+    for gen, count in counts.items() if isinstance(counts, Mapping) else [_pair(e) for e in counts]:
         _check_gen(gen)
         if gen[0] != dim:
             raise DimensionMismatchError(f"generator {gen.name!r} has dimension {gen.dim}, expected {dim}")

@@ -30,7 +30,7 @@ import os
 from collections import deque
 from typing import Sequence
 
-from .chain import AugmentationMissingError, FreeDirectedComplex, from_structure
+from .chain import AugmentationMissingError, FreeDirectedComplex
 from .multiset import GeneratorId, Multiset, _check_int, _format_entries
 from .parity_core import (
     CLASS_WEAK,
@@ -79,15 +79,15 @@ class CellTable:
     column's Multiset from that table's cache of its dimension's columns
     only when neg, pos, top or str asks for it; sort_key reads the masks'
     set bits.  Two tables over one face table compare their masks, any
-    other pair their columns.  The hash, computed on first use, reads the
-    negative row's column hashes alone, as a cell's negative row fixes its
-    positive one (P_k = M_k + dM_{k+1}, P_n = M_n); so a table over masks
-    and an equal one over Multisets stand for each other as dict keys, and
-    two tables that are not both cells may hash equal yet differ.  Tables
-    pickle and copy through the constructor.
+    other pair their columns.  The hash reads the negative row's column
+    hashes alone, as a cell's negative row fixes its positive one
+    (P_k = M_k + dM_{k+1}, P_n = M_n); so a table over masks and an equal
+    one over Multisets stand for each other as dict keys, and two tables
+    that are not both cells may hash equal yet differ.  Tables pickle and
+    copy through the constructor.
     """
 
-    __slots__ = ("_rows", "_faces", "_hash")
+    __slots__ = ("_rows", "_faces")
 
     def __init__(self, neg: Sequence[Multiset], pos: Sequence[Multiset]):
         neg = tuple(neg)
@@ -100,14 +100,16 @@ class CellTable:
                 raise ValueError(f"column {k} must hold Multisets, got {type(bad).__name__}")
             if m.dim != k or p.dim != k:
                 raise ValueError(f"column {k} must be graded by dimension {k}")
-        _fill(self, (neg, pos), None)
+        _set_rows(self, (neg, pos))
+        _set_faces(self, None)
 
     @classmethod
     def _of(cls, faces: _FaceTable | None, rows: tuple[tuple, tuple]) -> CellTable:
         """A table without the shape check: (neg, pos) rows of subset
         masks over faces, or of Multisets when faces is None."""
         out = object.__new__(cls)
-        _fill(out, rows, faces)
+        _set_rows(out, rows)
+        _set_faces(out, faces)
         return out
 
     def __setattr__(self, name, value):
@@ -162,15 +164,10 @@ class CellTable:
         return self.neg == other.neg and self.pos == other.pos
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            if self._faces is None:
-                h = hash(tuple([hash(c) for c in self._rows[0]]))
-            else:
-                columns = self._faces.columns
-                h = hash(tuple([columns[k][mask][1] for k, mask in enumerate(self._rows[0])]))
-            _set_hash(self, h)
-        return h
+        if self._faces is None:
+            return hash(tuple([hash(c) for c in self._rows[0]]))
+        columns = self._faces.columns
+        return hash(tuple([columns[k][mask][1] for k, mask in enumerate(self._rows[0])]))
 
     def __repr__(self) -> str:
         return f"CellTable({self!s})"
@@ -180,14 +177,7 @@ class CellTable:
         return f"({row(self.neg)}; {row(self.pos)})"
 
 
-_set_rows, _set_faces, _set_hash = (getattr(CellTable, slot).__set__ for slot in CellTable.__slots__)
-
-
-def _fill(table: CellTable, rows: tuple[tuple, tuple], faces: _FaceTable | None) -> None:
-    """Write a new table's slots through their member descriptors."""
-    _set_rows(table, rows)
-    _set_faces(table, faces)
-    _set_hash(table, None)
+_set_rows, _set_faces = (getattr(CellTable, slot).__set__ for slot in CellTable.__slots__)
 
 
 def _table_on(t: _FaceTable, rows: Sequence[Sequence[dict[int, int]]]) -> CellTable:
@@ -199,27 +189,32 @@ def _table_on(t: _FaceTable, rows: Sequence[Sequence[dict[int, int]]]) -> CellTa
 
 
 def validate_cell(
-    source: Structure | FreeDirectedComplex, table: CellTable, mode: str = "nu"
+    source: Structure | FreeDirectedComplex, table: CellTable, mode: str | None = None
 ) -> tuple[bool, str | None]:
     """Check the cell conditions; returns (ok, reason-if-not).
 
     Mode "rho" checks the boundary conditions and top equality; mode
     "nu" additionally requires augmentation 1 in dimension 0 (an error
-    if the complex has no augmentation).  The checks run on the columns
-    as (index, count) chains over the face table, which a structure and
-    its complex share, each boundary summed from its signed rows and
-    written from its row, so a reason never outgrows a machine word.
+    if the complex has no augmentation).  The default is "nu" when the
+    complex is augmented (its basis is normal) and "rho" otherwise: the
+    one rule every cell entry point checks by.  The checks run on the
+    columns as index -> count chains over the face table, which a
+    structure and its complex share, each boundary summed from its
+    signed rows and written from its row, so a reason never outgrows a
+    machine word.
     """
-    if mode not in ("rho", "nu"):
-        raise ValueError(f"unknown cell mode {mode!r}")
     t = source._table
+    if mode is None:
+        mode = "nu" if t.normal else "rho"
+    elif mode not in ("rho", "nu"):
+        raise ValueError(f"unknown cell mode {mode!r}")
     neg, pos = _chains(t, table)
     if neg[-1] != pos[-1]:
         return False, f"top columns differ: {table.top} vs {table.pos[-1]}"
     for k in range(table.dim):
-        want = _signed(neg[k], pos[k])
+        want = _signed(neg[k].items(), pos[k].items())
         for label, column in (("negative", neg[k + 1]), ("positive", pos[k + 1])):
-            got = _boundary(t, k + 1, column)
+            got = _boundary(t, k + 1, column.items())
             if got != want:
                 return False, (f"{label} column {k + 1} has boundary {t.text(k, got, _format_entries)}, "
                                f"expected {t.text(k, want, _format_entries)}")
@@ -227,25 +222,19 @@ def validate_cell(
         if not t.normal:
             raise AugmentationMissingError("complex has no augmentation (basis is not normal)")
         for label, column in (("negative", neg[0]), ("positive", pos[0])):
-            total = sum(c for _, c in column)
+            total = sum(column.values())
             if total != 1:
                 return False, f"{label} column 0 has augmentation {total}, expected 1"
     return True, None
 
 
-def _check_cell(source: Structure | FreeDirectedComplex, table: CellTable) -> tuple[bool, str | None]:
-    """validate_cell in "nu" mode when the complex is augmented (the basis
-    is normal) and in "rho" mode otherwise."""
-    return validate_cell(source, table, "nu" if source._table.normal else "rho")
-
-
-def _chains(t: _FaceTable, table: CellTable) -> tuple[list[list[tuple[int, int]]], ...]:
-    """The (neg, pos) rows of a table as sorted (index, count) chains over
-    face table t; a generator t lacks raises UnknownGeneratorError."""
+def _chains(t: _FaceTable, table: CellTable) -> tuple[list[dict[int, int]], ...]:
+    """The (neg, pos) rows of a table as index -> count chains over face
+    table t; a generator t lacks raises UnknownGeneratorError."""
     if table._faces is t:
-        return tuple([[(j, 1) for j in _bits(mask)] for mask in row] for row in table._rows)
+        return tuple([dict.fromkeys(_bits(mask), 1) for mask in row] for row in table._rows)
     index = t.index
-    return tuple([[(index[g], c) for g, c in column.items()] for column in row] for row in (table.neg, table.pos))
+    return tuple([{index[g]: c for g, c in column.items()} for column in row] for row in (table.neg, table.pos))
 
 
 def face(table: CellTable, k: int, sign: str) -> CellTable:
@@ -357,7 +346,7 @@ def _mask_rows(t: _FaceTable, table: CellTable) -> _MaskCell:
     """The (neg, pos) mask rows of a table over the structure with face
     table t; a column that is not a subset raises InternalCheckError."""
     if table._faces is not t:
-        table = _table_on(t, [[dict(column) for column in row] for row in _chains(t, table)])
+        table = _table_on(t, _chains(t, table))
     if table._faces is None:
         column = next(c for row in table._rows for c in row if not c.is_radical())
         raise InternalCheckError(f"column {column} of a cell over a weak parity complex is not a subset")
@@ -459,7 +448,7 @@ def excision_decompose(
     empty list.
 
     The column below the top moves by each member's signed row, its
-    boundary p - m, as index -> count dicts over the complex's face table.
+    boundary p - m, as index -> count dicts over the face table.
 
     A cell naming a generator the structure lacks raises
     UnknownGeneratorError before the structure is checked.  Requires a
@@ -467,11 +456,11 @@ def excision_decompose(
     dimension >= 1; intermediate columns failing positivity mean the
     hypotheses were violated and raise InternalCheckError.
     """
-    complex_ = source if isinstance(source, FreeDirectedComplex) else from_structure(source)
-    faces = complex_._table
+    faces = source._table
     neg_row, pos_row = _chains(faces, table)  # a generator the structure lacks is refused first
+    struct = source.structure if isinstance(source, FreeDirectedComplex) else source
     # additive globularity is dd = 0; weak loop-freeness reads only supports
-    globular, weakly_loop_free = not faces.dd_defects(), validate(complex_.structure).weakly_loop_free
+    globular, weakly_loop_free = not faces.dd_defects(), validate(struct).weakly_loop_free
     if not (globular and weakly_loop_free):
         raise StructureError(
             "excision needs a globular, weakly loop-free structure, got "
@@ -479,12 +468,12 @@ def excision_decompose(
         )
     if table.dim < 1:
         raise ValueError("excision applies to cells of dimension >= 1")
-    ok, reason = _check_cell(complex_, table)
+    ok, reason = validate_cell(source, table)
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
 
     n = table.dim
-    top = sorted(neg_row[-1])
+    top = sorted(neg_row[-1].items())
     if not top:
         return []
     if len(top) == 1 and top[0][1] == 1:
@@ -496,9 +485,9 @@ def excision_decompose(
         names = [faces.gens[n][members[i]] for i in cycle]
         raise InternalCheckError(f"cycle among top members of a weakly loop-free structure: {names}")
 
-    heads = [[dict(column) for column in row[:-2]] for row in (neg_row, pos_row)]
+    heads = [row[:-2] for row in (neg_row, pos_row)]
     slices: list[CellTable] = []
-    current = dict(neg_row[-2])
+    current = neg_row[-2]
     for i in [top[k][0] for k in order for _ in range(top[k][1])]:
         nxt = dict(current)
         for j, c in faces.signed[n][i].items():
@@ -509,7 +498,7 @@ def excision_decompose(
             raise InternalCheckError(f"intermediate column {text} is not positive; excision order failed")
         slices.append(_table_on(faces, (heads[0] + [current, {i: 1}], heads[1] + [nxt, {i: 1}])))
         current = nxt
-    if current != dict(pos_row[-2]):
+    if current != pos_row[-2]:
         raise InternalCheckError("excision slices do not close up to the target column")
     return slices
 
@@ -710,7 +699,7 @@ def generated_by_atoms(struct: Structure, table: CellTable) -> AtomExpression | 
     once it reaches the cell, and is capped as in atom_closure.
     """
     _check_search(struct, table.dim, "atom closure")
-    ok, reason = _check_cell(struct, table)
+    ok, reason = validate_cell(struct, table)
     if not ok:
         raise ValueError(f"not a valid cell: {reason}")
     goal = _mask_rows(struct._table, table)

@@ -66,7 +66,7 @@ class FreeDirectedComplex:
     def boundary_of(self, gen: GeneratorId) -> SignedVector:
         """Boundary of a generator of dimension >= 1, built from its signed row."""
         t = self._table
-        i = t.index[gen]  # a generator the structure lacks raises
+        i = t.at(gen)
         if gen.dim == 0:
             raise StructureError(f"dimension-0 generator {gen.name!r} has no boundary")
         return t.vector(gen.dim - 1, t.signed[gen.dim][i])

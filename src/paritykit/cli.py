@@ -205,13 +205,13 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_face(args) -> int:
-    from .cells import _check_cell, face
+    from .cells import face, validate_cell
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     cell_fixture = _load(args.cell, fixtures.KIND_CELL)
     table = cell_fixture.value
-    ok, reason = _check_cell(fixture.value, table)
+    ok, reason = validate_cell(fixture.value, table)
     if not ok:
         print(f"invalid cell: {reason}")
         return 1
@@ -225,14 +225,14 @@ def _cmd_face(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    from .cells import NotComposableError, _check_cell, compose
+    from .cells import NotComposableError, compose, validate_cell
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
     fixture = _load(args.file, *_STRUCTURE_KINDS)
     first = _load(args.cells[0], fixtures.KIND_CELL)
     second = _load(args.cells[1], fixtures.KIND_CELL)
     for label, cf in (("first", first), ("second", second)):
-        ok, reason = _check_cell(fixture.value, cf.value)
+        ok, reason = validate_cell(fixture.value, cf.value)
         if not ok:
             print(f"invalid {label} cell: {reason}")
             return 1

@@ -54,8 +54,9 @@ class GradedMorphism:
 
     def __init__(self, source: Structure, target: Structure, assignment: Mapping[GeneratorId, Multiset],
                  mode: str = "weak_parity"):
-        index, into = source._table.index, target._table.index  # each raises for a generator it lacks
-        images = ((g, g.dim, index[g], _image_row(g, _multiset(g, image), into)) for g, image in assignment.items())
+        at, into = source._table.at, target._table.index  # each raises for a generator it lacks
+        images = ((g, g.dim, i, _image_row(g, _multiset(g, image), into))
+                  for g, image in assignment.items() for i in [at(g)])  # a key is checked before its dim is read
         rows = _image_rows(source, target, mode, assignment, images)
         self._source, self._target, self._rows, self._mode = source, target, rows, mode
 
@@ -71,7 +72,7 @@ class GradedMorphism:
     mode = property(attrgetter("_mode"))
 
     def image(self, gen: GeneratorId) -> Multiset:
-        row = _row(self, gen)  # refuses a key that is not a generator of the source before its dim is read
+        row = _row(self, gen)
         return self._target._table.multiset(gen.dim, row)
 
     def apply_multiset(self, s: Multiset) -> Multiset:
@@ -93,7 +94,7 @@ class GradedMorphism:
 
 def _row(f: GradedMorphism | ChainMap, gen: GeneratorId) -> dict[int, int]:
     """The image row of a generator of f's source, which raises for any other."""
-    i = f._source._table.index[gen]
+    i = f._source._table.at(gen)
     return f._rows[gen.dim][i]
 
 
@@ -288,12 +289,12 @@ def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
     """Columnwise image of a cell, checked against the source as every cell
     operation checks it: each column's chain mapped through the image rows,
     as in _apply, into a table over the target's face table; a count beyond MAX_COUNT raises."""
-    from .cells import _chains, _check_cell, _table_on
-    ok, reason = _check_cell(f.source, table)
+    from .cells import _chains, _table_on, validate_cell
+    ok, reason = validate_cell(f.source, table)
     if not ok:
         raise ValueError(f"not a valid cell over the source: {reason}")
     chains, rows = _chains(f.source._table, table), f._rows
-    images = [[_linear(rows[k], c) if c else {} for k, c in enumerate(row)] for row in chains]
+    images = [[_linear(rows[k], c.items()) if c else {} for k, c in enumerate(row)] for row in chains]
     return _table_on(f.target._table, images)
 
 

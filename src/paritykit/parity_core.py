@@ -126,7 +126,7 @@ class _GradedStructure:
         return self._table.offset[-1]
 
     def __contains__(self, gen: GeneratorId) -> bool:
-        return gen in self._table.index
+        return isinstance(gen, GeneratorId) and gen in self._table.index
 
     def gen(self, name: str, dim: int | None = None) -> GeneratorId:
         """Look a generator up by name (and dimension, if ambiguous)."""
@@ -146,7 +146,7 @@ class _GradedStructure:
         return hits[0]
 
     def require(self, gen: GeneratorId) -> None:
-        self._table.index[gen]  # an id the structure lacks raises
+        self._table.at(gen)
 
     def neg(self, gen: GeneratorId):
         return self._faces(gen, self._table.neg)
@@ -156,7 +156,7 @@ class _GradedStructure:
 
     def _faces(self, gen: GeneratorId, rows: list[list[tuple]]):
         t = self._table
-        i = t.index[gen]
+        i = t.at(gen)
         if gen.dim == 0:
             raise StructureError(f"dimension-0 generator {gen.name!r} has no faces")
         return self._value(t, gen.dim - 1, rows[gen.dim][i])
@@ -219,7 +219,7 @@ class AdditiveParityStructure(_GradedStructure):
                 if type(count) is not int:
                     raise StructureError(f"count for {name!r} must be an integer, got {count!r}")
                 counts[j] = counts.get(j, 0) + count
-            if counts and not 0 < min(counts.values()) <= max(counts.values()) <= MAX_COUNT:
+            if counts and not (0 < min(counts.values()) and max(counts.values()) <= MAX_COUNT):
                 Multiset(dim, {gens[j]: c for j, c in counts.items()})  # raises the first bad count's error
             rows.append(tuple(sorted(counts.items())))
         return rows
@@ -268,10 +268,10 @@ Structure = AdditiveParityStructure | ParityStructure
 
 
 class _ById(dict):
-    """A dict keyed by generator ids; a missing key is an unknown generator."""
+    """A dict keyed by generator ids; a missing key is an unknown generator.
+    A generator argument comes through ``_FaceTable.at``, which checks its type."""
 
     def __missing__(self, gen: GeneratorId):
-        _check_gen(gen)
         raise UnknownGeneratorError(f"generator {gen.name!r} (dim {gen.dim}) not in structure")
 
 
@@ -382,11 +382,17 @@ class _FaceTable:
                              if any((dd := _linear(s[d - 1], row.items())).values()))
         return self._dd
 
+    def at(self, gen: GeneratorId) -> int:
+        """The index of a generator argument; a key that is not a
+        GeneratorId (a plain tuple equals one), or one the table lacks, raises."""
+        _check_gen(gen)
+        return self.index[gen]
+
     def atom(self, gen: GeneratorId) -> tuple[tuple, tuple]:
         """The ``_atom`` of a generator, built on first use; one the table lacks raises."""
+        i = self.at(gen)  # before the cache, which a plain tuple would hit too
         atom = self._atoms.get(gen)
         if atom is None:
-            i = self.index[gen]  # refuses a key that is not a generator id before its dim is read
             atom = self._atoms[gen] = _atom(self, gen.dim, i)
         return atom
 
@@ -397,9 +403,10 @@ class _FaceTable:
     def mask(self, dim: int, gens: Iterable[GeneratorId]) -> int:
         out = 0
         for g in gens:
+            i = self.at(g)
             if g.dim != dim:
                 raise DimensionMismatchError(f"{g.name!r} has dimension {g.dim}, expected {dim}")
-            out |= 1 << self.index[g]
+            out |= 1 << i
         return out
 
     def members(self, k: int, mask: int) -> frozenset[GeneratorId]:

@@ -1,8 +1,8 @@
-"""One rule checks a cell wherever one enters: ``cells._check_cell``'s,
+"""One rule checks a cell wherever one enters: ``cells.validate_cell``'s default,
 augmentation 1 in column 0 when the structure's complex is augmented and
 only the boundary conditions otherwise.  Every entry point that checks
 a cell is fed the same tables, and each must refuse a table exactly when
-``_check_cell`` does, with its reason.
+``validate_cell`` does, with its reason.
 
 Excision and ``decompose`` refuse a 0-cell for its dimension, and
 ``generated_by_atoms`` a structure that is not a weak parity complex,
@@ -98,7 +98,7 @@ def command(argv, pattern):
 
 
 ENTRY_POINTS = {
-    "_check_cell": lambda struct, table, files, capsys: cells._check_cell(struct, table)[1],
+    "validate_cell": lambda struct, table, files, capsys: cells.validate_cell(struct, table)[1],
     "excision_decompose": library(cells.excision_decompose, "not a valid cell: "),
     "apply_to_cell": library(lambda s, t: apply_to_cell(identity_morphism(s, "additive"), t),
                              "not a valid cell over the source: "),
@@ -130,7 +130,7 @@ def test_every_entry_point_checks_a_cell_alike(tmp_path, capsys, name, label):
     files["file"].write_text(fixtures.dumps(struct, name=name))
     files["cell"].write_text(fixtures.dumps(table, name="c"))
     files["morphism"].write_text(fixtures.dumps(identity_morphism(struct, "additive"), name="id"))
-    expected = cells._check_cell(struct, table)[1]
+    expected = cells.validate_cell(struct, table)[1]
     reasons = {entry: run(struct, table, files, capsys) for entry, run in ENTRY_POINTS.items()
                if reaches_the_cell(entry, struct, table)}
     assert reasons == dict.fromkeys(reasons, expected)

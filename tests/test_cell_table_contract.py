@@ -177,7 +177,7 @@ class TestPickleAndCopy:
             for u in clones(t):
                 same_table(u, t)
                 with pytest.raises(AttributeError, match="is immutable"):
-                    u._hash = 0
+                    u._rows = ((), ())
             with pytest.raises(AttributeError, match="is immutable"):
                 t.dim = 0
 

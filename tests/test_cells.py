@@ -22,7 +22,7 @@ from paritykit.cells import (
     NotComposableError,
 )
 from paritykit import fixtures, parity_core
-from paritykit.chain import FreeDirectedComplex, from_structure
+from paritykit.chain import AugmentationMissingError, FreeDirectedComplex, from_structure
 from paritykit.generators import cube, family, globe, oriental
 from paritykit.multiset import Multiset
 from paritykit.parity_core import (
@@ -74,6 +74,27 @@ class TestValidateCell:
         ok, reason = cells.validate_cell(oriental2, t, "nu")
         assert not ok and "augmentation" in reason
         assert cells.validate_cell(oriental2, t, "rho") == (True, None)
+
+    def test_the_default_mode_is_nu_exactly_when_the_complex_is_augmented(self):
+        # oriental(1) is augmented; a: u -> 2v is not normal, so it has no augmentation
+        from paritykit.parity_core import AdditiveParityStructure
+
+        o1 = oriental(1)
+        s = AdditiveParityStructure.build([("u", 0, [], []), ("v", 0, [], []), ("a", 1, ["u"], [("v", 2)])])
+        p, q = o1.generators(0)
+        u, v, a = (s.gen(n) for n in "uva")
+        pair = lambda x, y: CellTable([Multiset.of(x, y)], [Multiset.of(x, y)])
+        edge = lambda target: CellTable([Multiset.of(u), Multiset.of(a)], [target, Multiset.of(a)])
+        cases = [(o1, "nu", cells.enumerate_cells(o1, 1) + [pair(p, q)]),
+                 (s, "rho", [pair(u, v), edge(Multiset.of(v, v)), edge(Multiset.of(v))])]
+        for struct, mode, sample in cases:
+            assert from_structure(struct).augmented is (mode == "nu")
+            assert [cells.validate_cell(struct, t) for t in sample] == [
+                cells.validate_cell(struct, t, mode) for t in sample]
+        assert cells.validate_cell(o1, pair(p, q)) == (False, "negative column 0 has augmentation 2, expected 1")
+        assert cells.validate_cell(s, pair(u, v)) == (True, None)
+        with pytest.raises(AugmentationMissingError):
+            cells.validate_cell(s, pair(u, v), "nu")
 
     def test_a_boundary_past_max_count_is_reported(self):
         # a: u -> 2v, so the boundary of MAX a counts v twice MAX_COUNT times
@@ -208,6 +229,10 @@ class TestIdentity:
         lifted = [cells.identity(t) for t in sample]
         assert len(set(lifted)) == len(sample)
 
+    def test_an_empty_zero_cell_is_not_an_identity(self):
+        # an identity lifts a lower cell, and a 0-column table has none below it
+        assert not CellTable([Multiset(0)], [Multiset(0)]).is_identity()
+
 
 class TestAtom:
     def test_globe_atom(self, globe2):
@@ -316,6 +341,11 @@ class TestEnumerate:
         monkeypatch.setenv(cells.MAX_CELLS_ENV, "5")
         with pytest.raises(EnumerationCapError):
             cells.enumerate_cells(oriental2, 2)
+
+    def test_a_cap_equal_to_the_points_admits_them(self, monkeypatch):
+        monkeypatch.setenv(cells.MAX_CELLS_ENV, "2")
+        g3 = globe(3)
+        assert cells.enumerate_cells(g3, 0) == [cells.atom(g3, g) for g in g3.generators(0)]
 
     def test_same_cells_over_the_additive_view(self, oriental3):
         additive = oriental3.to_additive()
@@ -642,6 +672,14 @@ class TestExcision:
                     assert oriental3.to_additive().pos(b_i).disjoint(
                         oriental3.to_additive().neg(b_j)
                     )
+
+    def test_an_empty_column_below_the_top_stays_empty(self):
+        # x and y have no faces, so every intermediate column is the empty one
+        s = ParityStructure.build([("u", 0, [], []), ("x", 2, [], []), ("y", 2, [], [])])
+        t = table(s, [["u"], [], ["x", "y"]], [["u"], [], ["x", "y"]])
+        slices = cells.excision_decompose(s, t)
+        assert slices == [table(s, [["u"], [], [g]], [["u"], [], [g]]) for g in "xy"]
+        assert cells.compose(*slices, 1) == t
 
     def test_rejects_invalid_cell(self, oriental2):
         bad = table(oriental2, [["0"], ["01"]], [["2"], ["01"]])

@@ -158,6 +158,8 @@ CASES = [
     ("build float count", lambda: additive_count(1.5), StructureError, r"count for 'u' must be an integer, got 1\.5"),
     ("build string count", lambda: additive_count("2"), StructureError, "count for 'u' must be an integer, got '2'"),
     ("build boolean count", lambda: additive_count(True), StructureError, "count for 'u' must be an integer, got True"),
+    ("build zero count", lambda: additive_count(0), ValueError, "count for 'u' must be positive, got 0"),
+    ("require a tuple", lambda: O2.require((1, "01")), ValueError, r"generator must be a GeneratorId, got \(1, '01'\)"),
     ("build boolean dimension", lambda: ParityStructure.build([("a", True, [], [])]),
      ValueError, "generator dimension must be an integer, got True"),
     ("skeleton dimension a float", lambda: skeleton(O2, 1.5), ValueError, r"skeleton dimension must be an integer, got 1\.5"),
@@ -242,3 +244,4 @@ def test_complex_max_dim_and_membership():
     assert complex_.max_dim == 2
     assert POINT in complex_ and EDGE in complex_
     assert GeneratorId(0, "zz") not in complex_ and GeneratorId(1, "0") not in complex_
+    assert tuple(EDGE) == (1, "01") and (1, "01") not in complex_ and (1, "01") not in O2

@@ -302,8 +302,10 @@ class TestPackageSurface:
 #: id, each with the words one of which a refusal of it must contain.
 SCALARS = {"dim": ("dimension",), "n": ("size", "dimension"), "k": ("index",), "max_dim": ("max_dim",),
            "name": ("name", "family", "generator"), "gen": ("generator",)}
-#: The values of the wrong type passed to each of them.
+#: The values of the wrong type passed to each of them, and to a ``gen``
+#: parameter also a plain (dim, name) tuple, which equals an id of oriental(2).
 BAD_SCALARS = (True, 1.5, "1", None)
+BAD_GENS = ((1, "01"),)
 
 
 def _scalar_calls():
@@ -342,7 +344,7 @@ class TestScalarArguments:
         for qual, call, args in _scalar_calls():
             for param in SCALARS.keys() & args.keys():
                 default = inspect.signature(call).parameters[param].default
-                for bad in BAD_SCALARS:
+                for bad in BAD_SCALARS + (BAD_GENS if param == "gen" else ()):
                     if bad is None and default is None:
                         continue
                     walked.append((qual, param, bad))
@@ -357,9 +359,10 @@ class TestScalarArguments:
                         faults.append(f"{qual}({param}={bad!r}) answered {answer!r}")
         assert faults == []
         # 15 functions and 15 methods, with 33 such parameters, 2 of them defaulting to None
+        # and 13 of them named gen
         assert len({qual for qual, _, _ in walked}) == 30
         assert len({(qual, param) for qual, param, _ in walked}) == 33
-        assert len(walked) == 33 * 4 - 2
+        assert len(walked) == 33 * 4 - 2 + 13
 
 
 class TestReportTypes:

@@ -1,19 +1,19 @@
 """Morphisms of additive and weak parity complexes.
 
-A graded morphism assigns each source generator a finite multiset
-(additive mode) or well-formed subset (weak-parity mode) of target
-generators of the same dimension; a chain map assigns it a chain.  Both
-keep the image of generator i of dimension d as ``rows[d][i]``, an index
--> count dict over the target face table's dimension-d generators, as
-the table keeps its signed rows.  Everything but the results and the
-text of a failure is computed on these rows, where no count overflows.
+A graded morphism assigns each source generator a finite multiset (additive
+mode) or well-formed subset (weak-parity mode) of target generators of the
+same dimension; a chain map assigns it a chain.  Both subclass ``_Map``,
+which keeps the image of generator i of dimension d as ``rows[d][i]``, an
+index -> count dict over the target face table's dimension-d generators, as
+the table keeps its signed rows.  Everything but the results and the text of
+a failure is computed on these rows, where no count overflows.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import attrgetter, or_
-from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Collection, Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .multiset import MAX_COUNT, GeneratorId, Multiset, SignedVector, _format_entries
 from .parity_core import (
@@ -42,15 +42,45 @@ class MorphismError(ValueError):
     """The data does not describe a graded morphism of the stated mode."""
 
 
-class GradedMorphism:
+class _Map:
+    """What the two maps share: a source, a target and the image rows over the
+    target's face table, set unchecked by ``_of``, and the image of a generator
+    or a chain, which each class reads as its ``_value`` of a row."""
+
+    @classmethod
+    def _of(cls, source, target, rows: list, mode: str | None = None):
+        """The map with these image rows, which are not checked; ``mode`` is a graded morphism's."""
+        f = cls.__new__(cls)
+        f._source, f._target, f._rows, f._mode = source, target, rows, mode
+        return f
+
+    source = property(attrgetter("_source"))
+    target = property(attrgetter("_target"))
+
+    def image(self, gen: GeneratorId) -> Multiset | SignedVector:
+        i = self._source._table.at(gen)  # raises for a generator the source lacks
+        return self._value(self._target._table, gen.dim, self._rows[gen.dim][i])
+
+    def _extend(self, v: Multiset | SignedVector):
+        """The image of a value of the source's generators, extended linearly."""
+        chain = [(self._source._table.index[g], c) for g, c in v.items()]
+        return self._value(self._target._table, v.dim, self._chain_image(v.dim, chain))
+
+    def _chain_image(self, d: int, chain: Collection[tuple[int, int]]) -> dict[int, int]:
+        """The image row of a nonempty ``(index, count)`` chain of the source's dimension d, else {}."""
+        return _linear(self._rows[d], chain) if chain else {}
+
+
+class GradedMorphism(_Map):
     """Dimension-preserving assignment of face data between structures.
 
     Equality is extensional: same source, target, and image of every
     generator; the mode is not compared.  The assignment must be total
     and every image a Multiset; weak-parity mode additionally requires
     every image to be a subset.
-    The images are kept as rows over the target's face table.
     """
+
+    _value = staticmethod(_FaceTable.multiset)
 
     def __init__(self, source: Structure, target: Structure, assignment: Mapping[GeneratorId, Multiset],
                  mode: str = "weak_parity"):
@@ -60,24 +90,11 @@ class GradedMorphism:
         rows = _image_rows(source, target, mode, assignment, images)
         self._source, self._target, self._rows, self._mode = source, target, rows, mode
 
-    @classmethod
-    def _of(cls, source: Structure, target: Structure, rows: list, mode: str) -> GradedMorphism:
-        """The morphism with these image rows, which are not checked."""
-        f = cls.__new__(cls)
-        f._source, f._target, f._rows, f._mode = source, target, rows, mode
-        return f
-
-    source = property(attrgetter("_source"))
-    target = property(attrgetter("_target"))
     mode = property(attrgetter("_mode"))
-
-    def image(self, gen: GeneratorId) -> Multiset:
-        row = _row(self, gen)
-        return self._target._table.multiset(gen.dim, row)
 
     def apply_multiset(self, s: Multiset) -> Multiset:
         """Homomorphic extension to multisets."""
-        return self._target._table.multiset(s.dim, _apply(self, s))
+        return self._extend(s)
 
     def is_normal(self) -> bool:
         """True iff every dimension-0 image is a singleton."""
@@ -90,18 +107,6 @@ class GradedMorphism:
 
     def __repr__(self) -> str:
         return f"<GradedMorphism {self._mode} on {len(self._source)} generators>"
-
-
-def _row(f: GradedMorphism | ChainMap, gen: GeneratorId) -> dict[int, int]:
-    """The image row of a generator of f's source, which raises for any other."""
-    i = f._source._table.at(gen)
-    return f._rows[gen.dim][i]
-
-
-def _apply(f: GradedMorphism | ChainMap, v: Multiset | SignedVector) -> dict[int, int]:
-    """The image of a chain under f, as an index -> count dict."""
-    chain = [(f._source._table.index[g], c) for g, c in v.items()]
-    return _linear(f._rows[v.dim], chain) if chain else {}
 
 
 #: The text for an image row with a count above 1: its generator's name, quoted when raised, then the row.
@@ -287,27 +292,27 @@ def restrict_morphism(f: GradedMorphism, n: int) -> GradedMorphism:
 
 def apply_to_cell(f: GradedMorphism, table: CellTable) -> CellTable:
     """Columnwise image of a cell, checked against the source as every cell
-    operation checks it: each column's chain mapped through the image rows,
-    as in _apply, into a table over the target's face table; a count beyond MAX_COUNT raises."""
+    operation checks it: each column's chain mapped through the image rows
+    into a table over the target's face table; a count beyond MAX_COUNT raises."""
     from .cells import _chains, _table_on, validate_cell
     ok, reason = validate_cell(f.source, table)
     if not ok:
         raise ValueError(f"not a valid cell over the source: {reason}")
-    chains, rows = _chains(f.source._table, table), f._rows
-    images = [[_linear(rows[k], c.items()) if c else {} for k, c in enumerate(row)] for row in chains]
+    images = [[f._chain_image(k, c.items()) for k, c in enumerate(row)] for row in _chains(f.source._table, table)]
     return _table_on(f.target._table, images)
 
 
-class ChainMap:
+class ChainMap(_Map):
     """Induced map of free directed complexes, checked on construction.
 
     Sends every generator to a chain of its own dimension over the
     target's generators, and commutes with the boundaries on every
     generator; preserves the canonical augmentations when the morphism
-    is normal.  The images are kept as rows over the target's face
-    table.  Equality and composability compare face tables, not
+    is normal.  Equality and composability compare face tables, not
     structure classes.
     """
+
+    _value = staticmethod(_FaceTable.vector)
 
     def __init__(self, source: FreeDirectedComplex, target: FreeDirectedComplex,
                  images: Mapping[GeneratorId, SignedVector]):
@@ -328,22 +333,8 @@ class ChainMap:
                 )
         self._source, self._target, self._rows = source, target, rows
 
-    @classmethod
-    def _of(cls, source: FreeDirectedComplex, target: FreeDirectedComplex, rows: list) -> ChainMap:
-        """The chain map with these image rows, which are not checked."""
-        cm = cls.__new__(cls)
-        cm._source, cm._target, cm._rows = source, target, rows
-        return cm
-
-    source = property(attrgetter("_source"))
-    target = property(attrgetter("_target"))
-
-    def image(self, gen: GeneratorId) -> SignedVector:
-        row = _row(self, gen)  # as in GradedMorphism.image
-        return self._target._table.vector(gen.dim, row)
-
     def apply(self, v: SignedVector) -> SignedVector:
-        return self._target._table.vector(v.dim, _apply(self, v))
+        return self._extend(v)
 
     def then(self, other: ChainMap) -> ChainMap:
         if not self._target._table.same_faces(other._source._table):

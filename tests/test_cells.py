@@ -811,6 +811,8 @@ class TestGeneratedByAtoms:
         expr = cells.generated_by_atoms(oriental2, t)
         payload = expr.to_payload()
         assert payload[0] == "compose" and payload[1] == 0
+        lifted = cells.atom_closure(oriental2, 2)[cells.identity(t)]
+        assert repr(lifted) == "Composite(0, IdentityLift(AtomLeaf(01)), IdentityLift(AtomLeaf(12)))"
 
 
 class TestAtomClosure:

@@ -567,6 +567,9 @@ class TestColdProcess:
         assert proc.stderr == (
             "error: --max-dim 4 asks for 5 counts, more than the cap of 4 cells (set PARITYKIT_MAX_CELLS to raise)\n"
         )
+        # as many counts as the cap allows cells is within it
+        proc = run_cold("-m", "paritykit.cli", "cells", str(path), "--max-dim", "3", PARITYKIT_MAX_CELLS="4", timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0 0\n", "")
         proc = run_cold("-m", "paritykit.cli", "freeness", str(path), "--max-dim", "64", timeout=20)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "cells: 0\nreached from atoms: 0\n", "")
 

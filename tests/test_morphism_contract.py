@@ -212,6 +212,7 @@ class TestApplication:
 
     def test_repr_and_normality(self):
         assert repr(self.f) == "<GradedMorphism weak_parity on 3 generators>"
+        assert repr(induced_chain_map(self.f)) == "<ChainMap on 3 generators>"
         assert self.f.is_normal()
         two = {**edge(), gen(G1, "e0-"): Multiset(0, [(gen(O2, "0"), 1), (gen(O2, "2"), 1)])}
         assert not GradedMorphism(G1, O2, two, "additive").is_normal()

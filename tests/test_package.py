@@ -99,12 +99,6 @@ READERS = {
     "CellTable.neg": "paritykit.cli._cell_out",
     "CellTable.pos": "paritykit.cli._cell_out",
     "CellTable.sort_key": "perfbench.workload_cells._check_table",
-    "ChainMap.image": "perfbench.workload_check.MorphismRequest.check",
-    "GradedMorphism.image": "perfbench.workload_check.MorphismRequest.check",
-    "ChainMap.source": "paritykit.morphisms.morphism_from_chain_map",
-    "ChainMap.target": "paritykit.morphisms.morphism_from_chain_map",
-    "GradedMorphism.source": "paritykit.fixtures._assignment",
-    "GradedMorphism.target": "paritykit.fixtures._assignment",
     "FreeDirectedComplex.augmented": "perfbench.workload_cells.FacesRequest.call",
     "FreeDirectedComplex.generators": "paritykit.cli._cmd_chain",
     "FreeDirectedComplex.require": "paritykit.chain.FreeDirectedComplex.augmentation",

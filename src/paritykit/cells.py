@@ -21,7 +21,10 @@ final sort, and atom closure composes, faces and lifts them.  The
 subset tables they return, and those of atom, excision, apply_to_cell
 and the cell operations, keep the mask rows and a face table; a
 column's Multiset is built, once per face table, only when a caller
-reads it or hashes the table.
+reads it or hashes the table.  On subset faces validate_cell accepts
+such a table by face unions, as a well-formed subset's chain equation
+is its movement; a refusal, and a table over Multisets, are read as
+chains.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ from .parity_core import (
     _lex_sort,
     _mask,
     _meets,
+    _moves,
     _signed,
+    _spread,
     validate,
 )
 
@@ -197,17 +202,21 @@ def validate_cell(
     "nu" additionally requires augmentation 1 in dimension 0 (an error
     if the complex has no augmentation).  The default is "nu" when the
     complex is augmented (its basis is normal) and "rho" otherwise: the
-    one rule every cell entry point checks by.  The checks run on the
-    columns as index -> count chains over the face table, which a
-    structure and its complex share, each boundary summed from its
-    signed rows and written from its row, so a reason never outgrows a
-    machine word.
+    one rule every cell entry point checks by.  A table over masks of
+    the structure's subset faces whose higher columns are well-formed is
+    accepted by face unions.  Any other table, and every refusal, is
+    checked on the columns as index -> count chains over the face table,
+    which a structure and its complex share, each boundary summed from
+    its signed rows and written from its row, so a reason never outgrows
+    a machine word.
     """
     t = source._table
     if mode is None:
         mode = "nu" if t.normal else "rho"
     elif mode not in ("rho", "nu"):
         raise ValueError(f"unknown cell mode {mode!r}")
+    if table._faces is t and t.subset and _accepted_by_unions(t, table._rows, mode == "nu"):
+        return True, None
     neg, pos = _chains(t, table)
     if neg[-1] != pos[-1]:
         return False, f"top columns differ: {table.top} vs {table.pos[-1]}"
@@ -226,6 +235,23 @@ def validate_cell(
             if total != 1:
                 return False, f"{label} column 0 has augmentation {total}, expected 1"
     return True, None
+
+
+def _accepted_by_unions(t: _FaceTable, rows: _MaskCell, nu: bool) -> bool:
+    """Whether mask rows over subset face table t are a cell by face unions:
+    equal tops, each higher column a well-formed subset that moves the pair
+    below (its chain equation there) and, for nu, a normal complex and one
+    point in M_0, which P_0 then has too (a boundary has augmentation 0);
+    False leaves the verdict to the chain reading."""
+    neg, pos = rows
+    if neg[-1] != pos[-1] or nu and not (t.normal and _spread(t, 0, neg[0])[2]):
+        return False
+    for k in range(len(neg) - 1):
+        for column in {neg[k + 1], pos[k + 1]}:  # the top column once
+            n, p, well_formed = _spread(t, k + 1, column)
+            if not (well_formed and _moves(n, p, neg[k], pos[k], False)):
+                return False
+    return True
 
 
 def _chains(t: _FaceTable, table: CellTable) -> tuple[list[dict[int, int]], ...]:

@@ -7,15 +7,21 @@ a cell is fed the same tables, and each must refuse a table exactly when
 Excision and ``decompose`` refuse a 0-cell for its dimension, and
 ``generated_by_atoms`` a structure that is not a weak parity complex,
 before they read the cell; there they are not fed the table.
+
+A table over masks is checked by face unions and a table over Multisets
+by chains; the two readings give one verdict, reason and error.
 """
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
+import randstruct
 from paritykit import cells, fixtures
+from paritykit.chain import AugmentationMissingError
 from paritykit.cli import main
 from paritykit.generators import oriental
 from paritykit.morphisms import apply_to_cell, identity_morphism
@@ -135,3 +141,59 @@ def test_every_entry_point_checks_a_cell_alike(tmp_path, capsys, name, label):
                if reaches_the_cell(entry, struct, table)}
     assert reasons == dict.fromkeys(reasons, expected)
 
+
+
+def verdict(struct, table, mode):
+    try:
+        return cells.validate_cell(struct, table, mode)
+    except AugmentationMissingError as exc:
+        return "raises", str(exc)
+
+
+def twin_sample():
+    """Seeded structures, each with its mask tables: the enumerated cells of
+    a weak parity complex, every generator's atom, and bit flips of both."""
+    rng = random.Random(35)
+    structs = [oriental(3), STRUCTURES["not_normal"]]
+    structs += [randstruct.random_structured_parity(rng) for _ in range(6)]
+    structs += [randstruct.random_raw_parity(rng, rng.randint(3, 7)) for _ in range(6)]
+    structs += [randstruct.random_additive_structure(rng) for _ in range(6)]
+    for struct in structs:
+        t = struct._table
+        sample = cells.enumerate_cells(struct, len(t.gens)) if validate(struct).meets(CLASS_WEAK) else []
+        sample += [cells.atom(struct, g) for row in t.gens for g in row]
+        masks = [table for table in sample if table._faces is t]
+        for table in list(masks):
+            rows = [list(row) for row in table._rows]
+            k = rng.randrange(len(rows[0]))
+            if k < len(t.gens):
+                for side in rng.choice([(0,), (1,), (0, 1)]):
+                    rows[side][k] ^= 1 << rng.randrange(len(t.gens[k]))
+                masks.append(cells.CellTable._of(t, tuple(map(tuple, rows))))
+        yield struct, masks
+
+
+def test_a_mask_table_and_its_multiset_twin_check_alike():
+    kinds, verdicts = set(), set()
+    for struct, sample in twin_sample():
+        report = validate(struct)
+        if sample:
+            kinds.add((report.meets(CLASS_WEAK), report.normal, struct._table.subset))
+        for table in sample:
+            twin = cells.CellTable(table.neg, table.pos)
+            for mode in (None, "rho", "nu"):
+                got = verdict(struct, table, mode)
+                assert got == verdict(struct, twin, mode), (struct, table, mode)
+                verdicts.add(got[0])
+    assert {(True, True, True), (False, True, True), (False, False, True), (False, False, False)} <= kinds
+    assert verdicts == {True, False, "raises"}
+
+
+def test_masks_over_multiset_faces_are_read_as_chains():
+    # a: u -> 2v, so the rows (u; a) and (v; a) move u to v by face unions,
+    # but the boundary of a counts v twice
+    struct = STRUCTURES["not_normal"]
+    t = struct._table
+    u, v, a = (1 << t.index[struct.gen(name)] for name in "uva")
+    table = cells.CellTable._of(t, ((u, a), (v, a)))
+    assert cells.validate_cell(struct, table) == (False, "negative column 1 has boundary -u +2v, expected -u +v")

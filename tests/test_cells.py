@@ -108,6 +108,24 @@ class TestValidateCell:
         assert cells.validate_cell(s, t, "rho") == (False, (
             f"negative column 1 has boundary -{MAX_COUNT}u +{2 * MAX_COUNT}v, expected -{MAX_COUNT}u +v"))
 
+    def test_chains_read(self, monkeypatch):
+        # a cell over masks is accepted by face unions; a refusal and a
+        # table over Multisets are read as chains, once each
+        calls = []
+        chains = cells._chains
+        monkeypatch.setattr(cells, "_chains", lambda *args: calls.append(1) or chains(*args))
+        for struct, max_dim in [(oriental(4), 4), (cube(3), 3)]:
+            sample = cells.enumerate_cells(struct, max_dim)
+            calls.clear()
+            assert all(cells.validate_cell(struct, t) == (True, None) for t in sample)
+            assert calls == []
+            top = sample[-1]
+            neg, pos = top._rows
+            flipped = CellTable._of(top._faces, (neg, (pos[0] ^ 1, *pos[1:])))
+            assert cells.validate_cell(struct, flipped)[0] is False
+            assert cells.validate_cell(struct, CellTable(top.neg, top.pos)) == (True, None)
+            assert len(calls) == 2
+
 
 class TestFace:
     def test_source_of_the_triangle_atom(self, oriental2):
